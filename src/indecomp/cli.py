@@ -1,7 +1,8 @@
 """Command-line front end: sweeps, table reproduction, verification runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
-3 illegal parameter or domain error, 4 internal consistency error.
+3 illegal parameter or domain error, 4 internal consistency error or any
+unexpected exception (traceback on stderr).
 All JSON/CSV output is deterministic for identical invocations.
 """
 
@@ -12,11 +13,12 @@ import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import forms, norms, oracle, quadratic, verify
 from .codifferent import monogenicity_certificate
-from .errors import IndecompError, NonIntegralTrace, RefinementLimit
+from .errors import ConsistencyError, IndecompError, NonIntegralTrace, RefinementLimit
 from .families import (
     indecomposables_ennola,
     indecomposables_simplest,
@@ -152,12 +154,20 @@ def cmd_indecomposables(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _coords(text: str) -> tuple[int, int, int]:
+    """argparse type of --elem: exactly three comma-separated integers."""
+    try:
+        coords = tuple(int(c) for c in text.split(","))
+    except ValueError:
+        coords = ()
+    if len(coords) != 3:
+        raise argparse.ArgumentTypeError(f"expected three integers v1,v2,v3, got {text!r}")
+    return coords
+
+
 def cmd_min_trace(args) -> int:
     field = _field(args)
-    coords = tuple(int(c) for c in args.elem.split(","))
-    if len(coords) != 3:
-        raise IndecompError("--elem expects v1,v2,v3")
-    el = OrderElement(coords, field)
+    el = OrderElement(args.elem, field)
     result = oracle.min_trace(el, t_max=args.tmax)
     if result is None:
         print(f"min trace > {args.tmax}")
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-trace", help="minimal trace over the totally positive codifferent")
     add_family(p)
-    p.add_argument("--elem", required=True, metavar="v1,v2,v3")
+    p.add_argument("--elem", required=True, metavar="v1,v2,v3", type=_coords)
     p.add_argument("--tmax", type=int, default=10)
     add_exports(p)
     p.set_defaults(func=cmd_min_trace)
@@ -386,12 +396,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NonIntegralTrace, RefinementLimit) as exc:
+    except (NonIntegralTrace, RefinementLimit, ConsistencyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except IndecompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

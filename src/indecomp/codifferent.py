@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralTrace, UnsupportedFamily, ZeroElement
+from .hnf import adjugate
 from .integers import is_squarefree
 from .order_kernel import (
     Family,
@@ -33,25 +34,11 @@ def fprime_element(field: FieldSpec) -> OrderElement:
     return OrderElement((field.c1, 2 * field.c2, 3), field)
 
 
-def _mat_inverse_parts(m):
-    """(adjugate, det) of an integer 3x3 matrix, both exact integers."""
-    adj = tuple(
-        tuple(
-            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    det = sum(m[0][j] * adj[j][0] for j in range(3))
-    return adj, det
-
-
 @lru_cache(maxsize=None)
 def _fprime_inverse_parts(field: FieldSpec):
     """(adjugate, det) of the multiplication matrix of f'(rho)."""
     m = multiplication_matrix(fprime_element(field))
-    adj, det = _mat_inverse_parts(m)
+    adj, det = adjugate(m)
     assert det == norm(fprime_element(field)) and det != 0
     return adj, det
 

@@ -91,3 +91,7 @@ class DescentStuck(IndecompError, ArithmeticError):
 
 class RefinementLimit(IndecompError, ArithmeticError):
     """Root-interval refinement hit its hard cap (never expected for legal input)."""
+
+
+class ConsistencyError(IndecompError, ArithmeticError):
+    """An internal self-check failed: a library defect, never a bad input."""

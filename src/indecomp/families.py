@@ -13,12 +13,13 @@ from typing import Optional
 
 from .codifferent import CodifferentElement, certificate_delta, trace_pairing
 from .errors import (
-    DegenerateSpan,
+    FieldMismatch,
     IllegalParameter,
     OutOfDomain,
     OutOfRange,
     OutOfTriangle,
 )
+from .hnf import parallelepiped_points
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -206,58 +207,11 @@ def parallelepiped_candidates(
     """
     field = u1.field
     if u2.field != field or u3.field != field:
-        from .errors import FieldMismatch
-
         raise FieldMismatch("parallelepiped generators from different fields")
-    gens = (u1.coords, u2.coords, u3.coords)
-    m = tuple(tuple(gens[j][i] for j in range(3)) for i in range(3))  # columns = generators
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if det == 0:
-        raise DegenerateSpan("generators are linearly dependent")
-    # adjugate for exact t = M^{-1} x
-    adj = tuple(
-        tuple(
-            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    subset_sums = set()
-    for mask in range(8):
-        s = [0, 0, 0]
-        for b in range(3):
-            if mask >> b & 1:
-                for i in range(3):
-                    s[i] += gens[b][i]
-        subset_sums.add(tuple(s))
-    lo = [min(0, *(s[i] for s in subset_sums)) for i in range(3)]
-    hi = [max(0, *(s[i] for s in subset_sums)) for i in range(3)]
-    # hull box of the vertices contains the parallelepiped (convexity)
-    candidates = []
-    vertex_sums = []
-    for x0 in range(lo[0], hi[0] + 1):
-        for x1 in range(lo[1], hi[1] + 1):
-            for x2 in range(lo[2], hi[2] + 1):
-                x = (x0, x1, x2)
-                ts = [sum(adj[i][k] * x[k] for k in range(3)) for i in range(3)]
-                if det > 0:
-                    if not all(0 <= t <= det for t in ts):
-                        continue
-                else:
-                    if not all(det <= t <= 0 for t in ts):
-                        continue
-                el = OrderElement(x, field)
-                if x in subset_sums:
-                    vertex_sums.append(el)
-                else:
-                    candidates.append(el)
-    candidates.sort(key=lambda e: e.coords)
-    vertex_sums.sort(key=lambda e: e.coords)
+    points, vertices = parallelepiped_points((u1.coords, u2.coords, u3.coords))
+    candidates, vertex_sums = [], []
+    for x in points:
+        (vertex_sums if x in vertices else candidates).append(OrderElement(x, field))
     return candidates, vertex_sums
 
 

@@ -18,6 +18,7 @@ from .codifferent import (
     trace_pairing,
 )
 from .errors import (
+    ConsistencyError,
     DescentStuck,
     GuardExceeded,
     IllegalRank,
@@ -34,7 +35,7 @@ from .families import (
     indecomposables_thomas,
 )
 from .intervals import Interval
-from .oracle import _context, box_from_embedding, iterate_box
+from .oracle import _context, box_from_embedding, iterate_box, iterate_slice
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -83,7 +84,8 @@ def minimal_vector_bound(rank: int) -> int:
         raise IllegalRank("rank must be positive")
     if rank <= 8:
         value = _ROOT_LATTICE_TABLE[rank]
-        assert _best_pairs(rank) == value
+        if _best_pairs(rank) != value:
+            raise ConsistencyError(f"root-lattice table disagrees with the sums at rank {rank}")
         return value
     if rank >= 16:
         return rank * (rank - 1)
@@ -102,18 +104,18 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(math.isqrt(p * q) + 1, q)
 
 
+def _square_root_box(target: OrderElement) -> list[tuple[int, int]]:
+    """Integer box holding every x with sigma_i(x)^2 <= sigma_i(target) for all i."""
+    rows, enclosures = _context(target.field, positive=[target])
+    bounds = [Interval(-s, s) for s in (_sqrt_upper(iv.hi) for iv in enclosures[target])]
+    return box_from_embedding(rows, bounds)
+
+
 def unit_square_root(eps: OrderElement) -> Optional[OrderElement]:
     """x with x^2 = eps, or None; complete search over |sigma_i(x)| <= sqrt."""
     if not is_totally_positive(eps):
         return None
-    rows, enclosures = _context(eps.field, positive=[eps])
-    bounds = []
-    for iv in enclosures[eps]:
-        s = _sqrt_upper(iv.hi)
-        bounds.append(Interval(-s, s))
-    box = box_from_embedding(rows, bounds)
-    assert box is not None
-    for coords in iterate_box(box):
+    for coords in iterate_box(_square_root_box(eps)):
         x = OrderElement(coords, eps.field)
         if mul(x, x) == eps:
             return x
@@ -169,7 +171,8 @@ def diagonal_universal(field: FieldSpec) -> DiagonalForm:
     for rec in records:
         for cls in classes:
             coefficient = mul(cls, rec.element)
-            assert is_totally_positive(coefficient)
+            if not is_totally_positive(coefficient):
+                raise ConsistencyError(f"coefficient {coefficient} is not totally positive")
             coeffs.extend([coefficient] * PYTHAGORAS_CAP_CUBIC)
     return DiagonalForm(tuple(coeffs))
 
@@ -295,7 +298,8 @@ def decompose_into_indecomposables(
     total = elem(field, 0, 0, 0)
     for rec, unit in parts:
         total = total + mul(unit, rec.element)
-    assert total == alpha
+    if total != alpha:
+        raise ConsistencyError(f"descent parts do not re-sum to {alpha}")
     return parts
 
 
@@ -338,19 +342,10 @@ def sum_of_squares_witness(
     memo: dict[tuple[tuple[int, int, int], int], Optional[list[OrderElement]]] = {}
 
     def candidates(target: OrderElement) -> list[OrderElement]:
-        rows, enclosures = _context(target.field, positive=[target])
-        bounds = []
-        for iv in enclosures[target]:
-            s = _sqrt_upper(iv.hi)
-            bounds.append(Interval(-s, s))
-        box = box_from_embedding(rows, bounds)
-        assert box is not None
         out = []
-        for coords in iterate_box(box):
-            if coords == (0, 0, 0):
-                continue
-            if coords < (0, 0, 0):
-                continue  # x and -x square identically; keep one
+        for coords in iterate_box(_square_root_box(target)):
+            if coords <= (0, 0, 0):
+                continue  # skip 0; x and -x square identically, keep one
             x = OrderElement(coords, target.field)
             sq = mul(x, x)
             rest = target - sq
@@ -399,40 +394,16 @@ def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     c = pairing_vector(delta)
     out = []
     rows, enclosures = _context(field, sign_definite=[gamma, fp])
-    giv = enclosures[gamma]
-    fiv = enclosures[fp]
+    # sigma_i(delta) = sigma_i(gamma)/sigma_i(f') is positive since delta >> 0
+    dlo = [(g / f).lo for g, f in zip(enclosures[gamma], enclosures[fp])]
+    if min(dlo) <= 0:
+        raise ConsistencyError("certificate delta must be totally positive")
     for t in range(1, trace_bound + 1):
-        bounds = []
-        for i in range(3):
-            # sigma_i(delta) = sigma_i(gamma)/sigma_i(f'), positive since delta >> 0
-            dlo_candidates = [
-                giv[i].lo / fiv[i].lo,
-                giv[i].lo / fiv[i].hi,
-                giv[i].hi / fiv[i].lo,
-                giv[i].hi / fiv[i].hi,
-            ]
-            dlo = min(dlo_candidates)
-            assert dlo > 0, "certificate delta must be totally positive"
-            bounds.append(Interval(0, Fraction(t) / dlo))
-        box = box_from_embedding(rows, bounds)
-        assert box is not None
-        pivot = max(range(3), key=lambda j: abs(c[j]))
-        others = [j for j in range(3) if j != pivot]
-        (lo0, hi0), (lo1, hi1) = box[others[0]], box[others[1]]
-        plo, phi = box[pivot]
-        for x0 in range(lo0, hi0 + 1):
-            for x1 in range(lo1, hi1 + 1):
-                num = t - c[others[0]] * x0 - c[others[1]] * x1
-                q, r = divmod(num, c[pivot])
-                if r or not plo <= q <= phi:
-                    continue
-                coords = [0, 0, 0]
-                coords[others[0]] = x0
-                coords[others[1]] = x1
-                coords[pivot] = q
-                el = OrderElement(tuple(coords), field)
-                if not el.is_zero() and is_totally_positive(el):
-                    out.append(el)
+        box = box_from_embedding(rows, [Interval(0, Fraction(t) / d) for d in dlo])
+        for coords in iterate_slice(box, c, t):
+            el = OrderElement(coords, field)
+            if not el.is_zero() and is_totally_positive(el):
+                out.append(el)
     out.sort(key=lambda e: e.coords)
     return out
 
@@ -487,7 +458,8 @@ def verify_universality_window(field: FieldSpec, trace_bound: int) -> WindowRepo
             check = elem(field, 0, 0, 0)
             for x in witness:
                 check = check + mul(x, x)
-            assert check == group_sum
+            if check != group_sum:
+                raise ConsistencyError(f"squares do not re-sum to group {key}")
             rebuilt = rebuilt + mul(rec_by_key[key].element, group_sum)
         if rebuilt != alpha:
             failures.append(f"{alpha.coords}: regrouped sum mismatch")

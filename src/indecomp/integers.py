@@ -5,13 +5,17 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_DIVISION_BOUND = 10**6
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed witness set)."""
+    """Miller-Rabin with the prime bases 2..41.
+
+    Deterministic for n < 3317044064679887385961981 (Sorenson and Webster,
+    Math. Comp. 2017); above that bound True means "probable prime".
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -36,7 +40,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """One nontrivial factor of composite odd n (Floyd's cycle detection)."""
     if n % 2 == 0:
         return 2
     seed = 1
@@ -123,9 +127,10 @@ def icbrt(n: int) -> int:
         raise ValueError("icbrt expects n >= 0")
     if n == 0:
         return 0
-    x = int(round(n ** (1 / 3))) + 2
-    while x * x * x > n:
-        x -= 1
-    while (x + 1) ** 3 <= n:
-        x += 1
-    return x
+    x = 1 << -(-n.bit_length() // 3)  # a power of two >= the cube root
+    while True:
+        # integer Newton step; it decreases strictly until x = floor(cbrt(n))
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y

@@ -151,12 +151,13 @@ BRUTE_A_GUARD = 12
 def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
     """Sorted determinants of all primitive principal ideals with norm <= a^2.
 
-    Every such ideal has a totally positive generator in one of the two
-    closed fundamental cones; on the closed cone spanned by unit generators
-    g_j, any point x = sum u_j g_j with N(x) <= X satisfies
-    sigma_i(x) >= u_j * sigma_i(g_j), hence u_j^3 = u_j^3 N(g_j) <= N(x),
-    so u_j <= X^(1/3) and the coordinate hull of the scaled generators is a
-    complete search box.
+    Every such ideal has a totally positive generator x = sum u_j g_j, u_j >= 0,
+    in one of the two closed cones spanned by totally positive units g_j of
+    norm 1.  N^(1/3) is superadditive on totally positive elements (Minkowski;
+    oracle.norms_superadditive is the exact test), so
+    sum u_j = sum N(u_j g_j)^(1/3) <= N(x)^(1/3) <= X^(1/3) < bound.  Hence x
+    lies in the simplex with vertices 0 and bound * g_j, and the coordinate
+    hull of those four points is a complete search box.
     """
     field = make_field(Family.SIMPLEST_CUBIC, a)
     X = a * a

@@ -3,7 +3,10 @@
 All searches are exhaustive over rigorously derived integer boxes: the box
 is the interval hull of the constraint region mapped through the inverse of
 the embedding matrix, computed with rational interval arithmetic (Cramer's
-rule), with root intervals refined until the determinant is sign-definite.
+rule).  Cubic and quadratic searches share one path: `_context` refines the
+field's interval embedding rows until the determinant and the needed element
+enclosures are sign-definite, `box_from_embedding` is the box rule, and
+`iterate_box` and `iterate_slice` enumerate a box or one trace slice of it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codifferent import (
     CodifferentElement,
@@ -21,36 +24,67 @@ from .codifferent import (
     is_totally_positive_codiff,
     trace_pairing,
 )
-from .errors import IllegalParameter, CertificateFailure, RefinementLimit, UnboundedRegion
+from .errors import (
+    CertificateFailure,
+    ConsistencyError,
+    IllegalParameter,
+    RefinementLimit,
+    UnboundedRegion,
+)
 from .intervals import Interval, det
 from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
     OrderElement,
-    embed,
     is_totally_positive,
     norm,
-    refine_roots,
 )
 
 
 # ---------------------------------------------------------------------------
-# Generic interval boxes (dimension 2 and 3)
+# The shared search path: embedding context, box rule, enumerators
+
+
+def _context(field, positive: Sequence = (), sign_definite: Sequence = ()):
+    """Embedding rows with sign-definite determinant, plus element enclosures.
+
+    field is a cubic FieldSpec or a QuadField.  Both provide
+    embedding_rows(rounds), the interval embedding matrix of a power basis
+    (1, rho, ...), and an element's enclosures are those rows times its
+    coordinates.  The rows are refined until the determinant is sign-definite,
+    every element of `positive` has positive enclosures, and every element of
+    `sign_definite` has sign-definite enclosures.
+    """
+    for rounds in range(REFINEMENT_CAP + 1):
+        rows = field.embedding_rows(rounds)
+        if not det(rows).sign_definite():
+            continue
+        enclosures = {}
+        for el in (*positive, *sign_definite):
+            c0, *cs = el.coords  # the first basis element is 1
+            enclosures[el] = tuple(
+                sum((x * c for x, c in zip(row[1:], cs)), Interval(c0)) for row in rows
+            )
+        if all(iv.is_positive() for el in positive for iv in enclosures[el]) and all(
+            iv.sign_definite() for ivs in enclosures.values() for iv in ivs
+        ):
+            return rows, enclosures
+    raise RefinementLimit("embedding context did not stabilize")
 
 
 def box_from_embedding(
     rows: Sequence[Sequence[Interval]], bounds: Sequence[Interval]
-) -> Optional[list[tuple[int, int]]]:
+) -> list[tuple[int, int]]:
     """Integer coordinate box enclosing {x : sigma_i(x) in bounds_i for all i}.
 
     rows is the embedding matrix (row i = embedding i on the power basis) as
-    intervals; returns None when its determinant is not yet sign-definite
-    (caller refines), otherwise per-coordinate integer ranges (possibly empty).
+    intervals with sign-definite determinant (as `_context` returns them);
+    the result holds per-coordinate integer ranges (possibly empty).
     """
     d = len(rows)
     dt = det(rows)
     if not dt.sign_definite():
-        return None
+        raise RefinementLimit("embedding determinant is not sign-definite")
     ranges = []
     for j in range(d):
         m = [[bounds[i] if k == j else rows[i][k] for k in range(d)] for i in range(d)]
@@ -66,46 +100,27 @@ def iterate_box(ranges: Sequence[tuple[int, int]]) -> Iterable[tuple[int, ...]]:
     return itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
 
 
-# ---------------------------------------------------------------------------
-# Cubic embedding contexts
+def iterate_slice(
+    box: Sequence[tuple[int, int]], c: Sequence[int], t: int
+) -> Iterator[tuple[int, int, int]]:
+    """Points x of a 3-dimensional box on the slice c . x = t (t != 0).
 
-
-def _embedding_rows(field: FieldSpec, rounds: int) -> list[list[Interval]]:
-    r = refine_roots(field, rounds)
-    return [[Interval(1), iv, iv.square()] for iv in r.intervals]
-
-
-def _context(
-    field: FieldSpec,
-    positive: Sequence[OrderElement] = (),
-    sign_definite: Sequence[OrderElement] = (),
-):
-    """Embedding rows with sign-definite determinant, plus element enclosures.
-
-    Root intervals are halved until the determinant is sign-definite, every
-    element of `positive` has positive enclosures, and every element of
-    `sign_definite` has sign-definite enclosures.
+    The coordinate with the largest |c_j| is solved for, so the loop runs
+    over the other two; nothing is yielded when c = 0.
     """
-    for rounds in range(REFINEMENT_CAP + 1):
-        r = refine_roots(field, rounds)
-        rows = [[Interval(1), iv, iv.square()] for iv in r.intervals]
-        if not det(rows).sign_definite():
-            continue
-        enclosures: dict[OrderElement, tuple[Interval, ...]] = {}
-        ok = True
-        for el in tuple(positive) + tuple(sign_definite):
-            ivs = embed(el, r)
-            want_positive = el in positive
-            if want_positive and not all(iv.is_positive() for iv in ivs):
-                ok = False
-                break
-            if not all(iv.sign_definite() for iv in ivs):
-                ok = False
-                break
-            enclosures[el] = ivs
-        if ok:
-            return rows, enclosures
-    raise RefinementLimit("embedding context did not stabilize")
+    pivot = max(range(3), key=lambda j: abs(c[j]))
+    if c[pivot] == 0:
+        return
+    j0, j1 = [j for j in range(3) if j != pivot]
+    (lo0, hi0), (lo1, hi1), (plo, phi) = box[j0], box[j1], box[pivot]
+    for x0 in range(lo0, hi0 + 1):
+        for x1 in range(lo1, hi1 + 1):
+            q, r = divmod(t - c[j0] * x0 - c[j1] * x1, c[pivot])
+            if r or not plo <= q <= phi:
+                continue
+            coords = [0, 0, 0]
+            coords[j0], coords[j1], coords[pivot] = x0, x1, q
+            yield tuple(coords)
 
 
 def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -> list[tuple[int, int]]:
@@ -121,16 +136,35 @@ def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -
         if lo is None or hi is None:
             raise UnboundedRegion("one-sided constraints leave the region unbounded")
         bounds.append(Interval(Fraction(lo), Fraction(hi)))
-    for rounds in range(REFINEMENT_CAP + 1):
-        rows = _embedding_rows(field, rounds)
-        box = box_from_embedding(rows, bounds)
-        if box is not None:
-            return box
-    raise RefinementLimit("embedding determinant never became sign-definite")
+    rows, _ = _context(field)
+    return box_from_embedding(rows, bounds)
 
 
 # ---------------------------------------------------------------------------
 # Decomposability
+
+
+def first_split(alpha, is_positive: Callable[[object], bool]):
+    """Lexicographically least (beta, alpha-beta) with both totally positive.
+
+    alpha is an OrderElement or a QuadElement and is_positive the matching
+    total-positivity test; returns None exactly when alpha is indecomposable.
+    """
+    if alpha.is_zero() or not is_positive(alpha):
+        raise IllegalParameter("decompose expects a totally positive element")
+    rows, enclosures = _context(alpha.field, positive=[alpha])
+    box = box_from_embedding(rows, [Interval(0, iv.hi) for iv in enclosures[alpha]])
+    element, field, zero = type(alpha), alpha.field, (0,) * len(box)
+    for coords in iterate_box(box):
+        if coords == zero:
+            continue
+        beta = element(coords, field)
+        rest = alpha - beta
+        if rest.is_zero():
+            continue
+        if is_positive(beta) and is_positive(rest):
+            return beta, rest
+    return None
 
 
 def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]]:
@@ -138,22 +172,7 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
 
     Returns None exactly when alpha is indecomposable in the order.
     """
-    if alpha.is_zero() or not is_totally_positive(alpha):
-        raise IllegalParameter("decompose expects a totally positive element")
-    rows, enclosures = _context(alpha.field, positive=[alpha])
-    bounds = [Interval(0, iv.hi) for iv in enclosures[alpha]]
-    box = box_from_embedding(rows, bounds)
-    assert box is not None
-    for coords in iterate_box(box):
-        if coords == (0, 0, 0):
-            continue
-        beta = OrderElement(coords, alpha.field)
-        rest = alpha - beta
-        if rest.is_zero():
-            continue
-        if is_totally_positive(beta) and is_totally_positive(rest):
-            return beta, rest
-    return None
+    return first_split(alpha, is_totally_positive)
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +194,11 @@ def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:
         else:
             bounds.append(Interval(t * fiv[i].lo / aiv[i].lo, 0))
     box = box_from_embedding(rows, bounds)
-    assert box is not None
-    c = dual_pairing_vector(field, alpha)
-    pivot = max(range(3), key=lambda j: abs(c[j]))
-    if c[pivot] == 0:
-        return []
-    others = [j for j in range(3) if j != pivot]
     hits = []
-    (lo0, hi0), (lo1, hi1) = box[others[0]], box[others[1]]
-    plo, phi = box[pivot]
-    for x0 in range(lo0, hi0 + 1):
-        for x1 in range(lo1, hi1 + 1):
-            num = t - c[others[0]] * x0 - c[others[1]] * x1
-            q, r = divmod(num, c[pivot])
-            if r:
-                continue
-            if not plo <= q <= phi:
-                continue
-            coords = [0, 0, 0]
-            coords[others[0]] = x0
-            coords[others[1]] = x1
-            coords[pivot] = q
-            gamma = OrderElement(tuple(coords), field)
-            if is_totally_positive_codiff(CodifferentElement(gamma)):
-                hits.append(gamma)
+    for coords in iterate_slice(box, dual_pairing_vector(field, alpha), t):
+        gamma = OrderElement(coords, field)
+        if is_totally_positive_codiff(CodifferentElement(gamma)):
+            hits.append(gamma)
     hits.sort(key=lambda g: g.coords)
     return hits
 
@@ -219,7 +219,8 @@ def min_trace(
         hits = _trace_slice(alpha, t)
         if hits:
             witness = CodifferentElement(hits[0])
-            assert trace_pairing(witness, alpha) == t
+            if trace_pairing(witness, alpha) != t:
+                raise ConsistencyError(f"trace-{t} witness pairs to another trace")
             return t, witness
     return None
 

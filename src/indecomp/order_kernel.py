@@ -8,7 +8,6 @@ elementary symmetric functions, never from floating point.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +22,7 @@ from .errors import (
     RefinementLimit,
     ZeroElement,
 )
+from .hnf import adjugate
 from .intervals import Interval
 
 REFINEMENT_CAP = 64  # hard cap on width-halving rounds
@@ -59,6 +59,10 @@ class FieldSpec:
     def discriminant(self) -> int:
         b, c, d = self.c2, self.c1, self.c0
         return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+
+    def embedding_rows(self, rounds: int) -> list[list[Interval]]:
+        """Interval embedding matrix [1, rho_i, rho_i^2] after `rounds` refinements."""
+        return [[Interval(1), iv, iv.square()] for iv in refine_roots(self, rounds).intervals]
 
     def __repr__(self):
         sign = lambda k: f"+{k}" if k >= 0 else str(k)
@@ -187,9 +191,6 @@ class OrderElement:
     def is_zero(self) -> bool:
         return self.coords == (0, 0, 0)
 
-    def content(self) -> int:
-        return math.gcd(math.gcd(abs(self.coords[0]), abs(self.coords[1])), abs(self.coords[2]))
-
     def __repr__(self):
         return f"OrderElement{self.coords}"
 
@@ -290,25 +291,9 @@ def unit_inverse(x: OrderElement) -> OrderElement:
     n = norm(x)
     if n not in (1, -1):
         raise NotAUnit(f"norm {n}")
-    m = multiplication_matrix(x)
-    # adjugate / det applied to coords of 1
-    adj0 = (
-        m[1][1] * m[2][2] - m[1][2] * m[2][1],
-        m[0][2] * m[2][1] - m[0][1] * m[2][2],
-        m[0][1] * m[1][2] - m[0][2] * m[1][1],
-    )
-    adj1 = (
-        m[1][2] * m[2][0] - m[1][0] * m[2][2],
-        m[0][0] * m[2][2] - m[0][2] * m[2][0],
-        m[0][2] * m[1][0] - m[0][0] * m[1][2],
-    )
-    adj2 = (
-        m[1][0] * m[2][1] - m[1][1] * m[2][0],
-        m[0][1] * m[2][0] - m[0][0] * m[2][1],
-        m[0][0] * m[1][1] - m[0][1] * m[1][0],
-    )
-    inv = tuple(n * col[0] for col in (adj0, adj1, adj2))
-    return OrderElement(inv, x.field)
+    adj, _ = adjugate(multiplication_matrix(x))
+    # x^{-1} = adj / n applied to the coordinates of 1, and 1/n = n
+    return OrderElement((n * adj[0][0], n * adj[1][0], n * adj[2][0]), x.field)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from typing import Optional
 
 from .errors import (
     CertificateFailure,
+    ConsistencyError,
     FieldMismatch,
     IllegalParameter,
     IndexOutOfRange,
@@ -22,11 +23,10 @@ from .errors import (
     RefinementLimit,
     ZeroElement,
 )
-from .hnf import row_hnf_lower
+from .hnf import adjugate, parallelepiped_points, row_hnf_lower
 from .integers import is_squarefree
 from .intervals import Interval
-from .oracle import box_from_embedding, iterate_box
-from .order_kernel import REFINEMENT_CAP
+from .oracle import first_split
 
 __all__ = [
     "QuadField",
@@ -69,6 +69,15 @@ class QuadField:
     @property
     def discriminant(self) -> int:
         return self.D if self.one_mod_four else 4 * self.D
+
+    def embedding_rows(self, rounds: int) -> list[list[Interval]]:
+        """Interval embedding matrix of (1, omega) after `rounds` refinements."""
+        s = _sqrt_interval(self.D, rounds)
+        if self.one_mod_four:
+            w, wc = (s + 1) * Fraction(1, 2), (Interval(1) - s) * Fraction(1, 2)
+        else:
+            w, wc = s, -s
+        return [[Interval(1), w], [Interval(1), wc]]
 
 
 @lru_cache(maxsize=None)
@@ -150,9 +159,6 @@ class QuadElement:
             raise ZeroElement("total positivity undefined for 0")
         return self.trace() > 0 and self.norm() > 0
 
-    def content(self) -> int:
-        return math.gcd(abs(self.coords[0]), abs(self.coords[1]))
-
     def __repr__(self):
         return f"QuadElement{self.coords}@D={self.field.D}"
 
@@ -220,11 +226,11 @@ def cf_expand(D: int) -> CFExpansion:
     else:
         p, q = 0, 1  # xi = sqrt(D)
     terms = []
-    states = {}
     i = 0
     first_state = None
     while True:
-        assert q > 0 and (D - p * p) % q == 0
+        if q <= 0 or (D - p * p) % q:
+            raise ConsistencyError(f"surd recurrence left its invariant at D={D}")
         u = (p + s) // q
         terms.append(u)
         p = u * q - p
@@ -235,7 +241,6 @@ def cf_expand(D: int) -> CFExpansion:
             first_state = state
         elif state == first_state:
             break
-        states[state] = i
         if i > 4 * D + 10:
             raise RefinementLimit("continued fraction failed to close")
     u0 = terms[0]
@@ -314,13 +319,11 @@ class QuadCodifferentElement:
 def _quad_pairing_matrix(field: QuadField) -> tuple[tuple[int, int], ...]:
     """Integer B with Tr(gamma * x / sqrt(Delta)) = coords(gamma)^T B coords(x)."""
     s = sqrt_disc_element(field)
+    omega = QuadElement((0, 1), field)
     # multiplication matrix of s, columns are images of (1, omega)
     sx, sy = s.coords
-    omega_s = s * QuadElement((0, 1), field)
-    m = ((sx, omega_s.coords[0]), (sy, omega_s.coords[1]))
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    adj = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-    omega = QuadElement((0, 1), field)
+    omega_s = s * omega
+    adj, det = adjugate(((sx, omega_s.coords[0]), (sy, omega_s.coords[1])))
     powers = [QuadElement((1, 0), field), omega, omega * omega]
     traces = []
     for power in powers:
@@ -431,7 +434,7 @@ def quad_counts(D: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rank-2 oracle (generic interval boxes with a 2x2 embedding matrix)
+# Rank-2 oracle (the shared search path of oracle, with a 2x2 embedding matrix)
 
 
 @lru_cache(maxsize=None)
@@ -448,46 +451,9 @@ def _sqrt_interval(D: int, rounds: int) -> Interval:
     return Interval(lo, hi)
 
 
-def _embedding_rows_quad(field: QuadField, rounds: int) -> list[list[Interval]]:
-    s = _sqrt_interval(field.D, rounds)
-    if field.one_mod_four:
-        w = (s + 1) * Fraction(1, 2)
-        wc = (Interval(1) - s) * Fraction(1, 2)
-    else:
-        w = s
-        wc = -s
-    return [[Interval(1), w], [Interval(1), wc]]
-
-
-def _quad_embed(el: QuadElement, rows) -> list[Interval]:
-    x, y = el.coords
-    return [Interval(x) + y * rows[0][1], Interval(x) + y * rows[1][1]]
-
-
 def decompose_quadratic(alpha: QuadElement) -> Optional[tuple[QuadElement, QuadElement]]:
     """Rank-2 analogue of oracle.decompose."""
-    if alpha.is_zero() or not alpha.is_totally_positive():
-        raise IllegalParameter("decompose expects a totally positive element")
-    field = alpha.field
-    for rounds in range(REFINEMENT_CAP + 1):
-        rows = _embedding_rows_quad(field, rounds)
-        ivs = _quad_embed(alpha, rows)
-        if not all(iv.is_positive() for iv in ivs):
-            continue
-        box = box_from_embedding(rows, [Interval(0, iv.hi) for iv in ivs])
-        if box is None:
-            continue
-        for coords in iterate_box(box):
-            if coords == (0, 0):
-                continue
-            beta = QuadElement(coords, field)
-            rest = alpha - beta
-            if rest.is_zero():
-                continue
-            if beta.is_totally_positive() and rest.is_totally_positive():
-                return beta, rest
-        return None
-    raise RefinementLimit("quadratic embedding did not stabilize")
+    return first_split(alpha, QuadElement.is_totally_positive)
 
 
 @lru_cache(maxsize=None)
@@ -496,10 +462,12 @@ def fundamental_tp_unit(D: int) -> QuadElement:
     cf = cf_expand(D)
     s = cf.period_length
     eps = cf.convergent(s - 1)
-    assert eps.norm() in (1, -1)
+    if eps.norm() not in (1, -1):
+        raise ConsistencyError(f"period convergent of D={D} is not a unit")
     if eps.norm() == -1:
         eps = eps * eps
-    assert eps.norm() == 1 and eps.is_totally_positive()
+    if eps.norm() != 1 or not eps.is_totally_positive():
+        raise ConsistencyError(f"unit of D={D} is not totally positive")
     return eps
 
 
@@ -519,41 +487,14 @@ def search_indecomposables(D: int, norm_bound: int) -> list[QuadElement]:
     totally positive non-unit with no totally positive splitting.
     """
     field = make_quad_field(D)
-    eps = fundamental_tp_unit(D)
-    gens = ((1, 0), eps.coords)
-    det = gens[0][0] * gens[1][1] - gens[0][1] * gens[1][0]
-    if det == 0:
-        raise IllegalParameter("degenerate unit parallelepiped")
-    subset_sums = set()
-    for mask in range(4):
-        acc = [0, 0]
-        for b in range(2):
-            if mask >> b & 1:
-                acc[0] += gens[b][0]
-                acc[1] += gens[b][1]
-        subset_sums.add(tuple(acc))
-    lo = [min(s[i] for s in subset_sums) for i in range(2)]
-    hi = [max(s[i] for s in subset_sums) for i in range(2)]
+    points, _ = parallelepiped_points(((1, 0), fundamental_tp_unit(D).coords))
     out = []
-    for x in range(lo[0], hi[0] + 1):
-        for y in range(lo[1], hi[1] + 1):
-            # exact membership t = M^{-1} (x, y) in [0, 1]^2
-            t0 = gens[1][1] * x - gens[1][0] * y
-            t1 = -gens[0][1] * x + gens[0][0] * y
-            if det < 0:
-                t0, t1, d = -t0, -t1, -det
-            else:
-                d = det
-            if not (0 <= t0 <= d and 0 <= t1 <= d):
-                continue
-            el = QuadElement((x, y), field)
-            if el.is_zero() or not el.is_totally_positive():
-                continue
-            if abs(el.norm()) == 1:
-                continue
-            if el.norm() > norm_bound:
-                continue
-            if decompose_quadratic(el) is None:
-                out.append(el)
-    out.sort(key=lambda e: e.coords)
+    for coords in points:
+        el = QuadElement(coords, field)
+        if el.is_zero() or not el.is_totally_positive():
+            continue
+        if abs(el.norm()) == 1 or el.norm() > norm_bound:
+            continue
+        if decompose_quadratic(el) is None:
+            out.append(el)
     return out

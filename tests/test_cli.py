@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from indecomp.cli import EXIT_DOMAIN, EXIT_OK, main
+from indecomp import cli
+from indecomp.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, main
 
 
 def test_field_info(capsys):
@@ -116,3 +117,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["indecomposables", "--family", "nosuch", "--a", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("elem", ["1,x,2", "1,2", "1,2,3,4", ""])
+def test_malformed_elem_is_usage_error(elem, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["min-trace", "--family", "simplest", "--a", "7", "--elem", elem])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def broken(field):
+        raise ZeroDivisionError("simulated defect")
+
+    monkeypatch.setattr(cli.forms, "rank_report", broken)
+    assert main(["bounds", "--family", "simplest", "--a", "7"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "simulated defect" in err

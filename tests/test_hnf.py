@@ -1,10 +1,13 @@
-"""Canonical HNF of integer row lattices."""
+"""Canonical HNF of integer row lattices, adjugates, parallelepiped points."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from indecomp.hnf import hnf_det, row_hnf_lower
+from indecomp.errors import DegenerateSpan
+from indecomp.hnf import adjugate, hnf_det, parallelepiped_points, row_hnf_lower
 
 RNG = random.Random(90210)
 
@@ -70,3 +73,42 @@ def test_row_lattice_invariance():
 def test_singular_rejected():
     with pytest.raises(ValueError):
         row_hnf_lower([[1, 2], [2, 4]])
+
+
+def test_adjugate_identity():
+    for _ in range(200):
+        n = RNG.choice((2, 3))
+        m = [[RNG.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        adj, det = adjugate(m)
+        eye = [[det if i == j else 0 for j in range(n)] for i in range(n)]
+        assert _matmul([list(r) for r in adj], m) == eye
+
+
+def _parallelepiped_reference(gens):
+    """Every hull point tested against t = M^{-1} x in [0, 1]^n."""
+    n = len(gens)
+    adj, det = adjugate([[g[i] for g in gens] for i in range(n)])
+    vertices = {
+        tuple(sum(g[i] for b, g in enumerate(gens) if mask >> b & 1) for i in range(n))
+        for mask in range(1 << n)
+    }
+    hull = [range(min(v[i] for v in vertices), max(v[i] for v in vertices) + 1) for i in range(n)]
+    points = [
+        x
+        for x in itertools.product(*hull)
+        if all(0 <= Fraction(sum(a * c for a, c in zip(row, x)), det) <= 1 for row in adj)
+    ]
+    return points, vertices
+
+
+def test_parallelepiped_points_match_reference():
+    checked = 0
+    while checked < 300:
+        n = RNG.choice((2, 3))
+        gens = [tuple(RNG.randint(-5, 5) for _ in range(n)) for _ in range(n)]
+        if adjugate([[g[i] for g in gens] for i in range(n)])[1] == 0:
+            with pytest.raises(DegenerateSpan):
+                parallelepiped_points(gens)
+            continue
+        assert parallelepiped_points(gens) == _parallelepiped_reference(gens), gens
+        checked += 1

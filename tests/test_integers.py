@@ -43,6 +43,24 @@ def test_icbrt():
         assert r**3 <= n < (r + 1) ** 3
 
 
+def test_icbrt_large():
+    n = 10**400
+    r = icbrt(n)
+    assert r**3 <= n < (r + 1) ** 3
+    for k in (10**40 + 7, 3**200, 2**333 - 1):
+        assert icbrt(k**3 - 1) == k - 1
+        assert icbrt(k**3) == k
+        assert icbrt(k**3 + 1) == k
+
+
+def test_miller_rabin_strong_pseudoprime_to_bases_up_to_37():
+    # the smallest strong pseudoprime to every prime base 2..37
+    p, q = 399165290221, 798330580441
+    assert not is_probable_prime(p * q)
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert not is_squarefree(p * p * q)
+
+
 def test_miller_rabin_small():
     primes = {p for p in range(2, 2000) if all(p % d for d in range(2, p))}
     for n in range(2, 2000):

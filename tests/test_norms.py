@@ -1,5 +1,7 @@
 """Norm counting: fast pairs, HNF ideals, brute force, squarefree table rows."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -153,3 +155,32 @@ def test_max_norm_band():
     # the ratio drifts down toward 1 as a grows
     _, mx = max_norm_indecomposable(200)
     assert 27 * mx < 1.04 * 200**4
+
+
+@pytest.mark.parametrize("a", [3, 4, 5])
+def test_bruteforce_simplex_hull_matches_full_parallelepiped_hull(a):
+    """The brute-force scan covers the simplex {sum u_j <= X^(1/3)}; scanning the
+    coordinate hull of the whole scaled parallelepiped finds the same ideals."""
+    from indecomp.families import standard_parallelepipeds
+    from indecomp.integers import icbrt
+    from indecomp.norms import _bruteforce_ideals
+    from indecomp.order_kernel import OrderElement, sym_funcs
+
+    field = make_field(Family.SIMPLEST_CUBIC, a)
+    X = a * a
+    bound = icbrt(X) + 1
+    found = {}
+    for gens in standard_parallelepipeds(field):
+        coords = [g.coords for g in gens]
+        lo = [bound * sum(min(0, c[i]) for c in coords) for i in range(3)]
+        hi = [bound * sum(max(0, c[i]) for c in coords) for i in range(3)]
+        for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+            if x == (0, 0, 0) or math.gcd(*x) != 1:
+                continue
+            el = OrderElement(x, field)
+            s = sym_funcs(el)  # totally positive with 1 < N(el) <= X
+            if s.e1 <= 0 or s.e2 <= 0 or not 1 < s.e3 <= X:
+                continue
+            h = ideal_hnf(el)
+            found[h.rows] = h.det
+    assert tuple(sorted(zip(found.values(), found.keys()))) == _bruteforce_ideals(a)

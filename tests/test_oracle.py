@@ -1,5 +1,6 @@
 """Search boxes, decomposability testing, minimal traces, window searches."""
 
+import ast
 import random
 from fractions import Fraction
 
@@ -220,3 +221,16 @@ def test_superadditivity_random_pairs():
             continue
         x2, y2 = mul(x, x), mul(y, y)
         assert norms_superadditive(norm(x2), norm(y2), norm(x2 + y2))
+
+
+def test_search_modules_keep_checks_under_optimization():
+    # `python -O` strips asserts; the search modules raise library errors instead
+    import indecomp.forms
+    import indecomp.oracle
+    import indecomp.quadratic
+
+    for module in (indecomp.oracle, indecomp.forms, indecomp.quadratic):
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], (module.__name__, asserts)
