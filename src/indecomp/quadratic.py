@@ -98,7 +98,7 @@ class QuadElement:
 
     def _co(self, other):
         if isinstance(other, QuadElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("quadratic elements from different fields")
             return other
         if isinstance(other, int):
@@ -339,7 +339,7 @@ def _quad_pairing_matrix(field: QuadField) -> tuple[tuple[int, int], ...]:
 
 
 def quad_trace_pairing(delta: QuadCodifferentElement, x: QuadElement) -> int:
-    if delta.field != x.field:
+    if x.field is not delta.field and x.field != delta.field:
         raise FieldMismatch("pairing operands from different fields")
     b = _quad_pairing_matrix(delta.field)
     g = delta.numerator.coords

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import forms, norms, oracle, quadratic
 from .codifferent import certified_simplest
+from .errors import ConsistencyError
 from .families import (
     KIND_EXCEPTIONAL,
     KIND_UNIT,
@@ -67,7 +68,8 @@ def check_squarefree_table() -> CheckResult:
     """Squarefree-norm counts over all monogenicity-certified a in [-1, 50]."""
     mismatches = []
     for a, expected in sorted(TABLE_SQUAREFREE_COUNTS.items()):
-        assert certified_simplest(a)
+        if not certified_simplest(a):
+            raise ConsistencyError(f"table row a = {a} is not certified maximal")
         got = norms.sq_count(a)
         if got != expected:
             mismatches.append((a, got, expected))

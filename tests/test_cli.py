@@ -92,6 +92,14 @@ def test_indecomposables_with_oracle(tmp_path):
     assert data["records"][0]["element"] == {"coords": [1, 0, 0], "family": "ennola", "a": 3}
 
 
+@pytest.mark.parametrize("family, a", [("thomas", 2), ("thomas", 3), ("ennola", 4)])
+def test_indecomposables_oracle_matches_other_representatives(family, a, capsys):
+    # the search returns other representatives of the Thomas unit orbits
+    rc = main(["indecomposables", "--family", family, "--a", str(a), "--verify-oracle"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.endswith("oracle match: True\n")
+
+
 def test_verify_suite(tmp_path, capsys):
     path = tmp_path / "verify.json"
     rc = main(["verify", "--suite", "quadratic", "--json", str(path)])

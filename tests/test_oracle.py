@@ -3,20 +3,24 @@
 import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from indecomp.codifferent import certificate_delta, trace_pairing
-from indecomp.errors import IllegalParameter, UnboundedRegion
+from indecomp.errors import FieldMismatch, IllegalParameter, UnboundedRegion, ZeroElement
 from indecomp.families import (
     TrianglePoint,
     indecomposables_ennola,
     indecomposables_simplest,
+    indecomposables_thomas,
     triangle_element,
 )
 from indecomp.oracle import (
     decompose,
+    equal_mod_totally_positive_units,
     indecomposables_by_search,
+    inventories_match,
     min_trace,
     norms_superadditive,
     search_box,
@@ -35,8 +39,10 @@ from indecomp.order_kernel import (
     one,
     rho,
     trace,
+    unit_generators,
 )
 from indecomp.codifferent import is_totally_positive_codiff
+from indecomp.norms import ideal_hnf
 
 RNG = random.Random(31337)
 
@@ -171,21 +177,54 @@ def test_search_matches_ennola():
     assert sorted(e.coords for e in inv.indecomposables) == closed
 
 
-def test_search_matches_thomas_up_to_units():
-    """Thomas windows may return different orbit representatives; compare ideals."""
-    from indecomp.families import indecomposables_thomas
-    from indecomp.norms import ideal_hnf
+def _closed_form(family, a):
+    inventory = {Family.ENNOLA: indecomposables_ennola, Family.THOMAS: indecomposables_thomas}
+    return [r.element for r in inventory[family](a) if r.kind != "unit"]
 
+
+def test_search_matches_thomas_up_to_units():
+    """Thomas windows may return different orbit representatives: compare modulo
+    totally positive units."""
     for a in (2, 3):
         f = make_field(Family.THOMAS, a)
-        inv = indecomposables_by_search(f)
-        closed = {
-            ideal_hnf(r.element).rows
-            for r in indecomposables_thomas(a)
-            if r.kind != "unit"
-        }
-        found = {ideal_hnf(e).rows for e in inv.indecomposables}
-        assert closed == found
+        found = indecomposables_by_search(f).indecomposables
+        closed = _closed_form(Family.THOMAS, a)
+        assert sorted(e.coords for e in found) != sorted(e.coords for e in closed)
+        assert inventories_match(closed, found)
+
+
+@pytest.mark.parametrize("family, a", [(Family.THOMAS, 2), (Family.THOMAS, 3),
+                                       (Family.ENNOLA, 3), (Family.ENNOLA, 4)])
+def test_inventories_match_modulo_totally_positive_units(family, a):
+    f = make_field(family, a)
+    found = indecomposables_by_search(f).indecomposables
+    closed = _closed_form(family, a)
+    assert inventories_match(closed, found)
+    # one element moved off its orbit breaks the match
+    v1, v2, v3 = closed[-1].coords
+    assert not inventories_match(closed[:-1] + [elem(f, v1 + 1, v2, v3)], found)
+
+
+def test_equal_mod_totally_positive_units():
+    f = make_field(Family.THOMAS, 4)
+    x = elem(f, 1, -4, 1)
+    e1, e2 = unit_generators(f).totally_positive
+    for u in (e1, e2, mul(e1, e2), e1 ** -2):
+        assert equal_mod_totally_positive_units(mul(x, u), x)
+        assert equal_mod_totally_positive_units(x, mul(x, u))
+    # same ideal and norm, but the unit rho - a of norm 1 is not totally positive
+    u = unit_generators(f).fundamental[1]
+    assert norm(u) == 1 and not is_totally_positive(u)
+    assert not equal_mod_totally_positive_units(mul(x, u), x)
+    # same norm, different ideal: a Galois conjugate
+    g = make_field(Family.SIMPLEST_CUBIC, 7)
+    y = elem(g, 2, 1, 0)
+    assert norm(conjugate(y)) == norm(y) and ideal_hnf(conjugate(y)) != ideal_hnf(y)
+    assert not equal_mod_totally_positive_units(conjugate(y), y)
+    with pytest.raises(ZeroElement):
+        equal_mod_totally_positive_units(elem(f, 0, 0, 0), x)
+    with pytest.raises(FieldMismatch):
+        equal_mod_totally_positive_units(one(f), one(g))
 
 
 def test_norm_sum_expansion_identity():
@@ -224,13 +263,14 @@ def test_superadditivity_random_pairs():
 
 
 def test_search_modules_keep_checks_under_optimization():
-    # `python -O` strips asserts; the search modules raise library errors instead
-    import indecomp.forms
-    import indecomp.oracle
-    import indecomp.quadratic
+    # `python -O` strips asserts; every module raises library errors instead
+    import indecomp
 
-    for module in (indecomp.oracle, indecomp.forms, indecomp.quadratic):
-        with open(module.__file__) as fh:
-            tree = ast.parse(fh.read())
+    modules = sorted(Path(indecomp.__file__).parent.glob("*.py"))
+    names = {m.stem for m in modules}
+    assert {"oracle", "forms", "quadratic", "order_kernel", "norms", "codifferent",
+            "families", "verify"} <= names
+    for module in modules:
+        tree = ast.parse(module.read_text())
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert asserts == [], (module.__name__, asserts)
+        assert asserts == [], (module.name, asserts)

@@ -1,19 +1,27 @@
 """Field construction, exact arithmetic, root isolation, conjugation, units."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from indecomp.errors import (
     FieldMismatch,
     IllegalParameter,
+    IndecompError,
     NotGalois,
+    NotTotallyReal,
     Reducible,
     ZeroElement,
 )
+from indecomp.norms import ideal_hnf
 from indecomp.order_kernel import (
     Family,
+    FieldSpec,
     OrderElement,
     SymFuncs,
     conjugate,
@@ -26,6 +34,7 @@ from indecomp.order_kernel import (
     make_custom_field,
     make_field,
     mul,
+    multiplication_matrix,
     norm,
     one,
     rho,
@@ -33,6 +42,9 @@ from indecomp.order_kernel import (
     trace,
     unit_generators,
     unit_inverse,
+    _integer_root,
+    _seed_intervals,
+    _sturm_intervals,
 )
 
 RNG = random.Random(987123)
@@ -63,8 +75,6 @@ def test_make_field_ranges():
 def test_custom_field_checks():
     with pytest.raises(Reducible):
         make_custom_field(0, 0, -8)  # x^3 - 8 has the rational root 2
-    from indecomp.errors import NotTotallyReal
-
     with pytest.raises(NotTotallyReal):
         make_custom_field(0, 0, -2)  # irreducible but one real root
     f = make_custom_field(0, -4, 1)  # x^3 - 4x + 1: three real roots
@@ -266,3 +276,176 @@ def test_unit_inverse():
 
     with pytest.raises(NotAUnit):
         unit_inverse(elem(f, 2, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the kernel against sympy (test-only dependencies)
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+X = sympy.Symbol("X")
+
+FAMILY_FIELDS = st.one_of(
+    st.integers(-1, 80).map(lambda a: make_field(Family.SIMPLEST_CUBIC, a)),
+    st.integers(3, 80).map(lambda a: make_field(Family.ENNOLA, a)),
+    st.integers(2, 80).map(lambda a: make_field(Family.THOMAS, a)),
+)
+
+
+def _custom_or_none(c):
+    try:
+        return make_custom_field(*c)
+    except IndecompError:
+        return None
+
+
+def _custom_fields(c0=st.integers(-12, 12)):
+    coeffs = st.tuples(st.integers(-12, 12), st.integers(-60, -1), c0)
+    return coeffs.map(_custom_or_none).filter(lambda f: f is not None)
+
+
+FIELDS = st.one_of(FAMILY_FIELDS, _custom_fields())
+COORDS = st.tuples(*[st.integers(-(10**6), 10**6)] * 3)
+
+
+@st.composite
+def elements(draw, n):
+    f = draw(FIELDS)
+    return [OrderElement(draw(COORDS), f) for _ in range(n)]
+
+
+def _sym_minpoly(f):
+    return X**3 + f.c2 * X**2 + f.c1 * X + f.c0
+
+
+def _sym_elem(x):
+    v1, v2, v3 = x.coords
+    return v1 + v2 * X + v3 * X**2
+
+
+@PROPERTY
+@given(elements(1))
+def test_sym_funcs_is_sympy_charpoly(xs):
+    (x,) = xs
+    coeffs = sympy.Matrix(multiplication_matrix(x)).charpoly().all_coeffs()
+    s = sym_funcs(x)
+    assert coeffs == [1, -s.e1, s.e2, -s.e3]
+
+
+@PROPERTY
+@given(elements(1))
+def test_norm_is_sympy_resultant(xs):
+    (x,) = xs
+    assert norm(x) == sympy.resultant(_sym_minpoly(x.field), _sym_elem(x), X)
+
+
+@PROPERTY
+@given(elements(2))
+def test_mul_is_polynomial_product_mod_minpoly(xs):
+    x, y = xs
+    r = sympy.Poly(sympy.rem(_sym_elem(x) * _sym_elem(y), _sym_minpoly(x.field), X), X)
+    assert mul(x, y).coords == tuple(int(r.coeff_monomial(X**k)) for k in range(3))
+
+
+@PROPERTY
+@given(elements(3))
+def test_mul_ring_axioms_and_norm_multiplicative(xs):
+    x, y, z = xs
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, y + z) == mul(x, y) + mul(x, z)
+    assert norm(mul(x, y)) == norm(x) * norm(y)
+    m = multiplication_matrix(x)
+    assert tuple(tuple(row) for row in zip(*m)) == (
+        x.coords, mul(x, rho(x.field)).coords, mul(x, rho(x.field) ** 2).coords
+    )
+
+
+@st.composite
+def element_and_unit(draw):
+    """(x, u) with u a unit: products of fundamental units, or powers of rho
+    in a custom cubic with constant coefficient +-1."""
+    if draw(st.booleans()):
+        f = draw(FAMILY_FIELDS)
+        u1, u2 = unit_generators(f).fundamental
+        u = u1 ** draw(st.integers(-3, 3)) * u2 ** draw(st.integers(-3, 3))
+    else:
+        f = draw(_custom_fields(st.sampled_from((-1, 1))))
+        u = rho(f) ** draw(st.integers(-4, 4))
+    return OrderElement(draw(st.tuples(*[st.integers(-50, 50)] * 3)), f), u
+
+
+@PROPERTY
+@given(element_and_unit())
+def test_ideal_hnf_invariant_under_units(pair):
+    x, u = pair
+    assume(not x.is_zero())
+    assert norm(u) in (1, -1)
+    h = ideal_hnf(x)
+    assert ideal_hnf(mul(x, u)) == h
+    assert h.det == abs(norm(x))
+
+
+def test_field_check_is_identity_first_but_value_based():
+    f = make_field(Family.THOMAS, 5)
+    twin = FieldSpec(f.family, f.a, f.c2, f.c1, f.c0)
+    assert twin is not f
+    x, y = elem(f, 1, 2, 3), elem(twin, -4, 0, 7)
+    assert mul(x, y) == mul(y, x) and (x + y).coords == (-3, 2, 10)
+    assert embed(y, isolate_roots(f)) == embed(x - x + y, isolate_roots(f))
+    with pytest.raises(FieldMismatch):
+        mul(x, elem(make_field(Family.THOMAS, 6), 1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Irreducibility check and root isolation
+
+
+def test_custom_field_huge_coefficients_return_quickly():
+    start = time.perf_counter()
+    with pytest.raises(NotTotallyReal):
+        make_custom_field(0, -3 * 10**10, 10**18 + 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_custom_field_large_integer_root_is_reducible():
+    r = 10**9  # (x - r)(x^2 - 3x + 1)
+    start = time.perf_counter()
+    with pytest.raises(Reducible, match=f"rational root {r}"):
+        make_custom_field(-3 - r, 1 + 3 * r, -r)
+    assert time.perf_counter() - start < 1
+    # the same cubic shifted off the root stays irreducible and totally real
+    f = make_custom_field(-3 - r, 1 + 3 * r, -r + 1)
+    assert f.discriminant > 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.tuples(*[st.integers(-(10**6), 10**6)] * 3),
+        # (x - r)(x^2 + p x + q): reducible by construction
+        st.tuples(*[st.integers(-(10**6), 10**6)] * 3).map(
+            lambda t: (t[1] - t[0], t[2] - t[0] * t[1], -t[0] * t[2])
+        ),
+    )
+)
+def test_integer_root_agrees_with_sympy(c):
+    c2, c1, c0 = c
+    linear = [p for p, _ in sympy.factor_list(X**3 + c2 * X**2 + c1 * X + c0)[1]
+              if sympy.degree(p, X) == 1]
+    r = _integer_root(c2, c1, c0)
+    assert (r is not None) == bool(linear)
+    if r is not None:
+        assert ((r + c2) * r + c1) * r + c0 == 0
+
+
+def test_seeded_and_sturm_brackets_isolate_the_same_roots():
+    for a in range(7, 61):
+        f = make_field(Family.SIMPLEST_CUBIC, a)
+        seeded = sorted(_seed_intervals(f))
+        sturm = sorted(_sturm_intervals(f))
+        assert len(seeded) == len(sturm) == 3
+        for (slo, shi), (tlo, thi) in zip(seeded, sturm):
+            # both brackets isolate one root; a sign change on their
+            # intersection puts that root in both
+            lo, hi = max(slo, tlo), min(shi, thi)
+            assert lo < hi and f.poly_eval(lo) * f.poly_eval(hi) < 0, a
