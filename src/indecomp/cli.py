@@ -18,7 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import forms, norms, oracle, quadratic, verify
 from .codifferent import monogenicity_certificate
-from .errors import ConsistencyError, IndecompError, NonIntegralTrace, RefinementLimit
+from .errors import (
+    ConsistencyError,
+    IllegalParameter,
+    IndecompError,
+    NonIntegralTrace,
+    RefinementLimit,
+)
 from .families import (
     indecomposables_ennola,
     indecomposables_simplest,
@@ -209,14 +215,10 @@ def cmd_sq_table(args) -> int:
         for a in range(args.a_min, args.a_max + 1)
         if norms.certified_simplest(a)
     ]
-    done: dict[int, int] = {}
-    if args.resume and os.path.exists(args.resume):
-        with open(args.resume) as fh:
-            done = {int(k): v for k, v in json.load(fh).items()}
+    done = _read_resume(args.resume) if args.resume and os.path.exists(args.resume) else {}
     todo = [a for a in targets if a not in done]
-    threads = args.threads or int(os.environ.get("INDECOMP_THREADS", "1"))
-    if threads > 1 and todo:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1 and todo:
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
             for a, sq in pool.map(_sq_row, todo):
                 done[a] = sq
                 _write_resume(args.resume, done)
@@ -235,6 +237,18 @@ def cmd_sq_table(args) -> int:
         header=("a", "sq"),
     )
     return EXIT_OK
+
+
+def _read_resume(path) -> dict[int, int]:
+    """Rows of a --resume checkpoint: a JSON object of integer keys and values."""
+    try:
+        with open(path) as fh:
+            done = {int(k): v for k, v in json.load(fh).items()}
+        if all(type(v) is int for v in done.values()):
+            return done
+    except (ValueError, AttributeError):  # not JSON, no .items(), or a non-integer key
+        pass
+    raise IllegalParameter(f"malformed resume file {path}: need an object of integers")
 
 
 def _write_resume(path, done) -> None:
@@ -364,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sq-table", help="squarefree-norm counts over certified a")
     p.add_argument("--a-min", type=int, default=-1)
     p.add_argument("--a-max", type=int, default=50)
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (default: INDECOMP_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
     p.add_argument("--resume", metavar="PATH", help="JSON checkpoint of completed rows")
     add_exports(p)
     p.set_defaults(func=cmd_sq_table)

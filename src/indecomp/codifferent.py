@@ -25,13 +25,16 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
+    apply_matrix,
     elem,
+    is_totally_positive,
     make_field,
     mul,
     multiplication_matrix,
     norm,
     one,
     rho,
+    trace,
 )
 
 
@@ -51,31 +54,35 @@ def _fprime_inverse_parts(field: FieldSpec):
 
 
 @lru_cache(maxsize=None)
+def euler_pairing(minpoly: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Hankel matrix (t_(i+j)) with t_m = Tr(rho^m / f'(rho)), rho a root of f.
+
+    minpoly lists the coefficients of the monic f below its leading 1, highest
+    first.  By Euler's lemma t_m = 0 for m < d-1 and t_(d-1) = 1, and
+    rho^d = -sum_k c_k rho^k gives t_m = -sum_k c_k t_(m-d+k) for m >= d.
+    """
+    d = len(minpoly)
+    t = [0] * (d - 1) + [1]
+    for _ in range(d, 2 * d - 1):
+        t.append(-sum(c * tm for c, tm in zip(minpoly, reversed(t[-d:]))))
+    return tuple(tuple(t[i : i + d]) for i in range(d))
+
+
+@lru_cache(maxsize=None)
 def pairing_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], ...]:
     """Integer matrix B with Tr(gamma * x / f'(rho)) = coords(gamma)^T B coords(x).
 
-    B[i][j] = Tr(rho^(i+j) / f'(rho)); computed by the power-sum recurrence
-    and cross-checked against the rational multiplication-matrix route.
+    B = euler_pairing(field.minpoly), cross-checked against the rational
+    multiplication-matrix route.
     """
-    c2, c1, c0 = field.minpoly
-    t = [0, 0, 1]  # Tr(rho^m / f') for m = 0, 1, 2
-    for _ in range(3, 5):
-        t.append(-c2 * t[-1] - c1 * t[-2] - c0 * t[-3])
-    b = tuple(tuple(t[i + j] for j in range(3)) for i in range(3))
+    b = euler_pairing(field.minpoly)
+    t = b[0] + b[2][1:]  # Tr(rho^m / f') for m = 0..4
 
-    # independent check: Tr(rho^m * f'(rho)^{-1}) via exact rational algebra
+    # independent check: f'^-1 = adj(M_f') / N(f') in exact rational algebra
     adj, det = _fprime_inverse_parts(field)
     power = one(field)
     for m in range(5):
-        coords = power.coords
-        inv_coords = tuple(
-            Fraction(sum(adj[i][k] * coords[k] for k in range(3)), det) for i in range(3)
-        )
-        tr = (
-            3 * inv_coords[0]
-            - c2 * inv_coords[1]
-            + (c2 * c2 - 2 * c1) * inv_coords[2]
-        )
+        tr = Fraction(trace(apply_matrix(adj, power)), det)
         if tr != t[m]:
             raise NonIntegralTrace(f"pairing base Tr(rho^{m}/f') = {tr} != {t[m]}")
         power = mul(power, rho(field))
@@ -121,27 +128,11 @@ def dual_pairing_vector(field: FieldSpec, x: OrderElement) -> tuple[int, int, in
 
 
 def is_totally_positive_codiff(delta: CodifferentElement) -> bool:
-    """Exact sign test on the characteristic polynomial of multiplication by delta."""
+    """gamma/f' is totally positive iff gamma * f' = (gamma/f') * f'^2 is."""
     g = delta.numerator
     if g.is_zero():
         raise ZeroElement("zero codifferent element")
-    adj, q = _fprime_inverse_parts(delta.field)
-    mg = multiplication_matrix(g)
-    # A/q is the multiplication matrix of delta
-    a = tuple(
-        tuple(sum(mg[i][k] * adj[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
-    e1_num = a[0][0] + a[1][1] + a[2][2]
-    e2_num = (
-        a[0][0] * a[1][1]
-        - a[0][1] * a[1][0]
-        + a[0][0] * a[2][2]
-        - a[0][2] * a[2][0]
-        + a[1][1] * a[2][2]
-        - a[1][2] * a[2][1]
-    )
-    e3_sign = norm(g) * q  # sign of N(gamma)/N(f')
-    return e1_num * q > 0 and e2_num > 0 and e3_sign > 0
+    return is_totally_positive(mul(g, fprime_element(delta.field)))
 
 
 @lru_cache(maxsize=None)

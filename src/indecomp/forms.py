@@ -106,9 +106,9 @@ def _sqrt_upper(x: Fraction) -> Fraction:
 
 def _square_root_box(target: OrderElement) -> list[tuple[int, int]]:
     """Integer box holding every x with sigma_i(x)^2 <= sigma_i(target) for all i."""
-    rows, enclosures = _context(target.field, positive=[target])
+    dual, enclosures = _context(target.field, positive=[target])
     bounds = [Interval(-s, s) for s in (_sqrt_upper(iv.hi) for iv in enclosures[target])]
-    return box_from_embedding(rows, bounds)
+    return box_from_embedding(dual, bounds)
 
 
 def unit_square_root(eps: OrderElement) -> Optional[OrderElement]:
@@ -393,13 +393,13 @@ def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     gamma = delta.numerator
     c = pairing_vector(delta)
     out = []
-    rows, enclosures = _context(field, sign_definite=[gamma, fp])
+    dual, enclosures = _context(field, sign_definite=[gamma, fp])
     # sigma_i(delta) = sigma_i(gamma)/sigma_i(f') is positive since delta >> 0
     dlo = [(g / f).lo for g, f in zip(enclosures[gamma], enclosures[fp])]
     if min(dlo) <= 0:
         raise ConsistencyError("certificate delta must be totally positive")
     for t in range(1, trace_bound + 1):
-        box = box_from_embedding(rows, [Interval(0, Fraction(t) / d) for d in dlo])
+        box = box_from_embedding(dual, [Interval(0, Fraction(t) / d) for d in dlo])
         for coords in iterate_slice(box, c, t):
             el = OrderElement(coords, field)
             if not el.is_zero() and is_totally_positive(el):

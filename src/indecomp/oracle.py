@@ -1,12 +1,13 @@
 """Brute-force ground truth: decomposability, minimal traces, lattice search.
 
-All searches are exhaustive over rigorously derived integer boxes: the box
-is the interval hull of the constraint region mapped through the inverse of
-the embedding matrix, computed with rational interval arithmetic (Cramer's
-rule).  Cubic and quadratic searches share one path: `_context` refines the
-field's interval embedding rows until the determinant and the needed element
-enclosures are sign-definite, `box_from_embedding` is the box rule, and
-`iterate_box` and `iterate_slice` enumerate a box or one trace slice of it.
+All searches are exhaustive over rigorously derived integer boxes.  By
+Euler's lemma the trace-dual basis of (1, rho, ...) is b_j(rho)/f'(rho),
+where f(x)/(x - rho) = sum_j b_j(rho) x^j, so x_j = sum_i sigma_i(x) *
+sigma_i(b_j/f') bounds each coordinate through rational interval arithmetic.
+Cubic and quadratic searches share one path: `_context` refines until f' and
+the needed element enclosures are sign-definite, `box_from_embedding` is the
+box rule, and `iterate_box` and `iterate_slice` enumerate a box or one trace
+slice of it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .codifferent import (
@@ -34,7 +36,7 @@ from .errors import (
     ZeroElement,
 )
 from .hnf import adjugate
-from .intervals import Interval, det
+from .intervals import Interval
 from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
@@ -49,50 +51,62 @@ from .order_kernel import (
 # The shared search path: embedding context, box rule, enumerators
 
 
-def _context(field, positive: Sequence = (), sign_definite: Sequence = ()):
-    """Embedding rows with sign-definite determinant, plus element enclosures.
+def _enclose(rows, coords) -> tuple[Interval, ...]:
+    """Enclosures rows[i] . coords of the embeddings (the first basis element is 1)."""
+    c0, *cs = coords
+    return tuple(sum((x * c for x, c in zip(row[1:], cs)), Interval(c0)) for row in rows)
 
-    field is a cubic FieldSpec or a QuadField.  Both provide
-    embedding_rows(rounds), the interval embedding matrix of a power basis
-    (1, rho, ...), and an element's enclosures are those rows times its
-    coordinates.  The rows are refined until the determinant is sign-definite,
-    every element of `positive` has positive enclosures, and every element of
-    `sign_definite` has sign-definite enclosures.
+
+@lru_cache(maxsize=None)
+def _dual_basis(field, rounds: int):
+    """Enclosures dual[j][i] of sigma_i(b_j / f'(rho)); None until f' is sign-definite.
+
+    field is a cubic FieldSpec or a QuadField: only field.minpoly and the
+    interval embedding matrix embedding_rows(rounds) of (1, rho, ...) are used.
+    """
+    c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
+    d = len(c) - 1
+    # synthetic division b_(d-1) = 1, b_(j-1) = rho*b_j + c_j: b_j = sum_k c_(j+1+k) rho^k
+    numerators = [c[j + 1 :] + (0,) * j for j in range(d)]
+    rows = field.embedding_rows(rounds)
+    fp = _enclose(rows, [(m + 1) * c[m + 1] for m in range(d)])  # f'(rho) = sum_j b_j rho^j
+    if not all(iv.sign_definite() for iv in fp):
+        return None
+    return tuple(tuple(s / f for s, f in zip(_enclose(rows, b), fp)) for b in numerators)
+
+
+def _context(field, positive: Sequence = (), sign_definite: Sequence = ()):
+    """Dual-basis enclosures (see `_dual_basis`), plus element enclosures.
+
+    The embedding rows are refined until f'(rho) is sign-definite in every
+    embedding, every element of `positive` has positive enclosures, and every
+    element of `sign_definite` has sign-definite enclosures.
     """
     for rounds in range(REFINEMENT_CAP + 1):
-        rows = field.embedding_rows(rounds)
-        if not det(rows).sign_definite():
+        dual = _dual_basis(field, rounds)
+        if dual is None:
             continue
-        enclosures = {}
-        for el in (*positive, *sign_definite):
-            c0, *cs = el.coords  # the first basis element is 1
-            enclosures[el] = tuple(
-                sum((x * c for x, c in zip(row[1:], cs)), Interval(c0)) for row in rows
-            )
+        rows = field.embedding_rows(rounds)
+        enclosures = {el: _enclose(rows, el.coords) for el in (*positive, *sign_definite)}
         if all(iv.is_positive() for el in positive for iv in enclosures[el]) and all(
             iv.sign_definite() for ivs in enclosures.values() for iv in ivs
         ):
-            return rows, enclosures
+            return dual, enclosures
     raise RefinementLimit("embedding context did not stabilize")
 
 
 def box_from_embedding(
-    rows: Sequence[Sequence[Interval]], bounds: Sequence[Interval]
+    dual: Sequence[Sequence[Interval]], bounds: Sequence[Interval]
 ) -> list[tuple[int, int]]:
     """Integer coordinate box enclosing {x : sigma_i(x) in bounds_i for all i}.
 
-    rows is the embedding matrix (row i = embedding i on the power basis) as
-    intervals with sign-definite determinant (as `_context` returns them);
-    the result holds per-coordinate integer ranges (possibly empty).
+    dual holds the dual-basis enclosures dual[j][i] of sigma_i(b_j/f'), as
+    `_context` returns them, so x_j = sum_i dual[j][i] * sigma_i(x); the
+    result holds per-coordinate integer ranges (possibly empty).
     """
-    d = len(rows)
-    dt = det(rows)
-    if not dt.sign_definite():
-        raise RefinementLimit("embedding determinant is not sign-definite")
     ranges = []
-    for j in range(d):
-        m = [[bounds[i] if k == j else rows[i][k] for k in range(d)] for i in range(d)]
-        xj = det(m) / dt
+    for row in dual:
+        xj = sum((w * b for w, b in zip(row, bounds)), Interval(0))
         ranges.append((math.ceil(xj.lo), math.floor(xj.hi)))
     return ranges
 
@@ -140,8 +154,8 @@ def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -
         if lo is None or hi is None:
             raise UnboundedRegion("one-sided constraints leave the region unbounded")
         bounds.append(Interval(Fraction(lo), Fraction(hi)))
-    rows, _ = _context(field)
-    return box_from_embedding(rows, bounds)
+    dual, _ = _context(field)
+    return box_from_embedding(dual, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +170,8 @@ def first_split(alpha, is_positive: Callable[[object], bool]):
     """
     if alpha.is_zero() or not is_positive(alpha):
         raise IllegalParameter("decompose expects a totally positive element")
-    rows, enclosures = _context(alpha.field, positive=[alpha])
-    box = box_from_embedding(rows, [Interval(0, iv.hi) for iv in enclosures[alpha]])
+    dual, enclosures = _context(alpha.field, positive=[alpha])
+    box = box_from_embedding(dual, [Interval(0, iv.hi) for iv in enclosures[alpha]])
     element, field, zero = type(alpha), alpha.field, (0,) * len(box)
     for coords in iterate_box(box):
         if coords == zero:
@@ -187,7 +201,7 @@ def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:
     """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0."""
     field = alpha.field
     fp = fprime_element(field)
-    rows, enclosures = _context(field, positive=[alpha], sign_definite=[fp])
+    dual, enclosures = _context(field, positive=[alpha], sign_definite=[fp])
     aiv = enclosures[alpha]
     fiv = enclosures[fp]
     bounds = []
@@ -197,7 +211,7 @@ def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:
             bounds.append(Interval(0, t * fiv[i].hi / aiv[i].lo))
         else:
             bounds.append(Interval(t * fiv[i].lo / aiv[i].lo, 0))
-    box = box_from_embedding(rows, bounds)
+    box = box_from_embedding(dual, bounds)
     hits = []
     for coords in iterate_slice(box, dual_pairing_vector(field, alpha), t):
         gamma = OrderElement(coords, field)

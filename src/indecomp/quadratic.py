@@ -23,7 +23,8 @@ from .errors import (
     RefinementLimit,
     ZeroElement,
 )
-from .hnf import adjugate, parallelepiped_points, row_hnf_lower
+from .codifferent import euler_pairing
+from .hnf import parallelepiped_points, row_hnf_lower
 from .integers import is_squarefree
 from .intervals import Interval
 from .oracle import first_split
@@ -69,6 +70,11 @@ class QuadField:
     @property
     def discriminant(self) -> int:
         return self.D if self.one_mod_four else 4 * self.D
+
+    @property
+    def minpoly(self) -> tuple[int, int]:
+        """omega is a root of x^2 - Tr(omega) x + N(omega)."""
+        return (-self.omega_trace, self.omega_norm)
 
     def embedding_rows(self, rounds: int) -> list[list[Interval]]:
         """Interval embedding matrix of (1, omega) after `rounds` refinements."""
@@ -298,7 +304,7 @@ def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
 
 
 def sqrt_disc_element(field: QuadField) -> QuadElement:
-    """sqrt(Delta) as an element: 2*omega (D = 2,3 mod 4) or 2*omega - 1."""
+    """sqrt(Delta) = f'(omega) as an element: 2*omega (D = 2,3 mod 4) or 2*omega - 1."""
     if field.one_mod_four:
         return QuadElement((-1, 2), field)
     return QuadElement((0, 2), field)
@@ -315,49 +321,21 @@ class QuadCodifferentElement:
         return self.numerator.field
 
 
-@lru_cache(maxsize=None)
-def _quad_pairing_matrix(field: QuadField) -> tuple[tuple[int, int], ...]:
-    """Integer B with Tr(gamma * x / sqrt(Delta)) = coords(gamma)^T B coords(x)."""
-    s = sqrt_disc_element(field)
-    omega = QuadElement((0, 1), field)
-    # multiplication matrix of s, columns are images of (1, omega)
-    sx, sy = s.coords
-    omega_s = s * omega
-    adj, det = adjugate(((sx, omega_s.coords[0]), (sy, omega_s.coords[1])))
-    powers = [QuadElement((1, 0), field), omega, omega * omega]
-    traces = []
-    for power in powers:
-        coords = power.coords
-        inv = tuple(
-            Fraction(adj[k][0] * coords[0] + adj[k][1] * coords[1], det) for k in range(2)
-        )
-        tr = 2 * inv[0] + field.omega_trace * inv[1]
-        if tr.denominator != 1:
-            raise CertificateFailure("codifferent pairing is not integral")
-        traces.append(int(tr))
-    return tuple(tuple(traces[i + j] for j in range(2)) for i in range(2))
-
-
 def quad_trace_pairing(delta: QuadCodifferentElement, x: QuadElement) -> int:
     if x.field is not delta.field and x.field != delta.field:
         raise FieldMismatch("pairing operands from different fields")
-    b = _quad_pairing_matrix(delta.field)
+    b = euler_pairing(delta.field.minpoly)  # sqrt(Delta) = f'(omega)
     g = delta.numerator.coords
     v = x.coords
     return sum(g[i] * b[i][j] * v[j] for i in range(2) for j in range(2))
 
 
 def is_totally_positive_quad_codiff(delta: QuadCodifferentElement) -> bool:
+    """gamma/sqrt(Delta) is totally positive iff gamma * sqrt(Delta) is."""
     g = delta.numerator
     if g.is_zero():
         raise ZeroElement("zero codifferent element")
-    field = delta.field
-    s = sqrt_disc_element(field)
-    # delta totally positive iff Tr(delta) > 0 and N(delta) > 0
-    q = s.norm()  # = -Delta < 0
-    # N(delta) = N(g)/q ; Tr(delta) = Tr(g * s.conj()) / N(s) exactly
-    num = g * s.conj()
-    return g.norm() * q > 0 and num.trace() * q > 0
+    return (g * sqrt_disc_element(delta.field)).is_totally_positive()
 
 
 def _delta_checks(delta: QuadCodifferentElement, i: int) -> bool:

@@ -57,6 +57,20 @@ def test_sq_table_resume_and_threads(tmp_path):
     assert saved["4"] == 17
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"-1": 2,', "[[-1, 2]]", '{"a": 2}', '{"-1": "2"}', '{"-1": 2.5}', '{"-1": true}'],
+    ids=["not-json", "not-object", "key", "str-value", "float-value", "bool-value"],
+)
+def test_sq_table_malformed_resume_is_domain_error(tmp_path, capsys, content):
+    resume = tmp_path / "resume.json"
+    resume.write_text(content)
+    assert main(["sq-table", "--a-min", "-1", "--a-max", "2", "--resume", str(resume)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed resume file") and "Traceback" not in err
+    assert resume.read_text() == content
+
+
 def test_count_norms_methods(capsys):
     for method, expected in (("fast", 1), ("exact", 3), ("brute", 3)):
         assert main(["count-norms", "--a", "7", "--x", "17", "--method", method]) == EXIT_OK

@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from indecomp.codifferent import (
     CodifferentElement,
@@ -11,13 +14,14 @@ from indecomp.codifferent import (
     _fprime_inverse_parts,
     certificate_delta,
     certified_simplest,
+    euler_pairing,
     fprime_element,
     is_totally_positive_codiff,
     monogenicity_certificate,
     pairing_matrix,
     trace_pairing,
 )
-from indecomp.errors import UnsupportedFamily, ZeroElement
+from indecomp.errors import IndecompError, UnsupportedFamily, ZeroElement
 from indecomp.order_kernel import (
     Family,
     OrderElement,
@@ -29,6 +33,12 @@ from indecomp.order_kernel import (
     one,
     rho,
     make_custom_field,
+)
+from indecomp.quadratic import (
+    QuadCodifferentElement,
+    QuadElement,
+    is_totally_positive_quad_codiff,
+    make_quad_field,
 )
 
 RNG = random.Random(555001)
@@ -172,3 +182,76 @@ def test_certificate_delta_unsupported():
         certificate_delta(make_field(Family.THOMAS, 2))
     with pytest.raises(UnsupportedFamily):
         certificate_delta(make_custom_field(0, -4, 1))
+
+
+# ---------------------------------------------------------------------------
+# Euler's lemma pairing and the gamma*f' positivity tests, against exact oracles
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+X = sympy.Symbol("X")
+
+
+@PROPERTY
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=3))
+def test_euler_pairing_is_sympy_trace_of_rho_power_over_fprime(minpoly):
+    """t_(i+j) = Tr(rho^(i+j)/f'(rho)), computed as a trace of companion-matrix powers."""
+    d = len(minpoly)
+    f = sympy.Poly([1, *minpoly], X)
+    assume(f.is_irreducible)
+    companion = sympy.zeros(d, d)
+    for k in range(1, d):
+        companion[k, k - 1] = 1
+    for k, c in enumerate(reversed(minpoly)):
+        companion[k, d - 1] = -c
+    fp = f.diff(X).all_coeffs()[::-1]
+    inv_fp = sum((c * companion**k for k, c in enumerate(fp)), sympy.zeros(d, d)).inv()
+    b = euler_pairing(tuple(minpoly))
+    for i in range(d):
+        for j in range(d):
+            assert b[i][j] == (companion ** (i + j) * inv_fp).trace()
+
+
+def _custom_or_none(c):
+    try:
+        return make_custom_field(*c)
+    except IndecompError:
+        return None
+
+
+CUBIC_FIELDS = st.one_of(
+    st.integers(-1, 60).map(lambda a: make_field(Family.SIMPLEST_CUBIC, a)),
+    st.integers(3, 60).map(lambda a: make_field(Family.ENNOLA, a)),
+    st.integers(2, 60).map(lambda a: make_field(Family.THOMAS, a)),
+    st.tuples(st.integers(-9, 9), st.integers(-40, -1), st.integers(-9, 9))
+    .map(_custom_or_none)
+    .filter(lambda f: f is not None),
+)
+
+
+@PROPERTY
+@given(CUBIC_FIELDS, st.tuples(*[st.integers(-50, 50)] * 3))
+def test_codiff_positivity_matches_embedding_signs(field, coords):
+    """gamma/f' >> 0 exactly when every sigma_i(gamma) has the sign of sigma_i(f')."""
+    assume(any(coords))
+    gamma = OrderElement(coords, field)
+    g_ivs, _ = embed_sign_definite(gamma)
+    f_ivs, _ = embed_sign_definite(fprime_element(field))
+    want = all(g.is_positive() == f.is_positive() for g, f in zip(g_ivs, f_ivs))
+    assert is_totally_positive_codiff(CodifferentElement(gamma)) == want
+
+
+@PROPERTY
+@given(
+    st.integers(2, 400).filter(lambda D: all(e == 1 for e in sympy.factorint(D).values())),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+)
+def test_quad_codiff_positivity_matches_embedding_signs(D, coords):
+    """gamma/sqrt(Delta) >> 0 exactly when sigma_1(gamma) > 0 > sigma_2(gamma)."""
+    assume(any(coords))
+    field = make_quad_field(D)
+    x, y = coords
+    root = sympy.sqrt(D)
+    w, wc = ((1 + root) / 2, (1 - root) / 2) if field.one_mod_four else (root, -root)
+    want = sympy.sign(x + y * w) > 0 and sympy.sign(x + y * wc) < 0
+    got = is_totally_positive_quad_codiff(QuadCodifferentElement(QuadElement(coords, field)))
+    assert got == bool(want)

@@ -3,7 +3,18 @@
 import math
 import random
 
-from indecomp.integers import factorize, icbrt, is_probable_prime, is_squarefree
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from indecomp.integers import (
+    TRIAL_DIVISION_BOUND,
+    factorize,
+    icbrt,
+    is_probable_prime,
+    is_squarefree,
+)
 
 RNG = random.Random(60601)
 
@@ -65,3 +76,25 @@ def test_miller_rabin_small():
     primes = {p for p in range(2, 2000) if all(p % d for d in range(2, p))}
     for n in range(2, 2000):
         assert is_probable_prime(n) == (n in primes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.integers(1, 10**9),
+        st.tuples(st.integers(2, 3000), st.integers(1, 10**5)).map(lambda t: t[0] ** 2 * t[1]),
+    )
+)
+def test_squarefree_and_factorize_match_sympy_factorint(n):
+    want = sympy.factorint(n)
+    assert factorize(n) == want
+    assert is_squarefree(n) == all(e == 1 for e in want.values())
+
+
+@pytest.mark.parametrize("n", [1000003**2 * 7, 999983**2, 1000003 * 999983 * 7])
+def test_squarefree_around_the_trial_division_bound(n):
+    """999983 is the largest prime below the bound and 1000003 the smallest above it."""
+    assert 999983 < TRIAL_DIVISION_BOUND < 1000003
+    want = sympy.factorint(n)
+    assert factorize(n) == want
+    assert is_squarefree(n) == all(e == 1 for e in want.values())

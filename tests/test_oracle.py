@@ -1,14 +1,23 @@
 """Search boxes, decomposability testing, minimal traces, window searches."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indecomp.codifferent import certificate_delta, trace_pairing
-from indecomp.errors import FieldMismatch, IllegalParameter, UnboundedRegion, ZeroElement
+from indecomp.errors import (
+    FieldMismatch,
+    IllegalParameter,
+    IndecompError,
+    UnboundedRegion,
+    ZeroElement,
+)
 from indecomp.families import (
     TrianglePoint,
     indecomposables_ennola,
@@ -16,11 +25,15 @@ from indecomp.families import (
     indecomposables_thomas,
     triangle_element,
 )
+from indecomp.intervals import Interval, det
 from indecomp.oracle import (
+    _dual_basis,
+    box_from_embedding,
     decompose,
     equal_mod_totally_positive_units,
     indecomposables_by_search,
     inventories_match,
+    iterate_box,
     min_trace,
     norms_superadditive,
     search_box,
@@ -33,6 +46,7 @@ from indecomp.order_kernel import (
     embed,
     is_totally_positive,
     isolate_roots,
+    make_custom_field,
     make_field,
     mul,
     norm,
@@ -43,6 +57,7 @@ from indecomp.order_kernel import (
 )
 from indecomp.codifferent import is_totally_positive_codiff
 from indecomp.norms import ideal_hnf
+from indecomp.quadratic import make_quad_field
 
 RNG = random.Random(31337)
 
@@ -274,3 +289,78 @@ def test_search_modules_keep_checks_under_optimization():
         tree = ast.parse(module.read_text())
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], (module.name, asserts)
+
+
+# ---------------------------------------------------------------------------
+# Dual-basis box rule against the Cramer's-rule box
+
+def _custom_or_none(c):
+    try:
+        return make_custom_field(*c)
+    except IndecompError:
+        return None
+
+
+def _quad_or_none(D):
+    try:
+        return make_quad_field(D)
+    except IndecompError:
+        return None
+
+
+BOX_FIELDS = st.one_of(
+    st.integers(-1, 60).map(lambda a: make_field(Family.SIMPLEST_CUBIC, a)),
+    st.integers(3, 60).map(lambda a: make_field(Family.ENNOLA, a)),
+    st.integers(2, 60).map(lambda a: make_field(Family.THOMAS, a)),
+    st.tuples(st.integers(-9, 9), st.integers(-40, -1), st.integers(-9, 9))
+    .map(_custom_or_none)
+    .filter(lambda f: f is not None),
+    st.integers(2, 400).map(_quad_or_none).filter(lambda f: f is not None),
+)
+
+
+def _cramer_box(rows, bounds):
+    """The box rule by Cramer's rule: x_j = det(rows, column j := bounds) / det(rows)."""
+    d = len(rows)
+    dt = det(rows)
+    assert dt.sign_definite()
+    box = []
+    for j in range(d):
+        m = [[bounds[i] if k == j else rows[i][k] for k in range(d)] for i in range(d)]
+        xj = det(m) / dt
+        box.append((math.ceil(xj.lo), math.floor(xj.hi)))
+    return box
+
+
+def _dot(rows, coords):
+    return [sum((x * c for x, c in zip(row, coords)), Interval(0)) for row in rows]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    BOX_FIELDS,
+    st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+    st.lists(st.fractions(0, 3), min_size=3, max_size=3),
+    st.integers(0, 3),
+)
+def test_dual_box_contains_every_cramer_box_point_in_the_region(field, coords, widths, extra):
+    """Every lattice point of the Cramer box that satisfies the bounds lies in the dual box."""
+    d = len(field.minpoly)
+    coords = tuple(coords[:d])
+    rounds = next(
+        r for r in range(64)
+        if _dual_basis(field, r) is not None and det(field.embedding_rows(r)).sign_definite()
+    ) + extra
+    rows = field.embedding_rows(rounds)
+    # a region around a lattice point, so that it is never empty
+    bounds = [Interval(iv.lo - w, iv.hi + w) for iv, w in zip(_dot(rows, coords), widths)]
+    dual_box = box_from_embedding(_dual_basis(field, rounds), bounds)
+    assert all(lo <= c <= hi for (lo, hi), c in zip(dual_box, coords))
+    fine = field.embedding_rows(rounds + 40)
+    inside = 0
+    for x in iterate_box(_cramer_box(rows, bounds)):
+        ivs = _dot(fine, x)
+        if all(b.lo <= iv.lo and iv.hi <= b.hi for iv, b in zip(ivs, bounds)):
+            inside += 1
+            assert all(lo <= c <= hi for (lo, hi), c in zip(dual_box, x)), x
+    assert inside >= 1
