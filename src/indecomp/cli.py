@@ -67,14 +67,22 @@ def codiff_json(delta) -> dict:
     return {"numerator": list(delta.numerator.coords), "denominator": "fprime"}
 
 
+def _open(path, mode="r", **kwargs):
+    """open(), with an unusable path reported as a domain error that names it."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise IllegalParameter(f"cannot open {path}: {exc.strerror}") from None
+
+
 def _emit(payload: dict, args, rows=None, header=None) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
+        with _open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     if getattr(args, "csv", None) and rows is not None:
-        with open(args.csv, "w", newline="") as fh:
+        with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             if header:
                 writer.writerow(header)
@@ -241,20 +249,20 @@ def cmd_sq_table(args) -> int:
 
 def _read_resume(path) -> dict[int, int]:
     """Rows of a --resume checkpoint: a JSON object of integer keys and values."""
-    try:
-        with open(path) as fh:
+    with _open(path) as fh:
+        try:
             done = {int(k): v for k, v in json.load(fh).items()}
-        if all(type(v) is int for v in done.values()):
-            return done
-    except (ValueError, AttributeError):  # not JSON, no .items(), or a non-integer key
-        pass
+            if all(type(v) is int for v in done.values()):
+                return done
+        except (ValueError, AttributeError):  # not JSON, no .items(), or a non-integer key
+            pass
     raise IllegalParameter(f"malformed resume file {path}: need an object of integers")
 
 
 def _write_resume(path, done) -> None:
     if not path:
         return
-    with open(path, "w") as fh:
+    with _open(path, "w") as fh:
         json.dump({str(k): v for k, v in sorted(done.items())}, fh, indent=0)
         fh.write("\n")
 

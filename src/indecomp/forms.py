@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -34,8 +33,7 @@ from .families import (
     indecomposables_simplest,
     indecomposables_thomas,
 )
-from .intervals import Interval
-from .oracle import _context, box_from_embedding, iterate_box, iterate_slice
+from .oracle import _context, region_points
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -96,26 +94,18 @@ def minimal_vector_bound(rank: int) -> int:
 # Square classes of totally positive units and the diagonal universal form
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise IllegalParameter("negative radicand")
-    p, q = x.numerator, x.denominator
-    return Fraction(math.isqrt(p * q) + 1, q)
-
-
-def _square_root_box(target: OrderElement) -> list[tuple[int, int]]:
-    """Integer box holding every x with sigma_i(x)^2 <= sigma_i(target) for all i."""
-    dual, enclosures = _context(target.field, positive=[target])
-    bounds = [Interval(-s, s) for s in (_sqrt_upper(iv.hi) for iv in enclosures[target])]
-    return box_from_embedding(dual, bounds)
+def _square_root_region(target: OrderElement):
+    """(ctx, bounds) for `region_points`: every x with sigma_i(x)^2 <= sigma_i(target)."""
+    ctx, enclosures = _context(target.field, positive=[target])
+    # |2^k sigma_i(x)| <= sqrt(2^k * 2^k sigma_i(target)) <= isqrt(2^k * hi) + 1
+    return ctx, [(-s, s) for s in (math.isqrt(hi << ctx.k) + 1 for _, hi in enclosures[target])]
 
 
 def unit_square_root(eps: OrderElement) -> Optional[OrderElement]:
     """x with x^2 = eps, or None; complete search over |sigma_i(x)| <= sqrt."""
     if not is_totally_positive(eps):
         return None
-    for coords in iterate_box(_square_root_box(eps)):
+    for coords in region_points(*_square_root_region(eps)):
         x = OrderElement(coords, eps.field)
         if mul(x, x) == eps:
             return x
@@ -343,7 +333,7 @@ def sum_of_squares_witness(
 
     def candidates(target: OrderElement) -> list[OrderElement]:
         out = []
-        for coords in iterate_box(_square_root_box(target)):
+        for coords in region_points(*_square_root_region(target)):
             if coords <= (0, 0, 0):
                 continue  # skip 0; x and -x square identically, keep one
             x = OrderElement(coords, target.field)
@@ -393,14 +383,17 @@ def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     gamma = delta.numerator
     c = pairing_vector(delta)
     out = []
-    dual, enclosures = _context(field, sign_definite=[gamma, fp])
-    # sigma_i(delta) = sigma_i(gamma)/sigma_i(f') is positive since delta >> 0
-    dlo = [(g / f).lo for g, f in zip(enclosures[gamma], enclosures[fp])]
-    if min(dlo) <= 0:
-        raise ConsistencyError("certificate delta must be totally positive")
+    ctx, enclosures = _context(field, sign_definite=[gamma, fp])
+    # sigma_i(delta) = sigma_i(gamma)/sigma_i(f') >= min|gamma_i| / max|f'_i| > 0 since delta >> 0
+    ratios = []
+    for (glo, ghi), (flo, fhi) in zip(enclosures[gamma], enclosures[fp]):
+        if (glo > 0) != (flo > 0):
+            raise ConsistencyError("certificate delta must be totally positive")
+        ratios.append((max(-flo, fhi), min(abs(glo), abs(ghi))))
     for t in range(1, trace_bound + 1):
-        box = box_from_embedding(dual, [Interval(0, Fraction(t) / d) for d in dlo])
-        for coords in iterate_slice(box, c, t):
+        # 0 < sigma_i(alpha) < t / sigma_i(delta), at scale 2^k
+        bounds = [(0, -(-(t * f << ctx.k) // g)) for f, g in ratios]
+        for coords in region_points(ctx, bounds, (c, t)):
             el = OrderElement(coords, field)
             if not el.is_zero() and is_totally_positive(el):
                 out.append(el)

@@ -1,9 +1,14 @@
 """Integer lattice helpers: the canonical lower-triangular Hermite normal form of
-full-rank row lattices, integer adjugates, and parallelepiped lattice points."""
+full-rank row lattices, integer adjugates, the one enumerator of integer
+points in a region cut out by rows of integer coefficient intervals, and
+parallelepiped lattice points."""
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from typing import Iterator
 
 from .errors import DegenerateSpan
 
@@ -72,6 +77,117 @@ def adjugate(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     return adj, sum(m[0][j] * adj[j][0] for j in range(len(m)))
 
 
+def interval_dot(coeffs, x) -> tuple[int, int]:
+    """Enclosure (lo, hi) of sum_j C_j x_j for integer intervals C_j = (lo, hi), integer x."""
+    terms = [(v * a, v * b) if v >= 0 else (v * b, v * a) for (a, b), v in zip(coeffs, x)]
+    return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
+
+
+def lattice_points(box, rows, equality=None) -> Iterator[tuple[int, ...]]:
+    """Integer points of a box that may meet every row lo <= sum_j C_j x_j <= hi.
+
+    A row is (C, lo, hi) with one integer interval C_j = (clo, chi) per
+    coordinate, exact when clo == chi.  Over the box x_j C_j lies within
+    x_j clo_j plus a slack of at most max(|lo_j|, |hi_j|) (chi_j - clo_j), so
+    each row is relaxed to an exact row with the slack moved into its bounds.
+    The points are exactly the box points that meet every relaxed row, in
+    lexicographic order (see `_levels`), so they include every box point
+    that meets each row for some coefficients in its intervals.
+
+    equality = (c, t) keeps the points with c . x = t: the coordinate p with
+    the largest |c_p| is eliminated (each row a becomes c_p a_j - c_j a_p
+    over the others, and the box range of x_p one more row), and the last
+    free coordinate steps through its residue class mod |c_p| / gcd; the
+    order is then lexicographic in the free coordinates.
+    """
+    if any(lo > hi for lo, hi in box):
+        return iter(())
+    n, exact = len(box), []
+    for coeffs, lo, hi in rows:
+        widths = [b - a for a, b in coeffs]
+        slack_lo = sum(min(0, l) * w for (l, _), w in zip(box, widths))
+        slack_hi = sum(max(0, h) * w for (_, h), w in zip(box, widths))
+        exact.append(([a for a, _ in coeffs], lo - slack_hi, hi - slack_lo))
+    if equality is None:
+        return _walk(_levels(box, exact), (), None)
+    c, t = equality
+    p = max(range(n), key=lambda j: abs(c[j]))
+    cp, free = c[p], [j for j in range(n) if j != p]
+    if cp == 0:
+        return iter(())
+    reduced = []
+    for a, lo, hi in (*exact, ([int(j == p) for j in range(n)], *box[p])):
+        # cp * (a . x) = sum_(j != p) (cp a_j - c_j a_p) x_j + a_p t
+        lo, hi = sorted((cp * lo - a[p] * t, cp * hi - a[p] * t))
+        reduced.append(([cp * a[j] - c[j] * a[p] for j in free], lo, hi))
+    cf = [c[j] for j in free]
+    # cf . x = t mod |cp|: the last free coordinate z runs through one class mod |cp| / g
+    g = math.gcd(cf[-1], cp)
+    step = abs(cp) // g
+    congruence = (cf[:-1], t, g, step, pow(cf[-1] // g, -1, step) if step > 1 else 0)
+    points = _walk(_levels([box[j] for j in free], reduced), (), congruence)
+    return ((*x[:p], (t - sum(a * v for a, v in zip(cf, x))) // cp, *x[p:]) for x in points)
+
+
+def _levels(box, rows):
+    """Per coordinate j: its range and the cuts (a, lo, hi, c > 0) that ask
+    lo <= a . (x_0..x_(j-1)) + c x_j <= hi (Fincke-Pohst); None if a constant row fails.
+
+    The later coordinates are first eliminated from the rows by pairs
+    (Fourier-Motzkin), so x_j's range given its prefix is cut exactly to the
+    values with a real completion.
+    """
+    system, levels = rows, []
+    for j in reversed(range(len(box))):
+        lo, hi = box[j]
+        cuts, rest = [], []
+        for a, rlo, rhi in system:
+            c, a = a[j], a[:j]
+            if c < 0:
+                a, rlo, rhi, c = [-v for v in a], -rhi, -rlo, -c
+            if c == 0:
+                rest.append((a, rlo, rhi))
+            elif any(a):
+                cuts.append((a, rlo, rhi, c))
+            else:
+                lo, hi = max(lo, -(-rlo // c)), min(hi, rhi // c)
+        levels.append((lo, hi, cuts))
+        if j:
+            # lo_p <= P.y + p z <= hi_p and lo_q <= Q.y + q z <= hi_q have a real z iff
+            # q lo_p - p hi_q <= (q P - p Q).y <= q hi_p - p lo_q
+            pairs = itertools.combinations([*cuts, ([0] * j, lo, hi, 1)], 2)
+            for (pa, plo, phi, pz), (qa, qlo, qhi, qz) in pairs:
+                rest.append(([qz * u - pz * v for u, v in zip(pa, qa)],
+                             qz * plo - pz * qhi, qz * phi - pz * qlo))
+        system = rest
+    return None if any(lo > 0 or hi < 0 for _, lo, hi in system) else levels[::-1]
+
+
+def _walk(levels, prefix, congruence) -> Iterator[tuple[int, ...]]:
+    """Lexicographic points that extend prefix; congruence as `lattice_points` builds it."""
+    if levels is None:
+        return
+    lo, hi, cuts = levels[len(prefix)]
+    for a, rlo, rhi, c in cuts:
+        s = sum(map(operator.mul, a, prefix))
+        if -((s - rlo) // c) > lo:
+            lo = -((s - rlo) // c)
+        if (rhi - s) // c < hi:
+            hi = (rhi - s) // c
+    if len(prefix) < len(levels) - 1:
+        for v in range(lo, hi + 1):
+            yield from _walk(levels, (*prefix, v), congruence)
+    elif congruence is None:
+        for v in range(lo, hi + 1):
+            yield (*prefix, v)
+    else:
+        ch, t, g, step, inverse = congruence
+        r = t - sum(map(operator.mul, ch, prefix))
+        if r % g == 0:
+            for v in range(lo + (r // g * inverse - lo) % step, hi + 1, step):
+                yield (*prefix, v)
+
+
 def parallelepiped_points(gens) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     """Integer points of the closed parallelepiped {sum t_j g_j : 0 <= t_j <= 1}.
 
@@ -79,8 +195,7 @@ def parallelepiped_points(gens) -> tuple[list[tuple[int, ...]], set[tuple[int, .
     points in lexicographic order and the set of the 2^n subset sums of the
     generators (the vertices).  With M the matrix whose columns are the
     generators, x is inside iff 0 <= adj(M) x <= det M (after fixing the sign
-    of det M); the leading coordinates run over the vertex hull and the last
-    one is solved from those inequalities, so no hull point is tested.
+    of det M), so `lattice_points` runs over the vertex hull with those rows.
     """
     n = len(gens)
     adj, det = adjugate([[g[i] for g in gens] for i in range(n)])
@@ -93,17 +208,5 @@ def parallelepiped_points(gens) -> tuple[list[tuple[int, ...]], set[tuple[int, .
         for mask in range(1 << n)
     }
     hull = [(min(v[i] for v in vertices), max(v[i] for v in vertices)) for i in range(n)]
-    points = []
-    for head in itertools.product(*(range(lo, hi + 1) for lo, hi in hull[:-1])):
-        lo, hi = hull[-1]
-        for row in adj:
-            # 0 <= s + a*z <= det for the last coordinate z
-            s, a = sum(c * x for c, x in zip(row, head)), row[-1]
-            if a:
-                p, q = (-s, det - s) if a > 0 else (det - s, -s)
-                lo, hi = max(lo, -(-p // a)), min(hi, q // a)
-            elif not 0 <= s <= det:
-                break
-        else:
-            points.extend(head + (z,) for z in range(lo, hi + 1))
-    return points, vertices
+    rows = [([(a, a) for a in row], 0, det) for row in adj]
+    return list(lattice_points(hull, rows)), vertices

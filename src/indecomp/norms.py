@@ -30,7 +30,7 @@ from .families import (
     standard_parallelepipeds,
     triangle_norm,
 )
-from .hnf import hnf_det, row_hnf_lower
+from .hnf import adjugate, hnf_det, lattice_points, row_hnf_lower
 from .integers import icbrt, is_squarefree
 from .order_kernel import (
     Family,
@@ -162,36 +162,31 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
     norm 1.  N^(1/3) is superadditive on totally positive elements (Minkowski;
     oracle.norms_superadditive is the exact test), so
     sum u_j = sum N(u_j g_j)^(1/3) <= N(x)^(1/3) <= X^(1/3) < bound.  Hence x
-    lies in the simplex with vertices 0 and bound * g_j, and the coordinate
-    hull of those four points is a complete search box.
+    lies in the simplex with vertices 0 and bound * g_j: with M the matrix
+    whose columns are the g_j, adj(M) x >= 0 and sum adj(M) x <= bound * det M
+    (after fixing the sign of det M).  `hnf.lattice_points` runs over the
+    coordinate hull of the simplex with those exact rows.
     """
     field = make_field(Family.SIMPLEST_CUBIC, a)
     X = a * a
     bound = icbrt(X) + 1
-    c2, c1, _ = field.minpoly
-    tr2 = c2 * c2 - 2 * c1  # Tr(rho^2)
     found: dict[tuple, int] = {}
     for gens in standard_parallelepipeds(field):
         coords = [g.coords for g in gens]
-        lo = [bound * min(0, *(c[i] for c in coords)) for i in range(3)]
-        hi = [bound * max(0, *(c[i] for c in coords)) for i in range(3)]
-        for x1 in range(lo[0], hi[0] + 1):
-            for x2 in range(lo[1], hi[1] + 1):
-                base_tr = 3 * x1 - c2 * x2
-                g12 = math.gcd(abs(x1), abs(x2))
-                for x3 in range(lo[2], hi[2] + 1):
-                    if base_tr + tr2 * x3 <= 0:
-                        continue
-                    if math.gcd(g12, abs(x3)) != 1:
-                        continue
-                    el = OrderElement((x1, x2, x3), field)
-                    s = sym_funcs(el)
-                    if s.e2 <= 0 or not 1 <= s.e3 <= X:
-                        continue
-                    if s.e3 == 1:
-                        continue  # unit ideal
-                    h = ideal_hnf(el)
-                    found[h.rows] = h.det
+        adj, det = adjugate(list(zip(*coords)))
+        if det < 0:
+            adj, det = [[-v for v in row] for row in adj], -det
+        hull = [(bound * min(0, *col), bound * max(0, *col)) for col in zip(*coords)]
+        rows = [([(v, v) for v in row], 0, bound * det) for row in (*adj, map(sum, zip(*adj)))]
+        for x in lattice_points(hull, rows):
+            if math.gcd(*x) != 1:
+                continue
+            el = OrderElement(x, field)
+            s = sym_funcs(el)
+            if s.e1 <= 0 or s.e2 <= 0 or not 1 < s.e3 <= X:
+                continue  # not totally positive, or a unit or too large
+            h = ideal_hnf(el)
+            found[h.rows] = h.det
     return tuple(sorted(zip(found.values(), found.keys())))
 
 

@@ -1,23 +1,21 @@
 """Brute-force ground truth: decomposability, minimal traces, lattice search.
 
-All searches are exhaustive over rigorously derived integer boxes.  By
-Euler's lemma the trace-dual basis of (1, rho, ...) is b_j(rho)/f'(rho),
-where f(x)/(x - rho) = sum_j b_j(rho) x^j, so x_j = sum_i sigma_i(x) *
-sigma_i(b_j/f') bounds each coordinate through rational interval arithmetic.
-Cubic and quadratic searches share one path: `_context` refines until f' and
-the needed element enclosures are sign-definite, `box_from_embedding` is the
-box rule, and `iterate_box` and `iterate_slice` enumerate a box or one trace
-slice of it.
-"""
+Every search runs over a rigorous superset of its region and keeps the points
+that pass the exact symbolic test.  By Euler's lemma the trace-dual basis of
+(1, rho, ...) is b_j(rho)/f'(rho), where f(x)/(x - rho) = sum_j b_j(rho) x^j,
+so x_j = sum_i sigma_i(x) sigma_i(b_j/f').  Cubic and quadratic fields share
+one integer path: `_dyadic` rounds the enclosures of sigma_i(rho^j) and
+sigma_i(b_j/f') outward to a scale 2^k once per field and refinement round,
+`_context` refines until the needed signs are definite, `box_from_embedding`
+is the box rule, and `region_points` hands the box and the embedding rows to
+the one enumerator, `hnf.lattice_points`.  No search step uses a float."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .codifferent import (
     CodifferentElement,
@@ -35,7 +33,7 @@ from .errors import (
     UnboundedRegion,
     ZeroElement,
 )
-from .hnf import adjugate
+from .hnf import adjugate, interval_dot, lattice_points
 from .intervals import Interval
 from .order_kernel import (
     REFINEMENT_CAP,
@@ -57,12 +55,31 @@ def _enclose(rows, coords) -> tuple[Interval, ...]:
     return tuple(sum((x * c for x, c in zip(row[1:], cs)), Interval(c0)) for row in rows)
 
 
+@dataclass(frozen=True)
+class DyadicContext:
+    """Integer enclosures, at the scale 2^k, of one field's embeddings.
+
+    rows[i][j] encloses 2^k sigma_i(rho^j) and dual[j][i] encloses
+    2^k sigma_i(b_j/f'), each as an integer pair (lo, hi).
+    """
+
+    k: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    dual: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _outward(iv: Interval, k: int) -> tuple[int, int]:
+    return math.floor(iv.lo * 2**k), math.ceil(iv.hi * 2**k)
+
+
 @lru_cache(maxsize=None)
-def _dual_basis(field, rounds: int):
-    """Enclosures dual[j][i] of sigma_i(b_j / f'(rho)); None until f' is sign-definite.
+def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
+    """The context from `embedding_rows(rounds)`; None until f' is sign-definite.
 
     field is a cubic FieldSpec or a QuadField: only field.minpoly and the
-    interval embedding matrix embedding_rows(rounds) of (1, rho, ...) are used.
+    interval embedding matrix of (1, rho, ...) are used.  The exact rational
+    enclosures are rounded outward once, at k = the bit length of
+    1/(root width) plus 8, which widens each by a small fraction of its width.
     """
     c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
     d = len(c) - 1
@@ -72,73 +89,62 @@ def _dual_basis(field, rounds: int):
     fp = _enclose(rows, [(m + 1) * c[m + 1] for m in range(d)])  # f'(rho) = sum_j b_j rho^j
     if not all(iv.sign_definite() for iv in fp):
         return None
-    return tuple(tuple(s / f for s, f in zip(_enclose(rows, b), fp)) for b in numerators)
+    width = max(row[1].width for row in rows)
+    k = (width.denominator // width.numerator).bit_length() + 8
+    return DyadicContext(
+        k,
+        tuple(tuple(_outward(iv, k) for iv in row) for row in rows),
+        tuple(tuple(_outward(s / f, k) for s, f in zip(_enclose(rows, b), fp)) for b in numerators),
+    )
 
 
 def _context(field, positive: Sequence = (), sign_definite: Sequence = ()):
-    """Dual-basis enclosures (see `_dual_basis`), plus element enclosures.
+    """The dyadic context (see `_dyadic`), plus enclosures of 2^k sigma_i(el).
 
-    The embedding rows are refined until f'(rho) is sign-definite in every
-    embedding, every element of `positive` has positive enclosures, and every
-    element of `sign_definite` has sign-definite enclosures.
+    Refines until f'(rho) is sign-definite in every embedding, every element
+    of `positive` has positive enclosures, and every element of
+    `sign_definite` has sign-definite enclosures.
     """
     for rounds in range(REFINEMENT_CAP + 1):
-        dual = _dual_basis(field, rounds)
-        if dual is None:
+        ctx = _dyadic(field, rounds)
+        if ctx is None:
             continue
-        rows = field.embedding_rows(rounds)
-        enclosures = {el: _enclose(rows, el.coords) for el in (*positive, *sign_definite)}
-        if all(iv.is_positive() for el in positive for iv in enclosures[el]) and all(
-            iv.sign_definite() for ivs in enclosures.values() for iv in ivs
+        enclosures = {
+            el: tuple(interval_dot(row, el.coords) for row in ctx.rows)
+            for el in (*positive, *sign_definite)
+        }
+        if all(lo > 0 for el in positive for lo, _ in enclosures[el]) and all(
+            lo > 0 or hi < 0 for ivs in enclosures.values() for lo, hi in ivs
         ):
-            return dual, enclosures
+            return ctx, enclosures
     raise RefinementLimit("embedding context did not stabilize")
 
 
-def box_from_embedding(
-    dual: Sequence[Sequence[Interval]], bounds: Sequence[Interval]
-) -> list[tuple[int, int]]:
-    """Integer coordinate box enclosing {x : sigma_i(x) in bounds_i for all i}.
+def box_from_embedding(ctx: DyadicContext, bounds: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Integer coordinate box enclosing {x : bounds_i enclose 2^k sigma_i(x) for all i}.
 
-    dual holds the dual-basis enclosures dual[j][i] of sigma_i(b_j/f'), as
-    `_context` returns them, so x_j = sum_i dual[j][i] * sigma_i(x); the
-    result holds per-coordinate integer ranges (possibly empty).
+    By Euler's lemma x_j = sum_i sigma_i(x) sigma_i(b_j/f'), so 2^(2k) x_j
+    lies in sum_i dual[j][i] * bounds_i; the result holds per-coordinate
+    integer ranges (possibly empty).
     """
     ranges = []
-    for row in dual:
-        xj = sum((w * b for w, b in zip(row, bounds)), Interval(0))
-        ranges.append((math.ceil(xj.lo), math.floor(xj.hi)))
+    for col in ctx.dual:
+        lo = hi = 0
+        for (a, b), (u, v) in zip(col, bounds):
+            products = (a * u, a * v, b * u, b * v)
+            lo, hi = lo + min(products), hi + max(products)
+        ranges.append((-(-lo >> 2 * ctx.k), hi >> 2 * ctx.k))
     return ranges
 
 
-def iterate_box(ranges: Sequence[tuple[int, int]]) -> Iterable[tuple[int, ...]]:
-    """Lexicographically ascending integer points of a coordinate box."""
-    if any(lo > hi for lo, hi in ranges):
-        return iter(())
-    return itertools.product(*(range(lo, hi + 1) for lo, hi in ranges))
+def region_points(ctx: DyadicContext, bounds, equality=None) -> Iterator[tuple[int, ...]]:
+    """Integer points that may have 2^k sigma_i(x) in bounds_i for every i.
 
-
-def iterate_slice(
-    box: Sequence[tuple[int, int]], c: Sequence[int], t: int
-) -> Iterator[tuple[int, int, int]]:
-    """Points x of a 3-dimensional box on the slice c . x = t (t != 0).
-
-    The coordinate with the largest |c_j| is solved for, so the loop runs
-    over the other two; nothing is yielded when c = 0.
+    `hnf.lattice_points` over the `box_from_embedding` box with the embedding
+    rows of ctx: a superset of the region, in lexicographic order.
     """
-    pivot = max(range(3), key=lambda j: abs(c[j]))
-    if c[pivot] == 0:
-        return
-    j0, j1 = [j for j in range(3) if j != pivot]
-    (lo0, hi0), (lo1, hi1), (plo, phi) = box[j0], box[j1], box[pivot]
-    for x0 in range(lo0, hi0 + 1):
-        for x1 in range(lo1, hi1 + 1):
-            q, r = divmod(t - c[j0] * x0 - c[j1] * x1, c[pivot])
-            if r or not plo <= q <= phi:
-                continue
-            coords = [0, 0, 0]
-            coords[j0], coords[j1], coords[pivot] = x0, x1, q
-            yield tuple(coords)
+    rows = [(row, lo, hi) for row, (lo, hi) in zip(ctx.rows, bounds)]
+    return lattice_points(box_from_embedding(ctx, bounds), rows, equality)
 
 
 def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -> list[tuple[int, int]]:
@@ -149,13 +155,10 @@ def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -
     """
     if len(constraints) != 3:
         raise UnboundedRegion("need one (lo, hi) constraint per embedding")
-    bounds = []
-    for lo, hi in constraints:
-        if lo is None or hi is None:
-            raise UnboundedRegion("one-sided constraints leave the region unbounded")
-        bounds.append(Interval(Fraction(lo), Fraction(hi)))
-    dual, _ = _context(field)
-    return box_from_embedding(dual, bounds)
+    if any(lo is None or hi is None for lo, hi in constraints):
+        raise UnboundedRegion("one-sided constraints leave the region unbounded")
+    ctx, _ = _context(field)
+    return box_from_embedding(ctx, [_outward(Interval(lo, hi), ctx.k) for lo, hi in constraints])
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +173,10 @@ def first_split(alpha, is_positive: Callable[[object], bool]):
     """
     if alpha.is_zero() or not is_positive(alpha):
         raise IllegalParameter("decompose expects a totally positive element")
-    dual, enclosures = _context(alpha.field, positive=[alpha])
-    box = box_from_embedding(dual, [Interval(0, iv.hi) for iv in enclosures[alpha]])
-    element, field, zero = type(alpha), alpha.field, (0,) * len(box)
-    for coords in iterate_box(box):
-        if coords == zero:
+    ctx, enclosures = _context(alpha.field, positive=[alpha])
+    element, field = type(alpha), alpha.field
+    for coords in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
+        if not any(coords):
             continue
         beta = element(coords, field)
         rest = alpha - beta
@@ -197,24 +199,26 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
 # Minimal trace over the totally positive codifferent
 
 
-def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:
-    """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0."""
+def _trace_region(alpha: OrderElement, t: int):
+    """(ctx, bounds, equality) for `region_points`: the numerators of `_trace_slice`."""
     field = alpha.field
     fp = fprime_element(field)
-    dual, enclosures = _context(field, positive=[alpha], sign_definite=[fp])
-    aiv = enclosures[alpha]
-    fiv = enclosures[fp]
+    ctx, enclosures = _context(field, positive=[alpha], sign_definite=[fp])
     bounds = []
-    for i in range(3):
-        # 0 < sigma_i(delta) < t / sigma_i(alpha), gamma = delta * f'(rho)
-        if fiv[i].is_positive():
-            bounds.append(Interval(0, t * fiv[i].hi / aiv[i].lo))
+    for (alo, _), (flo, fhi) in zip(enclosures[alpha], enclosures[fp]):
+        # 0 < sigma_i(delta) < t / sigma_i(alpha), gamma = delta * f'(rho), at scale 2^k
+        if flo > 0:
+            bounds.append((0, -(-(t * fhi << ctx.k) // alo)))
         else:
-            bounds.append(Interval(t * fiv[i].lo / aiv[i].lo, 0))
-    box = box_from_embedding(dual, bounds)
+            bounds.append(((t * flo << ctx.k) // alo, 0))
+    return ctx, bounds, (dual_pairing_vector(field, alpha), t)
+
+
+def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:
+    """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0."""
     hits = []
-    for coords in iterate_slice(box, dual_pairing_vector(field, alpha), t):
-        gamma = OrderElement(coords, field)
+    for coords in region_points(*_trace_region(alpha, t)):
+        gamma = OrderElement(coords, alpha.field)
         if is_totally_positive_codiff(CodifferentElement(gamma)):
             hits.append(gamma)
     hits.sort(key=lambda g: g.coords)

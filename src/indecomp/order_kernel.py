@@ -54,9 +54,6 @@ class FieldSpec:
     def poly_eval(self, t: Fraction) -> Fraction:
         return ((t + self.c2) * t + self.c1) * t + self.c0
 
-    def dpoly_eval(self, t: Fraction) -> Fraction:
-        return (3 * t + 2 * self.c2) * t + self.c1
-
     @property
     def discriminant(self) -> int:
         b, c, d = self.c2, self.c1, self.c0

@@ -1,0 +1,48 @@
+"""tools/bench_record.py: paired medians, quartiles, wins and digests."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+BENCHMARK = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+
+
+def _write(directory, workload, seed, run_s, digest, commit, trace=0):
+    directory.mkdir(exist_ok=True)
+    metrics = {name: {"value": 1.0, "unit": "x"} for name in METRICS}
+    metrics["run_s"]["value"] = run_s
+    record = {"commit": commit, "python": "3.11", "nproc": 2, "digests": [digest],
+              "metrics": metrics}
+    (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
+
+
+def test_bench_record_pairs_seeds_present_on_both_sides(tmp_path):
+    parent, change, out = tmp_path / "p", tmp_path / "c", tmp_path / "BENCH.json"
+    for seed, (old, new) in enumerate(((1.0, 0.5), (2.0, 0.4), (3.0, 3.5), (4.0, 0.2)), 1):
+        _write(parent, "w", seed, old, f"d{seed}", "aaa")
+        _write(change, "w", seed, new, f"d{seed}", "bbb")
+    _write(parent, "w", 9, 9.0, "x", "aaa")  # unpaired
+    _write(change, "w", 1, 99.0, "x", "bbb", trace=1)  # traced: ignored
+    assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["parent"]["commits"] == ["aaa"] and data["change"]["commits"] == ["bbb"]
+    w = data["workloads"]["w"]
+    assert w["seeds"] == [1, 2, 3, 4] and w["digests_equal"]
+    run = w["metrics"]["run_s"]
+    assert run["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert run["change"]["median"] == 0.45 and run["change_wins"] == 3
+    assert w["metrics"]["pass_ratio"]["better"] == "higher"
+
+
+def test_bench_record_needs_a_common_run(tmp_path, capsys):
+    _write(tmp_path / "p", "w", 1, 1.0, "d", "aaa")
+    _write(tmp_path / "c", "w", 2, 1.0, "d", "bbb")
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main([str(tmp_path / "p"), str(tmp_path / "c"), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err and not out.exists()

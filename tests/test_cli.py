@@ -71,6 +71,15 @@ def test_sq_table_malformed_resume_is_domain_error(tmp_path, capsys, content):
     assert resume.read_text() == content
 
 
+@pytest.mark.parametrize("flag", ["--resume", "--json", "--csv"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_sq_table_unusable_path_is_domain_error(tmp_path, capsys, flag, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    assert main(["sq-table", "--a-min", "-1", "--a-max", "2", flag, str(path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot open") and str(path) in err and "Traceback" not in err
+
+
 def test_count_norms_methods(capsys):
     for method, expected in (("fast", 1), ("exact", 3), ("brute", 3)):
         assert main(["count-norms", "--a", "7", "--x", "17", "--method", method]) == EXIT_OK

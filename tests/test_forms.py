@@ -1,12 +1,15 @@
 """Minimal-vector table, diagonal universal forms, rank bounds, descent."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from indecomp.errors import GuardExceeded, IllegalRank, UnsupportedFamily
 from indecomp.families import indecomposables_simplest
+from indecomp.codifferent import certificate_delta, fprime_element, pairing_vector
 from indecomp.forms import (
+    _window_elements,
     decompose_into_indecomposables,
     diagonal_universal,
     minimal_vector_bound,
@@ -16,13 +19,17 @@ from indecomp.forms import (
     unit_square_root,
     verify_universality_window,
 )
+from indecomp.oracle import search_box
 from indecomp.order_kernel import (
     Family,
+    OrderElement,
     elem,
+    embed,
     is_totally_positive,
     make_field,
     mul,
     one,
+    refine_roots,
     unit_generators,
 )
 
@@ -173,3 +180,23 @@ def test_universality_window_guards():
         verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 9), 4)
     with pytest.raises(GuardExceeded):
         verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 1), 7)
+
+
+@pytest.mark.parametrize("a", [-1, 0, 1, 2, 4])
+def test_window_elements_equal_a_full_scan_of_an_exact_box(a):
+    """Every x >> 0 with Tr(delta x) <= 3 lies in the box of 0 < sigma_i(x) < 3/sigma_i(delta)."""
+    field = make_field(Family.SIMPLEST_CUBIC, a)
+    delta = certificate_delta(field)
+    for rounds in range(20):
+        r = refine_roots(field, rounds)
+        gs, fs = embed(delta.numerator, r), embed(fprime_element(field), r)
+        if all(iv.sign_definite() for iv in gs + fs):
+            break
+    box = search_box(field, [(0, Fraction(3) / (g / f).lo) for g, f in zip(gs, fs)])
+    c = pairing_vector(delta)
+    full = [
+        x for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+        if any(x) and 1 <= sum(u * v for u, v in zip(c, x)) <= 3
+        and is_totally_positive(OrderElement(x, field))
+    ]
+    assert [el.coords for el in _window_elements(field, 3)] == full

@@ -5,9 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indecomp.errors import DegenerateSpan
-from indecomp.hnf import adjugate, hnf_det, parallelepiped_points, row_hnf_lower
+from indecomp.hnf import (
+    adjugate,
+    hnf_det,
+    interval_dot,
+    lattice_points,
+    parallelepiped_points,
+    row_hnf_lower,
+)
 
 RNG = random.Random(90210)
 
@@ -112,3 +121,48 @@ def test_parallelepiped_points_match_reference():
             continue
         assert parallelepiped_points(gens) == _parallelepiped_reference(gens), gens
         checked += 1
+
+
+@st.composite
+def _regions(draw):
+    """A box, rows of integer coefficient intervals, and maybe an equality c . x = t."""
+    n = draw(st.sampled_from((2, 3)))
+    box = []
+    for _ in range(n):
+        lo = draw(st.integers(-6, 6))
+        box.append((lo, lo + draw(st.integers(-1, 8))))
+    exact = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = []
+        for _ in range(n):
+            lo = draw(st.integers(-5, 5))
+            coeffs.append((lo, lo if exact else lo + draw(st.integers(0, 2))))
+        lo = draw(st.integers(-25, 25))
+        rows.append((coeffs, lo, lo + draw(st.integers(0, 30))))
+    equality = None
+    if draw(st.booleans()):
+        equality = (draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)),
+                    draw(st.integers(-8, 8)))
+    return box, rows, exact, equality
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_regions())
+def test_lattice_points_match_a_box_scan(region):
+    box, rows, exact, equality = region
+    got = list(lattice_points(box, rows, equality))
+    scan = [
+        x for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+        if equality is None or sum(c * v for c, v in zip(equality[0], x)) == equality[1]
+    ]
+    # x meets a row for some coefficients in its intervals iff C . x meets [lo, hi]
+    meets = [
+        x for x in scan
+        if all(lo <= interval_dot(c, x)[1] and interval_dot(c, x)[0] <= hi for c, lo, hi in rows)
+    ]
+    assert len(set(got)) == len(got) and set(meets) <= set(got) <= set(scan)
+    if exact:
+        assert sorted(got) == meets
+    if equality is None:
+        assert got == sorted(got)

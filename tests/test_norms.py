@@ -157,7 +157,7 @@ def test_max_norm_band():
     assert 27 * mx < 1.04 * 200**4
 
 
-@pytest.mark.parametrize("a", [3, 4, 5])
+@pytest.mark.parametrize("a", [3, 4, 5, 6])
 def test_bruteforce_simplex_hull_matches_full_parallelepiped_hull(a):
     """The brute-force scan covers the simplex {sum u_j <= X^(1/3)}; scanning the
     coordinate hull of the whole scaled parallelepiped finds the same ideals."""

@@ -1,13 +1,14 @@
 """Search boxes, decomposability testing, minimal traces, window searches."""
 
 import ast
+import itertools
 import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indecomp.codifferent import certificate_delta, trace_pairing
@@ -26,16 +27,22 @@ from indecomp.families import (
     triangle_element,
 )
 from indecomp.intervals import Interval, det
+from indecomp import oracle
+from indecomp.forms import _square_root_region
 from indecomp.oracle import (
-    _dual_basis,
+    _context,
+    _dyadic,
+    _trace_region,
+    _trace_slice,
     box_from_embedding,
     decompose,
     equal_mod_totally_positive_units,
+    first_split,
     indecomposables_by_search,
     inventories_match,
-    iterate_box,
     min_trace,
     norms_superadditive,
+    region_points,
     search_box,
 )
 from indecomp.order_kernel import (
@@ -46,6 +53,7 @@ from indecomp.order_kernel import (
     embed,
     is_totally_positive,
     isolate_roots,
+    OrderElement,
     make_custom_field,
     make_field,
     mul,
@@ -55,9 +63,9 @@ from indecomp.order_kernel import (
     trace,
     unit_generators,
 )
-from indecomp.codifferent import is_totally_positive_codiff
+from indecomp.codifferent import CodifferentElement, is_totally_positive_codiff
 from indecomp.norms import ideal_hnf
-from indecomp.quadratic import make_quad_field
+from indecomp.quadratic import QuadElement, QuadField, make_quad_field
 
 RNG = random.Random(31337)
 
@@ -349,18 +357,131 @@ def test_dual_box_contains_every_cramer_box_point_in_the_region(field, coords, w
     coords = tuple(coords[:d])
     rounds = next(
         r for r in range(64)
-        if _dual_basis(field, r) is not None and det(field.embedding_rows(r)).sign_definite()
+        if _dyadic(field, r) is not None and det(field.embedding_rows(r)).sign_definite()
     ) + extra
     rows = field.embedding_rows(rounds)
     # a region around a lattice point, so that it is never empty
     bounds = [Interval(iv.lo - w, iv.hi + w) for iv, w in zip(_dot(rows, coords), widths)]
-    dual_box = box_from_embedding(_dual_basis(field, rounds), bounds)
+    ctx = _dyadic(field, rounds)
+    scaled = [(math.floor(b.lo * 2**ctx.k), math.ceil(b.hi * 2**ctx.k)) for b in bounds]
+    dual_box = box_from_embedding(ctx, scaled)
     assert all(lo <= c <= hi for (lo, hi), c in zip(dual_box, coords))
     fine = field.embedding_rows(rounds + 40)
     inside = 0
-    for x in iterate_box(_cramer_box(rows, bounds)):
+    for x in itertools.product(*(range(lo, hi + 1) for lo, hi in _cramer_box(rows, bounds))):
         ivs = _dot(fine, x)
         if all(b.lo <= iv.lo and iv.hi <= b.hi for iv, b in zip(ivs, bounds)):
             inside += 1
             assert all(lo <= c <= hi for (lo, hi), c in zip(dual_box, x)), x
     assert inside >= 1
+
+
+# ---------------------------------------------------------------------------
+# The region enumerator against a full scan of its box
+
+SCAN_LIMIT = 20000  # box points a full scan may visit
+
+SMALL_CUBICS = st.one_of(
+    st.integers(-1, 6).map(lambda a: make_field(Family.SIMPLEST_CUBIC, a)),
+    st.integers(3, 6).map(lambda a: make_field(Family.ENNOLA, a)),
+    st.integers(2, 6).map(lambda a: make_field(Family.THOMAS, a)),
+    st.tuples(st.integers(-3, 3), st.integers(-12, -1), st.integers(-3, 3))
+    .map(_custom_or_none)
+    .filter(lambda f: f is not None),
+)
+SMALL_FIELDS = st.one_of(
+    SMALL_CUBICS, st.integers(2, 150).map(_quad_or_none).filter(lambda f: f is not None)
+)
+
+
+def _element(field, coords):
+    if isinstance(field, QuadField):
+        return QuadElement(tuple(coords[:2]), field)
+    return OrderElement(tuple(coords), field)
+
+
+def _positive(x):
+    return x.is_totally_positive() if isinstance(x, QuadElement) else is_totally_positive(x)
+
+
+def _totally_positive(field, coords, m):
+    """m + x^2: totally positive for every x and m >= 1."""
+    x = _element(field, coords)
+    return x * x + m
+
+
+def _box_scan(box):
+    size = math.prod(max(0, hi - lo + 1) for lo, hi in box)
+    assume(size <= SCAN_LIMIT)
+    return itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(SMALL_FIELDS, st.lists(st.integers(-1, 1), min_size=3, max_size=3), st.integers(1, 4))
+def test_split_region_hits_equal_a_full_box_scan(field, coords, m):
+    """first_split's region: 0 < sigma_i(beta) < sigma_i(alpha)."""
+    alpha = _totally_positive(field, coords, m)
+    ctx, enclosures = _context(field, positive=[alpha])
+    bounds = [(0, hi) for _, hi in enclosures[alpha]]
+
+    def splits(c):
+        beta = _element(field, c)
+        rest = alpha - beta
+        return any(c) and not rest.is_zero() and _positive(beta) and _positive(rest)
+
+    full = [c for c in _box_scan(box_from_embedding(ctx, bounds)) if splits(c)]
+    assert [c for c in region_points(ctx, bounds) if splits(c)] == full
+    split = first_split(alpha, _positive)
+    assert (split[0].coords if split else None) == (full[0] if full else None)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(SMALL_FIELDS, st.lists(st.integers(-1, 1), min_size=3, max_size=3), st.integers(1, 4))
+def test_square_root_region_hits_equal_a_full_box_scan(field, coords, m):
+    """The square-root region: sigma_i(x)^2 <= sigma_i(target)."""
+    target = _totally_positive(field, coords, m)
+    ctx, bounds = _square_root_region(target)
+
+    def fits(c):
+        x = _element(field, c)
+        rest = target - x * x
+        return rest.is_zero() or _positive(rest)
+
+    full = [c for c in _box_scan(box_from_embedding(ctx, bounds)) if fits(c)]
+    assert [c for c in region_points(ctx, bounds) if fits(c)] == full
+    assert tuple(coords[: len(ctx.rows[0])]) in full  # x itself: target - x^2 = m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    SMALL_CUBICS,
+    st.lists(st.integers(-1, 1), min_size=3, max_size=3),
+    st.integers(1, 4),
+    st.integers(1, 3),
+)
+def test_trace_slice_hits_equal_a_full_box_scan(field, coords, m, t):
+    """The codifferent slice: gamma/f' >> 0 with Tr((gamma/f') alpha) = t."""
+    alpha = _totally_positive(field, coords, m)
+    ctx, bounds, (c, _) = _trace_region(alpha, t)
+    full = [
+        x for x in _box_scan(box_from_embedding(ctx, bounds))
+        if sum(a * v for a, v in zip(c, x)) == t
+        and is_totally_positive_codiff(CodifferentElement(OrderElement(x, field)))
+    ]
+    assert [g.coords for g in _trace_slice(alpha, t)] == sorted(full)
+
+
+def test_inventory_search_total_positivity_tests_stay_under_ceiling(monkeypatch):
+    """Work counter: the region enumerator tests few points per decompose."""
+    calls = [0]
+    original = oracle.is_totally_positive
+
+    def counting(x):
+        calls[0] += 1
+        return original(x)
+
+    monkeypatch.setattr(oracle, "is_totally_positive", counting)
+    for family, a, ceiling in ((Family.SIMPLEST_CUBIC, 12, 2000), (Family.THOMAS, 4, 500)):
+        calls[0] = 0
+        indecomposables_by_search(make_field(family, a))
+        assert 0 < calls[0] <= ceiling, (family, a, calls[0])

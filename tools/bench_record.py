@@ -1,0 +1,107 @@
+"""Turn two perfbench result directories into one committed BENCH record.
+
+    python3 tools/bench_record.py PARENT_RESULTS CHANGE_RESULTS --out BENCH_N.json
+
+PARENT_RESULTS and CHANGE_RESULTS are `perfbench/results` directories of two
+checkouts, filled by `python3 perfbench/run.py --workload W --seed S
+--seconds 26 --trace 0` runs.  Only untraced, full-size records are read.  A
+(workload, seed) pair counts when both directories hold it.  For each
+workload the record holds, per side, every end-to-end metric's median and
+quartiles over the paired seeds, how many pairs the change won on that
+metric, and the answer digests of each seed on both sides.  Quartiles are
+`statistics.quantiles(values, n=4, method="inclusive")`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import re
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RECORD = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+
+
+def load(directory: str) -> dict[tuple[str, int], dict]:
+    """Untraced, full-size records of one results directory by (workload, seed)."""
+    out = {}
+    for path in glob.glob(os.path.join(directory, "*-trace0.json")):
+        match = RECORD.fullmatch(os.path.basename(path))
+        if match:
+            with open(path) as fh:
+                out[match["workload"], int(match["seed"])] = json.load(fh)
+    return out
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def side(records: list[dict]) -> dict:
+    return {
+        "commits": sorted({r["commit"] or "unknown" for r in records}),
+        "python": sorted({r["python"] for r in records}),
+        "nproc": sorted({r["nproc"] for r in records}),
+    }
+
+
+def record(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    workloads, used = {}, ([], [])
+    for workload in sorted({w for w, _ in parent} & {w for w, _ in change}):
+        seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
+        before = [parent[workload, s] for s in seeds]
+        after = [change[workload, s] for s in seeds]
+        used[0].extend(before)
+        used[1].extend(after)
+        table = {}
+        for m in metrics:
+            old = [r["metrics"][m["name"]]["value"] for r in before]
+            new = [r["metrics"][m["name"]]["value"] for r in after]
+            sign = -1 if m["better"] == "lower" else 1
+            table[m["name"]] = {
+                "unit": m["unit"],
+                "better": m["better"],
+                "parent": spread(old),
+                "change": spread(new),
+                "change_wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+            }
+        workloads[workload] = {
+            "seeds": seeds,
+            "pairs": len(seeds),
+            "metrics": table,
+            "digests": {
+                str(s): {"parent": p["digests"], "change": c["digests"]}
+                for s, p, c in zip(seeds, before, after)
+            },
+            "digests_equal": all(p["digests"] == c["digests"] for p, c in zip(before, after)),
+        }
+    return {"parent": side(used[0]), "change": side(used[1]), "workloads": workloads}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="perfbench/results directory of the parent commit")
+    parser.add_argument("change", help="perfbench/results directory of the change")
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    parent, change = load(args.parent), load(args.change)
+    if not set(parent) & set(change):
+        print("error: no (workload, seed) run in both directories", file=sys.stderr)
+        return 1
+    with open(args.out, "w") as fh:
+        json.dump(record(parent, change, metrics), fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
