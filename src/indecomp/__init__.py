@@ -1,11 +1,12 @@
 """Exact arithmetic for indecomposable integers in cubic and quadratic fields.
 
 Modules:
-    order_kernel   arithmetic in Z[rho], root isolation, conjugation, units
+    order_kernel   arithmetic in Z[rho] for cubic and quadratic orders, root
+                   isolation, conjugation, units
     codifferent    the codifferent (1/f'(rho)) Z[rho] and trace certificates
     families       closed-form inventories and triangle geometry
     oracle         brute-force decomposability, minimal traces, lattice search
-    quadratic      real quadratic fields and continued fractions
+    quadratic      real quadratic fields, continued fractions and certificates
     norms          small-norm elements and primitive principal ideal counts
     forms          universal quadratic form bounds and constructive universality
     verify         end-to-end verification suites
@@ -17,7 +18,6 @@ from .order_kernel import (
     FieldSpec,
     OrderElement,
     RootIntervals,
-    SymFuncs,
     UnitSystem,
     conjugate,
     elem,
@@ -67,7 +67,6 @@ from .oracle import (
 )
 from .quadratic import (
     CFExpansion,
-    QuadElement,
     QuadField,
     cf_expand,
     indecomposables_quadratic,

@@ -1,13 +1,15 @@
-"""The codifferent (1/f'(rho)) Z[rho] of a monogenic cubic order.
+"""The codifferent (1/f'(rho)) Z[rho] of a monogenic order, cubic or quadratic.
 
 A codifferent element is stored as an order element gamma with the fixed
 denominator f'(rho); the integral trace pairing Tr(gamma * x / f'(rho)) is
-evaluated through an integer Gram matrix computed once per field.
+evaluated through an integer Gram matrix computed once per field.  In a
+quadratic field f'(omega) = sqrt(Delta), the square root of the discriminant.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,9 +40,14 @@ from .order_kernel import (
 )
 
 
+@lru_cache(maxsize=None)
 def fprime_element(field: FieldSpec) -> OrderElement:
-    """f'(rho) as an order element."""
-    return OrderElement((field.c1, 2 * field.c2, 3), field)
+    """f'(rho) as an order element, from the coefficients of f = field.minpoly.
+
+    Cached: every codifferent positivity test multiplies by it.
+    """
+    c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
+    return OrderElement(tuple(k * c[k] for k in range(1, len(c))), field)
 
 
 @lru_cache(maxsize=None)
@@ -69,19 +76,19 @@ def euler_pairing(minpoly: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def pairing_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], ...]:
+def pairing_matrix(field: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """Integer matrix B with Tr(gamma * x / f'(rho)) = coords(gamma)^T B coords(x).
 
     B = euler_pairing(field.minpoly), cross-checked against the rational
     multiplication-matrix route.
     """
     b = euler_pairing(field.minpoly)
-    t = b[0] + b[2][1:]  # Tr(rho^m / f') for m = 0..4
+    t = b[0] + b[-1][1:]  # Tr(rho^m / f') for m = 0..2d-2
 
     # independent check: f'^-1 = adj(M_f') / N(f') in exact rational algebra
     adj, det = _fprime_inverse_parts(field)
     power = one(field)
-    for m in range(5):
+    for m in range(len(t)):
         tr = Fraction(trace(apply_matrix(adj, power)), det)
         if tr != t[m]:
             raise NonIntegralTrace(f"pairing base Tr(rho^{m}/f') = {tr} != {t[m]}")
@@ -105,26 +112,20 @@ class CodifferentElement:
 
 def trace_pairing(delta: CodifferentElement, x: OrderElement) -> int:
     """Exact integer Tr(delta * x)."""
-    if x.field is not delta.field and x.field != delta.field:
+    field = delta.field
+    if x.field is not field and x.field != field:
         raise FieldMismatch("codifferent element and order element fields differ")
-    b = pairing_matrix(delta.field)
-    g = delta.numerator.coords
-    v = x.coords
-    return sum(g[i] * b[i][j] * v[j] for i in range(3) for j in range(3))
+    return sum(map(operator.mul, delta.numerator.coords, dual_pairing_vector(field, x)))
 
 
-def pairing_vector(delta: CodifferentElement) -> tuple[int, int, int]:
-    """Integer c with Tr(delta * x) = c . coords(x)."""
-    b = pairing_matrix(delta.field)
-    g = delta.numerator.coords
-    return tuple(sum(g[i] * b[i][j] for i in range(3)) for j in range(3))
+def pairing_vector(delta: CodifferentElement) -> tuple[int, ...]:
+    """Integer c with Tr(delta * x) = c . coords(x); the pairing matrix is symmetric."""
+    return dual_pairing_vector(delta.field, delta.numerator)
 
 
-def dual_pairing_vector(field: FieldSpec, x: OrderElement) -> tuple[int, int, int]:
+def dual_pairing_vector(field: FieldSpec, x: OrderElement) -> tuple[int, ...]:
     """Integer c with Tr((gamma/f') * x) = c . coords(gamma)."""
-    b = pairing_matrix(field)
-    v = x.coords
-    return tuple(sum(b[i][j] * v[j] for j in range(3)) for i in range(3))
+    return tuple([sum(map(operator.mul, row, x.coords)) for row in pairing_matrix(field)])
 
 
 def is_totally_positive_codiff(delta: CodifferentElement) -> bool:

@@ -325,47 +325,43 @@ def _find_part(alpha, records, delta):
 # Bounded sum-of-squares search and the universality window
 
 
+def _squares_summing_to(target: OrderElement, budget: int, memo: dict) -> Optional[list[OrderElement]]:
+    """Up to `budget` elements whose squares sum to target, or None.
+
+    Depth-first over the square-root region: x is tried when target - x^2 is
+    0 or totally positive.  memo maps (coords, budget) to the answer.
+    """
+    if target.is_zero():
+        return []
+    if budget == 0:
+        return None
+    key = (target.coords, budget)
+    if key in memo:
+        return memo[key]
+    result = None
+    for coords in region_points(*_square_root_region(target)):
+        if coords <= (0, 0, 0):
+            continue  # skip 0; x and -x square identically, keep one
+        x = OrderElement(coords, target.field)
+        rest = target - mul(x, x)
+        if rest.is_zero() or is_totally_positive(rest):
+            tail = _squares_summing_to(rest, budget - 1, memo)
+            if tail is not None:
+                result = [x] + tail
+                break
+    memo[key] = result
+    return result
+
+
 def sum_of_squares_witness(
     beta: OrderElement, cap: int = PYTHAGORAS_CAP_CUBIC
 ) -> Optional[list[OrderElement]]:
     """Up to `cap` elements whose squares sum to beta, by bounded search."""
-    memo: dict[tuple[tuple[int, int, int], int], Optional[list[OrderElement]]] = {}
-
-    def candidates(target: OrderElement) -> list[OrderElement]:
-        out = []
-        for coords in region_points(*_square_root_region(target)):
-            if coords <= (0, 0, 0):
-                continue  # skip 0; x and -x square identically, keep one
-            x = OrderElement(coords, target.field)
-            sq = mul(x, x)
-            rest = target - sq
-            if rest.is_zero() or is_totally_positive(rest):
-                out.append(x)
-        return out
-
-    def solve(target: OrderElement, budget: int) -> Optional[list[OrderElement]]:
-        if target.is_zero():
-            return []
-        if budget == 0:
-            return None
-        key = (target.coords, budget)
-        if key in memo:
-            return memo[key]
-        result = None
-        for x in candidates(target):
-            rest = target - mul(x, x)
-            tail = solve(rest, budget - 1)
-            if tail is not None:
-                result = [x] + tail
-                break
-        memo[key] = result
-        return result
-
     if beta.is_zero():
         return []
     if not is_totally_positive(beta):
         return None
-    return solve(beta, cap)
+    return _squares_summing_to(beta, cap, {})
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,7 @@ def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
             n = sum_norm(a, k, w)
             if not 1 <= n <= X:
                 continue
-            s = sym_funcs(_sum_element(field, k, w))
-            if s.e1 > 0 and s.e2 > 0 and s.e3 > 0:
+            if min(sym_funcs(_sum_element(field, k, w))) > 0:
                 pairs.append(SumElement(k, w))
         k += 1
     return CountFastResult(tuple(pairs))
@@ -115,7 +114,7 @@ def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
 class IdealHNF:
     """Canonical lower-triangular basis of beta * Z[rho]; det = |N(beta)|."""
 
-    rows: tuple[tuple[int, int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def det(self) -> int:
@@ -125,7 +124,7 @@ class IdealHNF:
 def ideal_hnf(beta: OrderElement) -> IdealHNF:
     if beta.is_zero():
         raise ZeroElement("zero generates the zero ideal")
-    # rows beta, beta*rho, beta*rho^2 are the columns of the multiplication matrix
+    # rows beta, beta*rho, ... are the columns of the multiplication matrix (any degree)
     h = IdealHNF(row_hnf_lower(tuple(zip(*multiplication_matrix(beta)))))
     if h.det != abs(norm(beta)):
         raise ConsistencyError(f"ideal HNF det {h.det} != |N(beta)| = {abs(norm(beta))}")
@@ -182,8 +181,8 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
             if math.gcd(*x) != 1:
                 continue
             el = OrderElement(x, field)
-            s = sym_funcs(el)
-            if s.e1 <= 0 or s.e2 <= 0 or not 1 < s.e3 <= X:
+            e1, e2, e3 = sym_funcs(el)
+            if e1 <= 0 or e2 <= 0 or not 1 < e3 <= X:
                 continue  # not totally positive, or a unit or too large
             h = ideal_hnf(el)
             found[h.rows] = h.det

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .codifferent import (
     CodifferentElement,
@@ -153,7 +153,7 @@ def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -
     Every embedding must carry two finite rational bounds, otherwise the
     region is unbounded.
     """
-    if len(constraints) != 3:
+    if len(constraints) != len(field.minpoly):
         raise UnboundedRegion("need one (lo, hi) constraint per embedding")
     if any(lo is None or hi is None for lo, hi in constraints):
         raise UnboundedRegion("one-sided constraints leave the region unbounded")
@@ -165,34 +165,26 @@ def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -
 # Decomposability
 
 
-def first_split(alpha, is_positive: Callable[[object], bool]):
-    """Lexicographically least (beta, alpha-beta) with both totally positive.
-
-    alpha is an OrderElement or a QuadElement and is_positive the matching
-    total-positivity test; returns None exactly when alpha is indecomposable.
-    """
-    if alpha.is_zero() or not is_positive(alpha):
-        raise IllegalParameter("decompose expects a totally positive element")
-    ctx, enclosures = _context(alpha.field, positive=[alpha])
-    element, field = type(alpha), alpha.field
-    for coords in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
-        if not any(coords):
-            continue
-        beta = element(coords, field)
-        rest = alpha - beta
-        if rest.is_zero():
-            continue
-        if is_positive(beta) and is_positive(rest):
-            return beta, rest
-    return None
-
-
 def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]]:
     """Lexicographically least (beta, alpha-beta) with both totally positive.
 
-    Returns None exactly when alpha is indecomposable in the order.
+    Works in any degree; returns None exactly when alpha is indecomposable
+    in the order.
     """
-    return first_split(alpha, is_totally_positive)
+    if alpha.is_zero() or not is_totally_positive(alpha):
+        raise IllegalParameter("decompose expects a totally positive element")
+    field = alpha.field
+    ctx, enclosures = _context(field, positive=[alpha])
+    for coords in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
+        if not any(coords):
+            continue
+        beta = OrderElement(coords, field)
+        rest = alpha - beta
+        if rest.is_zero():
+            continue
+        if is_totally_positive(beta) and is_totally_positive(rest):
+            return beta, rest
+    return None
 
 
 # ---------------------------------------------------------------------------

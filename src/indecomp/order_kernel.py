@@ -1,4 +1,8 @@
-"""Exact arithmetic in cubic orders Z[rho] for a monic integer cubic.
+"""Exact arithmetic in monogenic orders Z[rho]: cubic and quadratic fields.
+
+One element type serves both degrees; the coordinate count d is the degree
+of the field's minimal polynomial, and the kernel keeps one closed form per
+degree.  Root isolation, conjugation and units are for the cubic families.
 
 Everything here is exact: coordinates are Python integers, root intervals
 have Fraction endpoints, and total positivity is decided from the signs of
@@ -9,7 +13,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,10 +51,11 @@ class FieldSpec:
     c2: int
     c1: int
     c0: int
+    # (c2, c1, c0), stored: every element construction reads its length
+    minpoly: tuple[int, int, int] = dc_field(init=False, repr=False, compare=False)
 
-    @property
-    def minpoly(self) -> tuple[int, int, int]:
-        return (self.c2, self.c1, self.c0)
+    def __post_init__(self):
+        object.__setattr__(self, "minpoly", (self.c2, self.c1, self.c0))
 
     def poly_eval(self, t: Fraction) -> Fraction:
         return ((t + self.c2) * t + self.c1) * t + self.c0
@@ -151,33 +157,34 @@ def make_custom_field(c2: int, c1: int, c0: int) -> FieldSpec:
 
 @dataclass(frozen=True)
 class OrderElement:
-    """Immutable v1 + v2*rho + v3*rho^2 with exact integer coordinates."""
+    """Immutable sum_j coords[j] * rho^j with exact integer coordinates.
 
-    coords: tuple[int, int, int]
+    field is a cubic FieldSpec or a quadratic.QuadField: the order is
+    Z[rho] for a root rho of the monic field.minpoly, and there is one
+    coordinate per power 1, rho, ..., rho^(d-1), d = len(field.minpoly).
+    """
+
+    coords: tuple[int, ...]
     field: FieldSpec
 
     def __post_init__(self):
-        if len(self.coords) != 3:
-            raise ValueError("coords must be a triple")
-
-    def _check(self, other: "OrderElement") -> None:
-        if other.field is not self.field and other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
+        if len(self.coords) != len(self.field.minpoly):
+            raise ValueError(f"coords must have {len(self.field.minpoly)} entries")
 
     def _co(self, other):
         if isinstance(other, OrderElement):
-            self._check(other)
+            if other.field is not self.field and other.field != self.field:
+                raise FieldMismatch(f"{self.field} vs {other.field}")
             return other
         if isinstance(other, int):
-            return OrderElement((other, 0, 0), self.field)
+            return OrderElement((other,) + (0,) * (len(self.coords) - 1), self.field)
         return NotImplemented
 
     def __add__(self, other):
         other = self._co(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coords, other.coords
-        return OrderElement((a[0] + b[0], a[1] + b[1], a[2] + b[2]), self.field)
+        return OrderElement(tuple(map(operator.add, self.coords, other.coords)), self.field)
 
     __radd__ = __add__
 
@@ -185,20 +192,20 @@ class OrderElement:
         other = self._co(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coords, other.coords
-        return OrderElement((a[0] - b[0], a[1] - b[1], a[2] - b[2]), self.field)
+        return OrderElement(tuple(map(operator.sub, self.coords, other.coords)), self.field)
 
     def __rsub__(self, other):
-        return self._co(other) - self
+        other = self._co(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
-        a = self.coords
-        return OrderElement((-a[0], -a[1], -a[2]), self.field)
+        return OrderElement(tuple([-v for v in self.coords]), self.field)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            a = self.coords
-            return OrderElement((other * a[0], other * a[1], other * a[2]), self.field)
+            return OrderElement(tuple([other * v for v in self.coords]), self.field)
         other = self._co(other)
         if other is NotImplemented:
             return NotImplemented
@@ -219,29 +226,38 @@ class OrderElement:
         return result
 
     def is_zero(self) -> bool:
-        return self.coords == (0, 0, 0)
+        return not any(self.coords)
+
+    def norm(self) -> int:
+        return norm(self)
 
     def __repr__(self):
         return f"OrderElement{self.coords}"
 
 
-def elem(field: FieldSpec, v1: int, v2: int, v3: int) -> OrderElement:
-    return OrderElement((v1, v2, v3), field)
+def elem(field: FieldSpec, *coords: int) -> OrderElement:
+    return OrderElement(coords, field)
 
 
 def one(field: FieldSpec) -> OrderElement:
-    return OrderElement((1, 0, 0), field)
+    return OrderElement((1,) + (0,) * (len(field.minpoly) - 1), field)
 
 
 def rho(field: FieldSpec) -> OrderElement:
-    return OrderElement((0, 1, 0), field)
+    return OrderElement((0, 1) + (0,) * (len(field.minpoly) - 2), field)
 
 
 def mul(x: OrderElement, y: OrderElement) -> OrderElement:
-    """Exact product, reduced to the (1, rho, rho^2) basis."""
+    """Exact product, reduced to the (1, rho, ...) basis."""
     f = x.field
     if y.field is not f and y.field != f:
         raise FieldMismatch(f"{f} vs {y.field}")
+    if len(x.coords) == 2:
+        a1, a2 = x.coords
+        b1, b2 = y.coords
+        c1, c0 = f.minpoly  # rho^2 = -c1 rho - c0
+        r2 = a2 * b2
+        return OrderElement((a1 * b1 - c0 * r2, a1 * b2 + a2 * b1 - c1 * r2), f)
     a1, a2, a3 = x.coords
     b1, b2, b3 = y.coords
     # rho^4 = -c2 rho^3 - c1 rho^2 - c0 rho, then rho^3 = -c2 rho^2 - c1 rho - c0
@@ -262,31 +278,35 @@ def _rho_columns(v1: int, v2: int, v3: int, c2: int, c1: int, c0: int):
     return (p1, p2, p3), (-c0 * p3, p1 - c1 * p3, p2 - c2 * p3)
 
 
-def multiplication_matrix(x: OrderElement) -> tuple[tuple[int, int, int], ...]:
-    """Matrix of multiplication by x on the basis (1, rho, rho^2), columns are images."""
+def multiplication_matrix(x: OrderElement) -> tuple[tuple[int, ...], ...]:
+    """Matrix of multiplication by x on the basis (1, rho, ...), columns are images."""
     f = x.field
+    if len(x.coords) == 2:
+        v1, v2 = x.coords
+        c1, c0 = f.minpoly  # x*rho = -c0 v2 + (v1 - c1 v2) rho
+        return ((v1, -c0 * v2), (v2, v1 - c1 * v2))
     v1, v2, v3 = x.coords
     (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
     return ((v1, p1, q1), (v2, p2, q2), (v3, p3, q3))
 
 
-@dataclass(frozen=True)
-class SymFuncs:
-    """Elementary symmetric functions of the conjugates: e1 = Tr, e3 = N."""
+def sym_funcs(x: OrderElement) -> tuple[int, ...]:
+    """Elementary symmetric functions (e1, ..., e_d) of the conjugates of x.
 
-    e1: int
-    e2: int
-    e3: int
-
-
-def sym_funcs(x: OrderElement) -> SymFuncs:
-    """Characteristic-polynomial coefficients of the multiplication matrix
-    (columns x, x*rho, x*rho^2): trace, sum of principal 2x2 minors, det."""
+    They are the characteristic-polynomial coefficients of the multiplication
+    matrix: e1 = Tr(x) is its trace, e_d = N(x) its determinant, and for
+    d = 3, e2 is the sum of its principal 2x2 minors.
+    """
     f = x.field
+    if len(x.coords) == 2:
+        v1, v2 = x.coords
+        c1, c0 = f.minpoly
+        p2 = v1 - c1 * v2
+        return (v1 + p2, v1 * p2 + c0 * v2 * v2)
     v1, v2, v3 = x.coords
     (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
     minor = p2 * q3 - q2 * p3
-    return SymFuncs(
+    return (
         v1 + p2 + q3,
         v1 * p2 - p1 * v2 + v1 * q3 - q1 * v3 + minor,
         v1 * minor - p1 * (v2 * q3 - q2 * v3) + q1 * (v2 * p3 - p2 * v3),
@@ -294,21 +314,22 @@ def sym_funcs(x: OrderElement) -> SymFuncs:
 
 
 def trace(x: OrderElement) -> int:
-    c2, c1, _ = x.field.minpoly
-    v1, v2, v3 = x.coords
-    return 3 * v1 - c2 * v2 + (c2 * c2 - 2 * c1) * v3
+    return sym_funcs(x)[0]
 
 
 def norm(x: OrderElement) -> int:
-    return sym_funcs(x).e3
+    return sym_funcs(x)[-1]
 
 
 def is_totally_positive(x: OrderElement) -> bool:
-    """All conjugates positive, decided symbolically from (e1, e2, e3) signs."""
+    """All conjugates positive, decided symbolically from the signs of (e1, ..., e_d).
+
+    Every field here is totally real, so the conjugates are all positive
+    exactly when every e_k > 0.
+    """
     if x.is_zero():
         raise ZeroElement("total positivity is undefined for 0")
-    s = sym_funcs(x)
-    return s.e1 > 0 and s.e2 > 0 and s.e3 > 0
+    return min(sym_funcs(x)) > 0
 
 
 def unit_inverse(x: OrderElement) -> OrderElement:
@@ -318,7 +339,7 @@ def unit_inverse(x: OrderElement) -> OrderElement:
         raise NotAUnit(f"norm {n}")
     adj, _ = adjugate(multiplication_matrix(x))
     # x^{-1} = adj / n applied to the coordinates of 1, and 1/n = n
-    return OrderElement((n * adj[0][0], n * adj[1][0], n * adj[2][0]), x.field)
+    return OrderElement(tuple(n * row[0] for row in adj), x.field)
 
 
 # ---------------------------------------------------------------------------
@@ -550,23 +571,17 @@ def _mat_mul(a, b):
 
 def apply_matrix(m, x: OrderElement) -> OrderElement:
     v = x.coords
-    return OrderElement(
-        (
-            m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
-            m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
-            m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2],
-        ),
-        x.field,
-    )
+    return OrderElement(tuple([sum(map(operator.mul, row, v)) for row in m]), x.field)
 
 
 def conjugate(x: OrderElement, times: int = 1) -> OrderElement:
     """Galois conjugate (rho -> rho'), iterated `times` (SimplestCubic only)."""
     m = galois_conjugation_matrix(x.field)
-    out = x
+    v = x.coords
     for _ in range(times % 3):
-        out = apply_matrix(m, out)
-    return out
+        # the 3x3 product written out: conjugation is on the hot path of count_exact
+        v = tuple([r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in m])
+    return OrderElement(v, x.field)
 
 
 # ---------------------------------------------------------------------------

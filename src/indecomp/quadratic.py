@@ -1,45 +1,45 @@
 """Real quadratic fields Q(sqrt(D)): continued fractions, semiconvergents,
 indecomposables, trace-one certificates, and the period-based counts.
 
-Elements are integer pairs over the basis (1, omega_D); the codifferent is
-(1/sqrt(Delta)) Z[omega_D] and trace pairings are exact integers.
+Elements are order_kernel.OrderElement pairs over the basis (1, omega_D),
+omega_D a root of x^2 - Tr(omega) x + N(omega); the codifferent is
+(1/sqrt(Delta)) Z[omega_D] = (1/f'(omega_D)) Z[omega_D], so order_kernel,
+codifferent, oracle and norms.ideal_hnf serve these fields as they serve
+the cubic ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from .codifferent import CodifferentElement, is_totally_positive_codiff, trace_pairing
 from .errors import (
     CertificateFailure,
     ConsistencyError,
-    FieldMismatch,
     IllegalParameter,
     IndexOutOfRange,
     NotSquarefree,
     RefinementLimit,
-    ZeroElement,
 )
-from .codifferent import euler_pairing
-from .hnf import parallelepiped_points, row_hnf_lower
+from .hnf import parallelepiped_points
 from .integers import is_squarefree
 from .intervals import Interval
-from .oracle import first_split
+from .norms import ideal_hnf
+from .oracle import decompose
+from .order_kernel import OrderElement, is_totally_positive, norm
 
 __all__ = [
     "QuadField",
-    "QuadElement",
     "CFExpansion",
     "make_quad_field",
+    "conj",
     "cf_expand",
     "semiconvergent",
     "indecomposables_quadratic",
-    "QuadCodifferentElement",
-    "quad_trace_pairing",
-    "is_totally_positive_quad_codiff",
     "trace_one_delta",
     "trace_one_delta_scalings",
     "quad_counts",
@@ -54,27 +54,20 @@ class QuadField:
     """Z[omega_D] for squarefree D > 1; omega = sqrt(D) or (1+sqrt(D))/2."""
 
     D: int
+    # omega is a root of x^2 - Tr(omega) x + N(omega): minpoly = (-Tr, N)
+    minpoly: tuple[int, int] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        minpoly = (-1, (1 - self.D) // 4) if self.D % 4 == 1 else (0, -self.D)
+        object.__setattr__(self, "minpoly", minpoly)
 
     @property
     def one_mod_four(self) -> bool:
         return self.D % 4 == 1
 
     @property
-    def omega_trace(self) -> int:
-        return 1 if self.one_mod_four else 0
-
-    @property
-    def omega_norm(self) -> int:
-        return (1 - self.D) // 4 if self.one_mod_four else -self.D
-
-    @property
     def discriminant(self) -> int:
         return self.D if self.one_mod_four else 4 * self.D
-
-    @property
-    def minpoly(self) -> tuple[int, int]:
-        """omega is a root of x^2 - Tr(omega) x + N(omega)."""
-        return (-self.omega_trace, self.omega_norm)
 
     def embedding_rows(self, rounds: int) -> list[list[Interval]]:
         """Interval embedding matrix of (1, omega) after `rounds` refinements."""
@@ -95,82 +88,10 @@ def make_quad_field(D: int) -> QuadField:
     return QuadField(D)
 
 
-@dataclass(frozen=True)
-class QuadElement:
-    """x + y*omega_D with exact integer coordinates."""
-
-    coords: tuple[int, int]
-    field: QuadField
-
-    def _co(self, other):
-        if isinstance(other, QuadElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldMismatch("quadratic elements from different fields")
-            return other
-        if isinstance(other, int):
-            return QuadElement((other, 0), self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._co(other)
-        return QuadElement(
-            (self.coords[0] + other.coords[0], self.coords[1] + other.coords[1]), self.field
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._co(other)
-        return QuadElement(
-            (self.coords[0] - other.coords[0], self.coords[1] - other.coords[1]), self.field
-        )
-
-    def __neg__(self):
-        return QuadElement((-self.coords[0], -self.coords[1]), self.field)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadElement((other * self.coords[0], other * self.coords[1]), self.field)
-        other = self._co(other)
-        x1, y1 = self.coords
-        x2, y2 = other.coords
-        f = self.field
-        # omega^2 = omega*Tr(omega) - N(omega)
-        cross = x1 * y2 + x2 * y1
-        sq = y1 * y2
-        return QuadElement(
-            (x1 * x2 - f.omega_norm * sq, cross + f.omega_trace * sq), f
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "QuadElement":
-        x, y = self.coords
-        if self.field.one_mod_four:
-            return QuadElement((x + y, -y), self.field)
-        return QuadElement((x, -y), self.field)
-
-    def trace(self) -> int:
-        return 2 * self.coords[0] + self.field.omega_trace * self.coords[1]
-
-    def norm(self) -> int:
-        x, y = self.coords
-        return x * x + self.field.omega_trace * x * y + self.field.omega_norm * y * y
-
-    def is_zero(self) -> bool:
-        return self.coords == (0, 0)
-
-    def is_totally_positive(self) -> bool:
-        if self.is_zero():
-            raise ZeroElement("total positivity undefined for 0")
-        return self.trace() > 0 and self.norm() > 0
-
-    def __repr__(self):
-        return f"QuadElement{self.coords}@D={self.field.D}"
-
-
-def quad_elem(field: QuadField, x: int, y: int) -> QuadElement:
-    return QuadElement((x, y), field)
+def conj(alpha: OrderElement) -> OrderElement:
+    """The Galois conjugate: x + y*omega' = (x + Tr(omega)*y) - y*omega."""
+    x, y = alpha.coords
+    return OrderElement((x - alpha.field.minpoly[0] * y, -y), alpha.field)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +135,8 @@ class CFExpansion:
         self._ensure(i)
         return self._p[i + 1], self._q[i + 1]
 
-    def convergent(self, i: int) -> QuadElement:
-        p, q = self.convergent_pair(i)
-        return QuadElement((p, q), self.field)
+    def convergent(self, i: int) -> OrderElement:
+        return OrderElement(self.convergent_pair(i), self.field)
 
     def __repr__(self):
         return f"CF(xi_{self.field.D} = [{self.u0}; {list(self.period)} repeating])"
@@ -254,7 +174,7 @@ def cf_expand(D: int) -> CFExpansion:
     return CFExpansion(field, u0, period)
 
 
-def semiconvergent(D: int, i: int, r: int) -> QuadElement:
+def semiconvergent(D: int, i: int, r: int) -> OrderElement:
     """alpha_{i,r} = alpha_i + r*alpha_{i+1}; r may equal u_{i+2}."""
     cf = cf_expand(D)
     if i < -1:
@@ -263,12 +183,12 @@ def semiconvergent(D: int, i: int, r: int) -> QuadElement:
         raise IndexOutOfRange(f"r = {r} outside [0, u_{i+2} = {cf.u(i + 2)}]")
     p_i, q_i = cf.convergent_pair(i)
     p_n, q_n = cf.convergent_pair(i + 1)
-    return QuadElement((p_i + r * p_n, q_i + r * q_n), cf.field)
+    return OrderElement((p_i + r * p_n, q_i + r * q_n), cf.field)
 
 
 @dataclass(frozen=True)
 class QuadIndecRecord:
-    element: QuadElement
+    element: OrderElement
     i: int
     r: int
     conjugate: bool
@@ -288,12 +208,10 @@ def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
     for i in range(-1, i_max + 1, 2):
         for r in range(0, cf.u(i + 2)):
             el = semiconvergent(D, i, r)
-            if el.is_zero() or not el.is_totally_positive():
-                continue
-            if el.norm() > norm_bound:
+            if el.is_zero() or not is_totally_positive(el) or norm(el) > norm_bound:
                 continue
             out.append(QuadIndecRecord(el, i, r, False))
-            cj = el.conj()
+            cj = conj(el)
             if cj != el:
                 out.append(QuadIndecRecord(cj, i, r, True))
     return out
@@ -303,51 +221,16 @@ def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
 # Codifferent and trace-one certificates
 
 
-def sqrt_disc_element(field: QuadField) -> QuadElement:
-    """sqrt(Delta) = f'(omega) as an element: 2*omega (D = 2,3 mod 4) or 2*omega - 1."""
-    if field.one_mod_four:
-        return QuadElement((-1, 2), field)
-    return QuadElement((0, 2), field)
-
-
-@dataclass(frozen=True)
-class QuadCodifferentElement:
-    """delta = numerator / sqrt(Delta)."""
-
-    numerator: QuadElement
-
-    @property
-    def field(self) -> QuadField:
-        return self.numerator.field
-
-
-def quad_trace_pairing(delta: QuadCodifferentElement, x: QuadElement) -> int:
-    if x.field is not delta.field and x.field != delta.field:
-        raise FieldMismatch("pairing operands from different fields")
-    b = euler_pairing(delta.field.minpoly)  # sqrt(Delta) = f'(omega)
-    g = delta.numerator.coords
-    v = x.coords
-    return sum(g[i] * b[i][j] * v[j] for i in range(2) for j in range(2))
-
-
-def is_totally_positive_quad_codiff(delta: QuadCodifferentElement) -> bool:
-    """gamma/sqrt(Delta) is totally positive iff gamma * sqrt(Delta) is."""
-    g = delta.numerator
-    if g.is_zero():
-        raise ZeroElement("zero codifferent element")
-    return (g * sqrt_disc_element(delta.field)).is_totally_positive()
-
-
-def _delta_checks(delta: QuadCodifferentElement, i: int) -> bool:
+def _delta_checks(delta: CodifferentElement, i: int) -> bool:
     """Tr(alpha_{i,r} * delta) = 1 for all 0 <= r <= u_{i+2}, and delta >> 0."""
     cf = cf_expand(delta.field.D)
     for r in range(0, cf.u(i + 2) + 1):
-        if quad_trace_pairing(delta, semiconvergent(delta.field.D, i, r)) != 1:
+        if trace_pairing(delta, semiconvergent(delta.field.D, i, r)) != 1:
             return False
-    return is_totally_positive_quad_codiff(delta)
+    return is_totally_positive_codiff(delta)
 
 
-def trace_one_delta(D: int, i: int) -> QuadCodifferentElement:
+def trace_one_delta(D: int, i: int) -> CodifferentElement:
     """The certificate delta_i for the odd-index semiconvergent family.
 
     For D = 2,3 mod 4: delta = (-p_{i+1} + q_{i+1}*sqrt(D)) / (2*sqrt(D)).
@@ -359,11 +242,8 @@ def trace_one_delta(D: int, i: int) -> QuadCodifferentElement:
     cf = cf_expand(D)
     field = cf.field
     p, q = cf.convergent_pair(i + 1)
-    if field.one_mod_four:
-        gamma = QuadElement((-p - q, q), field)
-    else:
-        gamma = QuadElement((-p, q), field)
-    delta = QuadCodifferentElement(gamma)
+    gamma = OrderElement((-p - q if field.one_mod_four else -p, q), field)
+    delta = CodifferentElement(gamma)
     if not _delta_checks(delta, i):
         raise CertificateFailure(f"certificate checks failed for D={D}, i={i}")
     return delta
@@ -383,15 +263,14 @@ def trace_one_delta_scalings(D: int, i: int) -> dict[str, object]:
     cf = cf_expand(D)
     p, q = cf.convergent_pair(i + 1)
     # literal display times sqrt(D)/sqrt(D): numerator over sqrt(Delta)=sqrt(D)
-    literal_num = QuadElement((-p - q, q), field) * D
-    literal = QuadCodifferentElement(literal_num)
-    literal_trace = quad_trace_pairing(literal, semiconvergent(D, i, 0))
+    literal = CodifferentElement(OrderElement((-p - q, q), field) * D)
+    literal_trace = trace_pairing(literal, semiconvergent(D, i, 0))
     corrected = trace_one_delta(D, i)
     return {
         "passing": "literal/D",
         "delta": corrected,
         "literal_trace": literal_trace,
-        "literal_totally_positive": is_totally_positive_quad_codiff(literal),
+        "literal_totally_positive": is_totally_positive_codiff(literal),
     }
 
 
@@ -412,7 +291,7 @@ def quad_counts(D: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rank-2 oracle (the shared search path of oracle, with a 2x2 embedding matrix)
+# Embeddings, the totally positive unit and the ground-truth search
 
 
 @lru_cache(maxsize=None)
@@ -429,36 +308,31 @@ def _sqrt_interval(D: int, rounds: int) -> Interval:
     return Interval(lo, hi)
 
 
-def decompose_quadratic(alpha: QuadElement) -> Optional[tuple[QuadElement, QuadElement]]:
-    """Rank-2 analogue of oracle.decompose."""
-    return first_split(alpha, QuadElement.is_totally_positive)
+def decompose_quadratic(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]]:
+    """oracle.decompose on a quadratic element."""
+    return decompose(alpha)
 
 
 @lru_cache(maxsize=None)
-def fundamental_tp_unit(D: int) -> QuadElement:
+def fundamental_tp_unit(D: int) -> OrderElement:
     """Generator of the totally positive unit group (above the roots of unity)."""
     cf = cf_expand(D)
-    s = cf.period_length
-    eps = cf.convergent(s - 1)
-    if eps.norm() not in (1, -1):
+    eps = cf.convergent(cf.period_length - 1)
+    if norm(eps) not in (1, -1):
         raise ConsistencyError(f"period convergent of D={D} is not a unit")
-    if eps.norm() == -1:
+    if norm(eps) == -1:
         eps = eps * eps
-    if eps.norm() != 1 or not eps.is_totally_positive():
+    if norm(eps) != 1 or not is_totally_positive(eps):
         raise ConsistencyError(f"unit of D={D} is not totally positive")
     return eps
 
 
-def quad_ideal_hnf(beta: QuadElement):
-    """Canonical HNF of the ideal beta * Z[omega]."""
-    if beta.is_zero():
-        raise ZeroElement("zero generates the zero ideal")
-    omega = QuadElement((0, 1), beta.field)
-    h = row_hnf_lower([list(beta.coords), list((beta * omega).coords)])
-    return h
+def quad_ideal_hnf(beta: OrderElement):
+    """Canonical HNF rows of the ideal beta * Z[omega]."""
+    return ideal_hnf(beta).rows
 
 
-def search_indecomposables(D: int, norm_bound: int) -> list[QuadElement]:
+def search_indecomposables(D: int, norm_bound: int) -> list[OrderElement]:
     """Ground-truth inventory: decompose-tested lattice points of D(1, eps0).
 
     Unit lattice points are omitted (norm 1); each returned element is a
@@ -468,10 +342,10 @@ def search_indecomposables(D: int, norm_bound: int) -> list[QuadElement]:
     points, _ = parallelepiped_points(((1, 0), fundamental_tp_unit(D).coords))
     out = []
     for coords in points:
-        el = QuadElement(coords, field)
-        if el.is_zero() or not el.is_totally_positive():
+        el = OrderElement(coords, field)
+        if el.is_zero() or not is_totally_positive(el):
             continue
-        if abs(el.norm()) == 1 or el.norm() > norm_bound:
+        if abs(norm(el)) == 1 or norm(el) > norm_bound:
             continue
         if decompose_quadratic(el) is None:
             out.append(el)

@@ -34,12 +34,7 @@ from indecomp.order_kernel import (
     rho,
     make_custom_field,
 )
-from indecomp.quadratic import (
-    QuadCodifferentElement,
-    QuadElement,
-    is_totally_positive_quad_codiff,
-    make_quad_field,
-)
+from indecomp.quadratic import make_quad_field
 
 RNG = random.Random(555001)
 
@@ -253,5 +248,5 @@ def test_quad_codiff_positivity_matches_embedding_signs(D, coords):
     root = sympy.sqrt(D)
     w, wc = ((1 + root) / 2, (1 - root) / 2) if field.one_mod_four else (root, -root)
     want = sympy.sign(x + y * w) > 0 and sympy.sign(x + y * wc) < 0
-    got = is_totally_positive_quad_codiff(QuadCodifferentElement(QuadElement(coords, field)))
+    got = is_totally_positive_codiff(CodifferentElement(OrderElement(coords, field)))
     assert got == bool(want)

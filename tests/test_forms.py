@@ -1,5 +1,6 @@
 """Minimal-vector table, diagonal universal forms, rank bounds, descent."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -168,6 +169,20 @@ def test_sum_of_squares_witness():
         total = total + mul(x, x)
     assert total == elem(f, 6, 0, 0)
     assert sum_of_squares_witness(elem(f, 0, 0, 0)) == []
+
+
+def test_sum_of_squares_witness_leaves_no_cyclic_garbage():
+    """The depth-first search keeps no self-referencing closures alive."""
+    f = make_field(Family.SIMPLEST_CUBIC, 2)
+    beta = elem(f, 7, 1, 1)
+    want = sum_of_squares_witness(beta)  # warms the field's caches
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum_of_squares_witness(beta) == want
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_universality_window_small():

@@ -178,8 +178,8 @@ def test_bruteforce_simplex_hull_matches_full_parallelepiped_hull(a):
             if x == (0, 0, 0) or math.gcd(*x) != 1:
                 continue
             el = OrderElement(x, field)
-            s = sym_funcs(el)  # totally positive with 1 < N(el) <= X
-            if s.e1 <= 0 or s.e2 <= 0 or not 1 < s.e3 <= X:
+            e1, e2, e3 = sym_funcs(el)  # totally positive with 1 < N(el) <= X
+            if e1 <= 0 or e2 <= 0 or not 1 < e3 <= X:
                 continue
             h = ideal_hnf(el)
             found[h.rows] = h.det

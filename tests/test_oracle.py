@@ -37,7 +37,6 @@ from indecomp.oracle import (
     box_from_embedding,
     decompose,
     equal_mod_totally_positive_units,
-    first_split,
     indecomposables_by_search,
     inventories_match,
     min_trace,
@@ -65,7 +64,7 @@ from indecomp.order_kernel import (
 )
 from indecomp.codifferent import CodifferentElement, is_totally_positive_codiff
 from indecomp.norms import ideal_hnf
-from indecomp.quadratic import QuadElement, QuadField, make_quad_field
+from indecomp.quadratic import make_quad_field
 
 RNG = random.Random(31337)
 
@@ -395,13 +394,7 @@ SMALL_FIELDS = st.one_of(
 
 
 def _element(field, coords):
-    if isinstance(field, QuadField):
-        return QuadElement(tuple(coords[:2]), field)
-    return OrderElement(tuple(coords), field)
-
-
-def _positive(x):
-    return x.is_totally_positive() if isinstance(x, QuadElement) else is_totally_positive(x)
+    return OrderElement(tuple(coords[: len(field.minpoly)]), field)
 
 
 def _totally_positive(field, coords, m):
@@ -419,7 +412,7 @@ def _box_scan(box):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(SMALL_FIELDS, st.lists(st.integers(-1, 1), min_size=3, max_size=3), st.integers(1, 4))
 def test_split_region_hits_equal_a_full_box_scan(field, coords, m):
-    """first_split's region: 0 < sigma_i(beta) < sigma_i(alpha)."""
+    """decompose's region: 0 < sigma_i(beta) < sigma_i(alpha)."""
     alpha = _totally_positive(field, coords, m)
     ctx, enclosures = _context(field, positive=[alpha])
     bounds = [(0, hi) for _, hi in enclosures[alpha]]
@@ -427,11 +420,11 @@ def test_split_region_hits_equal_a_full_box_scan(field, coords, m):
     def splits(c):
         beta = _element(field, c)
         rest = alpha - beta
-        return any(c) and not rest.is_zero() and _positive(beta) and _positive(rest)
+        return any(c) and not rest.is_zero() and is_totally_positive(beta) and is_totally_positive(rest)
 
     full = [c for c in _box_scan(box_from_embedding(ctx, bounds)) if splits(c)]
     assert [c for c in region_points(ctx, bounds) if splits(c)] == full
-    split = first_split(alpha, _positive)
+    split = decompose(alpha)
     assert (split[0].coords if split else None) == (full[0] if full else None)
 
 
@@ -445,7 +438,7 @@ def test_square_root_region_hits_equal_a_full_box_scan(field, coords, m):
     def fits(c):
         x = _element(field, c)
         rest = target - x * x
-        return rest.is_zero() or _positive(rest)
+        return rest.is_zero() or is_totally_positive(rest)
 
     full = [c for c in _box_scan(box_from_embedding(ctx, bounds)) if fits(c)]
     assert [c for c in region_points(ctx, bounds) if fits(c)] == full

@@ -1,5 +1,6 @@
 """Field construction, exact arithmetic, root isolation, conjugation, units."""
 
+import operator
 import random
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from indecomp.codifferent import CodifferentElement, trace_pairing
 from indecomp.errors import (
     FieldMismatch,
     IllegalParameter,
@@ -23,7 +25,6 @@ from indecomp.order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
-    SymFuncs,
     conjugate,
     elem,
     embed,
@@ -46,12 +47,13 @@ from indecomp.order_kernel import (
     _seed_intervals,
     _sturm_intervals,
 )
+from indecomp.quadratic import fundamental_tp_unit, make_quad_field
 
 RNG = random.Random(987123)
 
 
 def rand_elem(field, lim=9):
-    return OrderElement(tuple(RNG.randint(-lim, lim) for _ in range(3)), field)
+    return OrderElement(tuple(RNG.randint(-lim, lim) for _ in field.minpoly), field)
 
 
 def test_make_field_families():
@@ -100,6 +102,24 @@ def test_field_mismatch():
         mul(x, y)
 
 
+def test_bad_operands_raise_library_errors():
+    """Floats are not order elements, and degrees 2 and 3 never mix."""
+    cubic, quad = rho(make_field(Family.SIMPLEST_CUBIC, 1)), rho(make_quad_field(5))
+    for x in (cubic, quad):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(x, 0.5)
+            with pytest.raises(TypeError):
+                op(0.5, x)
+    for x, y in ((cubic, quad), (quad, cubic)):
+        with pytest.raises(FieldMismatch):
+            x + y
+        with pytest.raises(FieldMismatch):
+            mul(x, y)
+        with pytest.raises(FieldMismatch):
+            trace_pairing(CodifferentElement(x), y)
+
+
 def test_elements_immutable():
     x = one(make_field(Family.SIMPLEST_CUBIC, 1))
     with pytest.raises(Exception):
@@ -109,9 +129,12 @@ def test_elements_immutable():
 def test_sym_funcs_examples():
     for a in (-1, 0, 2, 7, 19):
         f = make_field(Family.SIMPLEST_CUBIC, a)
-        assert sym_funcs(rho(f)) == SymFuncs(a, -(a + 3), 1)
-        assert sym_funcs(one(f)) == SymFuncs(3, 3, 1)
-        assert sym_funcs(elem(f, 1, 1, 1)).e3 == a * a + 3 * a + 9
+        assert sym_funcs(rho(f)) == (a, -(a + 3), 1)
+        assert sym_funcs(one(f)) == (3, 3, 1)
+        assert sym_funcs(elem(f, 1, 1, 1))[2] == a * a + 3 * a + 9
+    # omega = (1 + sqrt 13)/2 and sqrt 2: (Tr, N)
+    assert sym_funcs(rho(make_quad_field(13))) == (1, -3)
+    assert sym_funcs(rho(make_quad_field(2))) == (0, -2)
 
 
 def test_ring_axioms_random():
@@ -130,7 +153,7 @@ def test_norm_trace_homomorphisms():
             x, y = rand_elem(f), rand_elem(f)
             assert norm(mul(x, y)) == norm(x) * norm(y)
             assert trace(x + y) == trace(x) + trace(y)
-            assert trace(x) == sym_funcs(x).e1
+            assert trace(x) == sym_funcs(x)[0]
 
 
 def test_total_positivity_examples():
@@ -167,6 +190,15 @@ def test_totally_positive_matches_embedding_signs():
                 continue
             ivs, _ = embed_sign_definite(x)
             assert is_totally_positive(x) == all(iv.is_positive() for iv in ivs)
+    for D in (2, 3, 5, 13, 21):
+        f = make_quad_field(D)
+        roots = sympy.Poly([1, *f.minpoly], X).all_roots()  # exact, in sqrt(D)
+        for _ in range(100):
+            x = rand_elem(f, 6)
+            if x.is_zero():
+                continue
+            want = all(sympy.sign(x.coords[0] + x.coords[1] * r) > 0 for r in roots)
+            assert is_totally_positive(x) == want
 
 
 def test_root_isolation_seeded_windows():
@@ -303,23 +335,27 @@ def _custom_fields(c0=st.integers(-12, 12)):
     return coeffs.map(_custom_or_none).filter(lambda f: f is not None)
 
 
-FIELDS = st.one_of(FAMILY_FIELDS, _custom_fields())
-COORDS = st.tuples(*[st.integers(-(10**6), 10**6)] * 3)
+def _quadratic_fields(top):
+    squarefree = st.integers(2, top).filter(lambda D: max(sympy.factorint(D).values()) == 1)
+    return squarefree.map(make_quad_field)
+
+
+FIELDS = st.one_of(FAMILY_FIELDS, _custom_fields(), _quadratic_fields(10**4))
 
 
 @st.composite
 def elements(draw, n):
     f = draw(FIELDS)
-    return [OrderElement(draw(COORDS), f) for _ in range(n)]
+    coords = st.tuples(*[st.integers(-(10**6), 10**6)] * len(f.minpoly))
+    return [OrderElement(draw(coords), f) for _ in range(n)]
 
 
 def _sym_minpoly(f):
-    return X**3 + f.c2 * X**2 + f.c1 * X + f.c0
+    return X ** len(f.minpoly) + sum(c * X**k for k, c in enumerate(reversed(f.minpoly)))
 
 
 def _sym_elem(x):
-    v1, v2, v3 = x.coords
-    return v1 + v2 * X + v3 * X**2
+    return sum(v * X**k for k, v in enumerate(x.coords))
 
 
 @PROPERTY
@@ -327,8 +363,7 @@ def _sym_elem(x):
 def test_sym_funcs_is_sympy_charpoly(xs):
     (x,) = xs
     coeffs = sympy.Matrix(multiplication_matrix(x)).charpoly().all_coeffs()
-    s = sym_funcs(x)
-    assert coeffs == [1, -s.e1, s.e2, -s.e3]
+    assert coeffs == [1] + [(-1) ** k * e for k, e in enumerate(sym_funcs(x), 1)]
 
 
 @PROPERTY
@@ -343,7 +378,7 @@ def test_norm_is_sympy_resultant(xs):
 def test_mul_is_polynomial_product_mod_minpoly(xs):
     x, y = xs
     r = sympy.Poly(sympy.rem(_sym_elem(x) * _sym_elem(y), _sym_minpoly(x.field), X), X)
-    assert mul(x, y).coords == tuple(int(r.coeff_monomial(X**k)) for k in range(3))
+    assert mul(x, y).coords == tuple(int(r.coeff_monomial(X**k)) for k in range(len(x.coords)))
 
 
 @PROPERTY
@@ -355,23 +390,26 @@ def test_mul_ring_axioms_and_norm_multiplicative(xs):
     assert mul(x, y + z) == mul(x, y) + mul(x, z)
     assert norm(mul(x, y)) == norm(x) * norm(y)
     m = multiplication_matrix(x)
-    assert tuple(tuple(row) for row in zip(*m)) == (
-        x.coords, mul(x, rho(x.field)).coords, mul(x, rho(x.field) ** 2).coords
-    )
+    assert tuple(zip(*m)) == tuple(mul(x, rho(x.field) ** j).coords for j in range(len(m)))
 
 
 @st.composite
 def element_and_unit(draw):
-    """(x, u) with u a unit: products of fundamental units, or powers of rho
-    in a custom cubic with constant coefficient +-1."""
-    if draw(st.booleans()):
+    """(x, u) with u a unit: products of fundamental units, powers of rho in
+    a custom cubic with constant coefficient +-1, or powers of the totally
+    positive fundamental unit of a real quadratic field."""
+    kind = draw(st.sampled_from(("family", "custom", "quadratic")))
+    if kind == "family":
         f = draw(FAMILY_FIELDS)
         u1, u2 = unit_generators(f).fundamental
         u = u1 ** draw(st.integers(-3, 3)) * u2 ** draw(st.integers(-3, 3))
-    else:
+    elif kind == "custom":
         f = draw(_custom_fields(st.sampled_from((-1, 1))))
         u = rho(f) ** draw(st.integers(-4, 4))
-    return OrderElement(draw(st.tuples(*[st.integers(-50, 50)] * 3)), f), u
+    else:
+        f = draw(_quadratic_fields(200))
+        u = fundamental_tp_unit(f.D) ** draw(st.integers(-3, 3))
+    return OrderElement(draw(st.tuples(*[st.integers(-50, 50)] * len(f.minpoly))), f), u
 
 
 @PROPERTY

@@ -6,28 +6,32 @@ from fractions import Fraction
 
 import pytest
 
+from indecomp.codifferent import (
+    CodifferentElement,
+    fprime_element,
+    is_totally_positive_codiff,
+    trace_pairing,
+)
 from indecomp.errors import (
     IndexOutOfRange,
     NotSquarefree,
     IllegalParameter,
 )
+from indecomp.oracle import inventories_match
+from indecomp.order_kernel import elem, is_totally_positive, norm, trace
 from indecomp.quadratic import (
     cf_expand,
+    conj,
     decompose_quadratic,
     fundamental_tp_unit,
     indecomposables_quadratic,
-    is_totally_positive_quad_codiff,
     make_quad_field,
     quad_counts,
-    quad_elem,
     quad_ideal_hnf,
-    quad_trace_pairing,
     search_indecomposables,
     semiconvergent,
-    sqrt_disc_element,
     trace_one_delta,
     trace_one_delta_scalings,
-    QuadCodifferentElement,
 )
 
 RNG = random.Random(424242)
@@ -45,20 +49,22 @@ def test_make_quad_field_checks():
 
 def test_element_arithmetic():
     f = make_quad_field(13)
-    w = quad_elem(f, 0, 1)
+    w = elem(f, 0, 1)
     # omega^2 = omega + (D-1)/4 for D = 1 mod 4
     assert (w * w).coords == (3, 1)
-    assert w.trace() == 1 and w.norm() == -3
+    assert trace(w) == 1 and norm(w) == -3
     f2 = make_quad_field(2)
-    w2 = quad_elem(f2, 0, 1)
+    w2 = elem(f2, 0, 1)
     assert (w2 * w2).coords == (2, 0)
     for _ in range(300):
-        x = quad_elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
-        y = quad_elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
-        assert (x * y).norm() == x.norm() * y.norm()
-        assert (x + y).trace() == x.trace() + y.trace()
+        x = elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
+        y = elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
+        assert norm(x * y) == norm(x) * norm(y)
+        assert trace(x + y) == trace(x) + trace(y)
         assert x * y == y * x
-        assert (x.conj()).norm() == x.norm()
+        assert norm(conj(x)) == norm(x)
+        assert (x + conj(x)).coords == (trace(x), 0)
+        assert (x * conj(x)).coords == (norm(x), 0)
 
 
 def test_cf_examples():
@@ -137,14 +143,14 @@ def test_indecomposables_quadratic_d2():
     assert (2, 1) in coords  # the norm-2 indecomposable 2 + sqrt(2)
     assert (1, 1) not in coords  # 1 + sqrt(2) has norm -1
     for r in recs:
-        assert r.element.is_totally_positive()
-        assert r.element.norm() <= 50
+        assert is_totally_positive(r.element)
+        assert norm(r.element) <= 50
 
 
 def test_indecomposables_quadratic_d5():
     # Q(sqrt 5): every totally positive semiconvergent is a unit
     recs = indecomposables_quadratic(5, 100)
-    assert recs and all(r.element.norm() == 1 for r in recs)
+    assert recs and all(norm(r.element) == 1 for r in recs)
     assert search_indecomposables(5, 100) == []
 
 
@@ -152,7 +158,7 @@ def test_indecomposables_quadratic_d26():
     # D = t^2 + 1 with t = 5: counts n = 2t+1 and #S = 2t
     assert quad_counts(26) == (11, 10)
     recs = indecomposables_quadratic(26, 200)
-    orbits = {quad_ideal_hnf(r.element) for r in recs if abs(r.element.norm()) != 1}
+    orbits = {quad_ideal_hnf(r.element) for r in recs if abs(norm(r.element)) != 1}
     assert len(orbits) >= 4
 
 
@@ -170,9 +176,9 @@ def test_trace_one_delta_all_odd_indices():
         cf = cf_expand(D)
         for i in range(-1, 2 * cf.period_length, 2):
             delta = trace_one_delta(D, i)
-            assert is_totally_positive_quad_codiff(delta)
+            assert is_totally_positive_codiff(delta)
             for r in range(0, cf.u(i + 2) + 1):
-                assert quad_trace_pairing(delta, semiconvergent(D, i, r)) == 1
+                assert trace_pairing(delta, semiconvergent(D, i, r)) == 1
     with pytest.raises(IndexOutOfRange):
         trace_one_delta(2, 0)
 
@@ -197,14 +203,15 @@ def test_scaling_resolution_one_mod_four():
 def test_quad_pairing_integrality():
     for D in TESTED_D:
         f = make_quad_field(D)
-        s = sqrt_disc_element(f)
+        s = fprime_element(f)  # sqrt(Delta)
+        assert (s * s).coords == (f.discriminant, 0)
         for _ in range(200):
-            g = quad_elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
-            x = quad_elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
-            got = quad_trace_pairing(QuadCodifferentElement(g), x)
+            g = elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
+            x = elem(f, RNG.randint(-9, 9), RNG.randint(-9, 9))
+            got = trace_pairing(CodifferentElement(g), x)
             # independent route: Tr(g*x*conj(s))/N(s) must equal it
-            prod = g * x * s.conj()
-            assert Fraction(prod.trace(), s.norm()) == got
+            prod = g * x * conj(s)
+            assert Fraction(trace(prod), norm(s)) == got
 
 
 def test_fundamental_tp_unit():
@@ -212,34 +219,32 @@ def test_fundamental_tp_unit():
     assert eps.coords == (3, 2)  # (1 + sqrt 2)^2
     for D in TESTED_D:
         eps = fundamental_tp_unit(D)
-        assert eps.norm() == 1 and eps.is_totally_positive()
+        assert norm(eps) == 1 and is_totally_positive(eps)
         assert eps.coords != (1, 0)
 
 
 def test_decompose_quadratic():
     f = make_quad_field(2)
-    two = quad_elem(f, 2, 0)
+    two = elem(f, 2, 0)
     got = decompose_quadratic(two)
-    assert got == (quad_elem(f, 1, 0), quad_elem(f, 1, 0))
-    el = quad_elem(f, 2, 1)
+    assert got == (elem(f, 1, 0), elem(f, 1, 0))
+    el = elem(f, 2, 1)
     assert decompose_quadratic(el) is None  # 2 + sqrt(2) is indecomposable
 
 
 def test_search_vs_closed_inventories():
     for D in TESTED_D:
         window = 4 * D
-        closed = {
-            quad_ideal_hnf(r.element)
-            for r in indecomposables_quadratic(D, window)
-            if abs(r.element.norm()) != 1
-        }
-        found = {quad_ideal_hnf(e) for e in search_indecomposables(D, window)}
-        assert closed == found, D
+        closed = [
+            r.element for r in indecomposables_quadratic(D, window) if abs(norm(r.element)) != 1
+        ]
+        found = search_indecomposables(D, window)
+        assert inventories_match(closed, found), D
 
 
 def test_quad_ideal_hnf_unit_invariance():
     f = make_quad_field(10)
     eps = fundamental_tp_unit(10)
-    el = quad_elem(f, 4, 1)  # norm 6
+    el = elem(f, 4, 1)  # norm 6
     assert quad_ideal_hnf(el) == quad_ideal_hnf(el * eps)
-    assert quad_ideal_hnf(el) != quad_ideal_hnf(el.conj())
+    assert quad_ideal_hnf(el) != quad_ideal_hnf(conj(el))
