@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -338,7 +339,9 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="indecomp",
         description="Indecomposable integers, codifferent traces, small norms and "

@@ -54,7 +54,7 @@ class OutOfRange(IndecompError, ValueError):
 
 
 class DegenerateSpan(IndecompError, ValueError):
-    """Parallelepiped generators are linearly dependent."""
+    """Parallelepiped generators or HNF input rows are linearly dependent."""
 
 
 class UnboundedRegion(IndecompError, ValueError):

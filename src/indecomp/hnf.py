@@ -13,45 +13,39 @@ from typing import Iterator
 from .errors import DegenerateSpan
 
 
-def _upper_hnf(rows: list[list[int]]) -> list[list[int]]:
-    m = [list(r) for r in rows]
-    n = len(m)
-    for j in range(n):
-        while True:
-            nz = [i for i in range(j, n) if m[i][j] != 0]
-            if not nz:
-                raise ValueError("matrix is singular")
-            pivot = min(nz, key=lambda i: abs(m[i][j]))
-            m[j], m[pivot] = m[pivot], m[j]
-            done = True
-            for i in range(j + 1, n):
-                if m[i][j] != 0:
-                    q = m[i][j] // m[j][j]
-                    m[i] = [m[i][k] - q * m[j][k] for k in range(n)]
-                    if m[i][j] != 0:
-                        done = False
-            if done:
-                break
-        if m[j][j] < 0:
-            m[j] = [-x for x in m[j]]
-        for i in range(j):
-            q = m[i][j] // m[j][j]
-            m[i] = [m[i][k] - q * m[j][k] for k in range(n)]
-    return m
+def _xgcd(a: int, b: int) -> tuple[int, int, int, int, int]:
+    """(g, u, v, s, t): g = gcd(a, b) = u a + v b >= 0, s a + t b = 0, u t - v s = +-1."""
+    u, v, s, t = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, u, v, s, t = b, a - q * b, s, t, u - q * s, v - q * t
+    return (a, u, v, s, t) if a >= 0 else (-a, -u, -v, s, t)
 
 
 def row_hnf_lower(rows) -> tuple[tuple[int, ...], ...]:
     """Unique lower-triangular HNF basis of the row lattice (full rank required).
 
     Diagonal entries are positive and every entry below the diagonal is
-    reduced into [0, diagonal of its column).
+    reduced into [0, diagonal of its column).  Columns are cleared right to
+    left: rows p, q with entries a, b there become the unimodular pair
+    u p + v q (entry gcd(a, b)) and s p + t q (entry 0), by `_xgcd(a, b)`.
     """
-    n = len(rows)
-    reversed_cols = [[row[n - 1 - j] for j in range(n)] for row in rows]
-    upper = _upper_hnf(reversed_cols)
-    return tuple(
-        tuple(upper[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n)
-    )
+    if len(rows) == 2:  # the lattice Z e_0 + (0, rows) in dimension 3
+        h = row_hnf_lower(((1, 0, 0), (0, *rows[0]), (0, *rows[1])))
+        return h[1][1:], h[2][1:]
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    # the last column: fold b into a, then c into a
+    g, u, v, s, t = _xgcd(a2, b2)
+    a0, a1, a2, b0, b1 = u * a0 + v * b0, u * a1 + v * b1, g, s * a0 + t * b0, s * a1 + t * b1
+    g, u, v, s, t = _xgcd(a2, c2)
+    a0, a1, a2, c0, c1 = u * a0 + v * c0, u * a1 + v * c1, g, s * a0 + t * c0, s * a1 + t * c1
+    # the middle column: fold c into b
+    g, u, v, s, t = _xgcd(b1, c1)
+    b0, b1, c0 = u * b0 + v * c0, g, s * b0 + t * c0
+    if a2 == 0 or b1 == 0 or c0 == 0:
+        raise DegenerateSpan("matrix is singular")
+    h00, q = abs(c0), a1 // b1  # reduce the last row mod b1, then mod h00
+    return (h00, 0, 0), (b0 % h00, b1, 0), ((a0 - q * b0) % h00, a1 - q * b1, a2)
 
 
 def hnf_det(h) -> int:

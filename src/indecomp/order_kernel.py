@@ -537,7 +537,8 @@ def galois_conjugation_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], .
     """Integer matrix M with M . coords(x) = coords(x') for rho -> rho'.
 
     rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated by f(rho') = 0,
-    M^3 = I and the interval position rho' in (-2, -1).
+    M^3 = I and sigma_1(rho') in (-2, -1), which holds exactly when
+    sigma_1(rho) > 1 once rho*rho' + rho + 1 = 0 is checked in the order.
     """
     if field.family is not Family.SIMPLEST_CUBIC:
         raise NotGalois(f"{field.family.value} family is not handled as Galois")
@@ -553,13 +554,15 @@ def galois_conjugation_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], .
     m2 = _mat_mul(m, m)
     if _mat_mul(m2, m) != ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         raise NotGalois("conjugation matrix does not have order 3")
-    # sigma_1(rho') must land in (-2, -1)
-    for rounds in range(REFINEMENT_CAP + 1):
-        iv = embed(rp, refine_roots(field, rounds))[0]
-        if iv.lo > -2 and iv.hi < -1:
-            break
-        if iv.hi < -2 or iv.lo > -1:
+    if not (rho(field) * rp + rho(field) + one(field)).is_zero():
+        raise NotGalois("conjugate candidate is not -1 - 1/rho")
+    # sigma_1(rho) > 1: the default interval decides it for a >= -1; refine only if it cannot
+    r, rounds = isolate_roots(field), 0
+    while r.intervals[0].lo <= 1:
+        if r.intervals[0].hi < 1:
             raise NotGalois("conjugate candidate outside (-2,-1)")
+        rounds += 1
+        r = refine_roots(field, rounds)
     return m
 
 

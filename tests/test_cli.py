@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exporters, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +168,15 @@ def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
     assert main(["bounds", "--family", "simplest", "--a", "7"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert "Traceback" in err and "simulated defect" in err
+
+
+def test_main_reuses_one_parser(capsys):
+    """A usage error leaves the cached parser intact for the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["quadratic", "--d", "thirteen"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["quadratic", "--d", "13", "--certify"]) == EXIT_OK
+    golden = Path(__file__).parent / "golden" / "quadratic.out"
+    assert capsys.readouterr().out == golden.read_text()

@@ -31,6 +31,10 @@ CASES = {
         False,
     ),
     "count-norms": (["count-norms", "--a", "5", "--x", "25", "--method", "brute"], False),
+    "count-norms-exact": (
+        ["count-norms", "--a", "400", "--x", "160000", "--method", "exact"],
+        False,
+    ),
     "sq-table": (["sq-table", "--a-min", "-1", "--a-max", "12"], True),
     "bounds": (["bounds", "--family", "simplest", "--a", "7"], False),
     "quadratic": (["quadratic", "--d", "13", "--certify"], False),

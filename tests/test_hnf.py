@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indecomp.errors import DegenerateSpan
@@ -82,6 +82,125 @@ def test_row_lattice_invariance():
 def test_singular_rejected():
     with pytest.raises(ValueError):
         row_hnf_lower([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4]],
+    [[0, 0], [3, 5]],
+    [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+    [[1, 0, 0], [0, 1, 0], [5, 7, 0]],
+    [[0, 0, 0], [1, 2, 3], [4, 5, 6]],
+    [[3, 1, 0], [6, 2, 0], [1, 1, 1]],
+])
+def test_singular_is_a_library_error(rows):
+    with pytest.raises(DegenerateSpan):
+        row_hnf_lower(rows)
+
+
+def _elimination_hnf(rows):
+    """Independent oracle: lower HNF by repeated smallest-pivot row elimination.
+
+    The columns are reversed, reduced to upper HNF one column at a time (the
+    nonzero entry of least absolute value is the pivot; the others are
+    reduced by it until none is left; rows above are reduced mod the pivot),
+    and reversed back.
+    """
+    n = len(rows)
+    m = [[row[n - 1 - j] for j in range(n)] for row in rows]
+    for j in range(n):
+        while True:
+            nz = [i for i in range(j, n) if m[i][j] != 0]
+            if not nz:
+                raise ValueError("matrix is singular")
+            pivot = min(nz, key=lambda i: abs(m[i][j]))
+            m[j], m[pivot] = m[pivot], m[j]
+            done = True
+            for i in range(j + 1, n):
+                if m[i][j] != 0:
+                    q = m[i][j] // m[j][j]
+                    m[i] = [m[i][k] - q * m[j][k] for k in range(n)]
+                    if m[i][j] != 0:
+                        done = False
+            if done:
+                break
+        if m[j][j] < 0:
+            m[j] = [-x for x in m[j]]
+        for i in range(j):
+            q = m[i][j] // m[j][j]
+            m[i] = [m[i][k] - q * m[j][k] for k in range(n)]
+    return tuple(tuple(m[n - 1 - i][n - 1 - j] for j in range(n)) for i in range(n))
+
+
+def _permuted_identities():
+    for n in (2, 3):
+        for perm in itertools.permutations(range(n)):
+            yield [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+
+
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-10**6, 10**6),
+    st.integers(10**20 - 1000, 10**20 + 1000),
+    st.integers(-10**20 - 1000, -10**20 + 1000),
+)
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.sampled_from((2, 3)))
+    return [draw(st.lists(_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+
+
+def _hnf_cases(test):
+    """Hypothesis-drawn 2x2 and 3x3 matrices plus explicit edge cases."""
+    cases = [
+        *_permuted_identities(),
+        [[2, 0, 0], [1, 3, 0], [4, 5, 0]],  # zero last column but one entry
+        [[5, 1, 0], [0, 7, 0], [1, 1, 3]],
+        [[0, 4, 6], [2, 0, 3], [1, 1, 0]],  # zero first row entry
+        [[0, 3], [2, 5]],
+        [[3, 0], [2, 0]],
+        [[2, 1], [1, 2]],
+        [[1, 2], [2, 1]],  # negative determinant
+        [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+        [[10**20, 1, 0], [3, 10**20 + 1, 7], [-10**20, 2, 10**20 - 3]],
+        [[10**20 + 7, -3], [5, 10**20]],
+    ]
+    test = given(_square_matrices())(test)
+    for rows in cases:
+        test = example(rows)(test)
+    return settings(max_examples=400, deadline=None, derandomize=True, database=None)(test)
+
+
+@_hnf_cases
+def test_row_hnf_matches_elimination_oracle(rows):
+    try:
+        want = _elimination_hnf(rows)
+    except ValueError:
+        with pytest.raises(DegenerateSpan):
+            row_hnf_lower(rows)
+        return
+    assert row_hnf_lower(rows) == want
+
+
+@_hnf_cases
+def test_input_rows_lie_in_the_hnf_lattice(rows):
+    """Every input row is an integer combination of the HNF rows, and the
+    determinants agree, so the two row lattices are equal."""
+    if _det(rows) == 0:
+        return
+    h = row_hnf_lower(rows)
+    n = len(rows)
+    assert hnf_det(h) == abs(_det(rows))
+    for row in rows:
+        x = [0] * n
+        # x . h = row with h lower triangular: solve from the last column back
+        for j in reversed(range(n)):
+            r = row[j] - sum(x[i] * h[i][j] for i in range(j + 1, n))
+            assert r % h[j][j] == 0, (rows, h, row)
+            x[j] = r // h[j][j]
+        assert [sum(x[i] * h[i][j] for i in range(n)) for j in range(n)] == list(row)
 
 
 def test_adjugate_identity():

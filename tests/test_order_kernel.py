@@ -252,6 +252,29 @@ def test_conjugation_matrix():
         assert sym_funcs(conjugate(x)) == sym_funcs(x)
 
 
+def test_conjugation_placement_needs_no_refinement(monkeypatch):
+    """Work counter: sigma_1(rho) > 1 places rho' without refining the roots."""
+    from indecomp import order_kernel
+
+    calls = [0]
+    original = order_kernel.refine_roots
+
+    def counting(field, rounds):
+        calls[0] += 1
+        return original(field, rounds)
+
+    monkeypatch.setattr(order_kernel, "refine_roots", counting)
+    for a in (*range(-1, 11), 50, 400):
+        f = make_field(Family.SIMPLEST_CUBIC, a)
+        calls[0] = 0
+        m = galois_conjugation_matrix.__wrapped__(f)
+        assert calls[0] == 0, a
+        # the interval embedding of rho' itself, refined until it lands in (-2, -1)
+        rp = OrderElement(tuple(r[1] for r in m), f)
+        assert any(-2 < iv.lo and iv.hi < -1
+                   for iv in (embed(rp, original(f, k))[0] for k in range(0, 40, 4))), a
+
+
 def test_conjugation_not_galois_families():
     with pytest.raises(NotGalois):
         galois_conjugation_matrix(make_field(Family.ENNOLA, 3))
