@@ -5,11 +5,13 @@ decomposition into indecomposables."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .codifferent import (
+    CodifferentElement,
     certificate_delta,
     certified_simplest,
     fprime_element,
@@ -293,30 +295,32 @@ def decompose_into_indecomposables(
     return parts
 
 
+@lru_cache(maxsize=None)
+def _unit_pairing(delta: CodifferentElement, j: int, k: int) -> tuple[int, ...]:
+    """c with Tr(delta * u * x) = c . coords(x) for the unit u = e1^j e2^k."""
+    return pairing_vector(CodifferentElement(mul(delta.numerator, _unit_power(delta.field, j, k))))
+
+
 def _find_part(alpha, records, delta):
     field = alpha.field
     phi_alpha = trace_pairing(delta, alpha)
-    tried: set[tuple[int, int]] = set()
     for radius in range(0, _DESCENT_RADIUS_CAP + 1):
         candidates = []
         for j in range(-radius, radius + 1):
             for k in range(-radius, radius + 1):
-                if max(abs(j), abs(k)) != radius or (j, k) in tried:
+                if max(abs(j), abs(k)) != radius:
                     continue
-                tried.add((j, k))
-                unit = _unit_power(field, j, k)
+                c = _unit_pairing(delta, j, k)
                 for idx, rec in enumerate(records):
-                    term = mul(unit, rec.element)
-                    phi = trace_pairing(delta, term)
-                    if not 1 <= phi <= phi_alpha:
-                        continue
-                    candidates.append(
-                        (_kind_priority(rec.kind), -phi, idx, j, k, rec, unit, term)
-                    )
+                    phi = sum(map(operator.mul, c, rec.element.coords))  # Tr(delta * unit * rec)
+                    if 1 <= phi <= phi_alpha:
+                        candidates.append((_kind_priority(rec.kind), -phi, idx, j, k, rec))
         candidates.sort(key=lambda c: c[:5])
-        for _, _, _, j, k, rec, unit, term in candidates:
+        for _, _, _, j, k, rec in candidates:
+            unit = _unit_power(field, j, k)
+            term = mul(unit, rec.element)
             rest = alpha - term
-            if rest.is_zero() or (not rest.is_zero() and is_totally_positive(rest)):
+            if rest.is_zero() or is_totally_positive(rest):
                 return rec, unit, term
     return None
 

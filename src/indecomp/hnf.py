@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import DegenerateSpan
@@ -92,69 +93,137 @@ def lattice_points(box, rows, equality=None) -> Iterator[tuple[int, ...]]:
     the largest |c_p| is eliminated (each row a becomes c_p a_j - c_j a_p
     over the others, and the box range of x_p one more row), and the last
     free coordinate steps through its residue class mod |c_p| / gcd; the
-    order is then lexicographic in the free coordinates.
+    order is then lexicographic in the free coordinates.  With c = 0 the
+    equality keeps every point when t = 0 and none otherwise.
     """
     if any(lo > hi for lo, hi in box):
         return iter(())
-    n, exact = len(box), []
-    for coeffs, lo, hi in rows:
-        widths = [b - a for a, b in coeffs]
-        slack_lo = sum(min(0, l) * w for (l, _), w in zip(box, widths))
-        slack_hi = sum(max(0, h) * w for (_, h), w in zip(box, widths))
-        exact.append(([a for a, _ in coeffs], lo - slack_hi, hi - slack_lo))
+    coeffs, bounds = [], []
+    for cs, lo, hi in rows:
+        slack_lo = slack_hi = 0
+        for (a, b), (blo, bhi) in zip(cs, box):
+            slack_lo += min(0, blo) * (b - a)
+            slack_hi += max(0, bhi) * (b - a)
+        coeffs.append(tuple([a for a, _ in cs]))
+        bounds.append((lo - slack_hi, hi - slack_lo))
+    coeffs = tuple(coeffs)
     if equality is None:
-        return _walk(_levels(box, exact), (), None)
+        return _walk(_levels(box, coeffs, bounds), (), None)
     c, t = equality
+    reduction = _reduction(coeffs, tuple(c))
+    if reduction is None:  # c = 0
+        return _walk(_levels(box, coeffs, bounds), (), None) if t == 0 else iter(())
+    p, cp, reduced, a_p, cf, congruence = reduction
+    if congruence is None:  # one coordinate: c_p x_p = t pins it
+        if t % cp:
+            return iter(())
+        v = t // cp
+        return _walk(_levels([(max(box[0][0], v), min(box[0][1], v))], coeffs, bounds), (), None)
+    # cp * (a . x) = sum_(j != p) (cp a_j - c_j a_p) x_j + a_p t
+    reduced_bounds = [
+        (cp * lo - ap * t, cp * hi - ap * t) if cp > 0 else (cp * hi - ap * t, cp * lo - ap * t)
+        for (lo, hi), ap in zip((*bounds, box[p]), a_p)
+    ]
+    free_box = [*box[:p], *box[p + 1 :]]
+    g, step, inverse = congruence
+    points = _walk(_levels(free_box, reduced, reduced_bounds), (), (cf[:-1], t, g, step, inverse))
+    return ((*x[:p], (t - sum(map(operator.mul, cf, x))) // cp, *x[p:]) for x in points)
+
+
+@lru_cache(maxsize=None)
+def _reduction(coeffs, c):
+    """The coefficient-only part of eliminating x_p by c . x = t (see `lattice_points`).
+
+    (p, c_p, the reduced coefficient rows over the free coordinates, with
+    the box range of x_p as the last row, each row's a_p, the free
+    coefficients cf, and (g, step, inverse) of the congruence
+    cf . x = t mod |c_p| on the last free coordinate).  None if c = 0; no
+    rows and no congruence with one coordinate.
+    """
+    n = len(c)
     p = max(range(n), key=lambda j: abs(c[j]))
     cp, free = c[p], [j for j in range(n) if j != p]
     if cp == 0:
-        return iter(())
-    reduced = []
-    for a, lo, hi in (*exact, ([int(j == p) for j in range(n)], *box[p])):
-        # cp * (a . x) = sum_(j != p) (cp a_j - c_j a_p) x_j + a_p t
-        lo, hi = sorted((cp * lo - a[p] * t, cp * hi - a[p] * t))
-        reduced.append(([cp * a[j] - c[j] * a[p] for j in free], lo, hi))
-    cf = [c[j] for j in free]
+        return None
+    if not free:
+        return p, cp, (), (), (), None
+    rows = (*coeffs, tuple(int(j == p) for j in range(n)))
+    reduced = tuple(tuple(cp * a[j] - c[j] * a[p] for j in free) for a in rows)
+    cf = tuple(c[j] for j in free)
     # cf . x = t mod |cp|: the last free coordinate z runs through one class mod |cp| / g
     g = math.gcd(cf[-1], cp)
     step = abs(cp) // g
-    congruence = (cf[:-1], t, g, step, pow(cf[-1] // g, -1, step) if step > 1 else 0)
-    points = _walk(_levels([box[j] for j in free], reduced), (), congruence)
-    return ((*x[:p], (t - sum(a * v for a, v in zip(cf, x))) // cp, *x[p:]) for x in points)
+    inverse = pow(cf[-1] // g, -1, step) if step > 1 else 0
+    return p, cp, reduced, tuple(a[p] for a in rows), cf, (g, step, inverse)
 
 
-def _levels(box, rows):
-    """Per coordinate j: its range and the cuts (a, lo, hi, c > 0) that ask
-    lo <= a . (x_0..x_(j-1)) + c x_j <= hi (Fincke-Pohst); None if a constant row fails.
+@lru_cache(maxsize=None)
+def _plan(n, coeffs):
+    """The coefficient-only Fourier-Motzkin elimination of exact rows over n coordinates.
 
-    The later coordinates are first eliminated from the rows by pairs
-    (Fourier-Motzkin), so x_j's range given its prefix is cut exactly to the
-    values with a real completion.
+    One entry per coordinate j, from the last to the first, with indices
+    into that level's system of rows (the input rows at j = n - 1):
+    `fixed` (i, c) for rows c x_j with no other coefficient left, `cuts`
+    (i, negate, a, c > 0) for the rows a . (x_0..x_(j-1)) + c x_j (negated
+    so that c > 0), `carry` for the rows without x_j, and `pairs`
+    (p, q, c_p, c_q) of cuts whose combination c_q P - c_p Q eliminates x_j.
+    The next system is the carried rows, then the pairs' rows.
     """
-    system, levels = rows, []
-    for j in reversed(range(len(box))):
-        lo, hi = box[j]
-        cuts, rest = [], []
-        for a, rlo, rhi in system:
-            c, a = a[j], a[:j]
-            if c < 0:
-                a, rlo, rhi, c = [-v for v in a], -rhi, -rlo, -c
+    system, plan = coeffs, []
+    for j in reversed(range(n)):
+        fixed, cuts, carry, rest = [], [], [], []
+        for i, a in enumerate(system):
+            c, prefix = a[j], a[:j]
             if c == 0:
-                rest.append((a, rlo, rhi))
-            elif any(a):
-                cuts.append((a, rlo, rhi, c))
+                carry.append(i)
+                rest.append(prefix)
+            elif not any(prefix):
+                fixed.append((i, c))
+            elif c < 0:
+                cuts.append((i, True, tuple([-v for v in prefix]), -c))
             else:
-                lo, hi = max(lo, -(-rlo // c)), min(hi, rhi // c)
-        levels.append((lo, hi, cuts))
-        if j:
-            # lo_p <= P.y + p z <= hi_p and lo_q <= Q.y + q z <= hi_q have a real z iff
-            # q lo_p - p hi_q <= (q P - p Q).y <= q hi_p - p lo_q
-            pairs = itertools.combinations([*cuts, ([0] * j, lo, hi, 1)], 2)
-            for (pa, plo, phi, pz), (qa, qlo, qhi, qz) in pairs:
-                rest.append(([qz * u - pz * v for u, v in zip(pa, qa)],
-                             qz * plo - pz * qhi, qz * phi - pz * qlo))
-        system = rest
-    return None if any(lo > 0 or hi < 0 for _, lo, hi in system) else levels[::-1]
+                cuts.append((i, False, prefix, c))
+        pairs = []
+        for (p, (_, _, pa, pz)), (q, (_, _, qa, qz)) in itertools.combinations(enumerate(cuts), 2):
+            pairs.append((p, q, pz, qz))
+            rest.append(tuple([qz * u - pz * v for u, v in zip(pa, qa)]))
+        plan.append((j, tuple(fixed), tuple(cuts), tuple(carry), tuple(pairs)))
+        system = tuple(rest)
+    return tuple(plan)
+
+
+def _levels(box, coeffs, bounds):
+    """Per coordinate j: its range and the cuts (a, lo, hi, c > 0) that ask
+    lo <= a . (x_0..x_(j-1)) + c x_j <= hi (Fincke-Pohst); None if the region is empty.
+
+    The rows are coeffs[i] . x in bounds[i].  The later coordinates are
+    eliminated by pairs of rows (Fourier-Motzkin, planned once per coeffs by
+    `_plan`), so the cuts of x_j are implied by the rows; each input row is
+    enforced exactly at the last coordinate it involves, and the box at
+    every coordinate, so the points do not depend on the derived rows,
+    which only prune prefixes without a real completion.
+    """
+    levels = []
+    for j, fixed, cuts, carry, pairs in _plan(len(box), coeffs):
+        lo, hi = box[j]
+        for i, c in fixed:
+            rlo, rhi = bounds[i]
+            if c < 0:
+                rlo, rhi, c = -rhi, -rlo, -c
+            lo, hi = max(lo, -(-rlo // c)), min(hi, rhi // c)
+        if lo > hi:
+            return None
+        level = [(a, -bounds[i][1], -bounds[i][0], c) if negate else (a, *bounds[i], c)
+                 for i, negate, a, c in cuts]
+        levels.append((lo, hi, level))
+        # lo_p <= P.y + p z <= hi_p and lo_q <= Q.y + q z <= hi_q have a real z iff
+        # q lo_p - p hi_q <= (q P - p Q).y <= q hi_p - p lo_q
+        bounds = [bounds[i] for i in carry]
+        for p, q, pz, qz in pairs:
+            _, plo, phi, _ = level[p]
+            _, qlo, qhi, _ = level[q]
+            bounds.append((qz * plo - pz * qhi, qz * phi - pz * qlo))
+    return None if any(lo > 0 or hi < 0 for lo, hi in bounds) else levels[::-1]
 
 
 def _walk(levels, prefix, congruence) -> Iterator[tuple[int, ...]]:

@@ -481,28 +481,44 @@ def isolate_roots(field: FieldSpec, width: Fraction | None = None) -> RootInterv
     width = Fraction(width)
     if width <= 0:
         raise IllegalParameter("width must be positive")
-
     brackets = _seed_intervals(field) or _sturm_intervals(field)
     refined = [_bisect_to_width(field, lo, hi, width) for lo, hi in brackets]
-    refined.sort(key=lambda iv: iv.lo)
+    return _root_intervals(field, refined, width)
+
+
+def _root_intervals(field: FieldSpec, refined: list[Interval], width: Fraction) -> RootIntervals:
+    """The intervals in the embedding order, after the disjointness check."""
+    refined = sorted(refined, key=lambda iv: iv.lo)
     if field.family is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))
         ordered = (refined[2], refined[0], refined[1])
     else:
         ordered = (refined[2], refined[1], refined[0])
     # disjointness (intervals were separated before refining, keep the check)
-    pairs = sorted(ordered, key=lambda iv: iv.lo)
-    if not (pairs[0].hi < pairs[1].lo and pairs[1].hi < pairs[2].lo):
+    if not (refined[0].hi < refined[1].lo and refined[1].hi < refined[2].lo):
         raise ConsistencyError(f"root intervals of {field} overlap")
     return RootIntervals(field, ordered, width)
 
 
+@lru_cache(maxsize=None)
 def refine_roots(field: FieldSpec, rounds: int) -> RootIntervals:
-    """Isolating intervals after halving the default width `rounds` times."""
+    """Isolating intervals after halving the default width `rounds` times.
+
+    Round 0 is `isolate_roots(field)`; round r bisects on from round r - 1.
+    Bisection is deterministic, so the intervals equal those that
+    `isolate_roots` finds from the brackets for the same width.
+    """
     if rounds > REFINEMENT_CAP:
         raise RefinementLimit(f"refinement cap {REFINEMENT_CAP} exceeded")
+    if rounds < 0:
+        raise IllegalParameter("rounds must be non-negative")
+    if rounds == 0:
+        return isolate_roots(field)
     bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
-    return isolate_roots(field, Fraction(bound, 2 ** (20 + rounds)))
+    width = Fraction(bound, 2 ** (20 + rounds))
+    previous = refine_roots(field, rounds - 1).intervals
+    refined = [_bisect_to_width(field, iv.lo, iv.hi, width) for iv in previous]
+    return _root_intervals(field, refined, width)
 
 
 def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, Interval, Interval]:

@@ -8,8 +8,10 @@ import pytest
 
 from indecomp.errors import GuardExceeded, IllegalRank, UnsupportedFamily
 from indecomp.families import indecomposables_simplest
-from indecomp.codifferent import certificate_delta, fprime_element, pairing_vector
+from indecomp.codifferent import certificate_delta, fprime_element, pairing_vector, trace_pairing
 from indecomp.forms import (
+    _unit_pairing,
+    _unit_power,
     _window_elements,
     decompose_into_indecomposables,
     diagonal_universal,
@@ -147,6 +149,18 @@ def test_descent_reassembles():
         total = total + mul(unit, rec.element)
         assert is_totally_positive(mul(unit, rec.element))
     assert total == al
+
+
+@pytest.mark.parametrize("a", [1, 2, 4])
+def test_descent_pairs_each_unit_once(a):
+    """c_u . coords(e) is the certificate trace Tr(delta * u * e) of every part u * e."""
+    field = make_field(Family.SIMPLEST_CUBIC, a)
+    delta = certificate_delta(field)
+    for j, k in itertools.product(range(-2, 3), repeat=2):
+        c, unit = _unit_pairing(delta, j, k), _unit_power(field, j, k)
+        for rec in indecomposables_simplest(a):
+            phi = sum(u * v for u, v in zip(c, rec.element.coords))
+            assert phi == trace_pairing(delta, mul(unit, rec.element)), (j, k, rec)
 
 
 def test_descent_guards():

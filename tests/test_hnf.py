@@ -3,12 +3,15 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from indecomp import hnf
 from indecomp.errors import DegenerateSpan
+from indecomp.forms import verify_universality_window
 from indecomp.hnf import (
     adjugate,
     hnf_det,
@@ -17,6 +20,7 @@ from indecomp.hnf import (
     parallelepiped_points,
     row_hnf_lower,
 )
+from indecomp.order_kernel import Family, make_field
 
 RNG = random.Random(90210)
 
@@ -245,7 +249,7 @@ def test_parallelepiped_points_match_reference():
 @st.composite
 def _regions(draw):
     """A box, rows of integer coefficient intervals, and maybe an equality c . x = t."""
-    n = draw(st.sampled_from((2, 3)))
+    n = draw(st.sampled_from((1, 2, 3)))
     box = []
     for _ in range(n):
         lo = draw(st.integers(-6, 6))
@@ -266,8 +270,24 @@ def _regions(draw):
     return box, rows, exact, equality
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_regions())
+def _region_cases(test):
+    """Hypothesis-drawn regions plus equalities with c = 0 and with one coordinate."""
+    cases = [
+        ([(0, 1), (0, 1)], [([(1, 1), (0, 0)], -5, 5)], True, ([0, 0], 0)),
+        ([(0, 1), (0, 1)], [([(1, 1), (0, 0)], -5, 5)], True, ([0, 0], 1)),
+        ([(-2, 2), (0, 3), (1, 1)], [([(1, 2), (0, 1), (1, 1)], -4, 4)], False, ([0, 0, 0], 0)),
+        ([(-2, 2), (0, 3), (1, 1)], [([(1, 2), (0, 1), (1, 1)], -4, 4)], False, ([0, 0, 0], 1)),
+        ([(0, 2)], [([(1, 1)], -9, 9)], True, ([2], 2)),
+        ([(0, 2)], [([(1, 1)], -9, 9)], True, ([2], 3)),
+        ([(-3, 3)], [([(-2, 1)], -1, 2)], False, ([-1], 2)),
+    ]
+    test = given(_regions())(test)
+    for region in cases:
+        test = example(region)(test)
+    return settings(max_examples=400, deadline=None, derandomize=True, database=None)(test)
+
+
+@_region_cases
 def test_lattice_points_match_a_box_scan(region):
     box, rows, exact, equality = region
     got = list(lattice_points(box, rows, equality))
@@ -285,3 +305,69 @@ def test_lattice_points_match_a_box_scan(region):
         assert sorted(got) == meets
     if equality is None:
         assert got == sorted(got)
+
+
+def test_equality_edge_cases():
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(lattice_points([(0, 1), (0, 1)], [], ([0, 0], 0))) == square
+    assert list(lattice_points([(0, 1), (0, 1)], [], ([0, 0], 1))) == []
+    assert list(lattice_points([(0, 2)], [], ([2], 2))) == [(1,)]
+    assert list(lattice_points([(0, 2)], [], ([2], 3))) == []
+    assert list(lattice_points([(0, 2)], [], ([-2], -6))) == []
+
+
+def _levels_reference(box, rows):
+    """The uncached elimination that also pairs each level's box row with the cuts.
+
+    Per coordinate j: its range and the cuts (a, lo, hi, c > 0) that ask
+    lo <= a . (x_0..x_(j-1)) + c x_j <= hi; None if a constant row fails.
+    """
+    system, levels = rows, []
+    for j in reversed(range(len(box))):
+        lo, hi = box[j]
+        cuts, rest = [], []
+        for a, rlo, rhi in system:
+            c, a = a[j], a[:j]
+            if c < 0:
+                a, rlo, rhi, c = [-v for v in a], -rhi, -rlo, -c
+            if c == 0:
+                rest.append((a, rlo, rhi))
+            elif any(a):
+                cuts.append((a, rlo, rhi, c))
+            else:
+                lo, hi = max(lo, -(-rlo // c)), min(hi, rhi // c)
+        levels.append((lo, hi, cuts))
+        if j:
+            # lo_p <= P.y + p z <= hi_p and lo_q <= Q.y + q z <= hi_q have a real z iff
+            # q lo_p - p hi_q <= (q P - p Q).y <= q hi_p - p lo_q
+            pairs = itertools.combinations([*cuts, ([0] * j, lo, hi, 1)], 2)
+            for (pa, plo, phi, pz), (qa, qlo, qhi, qz) in pairs:
+                rest.append(([qz * u - pz * v for u, v in zip(pa, qa)],
+                             qz * plo - pz * qhi, qz * phi - pz * qlo))
+        system = rest
+    return None if any(lo > 0 or hi < 0 for _, lo, hi in system) else levels[::-1]
+
+
+@_region_cases
+def test_cached_elimination_matches_the_reference(region):
+    """The planned elimination gives the same points, in the same order, as
+    the reference levels (which also pair the box rows) on the same rows."""
+    box, rows, _, equality = region
+    got = list(lattice_points(box, rows, equality))
+
+    def reference(box, coeffs, bounds):
+        return _levels_reference(box, [(list(a), lo, hi) for a, (lo, hi) in zip(coeffs, bounds)])
+
+    with mock.patch.object(hnf, "_levels", reference):
+        want = list(lattice_points(box, rows, equality))
+    assert got == want
+
+
+def test_the_window_search_builds_few_elimination_plans():
+    """Work counter: plans depend only on the coefficient rows, so a
+    universality window reuses a handful of them over many searches."""
+    hnf._plan.cache_clear()
+    report = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 2), 4)
+    assert report.checked > 0 and not report.failures
+    info = hnf._plan.cache_info()
+    assert info.misses <= 8 and info.hits >= 1000, info

@@ -18,10 +18,12 @@ from indecomp.errors import (
     NotGalois,
     NotTotallyReal,
     Reducible,
+    RefinementLimit,
     ZeroElement,
 )
 from indecomp.norms import ideal_hnf
 from indecomp.order_kernel import (
+    REFINEMENT_CAP,
     Family,
     FieldSpec,
     OrderElement,
@@ -38,6 +40,7 @@ from indecomp.order_kernel import (
     multiplication_matrix,
     norm,
     one,
+    refine_roots,
     rho,
     sym_funcs,
     trace,
@@ -224,6 +227,50 @@ def test_root_isolation_generic_descending():
         # sign change across each interval
         for iv in ri.intervals:
             assert f.poly_eval(iv.lo) * f.poly_eval(iv.hi) < 0
+
+
+_REFINED_FAMILIES = [
+    *((Family.SIMPLEST_CUBIC, a) for a in range(-1, 31)),
+    *((Family.ENNOLA, a) for a in range(3, 12)),
+    *((Family.THOMAS, a) for a in range(2, 12)),
+]
+
+
+@pytest.mark.parametrize("family, a", _REFINED_FAMILIES)
+def test_incremental_refinement_equals_cold_isolation(family, a):
+    """Round r bisects on from round r - 1 and lands where a cold bisection does."""
+    f = make_field(family, a)
+    bound = 1 + max(abs(f.c2), abs(f.c1), abs(f.c0))
+    for rounds in range(31):
+        cold = isolate_roots.__wrapped__(f, Fraction(bound, 2 ** (20 + rounds)))
+        assert refine_roots(f, rounds) == cold, rounds
+
+
+def test_refinement_round_zero_reuses_the_isolation(monkeypatch):
+    """Work counter: refine_roots(f, 0) is isolate_roots(f), and each later
+    round bisects each root once more from the round before."""
+    from indecomp import order_kernel
+
+    calls = [0]
+    original = order_kernel._bisect_to_width
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(order_kernel, "_bisect_to_width", counting)
+    f = make_field(Family.SIMPLEST_CUBIC, 977)  # a field no other test refines
+    r0 = isolate_roots(f)
+    assert calls[0] == 3
+    assert refine_roots(f, 0) is r0 and calls[0] == 3
+    refine_roots(f, 5)
+    assert calls[0] == 3 + 3 * 5
+    refine_roots(f, REFINEMENT_CAP)
+    assert calls[0] == 3 + 3 * REFINEMENT_CAP
+    with pytest.raises(RefinementLimit):
+        refine_roots(f, REFINEMENT_CAP + 1)
+    with pytest.raises(IllegalParameter):
+        refine_roots(f, -1)
 
 
 def test_embed_examples():
