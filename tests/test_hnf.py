@@ -314,6 +314,8 @@ def test_equality_edge_cases():
     assert list(lattice_points([(0, 2)], [], ([2], 2))) == [(1,)]
     assert list(lattice_points([(0, 2)], [], ([2], 3))) == []
     assert list(lattice_points([(0, 2)], [], ([-2], -6))) == []
+    # an empty row stays empty after the equality eliminates a coordinate
+    assert list(lattice_points([(0, 3), (0, 3)], [([(1, 1), (0, 0)], 2, 1)], ([1, 1], 3))) == []
 
 
 def _levels_reference(box, rows):
