@@ -79,9 +79,9 @@ def _open(path, mode="r", **kwargs):
 def _emit(payload: dict, args, rows=None, header=None) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if getattr(args, "json", None):
+        text = json.dumps(payload, indent=2) + "\n"  # one write, not one per token
         with _open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     if getattr(args, "csv", None) and rows is not None:
         with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -169,6 +169,17 @@ def cmd_indecomposables(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _coords(text: str) -> tuple[int, int, int]:
     """argparse type of --elem: exactly three comma-separated integers."""
     try:
@@ -226,8 +237,9 @@ def cmd_sq_table(args) -> int:
     ]
     done = _read_resume(args.resume) if args.resume and os.path.exists(args.resume) else {}
     todo = [a for a in targets if a not in done]
-    if args.threads > 1 and todo:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = min(args.threads, len(todo))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for a, sq in pool.map(_sq_row, todo):
                 done[a] = sq
                 _write_resume(args.resume, done)
@@ -263,9 +275,9 @@ def _read_resume(path) -> dict[int, int]:
 def _write_resume(path, done) -> None:
     if not path:
         return
+    text = json.dumps({str(k): v for k, v in sorted(done.items())}, indent=0) + "\n"
     with _open(path, "w") as fh:
-        json.dump({str(k): v for k, v in sorted(done.items())}, fh, indent=0)
-        fh.write("\n")
+        fh.write(text)
 
 
 def cmd_bounds(args) -> int:
@@ -389,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sq-table", help="squarefree-norm counts over certified a")
     p.add_argument("--a-min", type=int, default=-1)
     p.add_argument("--a-max", type=int, default=50)
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default: 1)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes, at most one per row to compute (default: 1)")
     p.add_argument("--resume", metavar="PATH", help="JSON checkpoint of completed rows")
     add_exports(p)
     p.set_defaults(func=cmd_sq_table)

@@ -7,11 +7,12 @@ totally positive unit) is affine in these coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .codifferent import CodifferentElement, certificate_delta, trace_pairing
+from .codifferent import CodifferentElement, certificate_delta, pairing_vector
 from .errors import (
     ConsistencyError,
     FieldMismatch,
@@ -130,11 +131,16 @@ class IndecomposableRecord:
     certificate: Optional[tuple[CodifferentElement, int]]
 
 
-def _record(element, kind, index, cert_delta=None):
+def _certifier(delta: CodifferentElement):
+    """(delta, c) with Tr(delta * x) = c . coords(x), paired once per inventory."""
+    return delta, pairing_vector(delta)
+
+
+def _record(element, kind, index, certifier=None):
     cert = None
-    if cert_delta is not None:
-        t = trace_pairing(cert_delta, element)
-        cert = (cert_delta, t)
+    if certifier is not None:
+        delta, c = certifier
+        cert = (delta, sum(map(operator.mul, c, element.coords)))
     return IndecomposableRecord(element, kind, index, cert)
 
 
@@ -142,15 +148,15 @@ def _record(element, kind, index, cert_delta=None):
 def indecomposables_simplest(a: int) -> tuple[IndecomposableRecord, ...]:
     """1, 1+rho+rho^2, and the triangle; (a^2+3a+6)/2 records in total."""
     field = make_field(Family.SIMPLEST_CUBIC, a)
-    delta = certificate_delta(field)
+    cert = _certifier(certificate_delta(field))
     records = [
-        _record(one(field), KIND_UNIT, (), delta),
-        _record(elem(field, 1, 1, 1), KIND_EXCEPTIONAL, (), delta),
+        _record(one(field), KIND_UNIT, (), cert),
+        _record(elem(field, 1, 1, 1), KIND_EXCEPTIONAL, (), cert),
     ]
     for v in range(0, a + 1):
         for W in range(0, a - v + 1):
             p = TrianglePoint(v, W)
-            records.append(_record(triangle_element(field, p), KIND_TRIANGLE, (v, W), delta))
+            records.append(_record(triangle_element(field, p), KIND_TRIANGLE, (v, W), cert))
     if 2 * len(records) != a * a + 3 * a + 6:
         raise ConsistencyError(f"{len(records)} records, expected (a^2+3a+6)/2")
     return tuple(records)
@@ -160,10 +166,10 @@ def indecomposables_simplest(a: int) -> tuple[IndecomposableRecord, ...]:
 def indecomposables_ennola(a: int) -> tuple[IndecomposableRecord, ...]:
     """1 and 1 + w*rho + rho^2 for 1 <= w <= a-1."""
     field = make_field(Family.ENNOLA, a)
-    delta = certificate_delta(field)
-    records = [_record(one(field), KIND_UNIT, (), delta)]
+    cert = _certifier(certificate_delta(field))
+    records = [_record(one(field), KIND_UNIT, (), cert)]
     for w in range(1, a):
-        records.append(_record(elem(field, 1, w, 1), KIND_ENNOLA_ROW, (w,), delta))
+        records.append(_record(elem(field, 1, w, 1), KIND_ENNOLA_ROW, (w,), cert))
     return tuple(records)
 
 
@@ -177,10 +183,10 @@ def indecomposables_thomas(a: int) -> tuple[IndecomposableRecord, ...]:
     ]
     for v in range(1, a):
         records.append(_record(elem(field, 0, (a + 2) * v + 1, -v), KIND_THOMAS_ROW1, (v,)))
-    delta2 = _thomas_row2_delta(a)
+    cert2 = _certifier(_thomas_row2_delta(a))
     for w in range(a, 2 * a):
         records.append(
-            _record(elem(field, -1, (a + 2) * w + 1, -w), KIND_THOMAS_ROW2, (w,), delta2)
+            _record(elem(field, -1, (a + 2) * w + 1, -w), KIND_THOMAS_ROW2, (w,), cert2)
         )
     if len(records) != 2 * a + 1:
         raise ConsistencyError(f"{len(records)} records, expected 2a+1")

@@ -107,7 +107,7 @@ def is_squarefree(n: int) -> bool:
     d = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     w = 0
-    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
+    while d * d * d <= n and d <= TRIAL_DIVISION_BOUND:
         if n % d == 0:
             n //= d
             if n % d == 0:
@@ -116,8 +116,10 @@ def is_squarefree(n: int) -> bool:
         w = (w + 1) % 8
     if n == 1:
         return True
-    if d * d > n:
-        return True  # remaining cofactor is prime
+    if d * d * d > n:
+        # every prime factor of n is >= d, so n is p, p*q or p^2
+        r = math.isqrt(n)
+        return r * r != n
     return all(e == 1 for e in factorize(n).values())
 
 

@@ -13,6 +13,7 @@ the one enumerator, `hnf.lattice_points`.  No search step uses a float."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -22,6 +23,7 @@ from .codifferent import (
     dual_pairing_vector,
     fprime_element,
     is_totally_positive_codiff,
+    pairing_vector,
     trace_pairing,
 )
 from .errors import (
@@ -243,9 +245,13 @@ def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> Codifferen
     """One totally positive delta with Tr(delta*e) = t for every listed element."""
     if not elements:
         raise IllegalParameter("need at least one element")
+    field = elements[0].field
+    if any(e.field is not field and e.field != field for e in elements[1:]):
+        raise FieldMismatch("shared trace witness over elements of different fields")
     for gamma in _trace_slice(elements[0], t):
         delta = CodifferentElement(gamma)
-        if all(trace_pairing(delta, e) == t for e in elements[1:]):
+        c = pairing_vector(delta)
+        if all(sum(map(operator.mul, c, e.coords)) == t for e in elements[1:]):
             return delta
     raise CertificateFailure(f"no shared totally positive trace-{t} witness")
 

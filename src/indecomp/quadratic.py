@@ -16,7 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .codifferent import CodifferentElement, is_totally_positive_codiff, trace_pairing
+from .codifferent import (
+    CodifferentElement,
+    is_totally_positive_codiff,
+    pairing_vector,
+    trace_pairing,
+)
 from .errors import (
     CertificateFailure,
     ConsistencyError,
@@ -222,10 +227,19 @@ def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
 
 
 def _delta_checks(delta: CodifferentElement, i: int) -> bool:
-    """Tr(alpha_{i,r} * delta) = 1 for all 0 <= r <= u_{i+2}, and delta >> 0."""
+    """Tr(alpha_{i,r} * delta) = 1 for all 0 <= r <= u_{i+2}, and delta >> 0.
+
+    alpha_{i,r} = alpha_i + r*alpha_{i+1}, so its trace is t_i + r*t_{i+1},
+    with t_j the pairing of delta with the convergent (p_j, q_j).
+    """
     cf = cf_expand(delta.field.D)
+    c0, c1 = pairing_vector(delta)
+    p, q = cf.convergent_pair(i)
+    t_i = c0 * p + c1 * q
+    p, q = cf.convergent_pair(i + 1)
+    t_next = c0 * p + c1 * q
     for r in range(0, cf.u(i + 2) + 1):
-        if trace_pairing(delta, semiconvergent(delta.field.D, i, r)) != 1:
+        if t_i + r * t_next != 1:
             return False
     return is_totally_positive_codiff(delta)
 

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from indecomp import codifferent
 from indecomp.codifferent import (
     CodifferentElement,
     MonogenicityStatus,
@@ -22,6 +23,7 @@ from indecomp.codifferent import (
     trace_pairing,
 )
 from indecomp.errors import IndecompError, UnsupportedFamily, ZeroElement
+from indecomp.families import indecomposables_simplest
 from indecomp.order_kernel import (
     Family,
     OrderElement,
@@ -34,7 +36,7 @@ from indecomp.order_kernel import (
     rho,
     make_custom_field,
 )
-from indecomp.quadratic import make_quad_field
+from indecomp.quadratic import make_quad_field, trace_one_delta
 
 RNG = random.Random(555001)
 
@@ -170,6 +172,25 @@ def test_monogenicity_certificate():
     assert set(range(-1, 51)) - set(certified) == {3, 5, 12, 21, 30, 39, 41, 48}
     with pytest.raises(UnsupportedFamily):
         monogenicity_certificate(make_field(Family.ENNOLA, 3))
+
+
+def test_one_pairing_vector_per_certificate(monkeypatch):
+    """A loop that pairs one delta with many elements builds its vector once."""
+    certificate_delta(make_field(Family.SIMPLEST_CUBIC, 40))  # its own checks pair 3 times
+    calls = []
+    inner = codifferent.dual_pairing_vector
+
+    def counting(field, x):
+        calls.append(x)
+        return inner(field, x)
+
+    monkeypatch.setattr(codifferent, "dual_pairing_vector", counting)
+    indecomposables_simplest.cache_clear()
+    assert len(indecomposables_simplest(40)) == 863
+    assert len(calls) == 1
+    calls.clear()
+    trace_one_delta(94, 1)  # u_3 + 1 = 4 semiconvergents
+    assert len(calls) == 1
 
 
 def test_certificate_delta_unsupported():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from indecomp.codifferent import trace_pairing
 from indecomp.errors import (
     DegenerateSpan,
     IllegalParameter,
@@ -256,3 +257,21 @@ def test_thomas_inventory():
 def test_in_triangle_helper():
     assert in_triangle(5, TrianglePoint(0, 5))
     assert not in_triangle(5, TrianglePoint(1, 5))
+
+
+@pytest.mark.parametrize(
+    "inventory, params",
+    [
+        (indecomposables_simplest, range(-1, 31)),
+        (indecomposables_ennola, range(3, 13)),
+        (indecomposables_thomas, range(2, 7)),
+    ],
+    ids=["simplest", "ennola", "thomas"],
+)
+def test_record_certificates_equal_trace_pairing(inventory, params):
+    for a in params:
+        certified = [rec for rec in inventory(a) if rec.certificate is not None]
+        assert certified
+        for rec in certified:
+            delta, t = rec.certificate
+            assert t == trace_pairing(delta, rec.element), (a, rec)

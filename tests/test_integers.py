@@ -98,3 +98,47 @@ def test_squarefree_around_the_trial_division_bound(n):
     want = sympy.factorint(n)
     assert factorize(n) == want
     assert is_squarefree(n) == all(e == 1 for e in want.values())
+
+
+def _sympy_squarefree(n):
+    return all(e == 1 for e in sympy.factorint(n).values())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 10**5),
+    st.integers(1, 60),
+    st.sampled_from(["p^2", "p*q near p^3", "p*q", "p^2*q near p^3", "cube"]),
+)
+def test_squarefree_around_the_cube_root_cut(k, j, shape):
+    """Trial division stops once d^3 > n; the cofactor is then p, p*q or p^2."""
+    p = sympy.nextprime(k)
+    if shape == "p^2":
+        n = p * p
+    elif shape == "p*q near p^3":  # p just above n^(1/3)
+        n = p * sympy.prevprime(p * p - j)
+    elif shape == "p*q":
+        n = p * sympy.nextprime(p + j)
+    elif shape == "p^2*q near p^3":  # q just below n^(1/3) < p
+        n = p * p * sympy.prevprime(max(p - j, 3))
+    else:
+        n = k**3
+    assert is_squarefree(n) == _sympy_squarefree(n)
+    assert is_squarefree(-n) == is_squarefree(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        999999937 * 1000000007,  # just below 10^18: the cube-root cut ends trial division
+        1000003**3 - 1,
+        1000003**3,  # the trial-division bound hands off to factorize
+        1000000007**2,
+        sympy.nextprime(1000005000) ** 2,
+        999983**2 * 1000003,
+        1000003**2 * 1000033,
+        10**18 + 9,
+    ],
+)
+def test_squarefree_near_ten_to_the_eighteen(n):
+    assert is_squarefree(n) == _sympy_squarefree(n)

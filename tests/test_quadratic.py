@@ -17,9 +17,11 @@ from indecomp.errors import (
     NotSquarefree,
     IllegalParameter,
 )
+from indecomp.integers import is_squarefree
 from indecomp.oracle import inventories_match
 from indecomp.order_kernel import elem, is_totally_positive, norm, trace
 from indecomp.quadratic import (
+    _delta_checks,
     cf_expand,
     conj,
     decompose_quadratic,
@@ -181,6 +183,33 @@ def test_trace_one_delta_all_odd_indices():
                 assert trace_pairing(delta, semiconvergent(D, i, r)) == 1
     with pytest.raises(IndexOutOfRange):
         trace_one_delta(2, 0)
+
+
+def _delta_checks_reference(delta, i):
+    """The per-semiconvergent loop: one trace pairing with each alpha_{i,r}."""
+    cf = cf_expand(delta.field.D)
+    for r in range(0, cf.u(i + 2) + 1):
+        if trace_pairing(delta, semiconvergent(delta.field.D, i, r)) != 1:
+            return False
+    return is_totally_positive_codiff(delta)
+
+
+def test_delta_checks_match_the_per_semiconvergent_loop():
+    for D in range(2, 501):
+        if not is_squarefree(D):
+            continue
+        cf = cf_expand(D)
+        field = cf.field
+        for i in range(-1, 2 * cf.period_length, 2):
+            p, q = cf.convergent_pair(i + 1)
+            g0 = -p - q if field.one_mod_four else -p
+            delta = CodifferentElement(elem(field, g0, q))
+            assert (_delta_checks(delta, i), _delta_checks_reference(delta, i)) == (True, True)
+            perturbed = CodifferentElement(elem(field, g0 + 1, q))
+            assert (_delta_checks(perturbed, i), _delta_checks_reference(perturbed, i)) == (
+                False,
+                False,
+            ), (D, i)
 
 
 def test_trace_one_delta_d2_explicit():
