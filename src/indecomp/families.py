@@ -131,16 +131,12 @@ class IndecomposableRecord:
     certificate: Optional[tuple[CodifferentElement, int]]
 
 
-def _certifier(delta: CodifferentElement):
-    """(delta, c) with Tr(delta * x) = c . coords(x), paired once per inventory."""
-    return delta, pairing_vector(delta)
-
-
 def _record(element, kind, index, certifier=None):
+    """certifier = (delta, c) with c = pairing_vector(delta), built once per inventory."""
     cert = None
     if certifier is not None:
         delta, c = certifier
-        cert = (delta, sum(map(operator.mul, c, element.coords)))
+        cert = (delta, sum(map(operator.mul, c, element.coords)))  # Tr(delta * element)
     return IndecomposableRecord(element, kind, index, cert)
 
 
@@ -148,7 +144,8 @@ def _record(element, kind, index, certifier=None):
 def indecomposables_simplest(a: int) -> tuple[IndecomposableRecord, ...]:
     """1, 1+rho+rho^2, and the triangle; (a^2+3a+6)/2 records in total."""
     field = make_field(Family.SIMPLEST_CUBIC, a)
-    cert = _certifier(certificate_delta(field))
+    delta = certificate_delta(field)
+    cert = (delta, pairing_vector(delta))
     records = [
         _record(one(field), KIND_UNIT, (), cert),
         _record(elem(field, 1, 1, 1), KIND_EXCEPTIONAL, (), cert),
@@ -166,7 +163,8 @@ def indecomposables_simplest(a: int) -> tuple[IndecomposableRecord, ...]:
 def indecomposables_ennola(a: int) -> tuple[IndecomposableRecord, ...]:
     """1 and 1 + w*rho + rho^2 for 1 <= w <= a-1."""
     field = make_field(Family.ENNOLA, a)
-    cert = _certifier(certificate_delta(field))
+    delta = certificate_delta(field)
+    cert = (delta, pairing_vector(delta))
     records = [_record(one(field), KIND_UNIT, (), cert)]
     for w in range(1, a):
         records.append(_record(elem(field, 1, w, 1), KIND_ENNOLA_ROW, (w,), cert))
@@ -183,7 +181,8 @@ def indecomposables_thomas(a: int) -> tuple[IndecomposableRecord, ...]:
     ]
     for v in range(1, a):
         records.append(_record(elem(field, 0, (a + 2) * v + 1, -v), KIND_THOMAS_ROW1, (v,)))
-    cert2 = _certifier(_thomas_row2_delta(a))
+    delta2 = _thomas_row2_delta(a)
+    cert2 = (delta2, pairing_vector(delta2))
     for w in range(a, 2 * a):
         records.append(
             _record(elem(field, -1, (a + 2) * w + 1, -w), KIND_THOMAS_ROW2, (w,), cert2)
