@@ -58,54 +58,54 @@ def test_sq_table_resume_and_threads(tmp_path):
     assert saved["4"] == 17
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and starts nothing."""
-
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every pool sq-table asks for; the stand-in starts no process."""
     sizes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+        def __enter__(self):
+            return self
 
-    def __exit__(self, *exc):
-        return False
+        def __exit__(self, *exc):
+            return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
-def test_sq_table_pool_is_sized_by_the_rows_to_compute(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+def test_sq_table_pool_is_sized_by_the_rows_to_compute(tmp_path, pool_sizes, capsys):
     golden = (Path(__file__).parent / "golden" / "sq-table.out").read_text()
     # 11 certified a in [-1, 12]: a pool of 5000 workers is cut to 11
     assert main(["sq-table", "--a-min", "-1", "--a-max", "12", "--threads", "5000"]) == EXIT_OK
     assert capsys.readouterr().out == golden
     assert main(["sq-table", "--a-min", "-1", "--a-max", "12", "--threads", "3"]) == EXIT_OK
     assert capsys.readouterr().out == golden
-    assert _RecordingPool.sizes == [11, 3]
+    assert pool_sizes == [11, 3]
     # one row left to compute runs in this process
     resume = tmp_path / "resume.json"
     resume.write_text('{"-1": 2, "0": 2, "1": 5}\n')
     args = ["sq-table", "--a-min", "-1", "--a-max", "2", "--resume", str(resume)]
     assert main(args + ["--threads", "64"]) == EXIT_OK
     assert main(args + ["--threads", "64"]) == EXIT_OK  # nothing left to compute
-    assert _RecordingPool.sizes == [11, 3]
+    assert pool_sizes == [11, 3]
     assert json.loads(resume.read_text()) == {"-1": 2, "0": 2, "1": 5, "2": 8}
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5"])
-def test_sq_table_threads_below_one_is_usage_error(threads, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+def test_sq_table_threads_below_one_is_usage_error(threads, pool_sizes, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sq-table", "--a-min", "-1", "--a-max", "2", "--threads", threads])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--threads" in err and "Traceback" not in err
-    assert _RecordingPool.sizes == []
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize(

@@ -204,12 +204,11 @@ def test_delta_checks_match_the_per_semiconvergent_loop():
             p, q = cf.convergent_pair(i + 1)
             g0 = -p - q if field.one_mod_four else -p
             delta = CodifferentElement(elem(field, g0, q))
-            assert (_delta_checks(delta, i), _delta_checks_reference(delta, i)) == (True, True)
+            got = (_delta_checks(delta, i), _delta_checks_reference(delta, i))
+            assert got == (True, True), (D, i)
             perturbed = CodifferentElement(elem(field, g0 + 1, q))
-            assert (_delta_checks(perturbed, i), _delta_checks_reference(perturbed, i)) == (
-                False,
-                False,
-            ), (D, i)
+            got = (_delta_checks(perturbed, i), _delta_checks_reference(perturbed, i))
+            assert got == (False, False), (D, i)
 
 
 def test_trace_one_delta_d2_explicit():
