@@ -79,7 +79,7 @@ def _open(path, mode="r", **kwargs):
 def _emit(payload: dict, args, rows=None, header=None) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if getattr(args, "json", None):
-        text = json.dumps(payload, indent=2) + "\n"  # one write, not one per token
+        text = json.dumps(payload, indent=2) + "\n"
         with _open(args.json, "w") as fh:
             fh.write(text)
     if getattr(args, "csv", None) and rows is not None:

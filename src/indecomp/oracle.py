@@ -246,12 +246,15 @@ def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> Codifferen
     if not elements:
         raise IllegalParameter("need at least one element")
     field = elements[0].field
-    if any(e.field is not field and e.field != field for e in elements[1:]):
-        raise FieldMismatch("shared trace witness over elements of different fields")
     for gamma in _trace_slice(elements[0], t):
         delta = CodifferentElement(gamma)
         c = pairing_vector(delta)
-        if all(sum(map(operator.mul, c, e.coords)) == t for e in elements[1:]):
+        for e in elements[1:]:
+            if e.field is not field and e.field != field:
+                raise FieldMismatch("codifferent element and order element fields differ")
+            if sum(map(operator.mul, c, e.coords)) != t:
+                break
+        else:
             return delta
     raise CertificateFailure(f"no shared totally positive trace-{t} witness")
 

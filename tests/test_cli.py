@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exporters, exit codes, determinism."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -44,18 +45,27 @@ def test_sq_table_first_block(tmp_path):
     assert got == {-1: 2, 0: 2, 1: 5, 2: 8, 4: 17, 6: 22, 7: 38, 8: 47, 9: 46, 10: 68, 11: 59}
 
 
-def test_sq_table_resume_and_threads(tmp_path):
+def test_sq_table_resume_and_threads(tmp_path, monkeypatch):
     resume = tmp_path / "resume.json"
     assert main(["sq-table", "--a-min", "-1", "--a-max", "2", "--resume", str(resume)]) == EXIT_OK
     saved = json.loads(resume.read_text())
     assert saved == {"-1": 2, "0": 2, "1": 5, "2": 8}
-    # stale entries are reused, threads > 1 exercises the pool path
+    # stale entries are reused; a = 4 and a = 6 are left, so --threads 2 runs a real pool
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert main(
-        ["sq-table", "--a-min", "-1", "--a-max", "4", "--resume", str(resume),
+        ["sq-table", "--a-min", "-1", "--a-max", "6", "--resume", str(resume),
          "--threads", "2"]
     ) == EXIT_OK
+    assert sizes == [2]
     saved = json.loads(resume.read_text())
-    assert saved["4"] == 17
+    assert saved == {"-1": 2, "0": 2, "1": 5, "2": 8, "4": 17, "6": 22}
 
 
 @pytest.fixture
