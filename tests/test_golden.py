@@ -22,6 +22,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "field-info": (["field-info", "--family", "ennola", "--a", "4"], False),
+    # root intervals from the simplest-family seeds (a >= 7)
+    "field-info-simplest50": (["field-info", "--family", "simplest", "--a", "50"], False),
+    # root intervals from the bracket search of [-B, B]
+    "field-info-thomas9": (["field-info", "--family", "thomas", "--a", "9"], False),
     "indecomposables": (
         ["indecomposables", "--family", "simplest", "--a", "4", "--verify-oracle"],
         True,
