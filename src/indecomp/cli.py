@@ -26,11 +26,7 @@ from .errors import (
     NonIntegralTrace,
     RefinementLimit,
 )
-from .families import (
-    indecomposables_ennola,
-    indecomposables_simplest,
-    indecomposables_thomas,
-)
+from .families import inventory
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -48,13 +44,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
-
-_FAMILIES = {
-    "simplest": Family.SIMPLEST_CUBIC,
-    "ennola": Family.ENNOLA,
-    "thomas": Family.THOMAS,
-}
-
 
 def element_json(el: OrderElement) -> dict:
     return {
@@ -91,7 +80,7 @@ def _emit(payload: dict, args, rows=None, header=None) -> None:
 
 
 def _field(args) -> FieldSpec:
-    return make_field(_FAMILIES[args.family], args.a)
+    return make_field(Family(args.family), args.a)
 
 
 def cmd_field_info(args) -> int:
@@ -124,12 +113,7 @@ def cmd_field_info(args) -> int:
 
 def cmd_indecomposables(args) -> int:
     field = _field(args)
-    if field.family is Family.SIMPLEST_CUBIC:
-        records = indecomposables_simplest(args.a)
-    elif field.family is Family.ENNOLA:
-        records = indecomposables_ennola(args.a)
-    else:
-        records = indecomposables_thomas(args.a)
+    records = inventory(field)
     rows = []
     for rec in records:
         cert = ""
@@ -364,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
-        p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+        named = sorted(f.value for f in Family if f is not Family.CUSTOM_CUBIC)
+        p.add_argument("--family", choices=named, required=True)
         p.add_argument("--a", type=int, required=True)
 
     def add_exports(p):

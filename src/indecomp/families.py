@@ -20,6 +20,7 @@ from .errors import (
     OutOfDomain,
     OutOfRange,
     OutOfTriangle,
+    UnsupportedFamily,
 )
 from .hnf import parallelepiped_points
 from .order_kernel import (
@@ -193,6 +194,17 @@ def indecomposables_thomas(a: int) -> tuple[IndecomposableRecord, ...]:
         if not is_totally_positive(rec.element):
             raise ConsistencyError(f"{rec} is not totally positive")
     return tuple(records)
+
+
+def inventory(field: FieldSpec) -> tuple[IndecomposableRecord, ...]:
+    """The closed-form inventory of a field of one of the three families."""
+    if field.family is Family.SIMPLEST_CUBIC:
+        return indecomposables_simplest(field.a)
+    if field.family is Family.ENNOLA:
+        return indecomposables_ennola(field.a)
+    if field.family is Family.THOMAS:
+        return indecomposables_thomas(field.a)
+    raise UnsupportedFamily("no inventory for custom cubics")
 
 
 @lru_cache(maxsize=None)

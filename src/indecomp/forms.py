@@ -31,9 +31,8 @@ from .families import (
     KIND_TRIANGLE,
     KIND_UNIT,
     IndecomposableRecord,
-    indecomposables_ennola,
     indecomposables_simplest,
-    indecomposables_thomas,
+    inventory,
 )
 from .oracle import _context, region_points
 from .order_kernel import (
@@ -150,14 +149,7 @@ def diagonal_universal(field: FieldSpec) -> DiagonalForm:
     Every indecomposable class representative modulo unit squares is
     repeated s = 6 times (the cubic Pythagoras cap).
     """
-    if field.family is Family.SIMPLEST_CUBIC:
-        records = indecomposables_simplest(field.a)
-    elif field.family is Family.ENNOLA:
-        records = indecomposables_ennola(field.a)
-    elif field.family is Family.THOMAS:
-        records = indecomposables_thomas(field.a)
-    else:
-        raise UnsupportedFamily("no inventory for custom cubics")
+    records = inventory(field)
     classes = tp_unit_square_classes(field)
     coeffs = []
     for rec in records:
@@ -211,33 +203,12 @@ def rank_report(field: FieldSpec) -> RankReport:
         return RankReport(
             field.family.value, a, n, m, s_count, upper, lower_classical, lower_diag, nc, nc_exact
         )
-    if field.family is Family.ENNOLA:
-        m = a - 1
+    if field.family in (Family.ENNOLA, Family.THOMAS):
+        # Thomas: the second-row elements share a trace-two certificate
+        m, s_count = (a - 1, a) if field.family is Family.ENNOLA else (a, 2 * a + 1)
+        lower_diag = -(-m // minimal_vector_bound(3))
         return RankReport(
-            field.family.value,
-            a,
-            None,
-            m,
-            a,
-            12 * a,
-            None,
-            -(-m // minimal_vector_bound(3)),
-            None,
-            None,
-        )
-    if field.family is Family.THOMAS:
-        m = a  # second-row elements share a trace-two certificate
-        return RankReport(
-            field.family.value,
-            a,
-            None,
-            m,
-            2 * a + 1,
-            12 * (2 * a + 1),
-            None,
-            -(-m // minimal_vector_bound(3)),
-            None,
-            None,
+            field.family.value, a, None, m, s_count, 12 * s_count, None, lower_diag, None, None
         )
     raise UnsupportedFamily("rank report only for the named families")
 

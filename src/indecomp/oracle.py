@@ -41,6 +41,7 @@ from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
     OrderElement,
+    embedding_rows,
     is_totally_positive,
     multiplication_matrix,
     norm,
@@ -76,7 +77,7 @@ def _outward(iv: Interval, k: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
-    """The context from `embedding_rows(rounds)`; None until f' is sign-definite.
+    """The context from `embedding_rows(field, rounds)`; None until f' is sign-definite.
 
     field is a cubic FieldSpec or a QuadField: only field.minpoly and the
     interval embedding matrix of (1, rho, ...) are used.  The exact rational
@@ -87,7 +88,7 @@ def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
     d = len(c) - 1
     # synthetic division b_(d-1) = 1, b_(j-1) = rho*b_j + c_j: b_j = sum_k c_(j+1+k) rho^k
     numerators = [c[j + 1 :] + (0,) * j for j in range(d)]
-    rows = field.embedding_rows(rounds)
+    rows = embedding_rows(field, rounds)
     fp = _enclose(rows, [(m + 1) * c[m + 1] for m in range(d)])  # f'(rho) = sum_j b_j rho^j
     if not all(iv.sign_definite() for iv in fp):
         return None

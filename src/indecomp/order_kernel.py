@@ -2,7 +2,8 @@
 
 One element type serves both degrees; the coordinate count d is the degree
 of the field's minimal polynomial, and the kernel keeps one closed form per
-degree.  Root isolation, conjugation and units are for the cubic families.
+degree.  Root isolation serves both degrees; conjugation and units are for
+the cubic families.
 
 Everything here is exact: coordinates are Python integers, root intervals
 have Fraction endpoints, and total positivity is decided from the signs of
@@ -57,17 +58,10 @@ class FieldSpec:
     def __post_init__(self):
         object.__setattr__(self, "minpoly", (self.c2, self.c1, self.c0))
 
-    def poly_eval(self, t: Fraction) -> Fraction:
-        return ((t + self.c2) * t + self.c1) * t + self.c0
-
     @property
     def discriminant(self) -> int:
         b, c, d = self.c2, self.c1, self.c0
         return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
-
-    def embedding_rows(self, rounds: int) -> list[list[Interval]]:
-        """Interval embedding matrix [1, rho_i, rho_i^2] after `rounds` refinements."""
-        return [[Interval(1), iv, iv.square()] for iv in refine_roots(self, rounds).intervals]
 
     def __repr__(self):
         sign = lambda k: f"+{k}" if k >= 0 else str(k)
@@ -84,10 +78,15 @@ _FAMILY_RANGES = {
 }
 
 
+def _root_bound(minpoly: tuple[int, ...]) -> int:
+    """B = 1 + max |c_k|: every root of x^d + c_(d-1) x^(d-1) + ... + c_0 lies in (-B, B)."""
+    return 1 + max(map(abs, minpoly))
+
+
 def _integer_root(c2: int, c1: int, c0: int) -> int | None:
     """An integer root of f = x^3 + c2 x^2 + c1 x + c0, or None.
 
-    Roots lie in [-B, B], B = 1 + max |ci|.  The critical points
+    Roots lie in [-B, B], B = `_root_bound`.  The critical points
     (-c2 -+ sqrt(c2^2 - 3 c1)) / 3, bracketed between integers with isqrt,
     cut that range into at most three pieces on which f is monotone, plus at
     most six integers next to the critical points that are tested directly.
@@ -98,7 +97,7 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
     def f(t: int) -> int:
         return ((t + c2) * t + c1) * t + c0
 
-    bound = 1 + max(abs(c2), abs(c1), abs(c0))
+    bound = _root_bound((c2, c1, c0))
     d = c2 * c2 - 3 * c1  # f' = 3x^2 + 2 c2 x + c1 changes sign iff d > 0
     if d <= 0:
         pieces, candidates = [(-bound, bound, 1)], []
@@ -120,16 +119,15 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
     return next((t for t in candidates if f(t) == 0), None)
 
 
-def _check_cubic(c2: int, c1: int, c0: int) -> None:
+def _check_cubic(field: FieldSpec) -> None:
     # a rational root of a monic integer cubic is an integer
-    if c0 == 0:
+    if field.c0 == 0:
         raise Reducible("constant coefficient 0: x divides the cubic")
-    r = _integer_root(c2, c1, c0)
+    r = _integer_root(*field.minpoly)
     if r is not None:
         raise Reducible(f"rational root {r}")
-    disc = 18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2 * c2 * c1 * c1 - 4 * c1**3 - 27 * c0 * c0
-    if disc <= 0:
-        raise NotTotallyReal(f"discriminant {disc} <= 0")
+    if field.discriminant <= 0:
+        raise NotTotallyReal(f"discriminant {field.discriminant} <= 0")
 
 
 @lru_cache(maxsize=None)
@@ -145,14 +143,16 @@ def make_field(family: Family, a: int) -> FieldSpec:
         c2, c1, c0 = a - 1, -a, -1
     else:
         c2, c1, c0 = -(2 * a + 2), a * (a + 2), -1
-    _check_cubic(c2, c1, c0)
-    return FieldSpec(family, a, c2, c1, c0)
+    field = FieldSpec(family, a, c2, c1, c0)
+    _check_cubic(field)
+    return field
 
 
 def make_custom_field(c2: int, c1: int, c0: int) -> FieldSpec:
     """Any monic, irreducible, totally real integer cubic."""
-    _check_cubic(c2, c1, c0)
-    return FieldSpec(Family.CUSTOM_CUBIC, None, c2, c1, c0)
+    field = FieldSpec(Family.CUSTOM_CUBIC, None, c2, c1, c0)
+    _check_cubic(field)
+    return field
 
 
 @dataclass(frozen=True)
@@ -343,75 +343,95 @@ def unit_inverse(x: OrderElement) -> OrderElement:
 
 
 # ---------------------------------------------------------------------------
-# Real root isolation (exact-sign bisection, Sturm separation)
+# Real root isolation (critical-point root counts, exact-sign bisection)
+#
+# field is a cubic FieldSpec or a quadratic.QuadField: only field.minpoly,
+# and for the simplest family field.family and field.a, are read.
 
 
 @dataclass(frozen=True)
 class RootIntervals:
-    """Disjoint rational isolating intervals for the three real roots.
+    """Isolating intervals with rational endpoints, one per real root.
 
     Ordering: SimplestCubic uses (largest, the root in (-2,-1), the root in
-    (-1,0)); other families are ordered descending by value.
+    (-1,0)); every other field is ordered descending by value.  Neighbours
+    are disjoint or share one endpoint, which is not a root.
     """
 
     field: FieldSpec
-    intervals: tuple[Interval, Interval, Interval]
+    intervals: tuple[Interval, ...]
     width: Fraction
 
 
-def _sturm_chain(field: FieldSpec):
-    # polynomials as coefficient tuples, low degree first, Fraction coefficients
-    p0 = (Fraction(field.c0), Fraction(field.c1), Fraction(field.c2), Fraction(1))
-    p1 = (Fraction(field.c1), Fraction(2 * field.c2), Fraction(3))
-
-    def rem(num, den):
-        num = list(num)
-        while len(num) >= len(den) and any(num):
-            if num[-1] == 0:
-                num.pop()
-                continue
-            k = len(num) - len(den)
-            c = num[-1] / den[-1]
-            for i, d in enumerate(den):
-                num[i + k] -= c * d
-            num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-        return tuple(num)
-
-    chain = [p0, p1]
-    while len(chain[-1]) > 1:
-        r = rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(tuple(-c for c in r))
-    return chain
-
-
-def _poly_eval(coeffs, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
+def poly_eval(field, t: Fraction) -> Fraction:
+    """f(t) for the monic f = field.minpoly, by Horner's rule."""
+    acc = t + field.minpoly[0]
+    for c in field.minpoly[1:]:
         acc = acc * t + c
     return acc
 
 
-def _variations(chain, t: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, t)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+def _critical_below(field, t: Fraction) -> int:
+    """How many critical points of f (roots of f') lie below t.
+
+    A quadratic's one critical point is -c1/2.  A cubic's are
+    (-c2 -+ sqrt(d))/3 with d = c2^2 - 3 c1 > 0 (three real roots); with
+    u = 3t + c2, the tests -sqrt(d) < u and sqrt(d) < u are exact by squaring.
+    """
+    if len(field.minpoly) == 2:
+        return int(2 * t + field.minpoly[0] > 0)
+    c2, c1, _ = field.minpoly
+    u, d = 3 * t + c2, c2 * c2 - 3 * c1
+    return (u >= 0 or u * u < d) + (u > 0 and u * u > d)
 
 
-def _bisect_to_width(field: FieldSpec, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
-    flo = field.poly_eval(lo)
-    if flo == 0 or field.poly_eval(hi) == 0:
+def _root_count(field, lo: Fraction, hi: Fraction) -> int:
+    """The number of roots of f in (lo, hi); neither endpoint may be a root.
+
+    f has simple real roots, so it is monotone between neighbouring critical
+    points, and its values there alternate in sign, negative at the largest.
+    Each root is then one sign change along f(lo), the critical values in
+    [lo, hi) and f(hi).
+    """
+    d = len(field.minpoly)
+    signs = [poly_eval(field, lo) > 0]
+    for k in range(_critical_below(field, lo), _critical_below(field, hi)):
+        signs.append((d - 1 - k) % 2 == 0)
+    signs.append(poly_eval(field, hi) > 0)
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _bracket_roots(field) -> list[tuple[Fraction, Fraction]]:
+    """One isolating bracket per root, by bisection of [-B, B], B = `_root_bound`."""
+    bound = _root_bound(field.minpoly)
+    lo, hi = Fraction(-bound), Fraction(bound)
+    stack = [(lo, hi, _root_count(field, lo, hi))]
+    isolated: list[tuple[Fraction, Fraction]] = []
+    while stack:
+        lo, hi, count = stack.pop()
+        if count == 0:
+            continue
+        if count == 1:
+            isolated.append((lo, hi))
+            continue
+        # the roots are irrational, so mid is not one of them
+        mid = (lo + hi) / 2
+        left = _root_count(field, lo, mid)
+        stack.append((lo, mid, left))
+        stack.append((mid, hi, count - left))
+    if len(isolated) != len(field.minpoly):
+        raise ConsistencyError(f"root isolation found {len(isolated)} roots")
+    return isolated
+
+
+def _bisect_to_width(field, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
+    flo = poly_eval(field, lo)
+    if flo == 0 or poly_eval(field, hi) == 0:
         raise ConsistencyError(f"isolating interval [{lo}, {hi}] has a root endpoint")
     neg_at_lo = flo < 0
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fm = field.poly_eval(mid)
+        fm = poly_eval(field, mid)
         # roots are irrational, so fm != 0
         if (fm < 0) == neg_at_lo:
             lo = mid
@@ -420,16 +440,17 @@ def _bisect_to_width(field: FieldSpec, lo: Fraction, hi: Fraction, width: Fracti
     return Interval(lo, hi)
 
 
-def _seed_intervals(field: FieldSpec) -> list[tuple[Fraction, Fraction]] | None:
+def _seed_intervals(field) -> list[tuple[Fraction, Fraction]] | None:
     """Known bracketing intervals for the SimplestCubic roots, valid for a >= 7.
 
     Kept because it pays: isolating the roots of the simplest fields
-    a = 50, 52, ..., 400 to the default width takes about 0.06 s from these
-    seeds and 0.5-0.6 s from `_sturm_intervals` (Python 3.11, one Xeon core),
+    a = 50, 52, ..., 400 to the default width takes about 0.07 s from these
+    seeds and 0.25-0.3 s from `_bracket_roots` (Python 3.11, one Xeon core),
     and every field a workload touches pays that once when it is set up.
-    Each seed is re-checked for a sign change; None falls back to Sturm.
+    The seeds also fix the root intervals that field-info prints for a >= 7.
+    Each seed is re-checked for a sign change; None falls back to the search.
     """
-    if field.family is not Family.SIMPLEST_CUBIC or field.a is None or field.a < 7:
+    if getattr(field, "family", None) is not Family.SIMPLEST_CUBIC or field.a < 7:
         return None
     a = field.a
     seeds = [
@@ -441,67 +462,46 @@ def _seed_intervals(field: FieldSpec) -> list[tuple[Fraction, Fraction]] | None:
     for lo, hi in seeds:
         if lo > hi:
             lo, hi = hi, lo
-        if field.poly_eval(lo) * field.poly_eval(hi) >= 0:
+        if poly_eval(field, lo) * poly_eval(field, hi) >= 0:
             return None
         out.append((lo, hi))
     return out
 
 
-def _sturm_intervals(field: FieldSpec) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the three roots by Sturm-sequence bisection."""
-    chain = _sturm_chain(field)
-    bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
-    lo, hi = Fraction(-bound), Fraction(bound)
-    stack = [(lo, hi, _variations(chain, lo) - _variations(chain, hi))]
-    isolated: list[tuple[Fraction, Fraction]] = []
-    while stack:
-        lo, hi, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            isolated.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        vm = _variations(chain, mid)
-        vl = _variations(chain, lo)
-        vh = _variations(chain, hi)
-        stack.append((lo, mid, vl - vm))
-        stack.append((mid, hi, vm - vh))
-    if len(isolated) != 3:
-        raise ConsistencyError(f"Sturm isolation found {len(isolated)} roots")
-    return isolated
+def _default_width(field, rounds: int) -> Fraction:
+    """The width of round `rounds`: B / 2^(20 + rounds), B = `_root_bound`."""
+    return Fraction(_root_bound(field.minpoly), 2 ** (20 + rounds))
 
 
 @lru_cache(maxsize=None)
-def isolate_roots(field: FieldSpec, width: Fraction | None = None) -> RootIntervals:
-    """Three disjoint isolating intervals of width <= width."""
-    bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
-    if width is None:
-        width = Fraction(bound, 2**20)
-    width = Fraction(width)
+def isolate_roots(field, width: Fraction | None = None) -> RootIntervals:
+    """Disjoint isolating intervals of width <= width, one per root of field.minpoly."""
+    width = _default_width(field, 0) if width is None else Fraction(width)
     if width <= 0:
         raise IllegalParameter("width must be positive")
-    brackets = _seed_intervals(field) or _sturm_intervals(field)
+    brackets = _seed_intervals(field) or _bracket_roots(field)
     refined = [_bisect_to_width(field, lo, hi, width) for lo, hi in brackets]
     return _root_intervals(field, refined, width)
 
 
-def _root_intervals(field: FieldSpec, refined: list[Interval], width: Fraction) -> RootIntervals:
-    """The intervals in the embedding order, after the disjointness check."""
+def _root_intervals(field, refined: list[Interval], width: Fraction) -> RootIntervals:
+    """The intervals in the embedding order, after the disjointness check.
+
+    Neighbours may share an endpoint: two brackets that are already narrower
+    than the width are never split.  A shared endpoint must not be a root.
+    """
     refined = sorted(refined, key=lambda iv: iv.lo)
-    if field.family is Family.SIMPLEST_CUBIC:
+    for left, right in zip(refined, refined[1:]):
+        if left.hi > right.lo or (left.hi == right.lo and poly_eval(field, left.hi) == 0):
+            raise ConsistencyError(f"root intervals of {field} overlap")
+    if getattr(field, "family", None) is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))
-        ordered = (refined[2], refined[0], refined[1])
-    else:
-        ordered = (refined[2], refined[1], refined[0])
-    # disjointness (intervals were separated before refining, keep the check)
-    if not (refined[0].hi < refined[1].lo and refined[1].hi < refined[2].lo):
-        raise ConsistencyError(f"root intervals of {field} overlap")
-    return RootIntervals(field, ordered, width)
+        return RootIntervals(field, (refined[2], refined[0], refined[1]), width)
+    return RootIntervals(field, tuple(reversed(refined)), width)
 
 
 @lru_cache(maxsize=None)
-def refine_roots(field: FieldSpec, rounds: int) -> RootIntervals:
+def refine_roots(field, rounds: int) -> RootIntervals:
     """Isolating intervals after halving the default width `rounds` times.
 
     Round 0 is `isolate_roots(field)`; round r bisects on from round r - 1.
@@ -514,25 +514,29 @@ def refine_roots(field: FieldSpec, rounds: int) -> RootIntervals:
         raise IllegalParameter("rounds must be non-negative")
     if rounds == 0:
         return isolate_roots(field)
-    bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
-    width = Fraction(bound, 2 ** (20 + rounds))
+    width = _default_width(field, rounds)
     previous = refine_roots(field, rounds - 1).intervals
     refined = [_bisect_to_width(field, iv.lo, iv.hi, width) for iv in previous]
     return _root_intervals(field, refined, width)
 
 
-def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, Interval, Interval]:
-    """Interval enclosures of the three real embeddings of x."""
+def embedding_rows(field, rounds: int) -> list[list[Interval]]:
+    """Interval embedding matrix [1, rho_i, rho_i^2][:d] after `rounds` refinements."""
+    d = len(field.minpoly)
+    return [[Interval(1), iv, iv.square()][:d] for iv in refine_roots(field, rounds).intervals]
+
+
+def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, ...]:
+    """Interval enclosures of the real embeddings of x."""
     if r.field is not x.field and r.field != x.field:
         raise FieldMismatch("element and root intervals from different fields")
-    v1, v2, v3 = x.coords
-    out = []
-    for iv in r.intervals:
-        out.append(Interval(v1) + v2 * iv + v3 * iv.square())
-    return tuple(out)
+    v0, *vs = x.coords
+    return tuple(
+        sum(map(operator.mul, vs, (iv, iv.square())), Interval(v0)) for iv in r.intervals
+    )
 
 
-def embed_sign_definite(x: OrderElement) -> tuple[tuple[Interval, Interval, Interval], RootIntervals]:
+def embed_sign_definite(x: OrderElement) -> tuple[tuple[Interval, ...], RootIntervals]:
     """Embeddings refined until every interval has a definite sign (x != 0)."""
     if x.is_zero():
         raise ZeroElement("cannot sign-refine the zero element")

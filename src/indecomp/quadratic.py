@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -32,7 +31,6 @@ from .errors import (
 )
 from .hnf import parallelepiped_points
 from .integers import is_squarefree
-from .intervals import Interval
 from .norms import ideal_hnf
 from .oracle import decompose
 from .order_kernel import OrderElement, is_totally_positive, norm
@@ -73,15 +71,6 @@ class QuadField:
     @property
     def discriminant(self) -> int:
         return self.D if self.one_mod_four else 4 * self.D
-
-    def embedding_rows(self, rounds: int) -> list[list[Interval]]:
-        """Interval embedding matrix of (1, omega) after `rounds` refinements."""
-        s = _sqrt_interval(self.D, rounds)
-        if self.one_mod_four:
-            w, wc = (s + 1) * Fraction(1, 2), (Interval(1) - s) * Fraction(1, 2)
-        else:
-            w, wc = s, -s
-        return [[Interval(1), w], [Interval(1), wc]]
 
 
 @lru_cache(maxsize=None)
@@ -305,21 +294,7 @@ def quad_counts(D: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Embeddings, the totally positive unit and the ground-truth search
-
-
-@lru_cache(maxsize=None)
-def _sqrt_interval(D: int, rounds: int) -> Interval:
-    lo = Fraction(math.isqrt(D))
-    hi = lo + 1
-    target = Fraction(1, 2 ** (10 + rounds))
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        if mid * mid <= D:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
+# The totally positive unit and the ground-truth search
 
 
 def decompose_quadratic(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]]:

@@ -16,6 +16,13 @@ def test_field_info(capsys):
     assert "monogenic: certified" in out
 
 
+@pytest.mark.parametrize("family, a", [("thomas", "1024"), ("ennola", str(2**20))])
+def test_field_info_with_touching_root_brackets(family, a, capsys):
+    """Root brackets that share an endpoint are isolating, not an internal error."""
+    assert main(["field-info", "--family", family, "--a", a]) == EXIT_OK
+    assert "roots:" in capsys.readouterr().out
+
+
 def test_bounds_json(tmp_path):
     path = tmp_path / "bounds.json"
     assert main(["bounds", "--family", "simplest", "--a", "7", "--json", str(path)]) == EXIT_OK

@@ -50,6 +50,7 @@ from indecomp.order_kernel import (
     conjugate,
     elem,
     embed,
+    embedding_rows,
     is_totally_positive,
     isolate_roots,
     OrderElement,
@@ -356,16 +357,16 @@ def test_dual_box_contains_every_cramer_box_point_in_the_region(field, coords, w
     coords = tuple(coords[:d])
     rounds = next(
         r for r in range(64)
-        if _dyadic(field, r) is not None and det(field.embedding_rows(r)).sign_definite()
+        if _dyadic(field, r) is not None and det(embedding_rows(field, r)).sign_definite()
     ) + extra
-    rows = field.embedding_rows(rounds)
+    rows = embedding_rows(field, rounds)
     # a region around a lattice point, so that it is never empty
     bounds = [Interval(iv.lo - w, iv.hi + w) for iv, w in zip(_dot(rows, coords), widths)]
     ctx = _dyadic(field, rounds)
     scaled = [(math.floor(b.lo * 2**ctx.k), math.ceil(b.hi * 2**ctx.k)) for b in bounds]
     dual_box = box_from_embedding(ctx, scaled)
     assert all(lo <= c <= hi for (lo, hi), c in zip(dual_box, coords))
-    fine = field.embedding_rows(rounds + 40)
+    fine = embedding_rows(field, rounds + 40)
     inside = 0
     for x in itertools.product(*(range(lo, hi + 1) for lo, hi in _cramer_box(rows, bounds))):
         ivs = _dot(fine, x)

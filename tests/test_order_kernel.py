@@ -40,15 +40,16 @@ from indecomp.order_kernel import (
     multiplication_matrix,
     norm,
     one,
+    poly_eval,
     refine_roots,
     rho,
     sym_funcs,
     trace,
     unit_generators,
     unit_inverse,
+    _bracket_roots,
     _integer_root,
     _seed_intervals,
-    _sturm_intervals,
 )
 from indecomp.quadratic import fundamental_tp_unit, make_quad_field
 
@@ -226,7 +227,7 @@ def test_root_isolation_generic_descending():
             assert mids[0] > mids[1] > mids[2]
         # sign change across each interval
         for iv in ri.intervals:
-            assert f.poly_eval(iv.lo) * f.poly_eval(iv.hi) < 0
+            assert poly_eval(f, iv.lo) * poly_eval(f, iv.hi) < 0
 
 
 _REFINED_FAMILIES = [
@@ -546,6 +547,103 @@ def test_integer_root_agrees_with_sympy(c):
         assert ((r + c2) * r + c1) * r + c0 == 0
 
 
+# ---------------------------------------------------------------------------
+# Root brackets against a Sturm-sequence reference
+
+
+def _sturm_intervals(field):
+    """Independent oracle: isolating brackets of the three roots by Sturm counts.
+
+    The Sturm chain f, f', -rem(f, f'), ... of Fraction polynomials counts
+    the roots in (lo, hi] as V(lo) - V(hi), V the sign variations along the
+    chain; [-B, B] is bisected with the same stack order as `_bracket_roots`.
+    """
+
+    def rem(num, den):
+        num = list(num)
+        while len(num) >= len(den) and any(num):
+            if num[-1] == 0:
+                num.pop()
+                continue
+            k = len(num) - len(den)
+            c = num[-1] / den[-1]
+            for i, d in enumerate(den):
+                num[i + k] -= c * d
+            num.pop()
+        while num and num[-1] == 0:
+            num.pop()
+        return tuple(num)
+
+    # polynomials as coefficient tuples, low degree first
+    chain = [
+        tuple(map(Fraction, (field.c0, field.c1, field.c2, 1))),
+        tuple(map(Fraction, (field.c1, 2 * field.c2, 3))),
+    ]
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(tuple(-c for c in r))
+
+    def variations(t):
+        values = [sum(c * t**i for i, c in enumerate(p)) for p in chain]
+        signs = [v > 0 for v in values if v != 0]
+        return sum(map(operator.ne, signs, signs[1:]))
+
+    bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
+    lo, hi = Fraction(-bound), Fraction(bound)
+    stack = [(lo, hi, variations(lo) - variations(hi))]
+    isolated = []
+    while stack:
+        lo, hi, count = stack.pop()
+        if count == 0:
+            continue
+        if count == 1:
+            isolated.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        stack.append((lo, mid, variations(lo) - variations(mid)))
+        stack.append((mid, hi, variations(mid) - variations(hi)))
+    assert len(isolated) == 3
+    return isolated
+
+
+_BRACKET_FAMILIES = [
+    *((Family.SIMPLEST_CUBIC, a) for a in range(-1, 61)),
+    *((Family.ENNOLA, a) for a in range(3, 61)),
+    *((Family.THOMAS, a) for a in range(2, 61)),
+]
+
+
+def test_critical_point_brackets_equal_sturm_brackets_on_the_families():
+    """The same brackets, in the same order, as the Sturm bisection."""
+    for family, a in _BRACKET_FAMILIES:
+        f = make_field(family, a)
+        assert _bracket_roots(f) == _sturm_intervals(f), (family, a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.integers(-200, 200)] * 3))
+def test_critical_point_brackets_equal_sturm_brackets_on_custom_cubics(c):
+    f = _custom_or_none(c)
+    assume(f is not None)
+    assert _bracket_roots(f) == _sturm_intervals(f)
+
+
+@pytest.mark.parametrize("family, a", [(Family.THOMAS, 1024), (Family.ENNOLA, 2**20)])
+def test_touching_brackets_are_isolating(family, a):
+    """Two brackets narrower than the default width may share an endpoint;
+    each interval still isolates one root, in every refinement round."""
+    f = make_field(family, a)
+    for rounds in (0, 1, 5):
+        intervals = sorted(refine_roots(f, rounds).intervals, key=lambda iv: iv.lo)
+        for iv in intervals:
+            assert poly_eval(f, iv.lo) * poly_eval(f, iv.hi) < 0, rounds
+        assert all(u.hi <= v.lo for u, v in zip(intervals, intervals[1:]))
+        if rounds == 0:
+            assert any(u.hi == v.lo for u, v in zip(intervals, intervals[1:]))
+
+
 def test_seeded_and_sturm_brackets_isolate_the_same_roots():
     for a in range(7, 61):
         f = make_field(Family.SIMPLEST_CUBIC, a)
@@ -556,4 +654,4 @@ def test_seeded_and_sturm_brackets_isolate_the_same_roots():
             # both brackets isolate one root; a sign change on their
             # intersection puts that root in both
             lo, hi = max(slo, tlo), min(shi, thi)
-            assert lo < hi and f.poly_eval(lo) * f.poly_eval(hi) < 0, a
+            assert lo < hi and poly_eval(f, lo) * poly_eval(f, hi) < 0, a

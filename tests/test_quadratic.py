@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from indecomp.codifferent import (
     CodifferentElement,
@@ -18,8 +19,16 @@ from indecomp.errors import (
     IllegalParameter,
 )
 from indecomp.integers import is_squarefree
-from indecomp.oracle import inventories_match
-from indecomp.order_kernel import elem, is_totally_positive, norm, trace
+from indecomp.oracle import _dyadic, inventories_match
+from indecomp.order_kernel import (
+    elem,
+    is_totally_positive,
+    isolate_roots,
+    norm,
+    poly_eval,
+    refine_roots,
+    trace,
+)
 from indecomp.quadratic import (
     _delta_checks,
     cf_expand,
@@ -35,6 +44,7 @@ from indecomp.quadratic import (
     trace_one_delta,
     trace_one_delta_scalings,
 )
+from indecomp.verify import QUADRATIC_D_SET
 
 RNG = random.Random(424242)
 TESTED_D = (2, 3, 5, 6, 7, 10, 13)
@@ -276,3 +286,33 @@ def test_quad_ideal_hnf_unit_invariance():
     el = elem(f, 4, 1)  # norm 6
     assert quad_ideal_hnf(el) == quad_ideal_hnf(el * eps)
     assert quad_ideal_hnf(el) != quad_ideal_hnf(conj(el))
+
+
+# ---------------------------------------------------------------------------
+# Root isolation and the dyadic embedding context, shared with cubic fields
+
+
+@pytest.mark.parametrize("D", QUADRATIC_D_SET)
+def test_quadratic_root_intervals_are_disjoint_descending_and_isolating(D):
+    f = make_quad_field(D)
+    for rounds in (0, 3):
+        hi_iv, lo_iv = refine_roots(f, rounds).intervals
+        assert lo_iv.hi < hi_iv.lo  # (omega, omega'), descending
+        for iv in (hi_iv, lo_iv):
+            assert poly_eval(f, iv.lo) * poly_eval(f, iv.hi) < 0
+    assert refine_roots(f, 0) is isolate_roots(f)
+
+
+@pytest.mark.parametrize("D", QUADRATIC_D_SET)
+def test_dyadic_context_encloses_the_embeddings_of_one_and_omega(D):
+    f = make_quad_field(D)
+    s = sympy.sqrt(D)
+    omega = (1 + s) / 2 if f.one_mod_four else s
+    conjugates = (omega, 1 - omega if f.one_mod_four else -omega)  # descending
+    for rounds in (0, 2):
+        ctx = _dyadic(f, rounds)
+        assert len(ctx.rows) == 2
+        for row, w in zip(ctx.rows, conjugates):
+            (one_lo, one_hi), (w_lo, w_hi) = row
+            assert one_lo <= 2**ctx.k <= one_hi
+            assert w_lo <= w * 2**ctx.k <= w_hi
