@@ -375,8 +375,9 @@ def _critical_below(field, t: Fraction) -> int:
     """How many critical points of f (roots of f') lie below t.
 
     A quadratic's one critical point is -c1/2.  A cubic's are
-    (-c2 -+ sqrt(d))/3 with d = c2^2 - 3 c1 > 0 (three real roots); with
-    u = 3t + c2, the tests -sqrt(d) < u and sqrt(d) < u are exact by squaring.
+    (-c2 -+ sqrt(d))/3 with d = c2^2 - 3 c1 > 0 (three real roots), the d
+    that `_integer_root` brackets with isqrt; with u = 3t + c2, the tests
+    -sqrt(d) < u and sqrt(d) < u are exact by squaring.
     """
     if len(field.minpoly) == 2:
         return int(2 * t + field.minpoly[0] > 0)
@@ -475,7 +476,7 @@ def _default_width(field, rounds: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def isolate_roots(field, width: Fraction | None = None) -> RootIntervals:
-    """Disjoint isolating intervals of width <= width, one per root of field.minpoly."""
+    """Isolating intervals of width <= width, one per root of field.minpoly."""
     width = _default_width(field, 0) if width is None else Fraction(width)
     if width <= 0:
         raise IllegalParameter("width must be positive")
