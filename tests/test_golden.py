@@ -42,6 +42,8 @@ CASES = {
     "sq-table": (["sq-table", "--a-min", "-1", "--a-max", "12"], True),
     # rows above the paper's a <= 50, which verify does not check
     "sq-table-high": (["sq-table", "--a-min", "51", "--a-max", "60"], True),
+    # rows past the benchmark's a <= 60
+    "sq-table-wide": (["sq-table", "--a-min", "100", "--a-max", "110"], True),
     "bounds": (["bounds", "--family", "simplest", "--a", "7"], False),
     "quadratic": (["quadratic", "--d", "13", "--certify"], False),
     # D = 2 mod 4 with a 16-term period
