@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -91,7 +90,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-@lru_cache(maxsize=None)
 def is_squarefree(n: int) -> bool:
     """Whether |n| is squarefree (n = 0 is not; units are)."""
     n = abs(n)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .families import (
     TrianglePoint,
-    indecomposables_simplest,
+    fundamental_triangle,
     standard_parallelepipeds,
     triangle_norm,
 )
@@ -206,10 +206,24 @@ def count_bruteforce(a: int, X: int, include_unit: bool = False) -> int:
 
 def sq_count(a: int) -> int:
     """Indecomposable representatives (unit and exceptional included) with
-    squarefree norm."""
+    squarefree norm.
+
+    The representatives are 1, 1 + rho + rho^2 (norm a^2 + 3a + 9) and the
+    triangle points alpha(v, W), whose norms `triangle_norm` gives in closed
+    form.  The triangle's order-3 rotation sends alpha to a Galois conjugate
+    times a unit of norm 1, so it keeps the norm: each orbit is counted once,
+    from its point in `fundamental_triangle`, with weight 3, except the fixed
+    centre (a/3, a/3) when 3 | a, whose orbit is itself.
+    """
     if a < -1:
         raise IllegalParameter("a >= -1")
-    return sum(1 for rec in indecomposables_simplest(a) if is_squarefree(norm(rec.element)))
+    count = 1 + is_squarefree(a * a + 3 * a + 9)  # the unit has norm 1
+    if a < 0:
+        return count  # a = -1: the triangle is empty
+    for p in fundamental_triangle(a):
+        if is_squarefree(triangle_norm(a, p.v, p.W)):
+            count += 1 if 3 * p.v == 3 * p.W == a else 3
+    return count
 
 
 def max_norm_indecomposable(a: int) -> tuple[TrianglePoint, int]:

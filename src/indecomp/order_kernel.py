@@ -403,18 +403,34 @@ def _root_count(field, lo: Fraction, hi: Fraction) -> int:
 
 
 def _bracket_roots(field) -> list[tuple[Fraction, Fraction]]:
-    """One isolating bracket per root, by bisection of [-B, B], B = `_root_bound`."""
+    """One isolating bracket per root, by bisection of [-B, B], B = `_root_bound`.
+
+    Two roots in one piece lie closer than its width.  Mahler's bound
+    (Mathematika 11, 1964) with |disc| >= 1 and M(f) <= ||f||_2 keeps every
+    two roots at least sep = d^(-(d+2)/2) * ||f||_2^(-(d-1)) apart.  So a
+    count outside [0, d], or a count >= 2 on a piece narrower than sep, is a
+    fault of the count and raises instead of bisecting forever.
+    """
+    d = len(field.minpoly)
     bound = _root_bound(field.minpoly)
+    # width < sep  <=>  width^2 * scale < 1, exact in rationals
+    scale = d ** (d + 2) * (1 + sum(c * c for c in field.minpoly)) ** (d - 1)
     lo, hi = Fraction(-bound), Fraction(bound)
     stack = [(lo, hi, _root_count(field, lo, hi))]
     isolated: list[tuple[Fraction, Fraction]] = []
     while stack:
         lo, hi, count = stack.pop()
+        if not 0 <= count <= d:
+            raise ConsistencyError(f"root count {count} on ({lo}, {hi}) is outside [0, {d}]")
         if count == 0:
             continue
         if count == 1:
             isolated.append((lo, hi))
             continue
+        if (hi - lo) ** 2 * scale < 1:
+            raise ConsistencyError(
+                f"{count} roots counted on ({lo}, {hi}), narrower than the root separation"
+            )
         # the roots are irrational, so mid is not one of them
         mid = (lo + hi) / 2
         left = _root_count(field, lo, mid)

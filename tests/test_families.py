@@ -133,6 +133,16 @@ def test_rotation_element_identity():
                 assert mul(conjugate(al, 2), r2) == triangle_element(f, rotate(p, a, 2))
 
 
+def test_triangle_norm_is_rotation_invariant():
+    for a in range(0, 41):
+        for v in range(0, a + 1):
+            for W in range(0, a - v + 1):
+                n = triangle_norm(a, v, W)
+                for turns in (1, 2):
+                    q = rotate(TrianglePoint(v, W), a, turns)
+                    assert triangle_norm(a, q.v, q.W) == n, (a, v, W, turns)
+
+
 def test_unit_corner_cycle():
     a = 5
     f = make_field(Family.SIMPLEST_CUBIC, a)

@@ -3,11 +3,14 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
 from indecomp.errors import BoundTooLarge, GuardExceeded, ZeroElement
-from indecomp.families import TrianglePoint, indecomposables_simplest
+from indecomp import families, integers
+from indecomp.families import TrianglePoint, fundamental_triangle, indecomposables_simplest
+from indecomp.integers import is_squarefree
 from indecomp.norms import (
     count_bruteforce,
     count_exact,
@@ -128,6 +131,42 @@ def test_sq_count_bounded_by_inventory():
         assert sq_count(a) <= total
         if a in (-1, 1):
             assert sq_count(a) == total
+
+
+def _sq_count_reference(a):
+    """The inventory count: every record's norm through `sym_funcs`."""
+    records = indecomposables_simplest.__wrapped__(a)  # uncached: a up to 80
+    return sum(1 for rec in records if is_squarefree(norm(rec.element)))
+
+
+def test_sq_count_matches_the_inventory_count():
+    """One point per rotation orbit gives the inventory's count, certified a or not."""
+    for a in range(-1, 81):
+        assert sq_count(a) == _sq_count_reference(a), a
+
+
+def _wrap_everywhere(monkeypatch, module, name):
+    """Wrap every binding of `module.name` in the loaded indecomp modules;
+    returns the list of calls made through them."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("indecomp") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_sq_count_work_is_one_squarefree_test_per_orbit(monkeypatch):
+    inventories = _wrap_everywhere(monkeypatch, families, "indecomposables_simplest")
+    tests = _wrap_everywhere(monkeypatch, integers, "is_squarefree")
+    sq_count(40)
+    assert inventories == []
+    assert len(tests) == 1 + len(fundamental_triangle(40))
 
 
 def test_max_norm_examples():

@@ -11,7 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indecomp.codifferent import CodifferentElement, trace_pairing
+from indecomp import order_kernel
 from indecomp.errors import (
+    ConsistencyError,
     FieldMismatch,
     IllegalParameter,
     IndecompError,
@@ -628,6 +630,37 @@ def test_critical_point_brackets_equal_sturm_brackets_on_custom_cubics(c):
     f = _custom_or_none(c)
     assume(f is not None)
     assert _bracket_roots(f) == _sturm_intervals(f)
+
+
+def _count_calls(monkeypatch, counts):
+    """Replace `_root_count` with `counts(call_index)`; returns the list of calls."""
+    calls = []
+
+    def fake(field, lo, hi):
+        calls.append((lo, hi))
+        return counts(len(calls) - 1)
+
+    monkeypatch.setattr(order_kernel, "_root_count", fake)
+    return calls
+
+
+@pytest.mark.parametrize("field", [make_field(Family.THOMAS, 9), make_quad_field(94)])
+def test_bracket_roots_stop_at_the_root_separation_bound(monkeypatch, field):
+    """A count of 2 on every piece raises once the piece is narrower than
+    Mahler's separation bound, after a bounded number of splits."""
+    calls = _count_calls(monkeypatch, lambda k: 2)
+    with pytest.raises(ConsistencyError, match="root separation"):
+        _bracket_roots(field)
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("counts", [[2, 3], [4]])
+def test_bracket_roots_reject_counts_outside_the_degree(monkeypatch, counts):
+    """A left half with more roots than its piece leaves `count - left` < 0;
+    a count above the degree is rejected too."""
+    _count_calls(monkeypatch, counts.__getitem__)
+    with pytest.raises(ConsistencyError, match="outside"):
+        _bracket_roots(make_field(Family.THOMAS, 9))
 
 
 @pytest.mark.parametrize("family, a", [(Family.THOMAS, 1024), (Family.ENNOLA, 2**20)])
