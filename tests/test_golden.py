@@ -5,7 +5,7 @@ command is tabular) and compares stdout and every exported file with the
 copies under ``tests/golden/``.  After a deliberate output change, rewrite
 the copies with ``PYTHONPATH=src python tests/test_golden.py`` and review
 the diff.  ``verify-all.json`` and ``verify-all.out`` pin ``verify --suite all
---json``; that run takes about 20 s, so the CI workflow compares them, not
+--json``; the CI workflow compares them, with and without ``python -O``, not
 this module.
 """
 

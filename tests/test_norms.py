@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from indecomp.errors import BoundTooLarge, GuardExceeded, ZeroElement
 from indecomp import families, integers
+from indecomp.errors import BoundTooLarge, GuardExceeded, ZeroElement
 from indecomp.families import TrianglePoint, fundamental_triangle, indecomposables_simplest
 from indecomp.integers import is_squarefree
 from indecomp.norms import (

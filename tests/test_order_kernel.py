@@ -10,8 +10,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indecomp.codifferent import CodifferentElement, trace_pairing
 from indecomp import order_kernel
+from indecomp.codifferent import CodifferentElement, trace_pairing
 from indecomp.errors import (
     ConsistencyError,
     FieldMismatch,
