@@ -4,8 +4,9 @@ Three routes to the ideal count P_a(X) for X <= a^2:
 
 * count_fast: the (k, w) parametrization beta = -w*rho + k*rho^2 with the
   enumeration cuts a*k^2*w < X and a*k*w^2 < X;
-* count_exact: HNF-deduplicated ideals of the fast candidates and their
-  Galois conjugates;
+* count_exact: distinct ideals among the fast candidates and their Galois
+  conjugates, keyed by HNF rows written in closed form: (beta) is the kernel
+  of x -> x(r) mod n = N(beta) at r = w/k mod n (`sum_ideal_rows`);
 * count_bruteforce: exhaustive scan of the two fundamental cones, the
   ground truth the others are validated against.
 """
@@ -13,6 +14,7 @@ Three routes to the ideal count P_a(X) for X <= a^2:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,8 +38,8 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
-    conjugate,
     elem,
+    galois_conjugation_matrix,
     make_field,
     mul,  # unused here; perfbench/tests/selfcheck.py checks tracing rebinds norms.mul
     multiplication_matrix,
@@ -80,6 +82,8 @@ def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
     Enumerates coprime (k, w), k >= 1, w >= 1 subject to the cuts
     a*k^2*w < X and a*k*w^2 < X, keeping 1 <= sum_norm <= X and the element
     totally positive; (1, 0) is the unit rho^2, included only on request.
+    Raises ConsistencyError unless each kept candidate's norm e3 from
+    `sym_funcs` equals `sum_norm`, the n that `count_exact` relies on.
     """
     if a < 1:
         raise IllegalParameter("counting needs a >= 1")
@@ -100,7 +104,10 @@ def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
             n = sum_norm(a, k, w)
             if not 1 <= n <= X:
                 continue
-            if min(sym_funcs(_sum_element(field, k, w))) > 0:
+            e1, e2, e3 = sym_funcs(_sum_element(field, k, w))
+            if e3 != n:
+                raise ConsistencyError(f"N(-{w}*rho + {k}*rho^2) = {e3} != sum_norm = {n}")
+            if e1 > 0 and e2 > 0:
                 pairs.append(SumElement(k, w))
         k += 1
     return CountFastResult(tuple(pairs))
@@ -131,25 +138,67 @@ def ideal_hnf(beta: OrderElement) -> IdealHNF:
     return h
 
 
+@lru_cache(maxsize=None)
+def _conjugate_roots(field: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coordinates of rho'' and rho' (column 1 of M^2 and of M, M the
+    validated `galois_conjugation_matrix`): the inverse images of rho under
+    one and two conjugations."""
+    m = galois_conjugation_matrix(field)
+    rp = tuple(row[1] for row in m)
+    return tuple(sum(map(operator.mul, row, rp)) for row in m), rp
+
+
+def _sum_residue(n: int, k: int, w: int) -> int:
+    """r = w/k mod n; k is invertible since N(beta) = -w^3 (mod k), gcd(k, w) = 1."""
+    return w * pow(k, -1, n) % n
+
+
+def sum_ideal_rows(field: FieldSpec, k: int, w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """HNF rows of (beta), (beta') and (beta''), beta = -w*rho + k*rho^2, in closed form.
+
+    beta = rho * (k*rho - w) with rho a unit, so Z[rho]/(beta) is cyclic of
+    order n = |N(beta)| = |sum_norm(a, k, w)| and (beta) is the kernel of
+    x -> x(r) mod n at r = w/k mod n.  Its rows are (n, 0, 0), (-r, 1, 0)
+    and (-r^2, 0, 1) mod n, equal to `ideal_hnf(beta).rows`.  Certificate,
+    checked here (ConsistencyError otherwise): f(r) = 0 mod n makes x -> x(r)
+    a ring map onto Z/n, so its kernel has index n, and beta(r) = 0 mod n
+    puts (beta) inside it; (beta) also has index n, so the two are equal.
+    The j-th conjugate ideal is the kernel at sigma^-j(rho)(r): rho''(r) for
+    `conjugate(beta, 1)`, rho'(r) for `conjugate(beta, 2)`.  No element,
+    multiplication matrix or HNF is built.
+    """
+    n = abs(sum_norm(field.a, k, w))
+    r = _sum_residue(n, k, w)
+    c2, c1, c0 = field.minpoly
+    if (((r + c2) * r + c1) * r + c0) % n or r * (k * r - w) % n:
+        raise ConsistencyError(f"rho -> {r} mod {n} is not a root killing -{w}*rho + {k}*rho^2")
+    rr = r * r
+    residues = [r] + [(p0 + p1 * r + p2 * rr) % n for p0, p1, p2 in _conjugate_roots(field)]
+    return tuple(((n, 0, 0), (-s % n, 1, 0), (-s * s % n, 0, 1)) for s in residues)
+
+
 def count_exact(a: int, X: int, include_unit: bool = False) -> int:
-    """Distinct ideals from the fast candidates and their Galois conjugates."""
+    """Distinct ideals from the fast candidates and their Galois conjugates.
+
+    Each ideal is keyed by its HNF rows, written in closed form and
+    certified by `sum_ideal_rows`; n = |N(beta)| is `sum_norm`, which
+    `count_fast` checks against `sym_funcs` for every candidate.
+    """
     field = make_field(Family.SIMPLEST_CUBIC, a)
     seen = set()
     for pair in count_fast(a, X, include_unit).pairs:
-        beta = _sum_element(field, pair.k, pair.w)
-        for turns in range(3):
-            el = beta if turns == 0 else conjugate(beta, turns)
-            h = ideal_hnf(el)
-            if h.det > X and (pair.k, pair.w) != (1, 0):
-                raise ConsistencyError(f"candidate ideal of norm {h.det} exceeds X = {X}")
-            seen.add(h.rows)
+        rows = sum_ideal_rows(field, pair.k, pair.w)
+        n = rows[0][0][0]
+        if n > X:
+            raise ConsistencyError(f"candidate ideal of norm {n} exceeds X = {X}")
+        seen.update(rows)
     return len(seen)
 
 
 # ---------------------------------------------------------------------------
 # Brute force over the fundamental cones
 
-BRUTE_A_GUARD = 12
+BRUTE_A_GUARD = 30
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +239,7 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
 
 
 def count_bruteforce(a: int, X: int, include_unit: bool = False) -> int:
-    """Ground-truth primitive principal ideal count for a <= 12, X <= a^2."""
+    """Ground-truth primitive principal ideal count for a <= BRUTE_A_GUARD, X <= a^2."""
     if a > BRUTE_A_GUARD:
         raise GuardExceeded(f"brute force is guarded to a <= {BRUTE_A_GUARD}")
     if not 1 <= X <= a * a:

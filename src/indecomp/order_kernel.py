@@ -617,11 +617,9 @@ def apply_matrix(m, x: OrderElement) -> OrderElement:
 def conjugate(x: OrderElement, times: int = 1) -> OrderElement:
     """Galois conjugate (rho -> rho'), iterated `times` (SimplestCubic only)."""
     m = galois_conjugation_matrix(x.field)
-    v = x.coords
     for _ in range(times % 3):
-        # the 3x3 product written out: conjugation is on the hot path of count_exact
-        v = tuple([r[0] * v[0] + r[1] * v[1] + r[2] * v[2] for r in m])
-    return OrderElement(v, x.field)
+        x = apply_matrix(m, x)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from indecomp import families, integers
-from indecomp.errors import BoundTooLarge, GuardExceeded, ZeroElement
+from indecomp import families, hnf, integers, norms, order_kernel
+from indecomp.errors import BoundTooLarge, ConsistencyError, GuardExceeded, ZeroElement
 from indecomp.families import TrianglePoint, fundamental_triangle, indecomposables_simplest
 from indecomp.integers import is_squarefree
 from indecomp.norms import (
@@ -18,6 +20,7 @@ from indecomp.norms import (
     ideal_hnf,
     max_norm_indecomposable,
     sq_count,
+    sum_ideal_rows,
     sum_norm,
 )
 from indecomp.order_kernel import (
@@ -97,9 +100,56 @@ def test_count_exact_spot_values():
     assert count_exact(7, 16) == 0
 
 
+def _hnf_rows_of_sum_and_conjugates(field, k, w):
+    beta = elem(field, 0, -w, k)
+    return tuple(ideal_hnf(x).rows for x in (beta, conjugate(beta, 1), conjugate(beta, 2)))
+
+
+def test_sum_ideal_rows_equal_the_hnf_of_every_count_fast_candidate():
+    for a in range(1, 61):
+        f = make_field(Family.SIMPLEST_CUBIC, a)
+        for p in count_fast(a, a * a, include_unit=True).pairs:
+            assert sum_ideal_rows(f, p.k, p.w) == _hnf_rows_of_sum_and_conjugates(f, p.k, p.w)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(min_value=-1, max_value=400),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=400),
+)
+def test_sum_ideal_rows_equal_the_hnf_outside_the_fast_cuts(a, k, w):
+    """Any coprime (k, w), totally positive or not, within the cuts or not."""
+    assume(math.gcd(k, w) == 1)
+    f = make_field(Family.SIMPLEST_CUBIC, a)
+    assert sum_ideal_rows(f, k, w) == _hnf_rows_of_sum_and_conjugates(f, k, w)
+
+
+def test_count_exact_certificate_is_live(monkeypatch):
+    """A wrong norm or a wrong residue raises instead of miscounting."""
+    assert count_exact(40, 1600) == 3 * count_fast(40, 1600).count
+    with monkeypatch.context() as m:
+        m.setattr(norms, "sum_norm", lambda a, k, w: sum_norm(a, k, w) + 1)
+        with pytest.raises(ConsistencyError):
+            count_exact(40, 1600)
+    residue = norms._sum_residue
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_sum_residue", lambda n, k, w: (residue(n, k, w) + 1) % n)
+        with pytest.raises(ConsistencyError):
+            count_exact(40, 1600)
+
+
+def test_count_exact_builds_no_hnf_and_no_conjugate(monkeypatch):
+    hnfs = _wrap_everywhere(monkeypatch, norms, "ideal_hnf")
+    rows = _wrap_everywhere(monkeypatch, hnf, "row_hnf_lower")
+    conjugates = _wrap_everywhere(monkeypatch, order_kernel, "conjugate")
+    assert count_exact(40, 1600) > 0
+    assert (hnfs, rows, conjugates) == ([], [], [])
+
+
 def test_count_bruteforce_guard_and_monotone():
     with pytest.raises(GuardExceeded):
-        count_bruteforce(13, 10)
+        count_bruteforce(31, 10)
     with pytest.raises(BoundTooLarge):
         count_bruteforce(7, 50)
     a = 7
