@@ -38,7 +38,7 @@ def test_acceptance_04_family_traces():
 
 
 def test_acceptance_05_count_ground_truth():
-    """count_exact == count_bruteforce for a in {7, 8} and every X <= a^2."""
+    """count_exact == count_bruteforce for a in 7..16 and every X <= a^2."""
     _run(verify.check_count_ground_truth)
 
 
