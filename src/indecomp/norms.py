@@ -14,7 +14,6 @@ Three routes to the ideal count P_a(X) for X <= a^2:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,12 +37,14 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
+    apply_matrix,
     elem,
     galois_conjugation_matrix,
     make_field,
     mul,  # unused here; perfbench/tests/selfcheck.py checks tracing rebinds norms.mul
     multiplication_matrix,
     norm,
+    rho,
     sym_funcs,
 )
 
@@ -144,8 +145,8 @@ def _conjugate_roots(field: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]
     validated `galois_conjugation_matrix`): the inverse images of rho under
     one and two conjugations."""
     m = galois_conjugation_matrix(field)
-    rp = tuple(row[1] for row in m)
-    return tuple(sum(map(operator.mul, row, rp)) for row in m), rp
+    rp = apply_matrix(m, rho(field))
+    return apply_matrix(m, rp).coords, rp.coords
 
 
 def _sum_residue(n: int, k: int, w: int) -> int:
