@@ -151,11 +151,16 @@ def _conjugate_roots(field: FieldSpec) -> tuple[tuple[int, ...], tuple[int, ...]
 
 def _sum_residue(n: int, k: int, w: int) -> int:
     """r = w/k mod n; k is invertible since N(beta) = -w^3 (mod k), gcd(k, w) = 1."""
-    return w * pow(k, -1, n) % n
+    try:
+        return w * pow(k, -1, n) % n
+    except ValueError:
+        raise IllegalParameter(f"beta is not primitive: gcd({k}, {w}) > 1") from None
 
 
 def sum_ideal_rows(field: FieldSpec, k: int, w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """HNF rows of (beta), (beta') and (beta''), beta = -w*rho + k*rho^2, in closed form.
+
+    Needs coprime k >= 1, w >= 0 (IllegalParameter otherwise).
 
     beta = rho * (k*rho - w) with rho a unit, so Z[rho]/(beta) is cyclic of
     order n = |N(beta)| = |sum_norm(a, k, w)| and (beta) is the kernel of

@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indecomp import families, hnf, integers, norms, order_kernel
-from indecomp.errors import BoundTooLarge, ConsistencyError, GuardExceeded, ZeroElement
+from indecomp.errors import (
+    BoundTooLarge,
+    ConsistencyError,
+    GuardExceeded,
+    IllegalParameter,
+    ZeroElement,
+)
 from indecomp.families import TrianglePoint, fundamental_triangle, indecomposables_simplest
 from indecomp.integers import is_squarefree
 from indecomp.norms import (
@@ -123,6 +129,13 @@ def test_sum_ideal_rows_equal_the_hnf_outside_the_fast_cuts(a, k, w):
     assume(math.gcd(k, w) == 1)
     f = make_field(Family.SIMPLEST_CUBIC, a)
     assert sum_ideal_rows(f, k, w) == _hnf_rows_of_sum_and_conjugates(f, k, w)
+
+
+def test_sum_ideal_rows_rejects_imprimitive_and_negative_input():
+    f = make_field(Family.SIMPLEST_CUBIC, 7)
+    for k, w in ((2, 4), (3, 3), (0, 1), (1, -1)):
+        with pytest.raises(IllegalParameter):
+            sum_ideal_rows(f, k, w)
 
 
 def test_count_exact_certificate_is_live(monkeypatch):
