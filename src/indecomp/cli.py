@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -266,19 +267,7 @@ def _write_resume(path, done) -> None:
 
 def cmd_bounds(args) -> int:
     field = _field(args)
-    rep = forms.rank_report(field)
-    payload = {
-        "family": rep.family,
-        "a": rep.a,
-        "n": rep.n,
-        "m": rep.m,
-        "s_count": rep.s_count,
-        "upper_diag": rep.upper_diag,
-        "lower_classical": rep.lower_classical,
-        "lower_diag": rep.lower_diag,
-        "lower_nonclassical": rep.lower_nonclassical,
-        "lower_nonclassical_exact": rep.lower_nonclassical_exact,
-    }
+    payload = dataclasses.asdict(forms.rank_report(field))
     for key, value in payload.items():
         print(f"{key}: {value}")
     _emit(payload, args)

@@ -47,7 +47,6 @@ from .order_kernel import (
 )
 
 PYTHAGORAS_CAP_CUBIC = 6  # s(O) <= d + 3 in degree 3
-PYTHAGORAS_CAP_QUADRATIC = 5
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +327,13 @@ def _squares_summing_to(target: OrderElement, budget: int, memo: dict) -> Option
     return result
 
 
-def sum_of_squares_witness(
-    beta: OrderElement, cap: int = PYTHAGORAS_CAP_CUBIC
-) -> Optional[list[OrderElement]]:
-    """Up to `cap` elements whose squares sum to beta, by bounded search."""
+def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
+    """Up to PYTHAGORAS_CAP_CUBIC elements whose squares sum to beta, by bounded search."""
     if beta.is_zero():
         return []
     if not is_totally_positive(beta):
         return None
-    return _squares_summing_to(beta, cap, {})
+    return _squares_summing_to(beta, PYTHAGORAS_CAP_CUBIC, {})
 
 
 @dataclass(frozen=True)
@@ -387,7 +384,6 @@ def verify_universality_window(field: FieldSpec, trace_bound: int) -> WindowRepo
         raise GuardExceeded(f"trace_bound guarded to 1..{PYTHAGORAS_CAP_CUBIC}")
     failures = []
     elements = _window_elements(field, trace_bound)
-    us = unit_generators(field).totally_positive
     for alpha in elements:
         try:
             parts = decompose_into_indecomposables(alpha)
@@ -413,7 +409,7 @@ def verify_universality_window(field: FieldSpec, trace_bound: int) -> WindowRepo
             group_sum = elem(field, 0, 0, 0)
             for u in units:
                 group_sum = group_sum + u
-            witness = sum_of_squares_witness(group_sum, PYTHAGORAS_CAP_CUBIC)
+            witness = sum_of_squares_witness(group_sum)
             if witness is None:
                 failures.append(
                     f"{alpha.coords}: group {key} is not a sum of {PYTHAGORAS_CAP_CUBIC} squares"

@@ -6,7 +6,8 @@ that pass the exact symbolic test.  By Euler's lemma the trace-dual basis of
 so x_j = sum_i sigma_i(x) sigma_i(b_j/f').  Cubic and quadratic fields share
 one integer path: `_dyadic` rounds the enclosures of sigma_i(rho^j) and
 sigma_i(b_j/f') outward to a scale 2^k once per field and refinement round,
-`_context` refines until the needed signs are definite, `box_from_embedding`
+`_context`, the only loop that refines root intervals, refines until the
+needed signs are definite, `box_from_embedding`
 is the box rule, and `region_points` hands the box and the embedding rows to
 the one enumerator, `hnf.lattice_points`.  No search step uses a float."""
 
@@ -41,21 +42,16 @@ from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
     OrderElement,
-    embedding_rows,
+    embed,
     is_totally_positive,
     multiplication_matrix,
     norm,
+    refine_roots,
 )
 
 
 # ---------------------------------------------------------------------------
 # The shared search path: embedding context, box rule, enumerators
-
-
-def _enclose(rows, coords) -> tuple[Interval, ...]:
-    """Enclosures rows[i] . coords of the embeddings (the first basis element is 1)."""
-    c0, *cs = coords
-    return tuple(sum((x * c for x, c in zip(row[1:], cs)), Interval(c0)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -77,27 +73,31 @@ def _outward(iv: Interval, k: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
-    """The context from `embedding_rows(field, rounds)`; None until f' is sign-definite.
+    """The context from `refine_roots(field, rounds)`; None until f' is sign-definite.
 
     field is a cubic FieldSpec or a QuadField: only field.minpoly and the
-    interval embedding matrix of (1, rho, ...) are used.  The exact rational
+    root intervals are used.  The rows are [1, rho_i, rho_i^2][:d], and
+    f'(rho) and the b_j are enclosed with `embed`.  The exact rational
     enclosures are rounded outward once, at k = the bit length of
     1/(root width) plus 8, which widens each by a small fraction of its width.
     """
-    c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
-    d = len(c) - 1
-    # synthetic division b_(d-1) = 1, b_(j-1) = rho*b_j + c_j: b_j = sum_k c_(j+1+k) rho^k
-    numerators = [c[j + 1 :] + (0,) * j for j in range(d)]
-    rows = embedding_rows(field, rounds)
-    fp = _enclose(rows, [(m + 1) * c[m + 1] for m in range(d)])  # f'(rho) = sum_j b_j rho^j
+    roots = refine_roots(field, rounds)
+    fp = embed(fprime_element(field), roots)
     if not all(iv.sign_definite() for iv in fp):
         return None
-    width = max(row[1].width for row in rows)
+    c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
+    d = len(c) - 1
+    width = max(iv.width for iv in roots.intervals)
     k = (width.denominator // width.numerator).bit_length() + 8
+    # synthetic division b_(d-1) = 1, b_(j-1) = rho*b_j + c_j: b_j = sum_k c_(j+1+k) rho^k
+    numerators = [OrderElement(c[j + 1 :] + (0,) * j, field) for j in range(d)]
     return DyadicContext(
         k,
-        tuple(tuple(_outward(iv, k) for iv in row) for row in rows),
-        tuple(tuple(_outward(s / f, k) for s, f in zip(_enclose(rows, b), fp)) for b in numerators),
+        tuple(
+            tuple(_outward(iv, k) for iv in (Interval(1), *powers)[:d])
+            for powers in zip(roots.intervals, roots.squares)
+        ),
+        tuple(tuple(_outward(s / f, k) for s, f in zip(embed(b, roots), fp)) for b in numerators),
     )
 
 

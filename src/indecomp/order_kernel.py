@@ -3,7 +3,9 @@
 One element type serves both degrees; the coordinate count d is the degree
 of the field's minimal polynomial, and the kernel keeps one closed form per
 degree.  Root isolation serves both degrees; conjugation and units are for
-the cubic families.
+the cubic families.  Nothing here refines root intervals until a sign is
+decided (`oracle._context` is the one loop that does), and the Galois
+conjugation is certified with exact signs, not intervals.
 
 Everything here is exact: coordinates are Python integers, root intervals
 have Fraction endpoints, and total positivity is decided from the signs of
@@ -17,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ConsistencyError,
@@ -362,6 +364,11 @@ class RootIntervals:
     intervals: tuple[Interval, ...]
     width: Fraction
 
+    @cached_property
+    def squares(self) -> tuple[Interval, ...]:
+        """The enclosures of rho_i^2, squared once per instance for every `embed`."""
+        return tuple(iv.square() for iv in self.intervals)
+
 
 def poly_eval(field, t: Fraction) -> Fraction:
     """f(t) for the monic f = field.minpoly, by Horner's rule."""
@@ -537,32 +544,14 @@ def refine_roots(field, rounds: int) -> RootIntervals:
     return _root_intervals(field, refined, width)
 
 
-def embedding_rows(field, rounds: int) -> list[list[Interval]]:
-    """Interval embedding matrix [1, rho_i, rho_i^2][:d] after `rounds` refinements."""
-    d = len(field.minpoly)
-    return [[Interval(1), iv, iv.square()][:d] for iv in refine_roots(field, rounds).intervals]
-
-
 def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, ...]:
     """Interval enclosures of the real embeddings of x."""
     if r.field is not x.field and r.field != x.field:
         raise FieldMismatch("element and root intervals from different fields")
     v0, *vs = x.coords
     return tuple(
-        sum(map(operator.mul, vs, (iv, iv.square())), Interval(v0)) for iv in r.intervals
+        sum(map(operator.mul, vs, powers), Interval(v0)) for powers in zip(r.intervals, r.squares)
     )
-
-
-def embed_sign_definite(x: OrderElement) -> tuple[tuple[Interval, ...], RootIntervals]:
-    """Embeddings refined until every interval has a definite sign (x != 0)."""
-    if x.is_zero():
-        raise ZeroElement("cannot sign-refine the zero element")
-    for rounds in range(REFINEMENT_CAP + 1):
-        r = refine_roots(x.field, rounds)
-        ivs = embed(x, r)
-        if all(iv.sign_definite() for iv in ivs):
-            return ivs, r
-    raise RefinementLimit("embeddings did not become sign-definite")
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +562,11 @@ def embed_sign_definite(x: OrderElement) -> tuple[tuple[Interval, ...], RootInte
 def galois_conjugation_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], ...]:
     """Integer matrix M with M . coords(x) = coords(x') for rho -> rho'.
 
-    rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated by f(rho') = 0,
-    M^3 = I and sigma_1(rho') in (-2, -1), which holds exactly when
-    sigma_1(rho) > 1 once rho*rho' + rho + 1 = 0 is checked in the order.
+    rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated exactly, with no
+    root interval.  f(rho') = 0 makes x -> x(rho') a ring map, so M^3 = I
+    once M^3 fixes rho.  With rho*rho' + rho + 1 = 0, sigma_1(rho') lies in
+    (-2, -1) exactly when sigma_1(rho) > 1: f(1) = -2a - 3 < 0 puts the
+    largest root above 1, and `_root_intervals` lists it first.
     """
     if field.family is not Family.SIMPLEST_CUBIC:
         raise NotGalois(f"{field.family.value} family is not handled as Galois")
@@ -587,26 +578,13 @@ def galois_conjugation_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], .
         raise NotGalois("conjugate candidate is not a root")
     cols = [one(field).coords, rp.coords, (rp * rp).coords]
     m = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    # M^3 = I
-    m2 = _mat_mul(m, m)
-    if _mat_mul(m2, m) != ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+    if apply_matrix(m, apply_matrix(m, rp)) != rho(field):
         raise NotGalois("conjugation matrix does not have order 3")
     if not (rho(field) * rp + rho(field) + one(field)).is_zero():
         raise NotGalois("conjugate candidate is not -1 - 1/rho")
-    # sigma_1(rho) > 1: the default interval decides it for a >= -1; refine only if it cannot
-    r, rounds = isolate_roots(field), 0
-    while r.intervals[0].lo <= 1:
-        if r.intervals[0].hi < 1:
-            raise NotGalois("conjugate candidate outside (-2,-1)")
-        rounds += 1
-        r = refine_roots(field, rounds)
+    if poly_eval(field, 1) >= 0:
+        raise NotGalois("conjugate candidate outside (-2,-1)")
     return m
-
-
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
 
 
 def apply_matrix(m, x: OrderElement) -> OrderElement:

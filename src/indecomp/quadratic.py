@@ -219,18 +219,17 @@ def _delta_checks(delta: CodifferentElement, i: int) -> bool:
     """Tr(alpha_{i,r} * delta) = 1 for all 0 <= r <= u_{i+2}, and delta >> 0.
 
     alpha_{i,r} = alpha_i + r*alpha_{i+1}, so its trace is t_i + r*t_{i+1},
-    with t_j the pairing of delta with the convergent (p_j, q_j).
+    with t_j the pairing of delta with the convergent (p_j, q_j).  As
+    u_{i+2} >= 1, that is 1 for every r exactly when t_i = 1 and t_{i+1} = 0.
     """
     cf = cf_expand(delta.field.D)
     c0, c1 = pairing_vector(delta)
-    p, q = cf.convergent_pair(i)
-    t_i = c0 * p + c1 * q
-    p, q = cf.convergent_pair(i + 1)
-    t_next = c0 * p + c1 * q
-    for r in range(0, cf.u(i + 2) + 1):
-        if t_i + r * t_next != 1:
-            return False
-    return is_totally_positive_codiff(delta)
+    (p, q), (p_next, q_next) = cf.convergent_pair(i), cf.convergent_pair(i + 1)
+    return (
+        c0 * p + c1 * q == 1
+        and c0 * p_next + c1 * q_next == 0
+        and is_totally_positive_codiff(delta)
+    )
 
 
 def trace_one_delta(D: int, i: int) -> CodifferentElement:

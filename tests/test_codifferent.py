@@ -24,11 +24,11 @@ from indecomp.codifferent import (
 )
 from indecomp.errors import IndecompError, UnsupportedFamily, ZeroElement
 from indecomp.families import indecomposables_simplest
+from indecomp.oracle import _context
 from indecomp.order_kernel import (
     Family,
     OrderElement,
     elem,
-    embed_sign_definite,
     make_field,
     mul,
     multiplication_matrix,
@@ -132,8 +132,9 @@ def test_inverse_fprime_not_totally_positive():
     f = make_field(Family.SIMPLEST_CUBIC, 7)
     assert not is_totally_positive_codiff(CodifferentElement(one(f)))
     # embedding-sign confirmation: f'(rho) has a negative conjugate
-    ivs, _ = embed_sign_definite(fprime_element(f))
-    signs = [1 if iv.is_positive() else -1 for iv in ivs]
+    fp = fprime_element(f)
+    _, enclosures = _context(f, sign_definite=[fp])
+    signs = [1 if lo > 0 else -1 for lo, _ in enclosures[fp]]
     assert -1 in signs and 1 in signs
 
 
@@ -250,9 +251,9 @@ def test_codiff_positivity_matches_embedding_signs(field, coords):
     """gamma/f' >> 0 exactly when every sigma_i(gamma) has the sign of sigma_i(f')."""
     assume(any(coords))
     gamma = OrderElement(coords, field)
-    g_ivs, _ = embed_sign_definite(gamma)
-    f_ivs, _ = embed_sign_definite(fprime_element(field))
-    want = all(g.is_positive() == f.is_positive() for g, f in zip(g_ivs, f_ivs))
+    fp = fprime_element(field)
+    _, enclosures = _context(field, sign_definite=[gamma, fp])
+    want = all((g > 0) == (f > 0) for (g, _), (f, _) in zip(enclosures[gamma], enclosures[fp]))
     assert is_totally_positive_codiff(CodifferentElement(gamma)) == want
 
 

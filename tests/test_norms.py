@@ -160,6 +160,17 @@ def test_count_exact_builds_no_hnf_and_no_conjugate(monkeypatch):
     assert (hnfs, rows, conjugates) == ([], [], [])
 
 
+def test_count_exact_isolates_no_roots(monkeypatch):
+    """Work counter: the Galois placement on a new field is exact, so
+    count_exact isolates and refines no root interval."""
+    isolations = _wrap_everywhere(monkeypatch, order_kernel, "isolate_roots")
+    refinements = _wrap_everywhere(monkeypatch, order_kernel, "refine_roots")
+    misses = order_kernel.galois_conjugation_matrix.cache_info().misses
+    assert count_exact(1013, 1013 * 1013 // 2) > 0  # a field no other test builds
+    assert order_kernel.galois_conjugation_matrix.cache_info().misses == misses + 1
+    assert (isolations, refinements) == ([], [])
+
+
 def test_count_bruteforce_guard_and_monotone():
     with pytest.raises(GuardExceeded):
         count_bruteforce(31, 10)

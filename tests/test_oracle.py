@@ -50,7 +50,6 @@ from indecomp.order_kernel import (
     conjugate,
     elem,
     embed,
-    embedding_rows,
     is_totally_positive,
     isolate_roots,
     OrderElement,
@@ -59,6 +58,7 @@ from indecomp.order_kernel import (
     mul,
     norm,
     one,
+    refine_roots,
     rho,
     trace,
     unit_generators,
@@ -340,6 +340,12 @@ def _cramer_box(rows, bounds):
     return box
 
 
+def _embedding_rows(field, rounds):
+    """[1, rho_i, rho_i^2][:d] for each embedding, after `rounds` refinements."""
+    d = len(field.minpoly)
+    return [[Interval(1), iv, iv.square()][:d] for iv in refine_roots(field, rounds).intervals]
+
+
 def _dot(rows, coords):
     return [sum((x * c for x, c in zip(row, coords)), Interval(0)) for row in rows]
 
@@ -357,16 +363,16 @@ def test_dual_box_contains_every_cramer_box_point_in_the_region(field, coords, w
     coords = tuple(coords[:d])
     rounds = next(
         r for r in range(64)
-        if _dyadic(field, r) is not None and det(embedding_rows(field, r)).sign_definite()
+        if _dyadic(field, r) is not None and det(_embedding_rows(field, r)).sign_definite()
     ) + extra
-    rows = embedding_rows(field, rounds)
+    rows = _embedding_rows(field, rounds)
     # a region around a lattice point, so that it is never empty
     bounds = [Interval(iv.lo - w, iv.hi + w) for iv, w in zip(_dot(rows, coords), widths)]
     ctx = _dyadic(field, rounds)
     scaled = [(math.floor(b.lo * 2**ctx.k), math.ceil(b.hi * 2**ctx.k)) for b in bounds]
     dual_box = box_from_embedding(ctx, scaled)
     assert all(lo <= c <= hi for (lo, hi), c in zip(dual_box, coords))
-    fine = embedding_rows(field, rounds + 40)
+    fine = _embedding_rows(field, rounds + 40)
     inside = 0
     for x in itertools.product(*(range(lo, hi + 1) for lo, hi in _cramer_box(rows, bounds))):
         ivs = _dot(fine, x)

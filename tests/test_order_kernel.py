@@ -24,6 +24,7 @@ from indecomp.errors import (
     ZeroElement,
 )
 from indecomp.norms import ideal_hnf
+from indecomp.oracle import _context
 from indecomp.order_kernel import (
     REFINEMENT_CAP,
     Family,
@@ -32,7 +33,6 @@ from indecomp.order_kernel import (
     conjugate,
     elem,
     embed,
-    embed_sign_definite,
     galois_conjugation_matrix,
     is_totally_positive,
     isolate_roots,
@@ -194,8 +194,8 @@ def test_totally_positive_matches_embedding_signs():
             x = rand_elem(f, 6)
             if x.is_zero():
                 continue
-            ivs, _ = embed_sign_definite(x)
-            assert is_totally_positive(x) == all(iv.is_positive() for iv in ivs)
+            _, enclosures = _context(f, sign_definite=[x])
+            assert is_totally_positive(x) == all(lo > 0 for lo, _ in enclosures[x])
     for D in (2, 3, 5, 13, 21):
         f = make_quad_field(D)
         roots = sympy.Poly([1, *f.minpoly], X).all_roots()  # exact, in sqrt(D)
@@ -230,6 +230,11 @@ def test_root_isolation_generic_descending():
         # sign change across each interval
         for iv in ri.intervals:
             assert poly_eval(f, iv.lo) * poly_eval(f, iv.hi) < 0
+    # the simplest order, bracketed for a < 7 and seeded above, which the
+    # exact placement in galois_conjugation_matrix relies on
+    for a in (*range(-1, 61), 400):
+        big, second, third = isolate_roots(make_field(Family.SIMPLEST_CUBIC, a)).intervals
+        assert 1 < big.lo and -2 < second.lo and second.hi < -1 < third.lo and third.hi < 0, a
 
 
 _REFINED_FAMILIES = [
@@ -303,26 +308,29 @@ def test_conjugation_matrix():
 
 
 def test_conjugation_placement_needs_no_refinement(monkeypatch):
-    """Work counter: sigma_1(rho) > 1 places rho' without refining the roots."""
-    from indecomp import order_kernel
+    """Work counter: the exact sign f(1) < 0 places rho' without isolating
+    or refining the roots."""
+    calls = []
+    refine = order_kernel.refine_roots
 
-    calls = [0]
-    original = order_kernel.refine_roots
+    def counting(original):
+        def wrapper(*args):
+            calls.append(original.__name__)
+            return original(*args)
 
-    def counting(field, rounds):
-        calls[0] += 1
-        return original(field, rounds)
+        return wrapper
 
-    monkeypatch.setattr(order_kernel, "refine_roots", counting)
+    for name in ("isolate_roots", "refine_roots"):
+        monkeypatch.setattr(order_kernel, name, counting(getattr(order_kernel, name)))
     for a in (*range(-1, 11), 50, 400):
         f = make_field(Family.SIMPLEST_CUBIC, a)
-        calls[0] = 0
+        calls.clear()
         m = galois_conjugation_matrix.__wrapped__(f)
-        assert calls[0] == 0, a
+        assert calls == [], a
         # the interval embedding of rho' itself, refined until it lands in (-2, -1)
         rp = OrderElement(tuple(r[1] for r in m), f)
         assert any(-2 < iv.lo and iv.hi < -1
-                   for iv in (embed(rp, original(f, k))[0] for k in range(0, 40, 4))), a
+                   for iv in (embed(rp, refine(f, k))[0] for k in range(0, 40, 4))), a
 
 
 def test_conjugation_not_galois_families():
@@ -364,12 +372,9 @@ def test_unit_conjugate_growth():
                 if k == 0 and l == 0:
                     continue
                 u = mul(r ** k, rp ** l)
-                ivs, _ = embed_sign_definite(u)
-                big = False
-                for iv in ivs:
-                    if iv.lo > a or iv.hi < -a:
-                        big = True
-                assert big, (a, k, l)
+                ctx, enclosures = _context(f, sign_definite=[u])
+                big = a << ctx.k  # a at the scale 2^k of the integer enclosures
+                assert any(lo > big or hi < -big for lo, hi in enclosures[u]), (a, k, l)
 
 
 def test_unit_inverse():
