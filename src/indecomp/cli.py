@@ -72,11 +72,10 @@ def _emit(payload: dict, args, rows=None, header=None) -> None:
         text = json.dumps(payload, indent=2) + "\n"
         with _open(args.json, "w") as fh:
             fh.write(text)
-    if getattr(args, "csv", None) and rows is not None:
+    if getattr(args, "csv", None):
         with _open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if header:
-                writer.writerow(header)
+            writer.writerow(header)
             writer.writerows(rows)
 
 
@@ -341,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=named, required=True)
         p.add_argument("--a", type=int, required=True)
 
-    def add_exports(p):
+    def add_exports(p, tabular=False):
         p.add_argument("--json", metavar="PATH", help="write JSON output")
-        p.add_argument("--csv", metavar="PATH", help="write CSV output")
+        if tabular:
+            p.add_argument("--csv", metavar="PATH", help="write CSV output")
 
     p = sub.add_parser("field-info", help="minimal polynomial, roots, units")
     add_family(p)
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(p)
     p.add_argument("--verify-oracle", action="store_true",
                    help="cross-check against the exhaustive window search")
-    add_exports(p)
+    add_exports(p, tabular=True)
     p.set_defaults(func=cmd_indecomposables)
 
     p = sub.add_parser("min-trace", help="minimal trace over the totally positive codifferent")
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes, at most one per row to compute (default: 1)")
     p.add_argument("--resume", metavar="PATH", help="JSON checkpoint of completed rows")
-    add_exports(p)
+    add_exports(p, tabular=True)
     p.set_defaults(func=cmd_sq_table)
 
     p = sub.add_parser("bounds", help="universal quadratic form rank bounds")

@@ -14,7 +14,6 @@ from .codifferent import (
     CodifferentElement,
     certificate_delta,
     certified_simplest,
-    fprime_element,
     pairing_vector,
     trace_pairing,
 )
@@ -347,14 +346,13 @@ class WindowReport:
 def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     """All totally positive alpha with Tr(delta * alpha) <= trace_bound."""
     delta = certificate_delta(field)
-    fp = fprime_element(field)
     gamma = delta.numerator
     c = pairing_vector(delta)
     out = []
-    ctx, enclosures = _context(field, sign_definite=[gamma, fp])
+    ctx, enclosures = _context(field, sign_definite=[gamma])
     # sigma_i(delta) = sigma_i(gamma)/sigma_i(f') >= min|gamma_i| / max|f'_i| > 0 since delta >> 0
     ratios = []
-    for (glo, ghi), (flo, fhi) in zip(enclosures[gamma], enclosures[fp]):
+    for (glo, ghi), (flo, fhi) in zip(enclosures[gamma], ctx.fprime):
         if (glo > 0) != (flo > 0):
             raise ConsistencyError("certificate delta must be totally positive")
         ratios.append((max(-flo, fhi), min(abs(glo), abs(ghi))))

@@ -77,6 +77,14 @@ class CountFastResult:
         return len(self.pairs)
 
 
+def _check_count_domain(a: int, X: int) -> None:
+    """The domain of every count: a >= 1, then 1 <= X <= a^2."""
+    if a < 1:
+        raise IllegalParameter("counting needs a >= 1")
+    if not 1 <= X <= a * a:
+        raise BoundTooLarge(f"X must lie in [1, a^2 = {a * a}]")
+
+
 def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
     """Primitive totally positive sums with norm <= X, X <= a^2.
 
@@ -86,10 +94,7 @@ def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
     Raises ConsistencyError unless each kept candidate's norm e3 from
     `sym_funcs` equals `sum_norm`, the n that `count_exact` relies on.
     """
-    if a < 1:
-        raise IllegalParameter("counting needs a >= 1")
-    if not 1 <= X <= a * a:
-        raise BoundTooLarge(f"X must lie in [1, a^2 = {a * a}]")
+    _check_count_domain(a, X)
     field = make_field(Family.SIMPLEST_CUBIC, a)
     pairs = []
     if include_unit:
@@ -248,8 +253,7 @@ def count_bruteforce(a: int, X: int, include_unit: bool = False) -> int:
     """Ground-truth primitive principal ideal count for a <= BRUTE_A_GUARD, X <= a^2."""
     if a > BRUTE_A_GUARD:
         raise GuardExceeded(f"brute force is guarded to a <= {BRUTE_A_GUARD}")
-    if not 1 <= X <= a * a:
-        raise BoundTooLarge(f"X must lie in [1, a^2 = {a * a}]")
+    _check_count_domain(a, X)
     dets = _bruteforce_ideals(a)
     base = sum(1 for d, _ in dets if d <= X)
     return base + (1 if include_unit else 0)

@@ -4,12 +4,13 @@ Every search runs over a rigorous superset of its region and keeps the points
 that pass the exact symbolic test.  By Euler's lemma the trace-dual basis of
 (1, rho, ...) is b_j(rho)/f'(rho), where f(x)/(x - rho) = sum_j b_j(rho) x^j,
 so x_j = sum_i sigma_i(x) sigma_i(b_j/f').  Cubic and quadratic fields share
-one integer path: `_dyadic` rounds the enclosures of sigma_i(rho^j) and
-sigma_i(b_j/f') outward to a scale 2^k once per field and refinement round,
-`_context`, the only loop that refines root intervals, refines until the
-needed signs are definite, `box_from_embedding`
-is the box rule, and `region_points` hands the box and the embedding rows to
-the one enumerator, `hnf.lattice_points`.  No search step uses a float."""
+one integer path: `_dyadic` rounds the powers of the root intervals outward
+to a scale 2^k once per field and refinement round; `hnf.interval_dot` over
+those rows encloses every element, f' and the b_j included.  `_context`, the
+only loop that refines root intervals, refines until the needed signs are
+definite, `box_from_embedding` is the box rule, and `region_points` hands
+the box and the rows to the one enumerator, `hnf.lattice_points`.  No search
+step uses a float, nor a Fraction after the rounding."""
 
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
     OrderElement,
-    embed,
     is_totally_positive,
     multiplication_matrix,
     norm,
@@ -58,12 +58,13 @@ from .order_kernel import (
 class DyadicContext:
     """Integer enclosures, at the scale 2^k, of one field's embeddings.
 
-    rows[i][j] encloses 2^k sigma_i(rho^j) and dual[j][i] encloses
-    2^k sigma_i(b_j/f'), each as an integer pair (lo, hi).
+    rows[i][j], fprime[i] and dual[j][i] enclose, as integer pairs (lo, hi),
+    2^k times sigma_i of rho^j, f'(rho) and b_j/f'; every fprime[i] is sign-definite.
     """
 
     k: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
+    fprime: tuple[tuple[int, int], ...]
     dual: tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -71,40 +72,44 @@ def _outward(iv: Interval, k: int) -> tuple[int, int]:
     return math.floor(iv.lo * 2**k), math.ceil(iv.hi * 2**k)
 
 
+def _quotient(b: tuple[int, int], f: tuple[int, int], k: int) -> tuple[int, int]:
+    """Enclosure of 2^k * b/f for integer intervals b and a sign-definite f, by the corners."""
+    corners = [divmod(u << k, v) for u in b for v in f]
+    return min(q for q, _ in corners), max(q + (r != 0) for q, r in corners)
+
+
 @lru_cache(maxsize=None)
 def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
     """The context from `refine_roots(field, rounds)`; None until f' is sign-definite.
 
     field is a cubic FieldSpec or a QuadField: only field.minpoly and the
-    root intervals are used.  The rows are [1, rho_i, rho_i^2][:d], and
-    f'(rho) and the b_j are enclosed with `embed`.  The exact rational
-    enclosures are rounded outward once, at k = the bit length of
-    1/(root width) plus 8, which widens each by a small fraction of its width.
+    root intervals are used.  The rows [1, rho_i, rho_i^2][:d] are rounded
+    outward once, at k = the bit length of 1/(root width) plus 8; f'(rho)
+    and the b_j are enclosed by `interval_dot` over them, and each dual entry
+    by the outward integer quotients 2^k b_j/f' of their corners.
     """
     roots = refine_roots(field, rounds)
-    fp = embed(fprime_element(field), roots)
-    if not all(iv.sign_definite() for iv in fp):
-        return None
     c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
     d = len(c) - 1
     width = max(iv.width for iv in roots.intervals)
     k = (width.denominator // width.numerator).bit_length() + 8
+    powers = [(Interval(1), iv, iv.square())[:d] for iv in roots.intervals]
+    rows = tuple(tuple(_outward(p, k) for p in ps) for ps in powers)
+    fp = tuple(interval_dot(row, fprime_element(field).coords) for row in rows)
+    if not all(lo > 0 or hi < 0 for lo, hi in fp):
+        return None
     # synthetic division b_(d-1) = 1, b_(j-1) = rho*b_j + c_j: b_j = sum_k c_(j+1+k) rho^k
-    numerators = [OrderElement(c[j + 1 :] + (0,) * j, field) for j in range(d)]
-    return DyadicContext(
-        k,
-        tuple(
-            tuple(_outward(iv, k) for iv in (Interval(1), *powers)[:d])
-            for powers in zip(roots.intervals, roots.squares)
-        ),
-        tuple(tuple(_outward(s / f, k) for s, f in zip(embed(b, roots), fp)) for b in numerators),
+    numerators = [c[j + 1 :] + (0,) * j for j in range(d)]
+    dual = tuple(
+        tuple(_quotient(interval_dot(row, b), f, k) for row, f in zip(rows, fp)) for b in numerators
     )
+    return DyadicContext(k, rows, fp, dual)
 
 
 def _context(field, positive: Sequence = (), sign_definite: Sequence = ()):
-    """The dyadic context (see `_dyadic`), plus enclosures of 2^k sigma_i(el).
+    """The dyadic context (see `_dyadic`), plus `interval_dot` enclosures of 2^k sigma_i(el).
 
-    Refines until f'(rho) is sign-definite in every embedding, every element
+    Refines until ctx.fprime is sign-definite in every embedding, every element
     of `positive` has positive enclosures, and every element of
     `sign_definite` has sign-definite enclosures.
     """
@@ -197,10 +202,9 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
 def _trace_region(alpha: OrderElement, t: int):
     """(ctx, bounds, equality) for `region_points`: the numerators of `_trace_slice`."""
     field = alpha.field
-    fp = fprime_element(field)
-    ctx, enclosures = _context(field, positive=[alpha], sign_definite=[fp])
+    ctx, enclosures = _context(field, positive=[alpha])
     bounds = []
-    for (alo, _), (flo, fhi) in zip(enclosures[alpha], enclosures[fp]):
+    for (alo, _), (flo, fhi) in zip(enclosures[alpha], ctx.fprime):
         # 0 < sigma_i(delta) < t / sigma_i(alpha), gamma = delta * f'(rho), at scale 2^k
         if flo > 0:
             bounds.append((0, -(-(t * fhi << ctx.k) // alo)))

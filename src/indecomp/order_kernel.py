@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (
     ConsistencyError,
@@ -364,11 +364,6 @@ class RootIntervals:
     intervals: tuple[Interval, ...]
     width: Fraction
 
-    @cached_property
-    def squares(self) -> tuple[Interval, ...]:
-        """The enclosures of rho_i^2, squared once per instance for every `embed`."""
-        return tuple(iv.square() for iv in self.intervals)
-
 
 def poly_eval(field, t: Fraction) -> Fraction:
     """f(t) for the monic f = field.minpoly, by Horner's rule."""
@@ -549,9 +544,7 @@ def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, ...]:
     if r.field is not x.field and r.field != x.field:
         raise FieldMismatch("element and root intervals from different fields")
     v0, *vs = x.coords
-    return tuple(
-        sum(map(operator.mul, vs, powers), Interval(v0)) for powers in zip(r.intervals, r.squares)
-    )
+    return tuple(sum(map(operator.mul, vs, (iv, iv.square())), Interval(v0)) for iv in r.intervals)
 
 
 # ---------------------------------------------------------------------------

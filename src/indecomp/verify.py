@@ -50,6 +50,8 @@ QUADRATIC_D_SET = (2, 3, 5, 6, 7, 10, 13)
 SCALING_BANDS = {Fraction(1, 2): (Fraction(6, 10), Fraction(9, 10)),
                  Fraction(1): (Fraction(1), Fraction(5, 4))}
 SCALING_A_GRID = (50, 100, 200, 400, 800)
+IDENTITY_PAIRS = 10**4  # random pairs per identity
+IDENTITY_SEED = 20240913
 
 
 @dataclass
@@ -233,14 +235,14 @@ def check_quadratic_suite() -> CheckResult:
     )
 
 
-def check_identities(pairs: int = 10**4, seed: int = 20240913) -> CheckResult:
+def check_identities() -> CheckResult:
     """Exact identity suites: norm-of-sum expansion, superadditivity,
     row-norm monotonicity, convergent determinants."""
-    rng = random.Random(seed)
+    rng = random.Random(IDENTITY_SEED)
     bad = []
     field = make_field(Family.SIMPLEST_CUBIC, 7)
     # norm-of-sum expansion via conjugates (Galois family)
-    for _ in range(pairs):
+    for _ in range(IDENTITY_PAIRS):
         x = OrderElement(tuple(rng.randint(-9, 9) for _ in range(3)), field)
         y = OrderElement(tuple(rng.randint(-9, 9) for _ in range(3)), field)
         lhs = norm(x + y)
@@ -254,7 +256,7 @@ def check_identities(pairs: int = 10**4, seed: int = 20240913) -> CheckResult:
             bad.append(("nsum", x.coords, y.coords))
             break
     # superadditivity on random totally positive pairs (squares are tp)
-    for _ in range(pairs):
+    for _ in range(IDENTITY_PAIRS):
         x = OrderElement(tuple(rng.randint(-5, 5) for _ in range(3)), field)
         y = OrderElement(tuple(rng.randint(-5, 5) for _ in range(3)), field)
         if x.is_zero() or y.is_zero():
@@ -278,10 +280,8 @@ def check_identities(pairs: int = 10**4, seed: int = 20240913) -> CheckResult:
             p_m, q_m = cf.convergent_pair(i - 1)
             if p_i * q_m - p_m * q_i != (-1) ** (i - 1):
                 bad.append(("detid", D, i))
-    return CheckResult(
-        "identity-suites", not bad,
-        f"{pairs} random pairs per identity, monotonicity to a=30" if not bad else f"failures: {bad[:3]}",
-    )
+    detail = f"{IDENTITY_PAIRS} random pairs per identity, monotonicity to a=30"
+    return CheckResult("identity-suites", not bad, detail if not bad else f"failures: {bad[:3]}")
 
 
 def check_universality_windows() -> CheckResult:

@@ -159,6 +159,16 @@ def test_count_norms_domain_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["fast", "exact", "brute"])
+@pytest.mark.parametrize("a", ["-1", "0"])
+def test_count_norms_below_a_one_is_one_domain_error(a, method, capsys):
+    """Every method shares the domain a >= 1, checked before the range of X."""
+    assert main(["count-norms", "--a", a, "--x", "1", "--method", method]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err == "error: counting needs a >= 1\n"
+    assert captured.out == ""
+
+
 def test_quadratic_certify(tmp_path, capsys):
     path = tmp_path / "quad.json"
     rc = main(["quadratic", "--d", "13", "--certify", "--json", str(path)])
@@ -216,6 +226,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["indecomposables", "--family", "nosuch", "--a", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-info", "--family", "simplest", "--a", "7"],
+        ["min-trace", "--family", "simplest", "--a", "7", "--elem", "1,0,0"],
+        ["count-norms", "--a", "7", "--x", "17"],
+        ["bounds", "--family", "simplest", "--a", "7"],
+        ["quadratic", "--d", "13"],
+        ["verify", "--suite", "forms"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_on_a_non_tabular_subcommand_is_usage_error(argv, tmp_path, capsys):
+    """Only indecomposables and sq-table write CSV; elsewhere --csv is not an option."""
+    path = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--csv", str(path)])
+    assert exc.value.code == 2
+    assert "--csv" in capsys.readouterr().err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("elem", ["1,x,2", "1,2", "1,2,3,4", ""])

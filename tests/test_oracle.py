@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from indecomp.families import (
     triangle_element,
 )
 from indecomp.intervals import Interval, det
-from indecomp import oracle
+from indecomp import oracle, order_kernel
 from indecomp.forms import _square_root_region
 from indecomp.oracle import (
     _context,
@@ -485,3 +486,26 @@ def test_inventory_search_total_positivity_tests_stay_under_ceiling(monkeypatch)
         calls[0] = 0
         indecomposables_by_search(make_field(family, a))
         assert 0 < calls[0] <= ceiling, (family, a, calls[0])
+
+
+def _counting(original, calls):
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    return counted
+
+
+def test_dyadic_context_makes_no_rational_embedding_or_interval_division(monkeypatch):
+    """Work counter: `_dyadic` encloses f' and the dual basis from its integer rows."""
+    embeds, divisions = [], []
+    original = order_kernel.embed
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("indecomp") and getattr(mod, "embed", None) is original:
+            monkeypatch.setattr(mod, "embed", _counting(original, embeds))
+    monkeypatch.setattr(Interval, "__truediv__", _counting(Interval.__truediv__, divisions))
+    # fields that no other test builds a context for, so that no cached context hides the work
+    for field in (make_field(Family.THOMAS, 211), make_quad_field(1013)):
+        contexts = [_dyadic(field, r) for r in range(4)]
+        assert any(ctx is not None for ctx in contexts), field
+    assert (embeds, divisions) == ([], [])

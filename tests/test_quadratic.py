@@ -309,10 +309,16 @@ def test_dyadic_context_encloses_the_embeddings_of_one_and_omega(D):
     s = sympy.sqrt(D)
     omega = (1 + s) / 2 if f.one_mod_four else s
     conjugates = (omega, 1 - omega if f.one_mod_four else -omega)  # descending
+    c1 = f.minpoly[0]
     for rounds in (0, 2):
         ctx = _dyadic(f, rounds)
         assert len(ctx.rows) == 2
-        for row, w in zip(ctx.rows, conjugates):
+        for i, (row, w) in enumerate(zip(ctx.rows, conjugates)):
             (one_lo, one_hi), (w_lo, w_hi) = row
             assert one_lo <= 2**ctx.k <= one_hi
             assert w_lo <= w * 2**ctx.k <= w_hi
+            # f = x^2 + c1 x + c0, so f' = 2x + c1 and f(x)/(x - w) = x + (w + c1)
+            fprime = 2 * w + c1
+            assert ctx.fprime[i][0] <= fprime * 2**ctx.k <= ctx.fprime[i][1]
+            for (lo, hi), b in zip((ctx.dual[0][i], ctx.dual[1][i]), (w + c1, 1)):
+                assert lo <= b / fprime * 2**ctx.k <= hi
