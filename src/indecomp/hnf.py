@@ -6,12 +6,11 @@ parallelepiped lattice points."""
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DegenerateSpan
+from .errors import DegenerateSpan, IllegalParameter
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int, int, int]:
@@ -89,12 +88,13 @@ def lattice_points(box, rows, equality=None) -> Iterator[tuple[int, ...]]:
     lexicographic order (see `_levels`), so they include every box point
     that meets each row for some coefficients in its intervals.
 
-    equality = (c, t) keeps the points with c . x = t: the coordinate p with
-    the largest |c_p| is eliminated (each row a becomes c_p a_j - c_j a_p
-    over the others, and the box range of x_p one more row), and the last
-    free coordinate steps through its residue class mod |c_p| / gcd; the
-    order is then lexicographic in the free coordinates.  With c = 0 the
-    equality keeps every point when t = 0 and none otherwise.
+    equality = (c, t), over at most three coordinates, keeps the points with
+    c . x = t.  They are x = (t/g) w + K u for the unimodular U = (K | w) of
+    `_solution_lattice`, so none unless g | t; the walk runs over the
+    reduced parameters u with the rows A K (A the relaxed rows), u in the
+    range of the first rows of U^-1 over the box, and keeps the box points.
+    The order is then lexicographic in u.  With c = 0 the equality keeps
+    every point when t = 0 and none otherwise.
     """
     if any(lo > hi for lo, hi in box):
         return iter(())
@@ -108,53 +108,84 @@ def lattice_points(box, rows, equality=None) -> Iterator[tuple[int, ...]]:
         bounds.append((lo - slack_hi, hi - slack_lo))
     coeffs = tuple(coeffs)
     if equality is None:
-        return _walk(_levels(box, coeffs, bounds), (), None)
+        return _walk(_levels(box, coeffs, bounds), ())
     c, t = equality
-    reduction = _reduction(coeffs, tuple(c))
-    if reduction is None:  # c = 0
-        return _walk(_levels(box, coeffs, bounds), (), None) if t == 0 else iter(())
-    p, cp, reduced, a_p, cf, congruence = reduction
-    if congruence is None:  # one coordinate: c_p x_p = t pins it
-        if t % cp:
-            return iter(())
-        v = t // cp
-        return _walk(_levels([(max(box[0][0], v), min(box[0][1], v))], coeffs, bounds), (), None)
-    # cp * (a . x) = sum_(j != p) (cp a_j - c_j a_p) x_j + a_p t
-    reduced_bounds = [
-        (cp * lo - ap * t, cp * hi - ap * t) if cp > 0 else (cp * hi - ap * t, cp * lo - ap * t)
-        for (lo, hi), ap in zip((*bounds, box[p]), a_p)
-    ]
-    free_box = [*box[:p], *box[p + 1 :]]
-    g, step, inverse = congruence
-    points = _walk(_levels(free_box, reduced, reduced_bounds), (), (cf[:-1], t, g, step, inverse))
-    return ((*x[:p], (t - sum(map(operator.mul, cf, x))) // cp, *x[p:]) for x in points)
+    lattice = _solution_lattice(coeffs, tuple(c))
+    if lattice is None:  # c = 0
+        return _walk(_levels(box, coeffs, bounds), ()) if t == 0 else iter(())
+    g, w, kernel, inverse, shifted, aw = lattice
+    if t % g:
+        return iter(())
+    s = t // g
+    if not kernel:  # one coordinate: g x_0 = t pins it
+        v = s * w[0]
+        return _walk(_levels([(max(box[0][0], v), min(box[0][1], v))], coeffs, bounds), ())
+    free_box = [interval_dot(box, row) for row in inverse]  # the range of U^-1 x over the box
+    free_bounds = [(lo - s * v, hi - s * v) for (lo, hi), v in zip(bounds, aw)]
+    points = _walk(_levels(free_box, shifted, free_bounds), ())
+    return _in_box(box, [s * v for v in w], kernel, points)
+
+
+def _in_box(box, x0, kernel, points) -> Iterator[tuple[int, ...]]:
+    """The points x0 + K u of the box, for u in points and K given by its rows."""
+    for u in points:
+        x = tuple([v + sum(map(operator.mul, row, u)) for v, row in zip(x0, kernel)])
+        if all(lo <= v <= hi for v, (lo, hi) in zip(x, box)):
+            yield x
 
 
 @lru_cache(maxsize=None)
-def _reduction(coeffs, c):
-    """The coefficient-only part of eliminating x_p by c . x = t (see `lattice_points`).
+def _solution_lattice(coeffs, c):
+    """The coefficient-only part of solving c . x = t (see `lattice_points`).
 
-    (p, c_p, the reduced coefficient rows over the free coordinates, with
-    the box range of x_p as the last row, each row's a_p, the free
-    coefficients cf, and (g, step, inverse) of the congruence
-    cf . x = t mod |c_p| on the last free coordinate).  None if c = 0; no
-    rows and no congruence with one coordinate.
+    (g, w, K by rows, the first n - 1 rows of U^-1, the rows A K, the
+    values A w) for the exact rows A and a unimodular U = (K | w) with
+    c . U = (0, ..., 0, g), g = gcd(c); None if c = 0.  U comes from
+    `_xgcd` folds of each column into the last, as in `row_hnf_lower`; the
+    kernel columns K are then Lagrange-reduced under the Gram matrix
+    A^T A + I, so that the walk over u meets few prefixes without a point
+    (Cohen, GTM 138, Alg. 1.3.14).
     """
     n = len(c)
-    p = max(range(n), key=lambda j: abs(c[j]))
-    cp, free = c[p], [j for j in range(n) if j != p]
-    if cp == 0:
+    if n > 3:
+        raise IllegalParameter("an equality needs at most three coordinates")
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    g = c[-1]
+    for j in range(n - 1):
+        g, u, v, s, t = _xgcd(g, c[j])
+        cols[-1], cols[j] = (
+            [u * p + v * q for p, q in zip(cols[-1], cols[j])],
+            [s * p + t * q for p, q in zip(cols[-1], cols[j])],
+        )
+    if g == 0:
         return None
-    if not free:
-        return p, cp, (), (), (), None
-    rows = (*coeffs, tuple(int(j == p) for j in range(n)))
-    reduced = tuple(tuple(cp * a[j] - c[j] * a[p] for j in free) for a in rows)
-    cf = tuple(c[j] for j in free)
-    # cf . x = t mod |cp|: the last free coordinate z runs through one class mod |cp| / g
-    g = math.gcd(cf[-1], cp)
-    step = abs(cp) // g
-    inverse = pow(cf[-1] // g, -1, step) if step > 1 else 0
-    return p, cp, reduced, tuple(a[p] for a in rows), cf, (g, step, inverse)
+    if n == 1:  # c_0 x_0 = t
+        return abs(g), (1 if g > 0 else -1,), (), (), (), ()
+    w, kernel = cols[-1], cols[:-1]
+    if len(kernel) == 2:
+
+        def dot(x, y):  # x^T (A^T A + I) y
+            return sum(map(operator.mul, x, y)) + sum(
+                sum(map(operator.mul, a, x)) * sum(map(operator.mul, a, y)) for a in coeffs
+            )
+
+        b1, b2 = sorted(kernel, key=lambda b: dot(b, b))
+        while True:
+            q = (2 * dot(b1, b2) + dot(b1, b1)) // (2 * dot(b1, b1))  # nearest integer
+            b2 = [p - q * r for p, r in zip(b2, b1)]
+            if dot(b2, b2) >= dot(b1, b1):
+                break
+            b1, b2 = b2, b1
+        kernel = [b1, b2]
+    adj, det = adjugate([[col[i] for col in (*kernel, w)] for i in range(n)])
+    return (
+        g,
+        tuple(w),
+        tuple(tuple(col[i] for col in kernel) for i in range(n)),
+        tuple(tuple(det * v for v in row) for row in adj[:-1]),
+        tuple(tuple(sum(map(operator.mul, a, col)) for col in kernel) for a in coeffs),
+        tuple(sum(map(operator.mul, a, w)) for a in coeffs),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -226,8 +257,8 @@ def _levels(box, coeffs, bounds):
     return None if any(lo > 0 or hi < 0 for lo, hi in bounds) else levels[::-1]
 
 
-def _walk(levels, prefix, congruence) -> Iterator[tuple[int, ...]]:
-    """Lexicographic points that extend prefix; congruence as `lattice_points` builds it."""
+def _walk(levels, prefix) -> Iterator[tuple[int, ...]]:
+    """Lexicographic points that extend prefix."""
     if levels is None:
         return
     lo, hi, cuts = levels[len(prefix)]
@@ -239,16 +270,10 @@ def _walk(levels, prefix, congruence) -> Iterator[tuple[int, ...]]:
             hi = (rhi - s) // c
     if len(prefix) < len(levels) - 1:
         for v in range(lo, hi + 1):
-            yield from _walk(levels, (*prefix, v), congruence)
-    elif congruence is None:
+            yield from _walk(levels, (*prefix, v))
+    else:
         for v in range(lo, hi + 1):
             yield (*prefix, v)
-    else:
-        ch, t, g, step, inverse = congruence
-        r = t - sum(map(operator.mul, ch, prefix))
-        if r % g == 0:
-            for v in range(lo + (r // g * inverse - lo) % step, hi + 1, step):
-                yield (*prefix, v)
 
 
 def parallelepiped_points(gens) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:

@@ -81,7 +81,15 @@ _FAMILY_RANGES = {
 
 
 def _root_bound(minpoly: tuple[int, ...]) -> int:
-    """B = 1 + max |c_k|: every root of x^d + c_(d-1) x^(d-1) + ... + c_0 lies in (-B, B)."""
+    """B with every root of x^d + c_(d-1) x^(d-1) + ... + c_0 in (-B, B).
+
+    Cauchy's 1 + max |c_k| for cubics.  For d = 2 the roots have
+    |x| <= (|c_1| + sqrt(c_1^2 + 4 |c_0|)) / 2 <= |c_1| + sqrt(|c_0|), and
+    sqrt(|c_0|) < isqrt(|c_0|) + 1, so B = 1 + |c_1| + isqrt(|c_0|), near
+    sqrt(D) for Q(sqrt(D)) where Cauchy gives about D/4 or D.
+    """
+    if len(minpoly) == 2:
+        return 1 + abs(minpoly[0]) + math.isqrt(abs(minpoly[1]))
     return 1 + max(map(abs, minpoly))
 
 

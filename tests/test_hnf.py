@@ -1,6 +1,7 @@
 """Canonical HNF of integer row lattices, adjugates, parallelepiped points."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indecomp import hnf
+from indecomp import hnf, oracle
 from indecomp.errors import DegenerateSpan
+from indecomp.families import indecomposables_simplest
 from indecomp.forms import verify_universality_window
 from indecomp.hnf import (
     adjugate,
@@ -270,8 +272,18 @@ def _regions(draw):
     return box, rows, exact, equality
 
 
+_CUBE = [(-9, 9), (-8, 10), (-10, 8)]
+_INTERVAL_ROWS = [
+    ([(1000, 1003), (-7, -5), (250, 252)], -9000, 9000),
+    ([(3, 3), (999, 1001), (-40, -38)], -5000, 8000),
+    ([(-11, -10), (12, 13), (997, 1000)], -7000, 6000),
+]
+_EXACT_ROWS = [([(lo, lo) for lo, _ in c], lo, hi) for c, lo, hi in _INTERVAL_ROWS]
+
+
 def _region_cases(test):
-    """Hypothesis-drawn regions plus equalities with c = 0 and with one coordinate."""
+    """Hypothesis-drawn regions plus equalities with c = 0, with one coordinate
+    and with |c| up to 10^6."""
     cases = [
         ([(0, 1), (0, 1)], [([(1, 1), (0, 0)], -5, 5)], True, ([0, 0], 0)),
         ([(0, 1), (0, 1)], [([(1, 1), (0, 0)], -5, 5)], True, ([0, 0], 1)),
@@ -280,6 +292,14 @@ def _region_cases(test):
         ([(0, 2)], [([(1, 1)], -9, 9)], True, ([2], 2)),
         ([(0, 2)], [([(1, 1)], -9, 9)], True, ([2], 3)),
         ([(-3, 3)], [([(-2, 1)], -1, 2)], False, ([-1], 2)),
+        # |c| up to 10^6, as trace-pairing vectors have, with interval rows
+        ([(-5, 5)], [([(999, 1001)], -4000, 4000)], False, ([-10**6], 3 * 10**6)),
+        ([(-9, 9), (-9, 9)], [([(3, 4), (-2, -1)], -20, 20)], False, ([-10**6, 999999], 999995)),
+        (_CUBE, _INTERVAL_ROWS, False, ([10**6, 999999, 1], -999992)),
+        (_CUBE, _INTERVAL_ROWS, False, ([999983, -524287, 10**6], 9048523)),
+        (_CUBE, _INTERVAL_ROWS, False, ([600000, 400000, 10**6], -1600000)),
+        (_CUBE, _INTERVAL_ROWS, False, ([600000, 400000, 10**6], 100000)),
+        (_CUBE, _EXACT_ROWS, True, ([600000, 400000, 10**6], -1600000)),
     ]
     test = given(_regions())(test)
     for region in cases:
@@ -316,6 +336,120 @@ def test_equality_edge_cases():
     assert list(lattice_points([(0, 2)], [], ([-2], -6))) == []
     # an empty row stays empty after the equality eliminates a coordinate
     assert list(lattice_points([(0, 3), (0, 3)], [([(1, 1), (0, 0)], 2, 1)], ([1, 1], 3))) == []
+
+
+def _equality_reference(box, rows, equality):
+    """The residue-class elimination of c . x = t, walked with `_levels_reference`.
+
+    The coordinate p with the largest |c_p| is eliminated: each relaxed row
+    a becomes c_p a_j - c_j a_p over the others, with the box range of x_p
+    one more row, and the last free coordinate steps through its residue
+    class mod |c_p| / gcd, so that x_p = (t - c' . x') / c_p is an integer.
+    """
+    if any(lo > hi for lo, hi in box):
+        return []
+    coeffs, bounds = [], []
+    for cs, lo, hi in rows:
+        slack_lo = sum(min(0, blo) * (b - a) for (a, b), (blo, _) in zip(cs, box))
+        slack_hi = sum(max(0, bhi) * (b - a) for (a, b), (_, bhi) in zip(cs, box))
+        coeffs.append([a for a, _ in cs])
+        bounds.append((lo - slack_hi, hi - slack_lo))
+    c, t = equality
+    n = len(c)
+    p = max(range(n), key=lambda j: abs(c[j]))
+    cp, free = c[p], [j for j in range(n) if j != p]
+    congruence = None
+    if cp == 0 or not free:
+        if t % cp if cp else t:
+            return []
+        if cp:  # one coordinate: c_p x_p = t pins it
+            box = [(max(box[0][0], t // cp), min(box[0][1], t // cp))]
+        levels = _levels_reference(box, [(a, lo, hi) for a, (lo, hi) in zip(coeffs, bounds)])
+    else:
+        reduced = []
+        for a, (lo, hi) in zip([*coeffs, [int(j == p) for j in range(n)]], [*bounds, box[p]]):
+            # c_p (a . x) = sum_(j != p) (c_p a_j - c_j a_p) x_j + a_p t
+            lo, hi = (cp * lo - a[p] * t, cp * hi - a[p] * t) if cp > 0 else (
+                cp * hi - a[p] * t, cp * lo - a[p] * t)
+            reduced.append(([cp * a[j] - c[j] * a[p] for j in free], lo, hi))
+        levels = _levels_reference([box[j] for j in free], reduced)
+        cf = [c[j] for j in free]
+        g = math.gcd(cf[-1], cp)
+        step = abs(cp) // g
+        congruence = (g, step, pow(cf[-1] // g, -1, step) if step > 1 else 0)
+
+    def walk(prefix):
+        lo, hi, cuts = levels[len(prefix)]
+        for a, rlo, rhi, cz in cuts:
+            s = sum(u * v for u, v in zip(a, prefix))
+            lo, hi = max(lo, -((s - rlo) // cz)), min(hi, (rhi - s) // cz)
+        if len(prefix) < len(levels) - 1:
+            for v in range(lo, hi + 1):
+                yield from walk((*prefix, v))
+        elif congruence is None:
+            yield from ((*prefix, v) for v in range(lo, hi + 1))
+        else:
+            # cf . x = t mod |c_p|: the last free coordinate runs through one class
+            g, step, inverse = congruence
+            r = t - sum(u * v for u, v in zip(cf, prefix))
+            if r % g == 0:
+                for v in range(lo + (r // g * inverse - lo) % step, hi + 1, step):
+                    yield (*prefix, v)
+
+    if levels is None:
+        return []
+    if congruence is None:
+        return list(walk(()))
+    return [
+        (*x[:p], (t - sum(u * v for u, v in zip(cf, x))) // cp, *x[p:]) for x in walk(())
+    ]
+
+
+@_region_cases
+def test_equality_matches_the_residue_class_reference(region):
+    """The walk over the solution lattice yields the same set as the
+    residue-class elimination, each point once."""
+    box, rows, _, equality = region
+    if equality is None:
+        return
+    got = list(lattice_points(box, rows, equality))
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(_equality_reference(box, rows, equality))
+
+
+def test_trace_slices_match_the_residue_class_reference():
+    """The trace slices of `min_trace(e, t_max=3)` for the non-unit records of
+    the simplest cubic inventory at a = 7 (interval rows at scale 2^k,
+    pairing vectors with large entries) give the same points as the
+    residue-class elimination."""
+    largest = points = 0
+    for record in indecomposables_simplest(7):
+        for t in range(1, 4) if record.kind != "unit" else ():
+            ctx, bounds, equality = oracle._trace_region(record.element, t)
+            box = oracle.box_from_embedding(ctx, bounds)
+            rows = [(row, lo, hi) for row, (lo, hi) in zip(ctx.rows, bounds)]
+            got = sorted(oracle.region_points(ctx, bounds, equality))
+            assert got == sorted(_equality_reference(box, rows, equality))
+            largest, points = max(largest, *map(abs, equality[0])), points + len(got)
+    assert largest > 10 and points > 0
+
+
+def test_trace_slices_walk_few_dead_prefixes():
+    """Work counter: `min_trace(e, t_max=3)` over the non-unit records of the
+    simplest cubic inventory at a = 7 visits at most 250 last-level walk
+    prefixes (1,951 with residue-class stepping, for the same 39 points)."""
+    walk, prefixes = hnf._walk, []
+
+    def counting(levels, prefix, *rest):
+        if levels is not None and len(prefix) == len(levels) - 1:
+            prefixes.append(prefix)
+        return walk(levels, prefix, *rest)
+
+    with mock.patch.object(hnf, "_walk", counting):
+        for record in indecomposables_simplest(7):
+            if record.kind != "unit":
+                oracle.min_trace(record.element, t_max=3)
+    assert 0 < len(prefixes) <= 250, len(prefixes)
 
 
 def _levels_reference(box, rows):

@@ -66,6 +66,16 @@ def test_count_fast_thresholds():
         count_fast(a, a * a + 1)
 
 
+@pytest.mark.parametrize("a", [3, 5, 7, 10, 16, 30])
+def test_lemmermeyer_petho_norm_gap(a):
+    """No primitive principal ideal has norm in [2, 2a + 2] (Lemmermeyer and
+    Petho, Math. Comp. 64, 1995), and at 2a + 3 there are exactly three: the
+    ideal of rho^2 - rho and its two conjugates.  The closed-form count and
+    the brute force agree on both sides of the gap."""
+    assert count_exact(a, 2 * a + 2) == count_bruteforce(a, 2 * a + 2) == 0
+    assert count_exact(a, 2 * a + 3) == count_bruteforce(a, 2 * a + 3) == 3
+
+
 def test_count_fast_pairs_are_primitive_tp():
     from indecomp.order_kernel import is_totally_positive
     import math

@@ -1,5 +1,6 @@
 """Field construction, exact arithmetic, root isolation, conjugation, units."""
 
+import math
 import operator
 import random
 import time
@@ -53,6 +54,7 @@ from indecomp.order_kernel import (
     _integer_root,
     _seed_intervals,
 )
+from indecomp.integers import is_squarefree
 from indecomp.quadratic import fundamental_tp_unit, make_quad_field
 
 RNG = random.Random(987123)
@@ -693,3 +695,20 @@ def test_seeded_and_sturm_brackets_isolate_the_same_roots():
             # intersection puts that root in both
             lo, hi = max(slo, tlo), min(shi, thi)
             assert lo < hi and poly_eval(f, lo) * poly_eval(f, hi) < 0, a
+
+
+def test_quadratic_root_bound_encloses_the_roots():
+    """For Q(sqrt(D)), D <= 2000 squarefree, both roots of the minimal
+    polynomial of omega lie in (-B, B), B = `_root_bound`, decided in
+    integers: sqrt(D) < B for omega = sqrt(D), and (1 + sqrt(D)) / 2 < B for
+    omega = (1 + sqrt(D)) / 2.  B stays near sqrt(D), where Cauchy's
+    1 + max |c_k| is about D / 4 or D."""
+    for D in range(2, 2001):
+        if not is_squarefree(D):
+            continue
+        bound = order_kernel._root_bound(make_quad_field(D).minpoly)
+        if D % 4 == 1:
+            assert D < (2 * bound - 1) ** 2, D
+        else:
+            assert D < bound**2, D
+        assert bound <= 2 + math.isqrt(D), D
