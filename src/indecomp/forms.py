@@ -100,8 +100,9 @@ def _square_root_region(target: OrderElement):
     return ctx, [(-s, s) for s in (math.isqrt(hi << ctx.k) + 1 for _, hi in enclosures[target])]
 
 
+@lru_cache(maxsize=None)
 def unit_square_root(eps: OrderElement) -> Optional[OrderElement]:
-    """x with x^2 = eps, or None; complete search over |sigma_i(x)| <= sqrt."""
+    """x with x^2 = eps, or None; complete search over |sigma_i(x)| <= sqrt, once per eps."""
     if not is_totally_positive(eps):
         return None
     for coords in region_points(*_square_root_region(eps)):
@@ -246,11 +247,10 @@ def decompose_into_indecomposables(
     if not is_totally_positive(alpha):
         raise IllegalParameter("alpha must be totally positive")
     delta = certificate_delta(field)
-    records = indecomposables_simplest(field.a)
     parts: list[tuple[IndecomposableRecord, OrderElement]] = []
     remaining = alpha
     while not remaining.is_zero():
-        hit = _find_part(remaining, records, delta)
+        hit = _find_part(remaining, delta)
         if hit is None:
             raise DescentStuck(f"no subtractable part for {remaining}")
         rec, unit, term = hit
@@ -270,22 +270,34 @@ def _unit_pairing(delta: CodifferentElement, j: int, k: int) -> tuple[int, ...]:
     return pairing_vector(CodifferentElement(mul(delta.numerator, _unit_power(delta.field, j, k))))
 
 
-def _find_part(alpha, records, delta):
+@lru_cache(maxsize=None)
+def _ranked_parts(field: FieldSpec, radius: int) -> tuple:
+    """(phi, rec, j, k) for every unit u = e1^j e2^k on ring `radius` and
+    every inventory record with phi = Tr(delta * u * rec) >= 1, in descent
+    try order: triangle first, then decreasing phi, record index, j, k."""
+    delta, records = certificate_delta(field), indecomposables_simplest(field.a)
+    ranked = []
+    for j in range(-radius, radius + 1):
+        for k in range(-radius, radius + 1):
+            if max(abs(j), abs(k)) != radius:
+                continue
+            c = _unit_pairing(delta, j, k)
+            for idx, rec in enumerate(records):
+                phi = sum(map(operator.mul, c, rec.element.coords))
+                if phi >= 1:
+                    ranked.append((_kind_priority(rec.kind), -phi, idx, j, k, rec))
+    ranked.sort(key=lambda r: r[:5])
+    return tuple((-phi, rec, j, k) for _, phi, _, j, k, rec in ranked)
+
+
+def _find_part(alpha, delta):
     field = alpha.field
     phi_alpha = trace_pairing(delta, alpha)
     for radius in range(0, _DESCENT_RADIUS_CAP + 1):
-        candidates = []
-        for j in range(-radius, radius + 1):
-            for k in range(-radius, radius + 1):
-                if max(abs(j), abs(k)) != radius:
-                    continue
-                c = _unit_pairing(delta, j, k)
-                for idx, rec in enumerate(records):
-                    phi = sum(map(operator.mul, c, rec.element.coords))  # Tr(delta * unit * rec)
-                    if 1 <= phi <= phi_alpha:
-                        candidates.append((_kind_priority(rec.kind), -phi, idx, j, k, rec))
-        candidates.sort(key=lambda c: c[:5])
-        for _, _, _, j, k, rec in candidates:
+        # the try order is total, so skipping phi > phi_alpha keeps it
+        for phi, rec, j, k in _ranked_parts(field, radius):
+            if phi > phi_alpha:
+                continue
             unit = _unit_power(field, j, k)
             term = mul(unit, rec.element)
             rest = alpha - term
@@ -298,32 +310,28 @@ def _find_part(alpha, records, delta):
 # Bounded sum-of-squares search and the universality window
 
 
-def _squares_summing_to(target: OrderElement, budget: int, memo: dict) -> Optional[list[OrderElement]]:
+@lru_cache(maxsize=None)
+def _squares_summing_to(target: OrderElement, budget: int) -> Optional[tuple[OrderElement, ...]]:
     """Up to `budget` elements whose squares sum to target, or None.
 
     Depth-first over the square-root region: x is tried when target - x^2 is
-    0 or totally positive.  memo maps (coords, budget) to the answer.
+    0 or totally positive.  Cached per process, so each (target, budget) is
+    searched once.
     """
     if target.is_zero():
-        return []
+        return ()
     if budget == 0:
         return None
-    key = (target.coords, budget)
-    if key in memo:
-        return memo[key]
-    result = None
     for coords in region_points(*_square_root_region(target)):
         if coords <= (0, 0, 0):
             continue  # skip 0; x and -x square identically, keep one
         x = OrderElement(coords, target.field)
         rest = target - mul(x, x)
         if rest.is_zero() or is_totally_positive(rest):
-            tail = _squares_summing_to(rest, budget - 1, memo)
+            tail = _squares_summing_to(rest, budget - 1)
             if tail is not None:
-                result = [x] + tail
-                break
-    memo[key] = result
-    return result
+                return (x, *tail)
+    return None
 
 
 def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
@@ -332,7 +340,8 @@ def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
         return []
     if not is_totally_positive(beta):
         return None
-    return _squares_summing_to(beta, PYTHAGORAS_CAP_CUBIC, {})
+    witness = _squares_summing_to(beta, PYTHAGORAS_CAP_CUBIC)
+    return None if witness is None else list(witness)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,19 @@
 
 import gc
 import itertools
+import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from indecomp import forms
 from indecomp.errors import GuardExceeded, IllegalRank, UnsupportedFamily
 from indecomp.families import indecomposables_simplest
 from indecomp.codifferent import certificate_delta, fprime_element, pairing_vector, trace_pairing
 from indecomp.forms import (
+    _kind_priority,
+    _square_root_region,
     _unit_pairing,
     _unit_power,
     _window_elements,
@@ -22,7 +27,7 @@ from indecomp.forms import (
     unit_square_root,
     verify_universality_window,
 )
-from indecomp.oracle import search_box
+from indecomp.oracle import region_points, search_box
 from indecomp.order_kernel import (
     Family,
     OrderElement,
@@ -190,6 +195,7 @@ def test_sum_of_squares_witness_leaves_no_cyclic_garbage():
     f = make_field(Family.SIMPLEST_CUBIC, 2)
     beta = elem(f, 7, 1, 1)
     want = sum_of_squares_witness(beta)  # warms the field's caches
+    forms._squares_summing_to.cache_clear()  # so that the checked call searches
     gc.collect()
     gc.disable()
     try:
@@ -197,6 +203,111 @@ def test_sum_of_squares_witness_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _squares_reference(target, budget, memo):
+    """The per-call-memo search: up to `budget` elements whose squares sum to
+    target, or None; memo maps (coords, budget) to the answer."""
+    if target.is_zero():
+        return []
+    if budget == 0:
+        return None
+    key = (target.coords, budget)
+    if key in memo:
+        return memo[key]
+    result = None
+    for coords in region_points(*_square_root_region(target)):
+        if coords <= (0, 0, 0):
+            continue
+        x = OrderElement(coords, target.field)
+        rest = target - mul(x, x)
+        if rest.is_zero() or is_totally_positive(rest):
+            tail = _squares_reference(rest, budget - 1, memo)
+            if tail is not None:
+                result = [x] + tail
+                break
+    memo[key] = result
+    return result
+
+
+def _find_part_reference(alpha, records, delta):
+    """The descent step that ranks each ring's candidates afresh on every call."""
+    field = alpha.field
+    phi_alpha = trace_pairing(delta, alpha)
+    for radius in range(0, forms._DESCENT_RADIUS_CAP + 1):
+        candidates = []
+        for j in range(-radius, radius + 1):
+            for k in range(-radius, radius + 1):
+                if max(abs(j), abs(k)) != radius:
+                    continue
+                c = _unit_pairing(delta, j, k)
+                for idx, rec in enumerate(records):
+                    phi = sum(map(operator.mul, c, rec.element.coords))
+                    if 1 <= phi <= phi_alpha:
+                        candidates.append((_kind_priority(rec.kind), -phi, idx, j, k, rec))
+        candidates.sort(key=lambda c: c[:5])
+        for _, _, _, j, k, rec in candidates:
+            unit = _unit_power(field, j, k)
+            term = mul(unit, rec.element)
+            rest = alpha - term
+            if rest.is_zero() or is_totally_positive(rest):
+                return rec, unit, term
+    return None
+
+
+@pytest.mark.parametrize("a, bound", [(1, 4), (2, 2)])
+def test_cached_descent_and_witnesses_match_the_references(a, bound):
+    """Over a benchmark window, the ranked-parts descent gives the same parts
+    and the cached search the same witnesses as the per-call references."""
+    field = make_field(Family.SIMPLEST_CUBIC, a)
+    records = indecomposables_simplest(a)
+    elements = _window_elements(field, bound)
+    assert elements
+    for alpha in elements:
+        assert sum_of_squares_witness(alpha) == _squares_reference(alpha, 6, {}), alpha
+    parts = [decompose_into_indecomposables(alpha) for alpha in elements]
+
+    def reference(alpha, delta):
+        return _find_part_reference(alpha, records, delta)
+
+    with mock.patch.object(forms, "_find_part", reference):
+        assert parts == [decompose_into_indecomposables(alpha) for alpha in elements]
+
+
+def test_witness_lists_are_fresh_copies():
+    """Mutating a returned witness leaves the cached answer intact."""
+    beta = elem(make_field(Family.SIMPLEST_CUBIC, 2), 7, 1, 1)
+    want = sum_of_squares_witness(beta)
+    got = sum_of_squares_witness(beta)
+    assert got == want and got is not want
+    got.clear()
+    assert sum_of_squares_witness(beta) == want and want
+
+
+def test_a_window_searches_each_square_root_region_once():
+    """Work counter: with the square-root and witness searches cached per
+    process, a cold window at a = 2, bound 4 encloses at most 150 square-root
+    regions (1,530 with a fresh search per call), and searches each distinct
+    unit for a square root once."""
+    forms._squares_summing_to.cache_clear()
+    forms.unit_square_root.cache_clear()
+    regions, units = [], set()
+    region, root = forms._square_root_region, forms.unit_square_root
+
+    def counting_region(target):
+        regions.append(target)
+        return region(target)
+
+    def counting_root(eps):
+        units.add(eps)
+        return root(eps)
+
+    with mock.patch.object(forms, "_square_root_region", counting_region), \
+            mock.patch.object(forms, "unit_square_root", counting_root):
+        report = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 2), 4)
+    assert report.checked > 0 and not report.failures
+    assert 0 < len(regions) <= 150, len(regions)
+    assert root.cache_info().misses == len(units) > 1
 
 
 def test_universality_window_small():

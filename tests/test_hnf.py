@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from indecomp import hnf, oracle
+from indecomp import forms, hnf, oracle
 from indecomp.errors import DegenerateSpan
 from indecomp.families import indecomposables_simplest
 from indecomp.forms import verify_universality_window
@@ -500,10 +500,21 @@ def test_cached_elimination_matches_the_reference(region):
 
 
 def test_the_window_search_builds_few_elimination_plans():
-    """Work counter: plans depend only on the coefficient rows, so a
-    universality window reuses a handful of them over many searches."""
+    """Work counter: plans depend only on the coefficient rows, so a cold
+    universality window builds at most 8 of them, and every lattice search
+    after the first for a plan finds it in the cache."""
     hnf._plan.cache_clear()
-    report = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 2), 4)
+    forms._squares_summing_to.cache_clear()
+    forms.unit_square_root.cache_clear()
+    levels, searches = hnf._levels, []
+
+    def counting(box, coeffs, bounds):
+        searches.append((len(box), coeffs))
+        return levels(box, coeffs, bounds)
+
+    with mock.patch.object(hnf, "_levels", counting):
+        report = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 2), 4)
     assert report.checked > 0 and not report.failures
     info = hnf._plan.cache_info()
-    assert info.misses <= 8 and info.hits >= 1000, info
+    assert info.misses == len(set(searches)) <= 8, info
+    assert info.hits == len(searches) - info.misses > 0, info

@@ -162,6 +162,24 @@ def test_min_trace_thomas_row1_element():
     assert trace_pairing(w, el) == 3 and is_totally_positive_codiff(w)
 
 
+@pytest.mark.parametrize("a", range(2, 9))
+def test_min_trace_thomas_table(a):
+    """The minimal codifferent trace of every Thomas record: 1 for the unit,
+    the exceptional element and the row-2 element w = a; 2 for row 1 at
+    v = 1 and row 2 at w > a; 3 for row 1 at v >= 2.  The shared row-2
+    certificate has trace 2, so at w = a it is a witness, not the minimum."""
+    for rec in indecomposables_thomas(a):
+        t, w = min_trace(rec.element, t_max=4)
+        assert t == {
+            "unit": 1,
+            "exceptional": 1,
+            "thomas_row1": 2 if rec.index == (1,) else 3,
+            "thomas_row2": 1 if rec.index == (a,) else 2,
+        }[rec.kind], rec
+        assert rec.kind != "thomas_row2" or rec.certificate[1] == 2
+        assert trace_pairing(w, rec.element) == t and is_totally_positive_codiff(w)
+
+
 def test_min_trace_witness_is_lex_least():
     f = make_field(Family.SIMPLEST_CUBIC, 4)
     el = triangle_element(f, TrianglePoint(0, 0))
