@@ -217,27 +217,30 @@ def _thomas_row2_delta(a: int) -> CodifferentElement:
     return shared_trace_witness(row, t=2)
 
 
-def parallelepiped_candidates(
-    u1: OrderElement, u2: OrderElement, u3: OrderElement
-) -> tuple[list[OrderElement], list[OrderElement]]:
-    """Lattice points of the closed parallelepiped spanned by three units.
+def parallelepiped_candidates(*gens: OrderElement) -> tuple[list[OrderElement], list[OrderElement]]:
+    """Lattice points of the closed parallelepiped spanned by two or three units.
 
     Returns (candidates, vertex_sums): candidates are the lattice points that
     are not sums of a subset of the generators; vertex_sums are the (at most
-    eight) subset sums that do land on lattice points, zero included.
+    2^n) subset sums that do land on lattice points, zero included.
     """
-    field = u1.field
-    if any(u.field is not field and u.field != field for u in (u2, u3)):
+    if any(u.field is not gens[0].field and u.field != gens[0].field for u in gens[1:]):
         raise FieldMismatch("parallelepiped generators from different fields")
-    points, vertices = parallelepiped_points((u1.coords, u2.coords, u3.coords))
+    points, vertices = parallelepiped_points([u.coords for u in gens])
+    field = gens[0].field
     candidates, vertex_sums = [], []
     for x in points:
         (vertex_sums if x in vertices else candidates).append(OrderElement(x, field))
     return candidates, vertex_sums
 
 
-def standard_parallelepipeds(field: FieldSpec):
-    """The two parallelepipeds (1, e1, e2) and (1, e1, e1*e2^{-1})."""
+def standard_parallelepipeds(field):
+    """The window parallelepipeds: (1, e1, e2) and (1, e1, e1*e2^{-1}) for a
+    cubic field, (1, eps) for a quadratic one, eps its totally positive unit."""
+    if len(field.minpoly) == 2:
+        from .quadratic import fundamental_tp_unit
+
+        return ((one(field), fundamental_tp_unit(field.D)),)
     e1, e2 = unit_generators(field).totally_positive
     e3 = mul(e1, unit_inverse(e2))
     return ((one(field), e1, e2), (one(field), e1, e3))

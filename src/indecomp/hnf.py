@@ -71,6 +71,19 @@ def adjugate(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     return adj, sum(m[0][j] * adj[j][0] for j in range(len(m)))
 
 
+def positive_adjugate(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj, det) of the matrix M whose columns are the 2 or 3 generators gens,
+    negated when det M < 0, so that det > 0 and adj . M = det . I."""
+    n = len(gens)
+    if n not in (2, 3) or any(len(g) != n for g in gens):
+        raise IllegalParameter(f"expected 2 or 3 generators of as many coordinates, got {n}")
+    adj, det = adjugate([[g[i] for g in gens] for i in range(n)])
+    if det == 0:
+        raise DegenerateSpan("generators are linearly dependent")
+    sign = 1 if det > 0 else -1
+    return tuple(tuple(sign * v for v in row) for row in adj), sign * det
+
+
 def interval_dot(coeffs, x) -> tuple[int, int]:
     """Enclosure (lo, hi) of sum_j C_j x_j for integer intervals C_j = (lo, hi), integer x."""
     terms = [(v * a, v * b) if v >= 0 else (v * b, v * a) for (a, b), v in zip(coeffs, x)]
@@ -279,18 +292,14 @@ def _walk(levels, prefix) -> Iterator[tuple[int, ...]]:
 def parallelepiped_points(gens) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     """Integer points of the closed parallelepiped {sum t_j g_j : 0 <= t_j <= 1}.
 
-    gens holds 2 or 3 linearly independent integer generators.  Returns the
+    gens holds 2 or 3 linearly independent integer generators (else
+    `positive_adjugate` raises IllegalParameter or DegenerateSpan).  Returns the
     points in lexicographic order and the set of the 2^n subset sums of the
     generators (the vertices).  With M the matrix whose columns are the
-    generators, x is inside iff 0 <= adj(M) x <= det M (after fixing the sign
-    of det M), so `lattice_points` runs over the vertex hull with those rows.
+    generators, x is inside iff 0 <= adj(M) x <= det M (with det M > 0), so `lattice_points` runs over the vertex hull with those rows.
     """
     n = len(gens)
-    adj, det = adjugate([[g[i] for g in gens] for i in range(n)])
-    if det == 0:
-        raise DegenerateSpan("generators are linearly dependent")
-    if det < 0:
-        adj, det = [[-v for v in row] for row in adj], -det
+    adj, det = positive_adjugate(gens)
     vertices = {
         tuple(sum(g[i] for b, g in enumerate(gens) if mask >> b & 1) for i in range(n))
         for mask in range(1 << n)

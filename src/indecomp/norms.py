@@ -31,7 +31,7 @@ from .families import (
     standard_parallelepipeds,
     triangle_norm,
 )
-from .hnf import adjugate, hnf_det, lattice_points, row_hnf_lower
+from .hnf import hnf_det, lattice_points, positive_adjugate, row_hnf_lower
 from .integers import icbrt, is_squarefree
 from .order_kernel import (
     Family,
@@ -223,7 +223,7 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
     sum u_j = sum N(u_j g_j)^(1/3) <= N(x)^(1/3) <= X^(1/3) < bound.  Hence x
     lies in the simplex with vertices 0 and bound * g_j: with M the matrix
     whose columns are the g_j, adj(M) x >= 0 and sum adj(M) x <= bound * det M
-    (after fixing the sign of det M).  `hnf.lattice_points` runs over the
+    (`hnf.positive_adjugate`, det M > 0).  `hnf.lattice_points` runs over the
     coordinate hull of the simplex with those exact rows.
     """
     field = make_field(Family.SIMPLEST_CUBIC, a)
@@ -232,9 +232,7 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
     found: dict[tuple, int] = {}
     for gens in standard_parallelepipeds(field):
         coords = [g.coords for g in gens]
-        adj, det = adjugate(list(zip(*coords)))
-        if det < 0:
-            adj, det = [[-v for v in row] for row in adj], -det
+        adj, det = positive_adjugate(coords)
         hull = [(bound * min(0, *col), bound * max(0, *col)) for col in zip(*coords)]
         rows = [([(v, v) for v in row], 0, bound * det) for row in (*adj, map(sum, zip(*adj)))]
         for x in lattice_points(hull, rows):

@@ -10,7 +10,9 @@ those rows encloses every element, f' and the b_j included.  `_context`, the
 only loop that refines root intervals, refines until the needed signs are
 definite, `box_from_embedding` is the box rule, and `region_points` hands
 the box and the rows to the one enumerator, `hnf.lattice_points`.  No search
-step uses a float, nor a Fraction after the rounding."""
+step uses a float, nor a Fraction after the rounding.  `window_points` is the
+one window scan for quadratic and cubic fields, shared by
+`indecomposables_by_search` and `quadratic.search_indecomposables`."""
 
 from __future__ import annotations
 
@@ -270,36 +272,42 @@ def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> Codifferen
 
 @dataclass(frozen=True)
 class SearchInventory:
-    """Ground-truth inventory from the two fundamental parallelepipeds."""
+    """Ground-truth inventory from the window parallelepipeds."""
 
     indecomposables: tuple[OrderElement, ...]
     units: tuple[OrderElement, ...]
 
 
-def indecomposables_by_search(field: FieldSpec) -> SearchInventory:
-    """Exhaustive decompose-testing of the window lattice points.
+def window_points(field) -> list[OrderElement]:
+    """The nonzero totally positive lattice points of the window, sorted by coordinates.
 
-    Unit lattice points (norm +-1) are reported separately: they are
-    trivially indecomposable and the closed-form inventories list only the
-    element 1 for them.
+    The window is the union of `families.standard_parallelepipeds(field)`:
+    (1, eps) for a quadratic field, two parallelepipeds of three totally
+    positive units for a cubic one.  Every indecomposable is a totally
+    positive unit times one of its points.
     """
     from .families import parallelepiped_candidates, standard_parallelepipeds
 
-    seen: dict[tuple[int, int, int], OrderElement] = {}
+    seen: dict[tuple[int, ...], OrderElement] = {}
     for gens in standard_parallelepipeds(field):
         cands, vertices = parallelepiped_candidates(*gens)
         for el in cands + vertices:
             seen[el.coords] = el
-    units = []
-    indec = []
-    for coords in sorted(seen):
-        el = seen[coords]
-        if el.is_zero() or not is_totally_positive(el):
-            continue
-        if norm(el) in (1, -1):
+    return [el for _, el in sorted(seen.items()) if not el.is_zero() and is_totally_positive(el)]
+
+
+def indecomposables_by_search(field) -> SearchInventory:
+    """Exhaustive decompose-testing of the window points, quadratic or cubic.
+
+    Unit lattice points (norm 1) are reported separately: they are
+    trivially indecomposable and the closed-form inventories list only the
+    element 1 for them.
+    """
+    units, indec = [], []
+    for el in window_points(field):
+        if norm(el) == 1:
             units.append(el)
-            continue
-        if decompose(el) is None:
+        elif decompose(el) is None:
             indec.append(el)
     return SearchInventory(tuple(indec), tuple(units))
 

@@ -5,7 +5,8 @@ Elements are order_kernel.OrderElement pairs over the basis (1, omega_D),
 omega_D a root of x^2 - Tr(omega) x + N(omega); the codifferent is
 (1/sqrt(Delta)) Z[omega_D] = (1/f'(omega_D)) Z[omega_D], so order_kernel,
 codifferent, oracle and norms.ideal_hnf serve these fields as they serve
-the cubic ones.
+the cubic ones; the ground-truth search filters the window scan that
+`oracle.indecomposables_by_search` runs too, over the parallelepiped (1, eps).
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from .errors import (
     NotSquarefree,
     RefinementLimit,
 )
-from .hnf import parallelepiped_points
 from .integers import is_squarefree
 from .norms import ideal_hnf
-from .oracle import decompose
+from .oracle import decompose, window_points
 from .order_kernel import OrderElement, is_totally_positive, norm
 
 __all__ = [
@@ -321,20 +321,14 @@ def quad_ideal_hnf(beta: OrderElement):
 
 
 def search_indecomposables(D: int, norm_bound: int) -> list[OrderElement]:
-    """Ground-truth inventory: decompose-tested lattice points of D(1, eps0).
+    """Ground-truth inventory: the window points of (1, eps0) with 1 < norm <= bound
+    that decompose finds no totally positive splitting of.
 
-    Unit lattice points are omitted (norm 1); each returned element is a
-    totally positive non-unit with no totally positive splitting.
+    `oracle.window_points` is the scan that `oracle.indecomposables_by_search`
+    runs too; the norm cut comes before `decompose`, which is the costly test.
     """
-    field = make_quad_field(D)
-    points, _ = parallelepiped_points(((1, 0), fundamental_tp_unit(D).coords))
-    out = []
-    for coords in points:
-        el = OrderElement(coords, field)
-        if el.is_zero() or not is_totally_positive(el):
-            continue
-        if abs(norm(el)) == 1 or norm(el) > norm_bound:
-            continue
-        if decompose_quadratic(el) is None:
-            out.append(el)
-    return out
+    return [
+        el
+        for el in window_points(make_quad_field(D))
+        if 1 < norm(el) <= norm_bound and decompose_quadratic(el) is None
+    ]

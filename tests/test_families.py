@@ -5,6 +5,7 @@ import pytest
 from indecomp.codifferent import trace_pairing
 from indecomp.errors import (
     DegenerateSpan,
+    FieldMismatch,
     IllegalParameter,
     OutOfDomain,
     OutOfRange,
@@ -43,6 +44,7 @@ from indecomp.order_kernel import (
     rho,
     unit_inverse,
 )
+from indecomp.quadratic import fundamental_tp_unit, make_quad_field
 
 
 def test_inventory_counts():
@@ -214,12 +216,22 @@ def test_parallelepiped_degenerate():
         parallelepiped_candidates(one(f), one(f), rho(f))
 
 
+def test_parallelepiped_generators_from_one_field():
+    f, g = make_quad_field(2), make_quad_field(3)
+    with pytest.raises(FieldMismatch):
+        parallelepiped_candidates(one(f), one(g))
+    with pytest.raises(IllegalParameter):
+        parallelepiped_candidates(one(f))
+
+
 def test_standard_parallelepipeds_are_units():
     for family, a in ((Family.SIMPLEST_CUBIC, 4), (Family.ENNOLA, 3), (Family.THOMAS, 3)):
         f = make_field(family, a)
         for gens in standard_parallelepipeds(f):
             for g in gens:
                 assert norm(g) == 1 and is_totally_positive(g)
+    f = make_quad_field(6)
+    assert standard_parallelepipeds(f) == ((one(f), fundamental_tp_unit(6)),)
 
 
 def test_upper_strip_split():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indecomp import forms, hnf, oracle
-from indecomp.errors import DegenerateSpan
+from indecomp.errors import DegenerateSpan, IllegalParameter
 from indecomp.families import indecomposables_simplest
 from indecomp.forms import verify_universality_window
 from indecomp.hnf import (
@@ -20,6 +20,7 @@ from indecomp.hnf import (
     interval_dot,
     lattice_points,
     parallelepiped_points,
+    positive_adjugate,
     row_hnf_lower,
 )
 from indecomp.order_kernel import Family, make_field
@@ -246,6 +247,27 @@ def test_parallelepiped_points_match_reference():
             continue
         assert parallelepiped_points(gens) == _parallelepiped_reference(gens), gens
         checked += 1
+
+
+def test_parallelepiped_points_need_two_or_three_generators():
+    for gens in (((1,),), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                 ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(IllegalParameter):
+            parallelepiped_points(gens)
+
+
+def test_positive_adjugate_fixes_the_sign():
+    for _ in range(200):
+        n = RNG.choice((2, 3))
+        gens = [tuple(RNG.randint(-5, 5) for _ in range(n)) for _ in range(n)]
+        m = [[g[i] for g in gens] for i in range(n)]
+        adj, det = adjugate(m)
+        if det == 0:
+            with pytest.raises(DegenerateSpan):
+                positive_adjugate(gens)
+            continue
+        sign = 1 if det > 0 else -1
+        assert positive_adjugate(gens) == (tuple(tuple(sign * v for v in row) for row in adj), abs(det))
 
 
 @st.composite

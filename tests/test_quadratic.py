@@ -19,7 +19,8 @@ from indecomp.errors import (
     IllegalParameter,
 )
 from indecomp.integers import is_squarefree
-from indecomp.oracle import _dyadic, inventories_match
+from indecomp.hnf import parallelepiped_points
+from indecomp.oracle import _dyadic, indecomposables_by_search, inventories_match
 from indecomp.order_kernel import (
     elem,
     is_totally_positive,
@@ -278,6 +279,38 @@ def test_search_vs_closed_inventories():
         ]
         found = search_indecomposables(D, window)
         assert inventories_match(closed, found), D
+
+
+def _retired_search(D, norm_bound):
+    """The scan `search_indecomposables` ran before it shared the oracle's window."""
+    field = make_quad_field(D)
+    points, _ = parallelepiped_points(((1, 0), fundamental_tp_unit(D).coords))
+    out = []
+    for coords in points:
+        el = elem(field, *coords)
+        if el.is_zero() or not is_totally_positive(el):
+            continue
+        if abs(norm(el)) == 1 or norm(el) > norm_bound:
+            continue
+        if decompose_quadratic(el) is None:
+            out.append(el)
+    return out
+
+
+def test_search_matches_the_retired_scan():
+    for D in range(2, 41):
+        if is_squarefree(D):
+            assert search_indecomposables(D, 4 * D) == _retired_search(D, 4 * D), D
+
+
+def test_oracle_search_on_quadratic_fields():
+    for D in TESTED_D:
+        inv = indecomposables_by_search(make_quad_field(D))
+        closed = [
+            r.element for r in indecomposables_quadratic(D, 4 * D) if abs(norm(r.element)) != 1
+        ]
+        assert inventories_match(closed, inv.indecomposables), D
+        assert inv.units and all(norm(u) == 1 for u in inv.units), D
 
 
 def test_quad_ideal_hnf_unit_invariance():
