@@ -21,6 +21,7 @@ from .families import (
     fundamental_triangle,
     indecomposables_ennola,
     indecomposables_simplest,
+    inventory,
     triangle_norm,
 )
 from .order_kernel import (
@@ -44,6 +45,7 @@ TABLE_SQUAREFREE_COUNTS = {
 }
 
 INVENTORY_A_SET = (-1, 0, 1, 2, 4, 7, 8)
+ORBIT_A_RANGES = {Family.ENNOLA: range(3, 9), Family.THOMAS: range(2, 9)}
 QUADRATIC_D_SET = (2, 3, 5, 6, 7, 10, 13)
 
 # implementation-derived scaling bands for count_fast(a, X)/a^(2 delta/3)
@@ -66,6 +68,11 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.details}"
 
 
+def _result(name: str, bad: list, details: str, shown=None, data=None) -> CheckResult:
+    """PASS with details when bad is empty, else FAIL with the first `shown` failures."""
+    return CheckResult(name, not bad, f"failures: {bad[:shown]}" if bad else details, data or {})
+
+
 def check_squarefree_table() -> CheckResult:
     """Squarefree-norm counts over all monogenicity-certified a in [-1, 50]."""
     mismatches = []
@@ -84,24 +91,25 @@ def check_squarefree_table() -> CheckResult:
 
 
 def check_inventory_vs_search() -> CheckResult:
-    """Closed-form inventory equals the window search, up to unit corners."""
+    """Closed-form inventories equal the window search: simplest a in
+    INVENTORY_A_SET as exact sets up to unit corners, Ennola and Thomas
+    orbit by orbit (`oracle.inventories_match`, as `--verify-oracle`)."""
     bad = []
-    for a in INVENTORY_A_SET:
-        field = make_field(Family.SIMPLEST_CUBIC, a)
+    fields = [make_field(Family.SIMPLEST_CUBIC, a) for a in INVENTORY_A_SET] + [
+        make_field(family, a) for family, r in ORBIT_A_RANGES.items() for a in r
+    ]
+    for field in fields:
         inv = oracle.indecomposables_by_search(field)
-        closed = sorted(
-            rec.element.coords for rec in indecomposables_simplest(a) if rec.kind != KIND_UNIT
-        )
-        found = sorted(e.coords for e in inv.indecomposables)
-        if found != closed:
-            bad.append((a, found, closed))
-        if any(abs(norm(u)) != 1 for u in inv.units):
-            bad.append((a, "non-unit in unit list"))
-    return CheckResult(
-        "inventory-vs-search",
-        not bad,
-        f"exact set equality for a in {INVENTORY_A_SET}" if not bad else f"failures: {bad[:2]}",
-    )
+        closed = [rec.element for rec in inventory(field) if rec.kind != KIND_UNIT]
+        if field.family is Family.SIMPLEST_CUBIC:
+            ok = sorted(e.coords for e in inv.indecomposables) == sorted(e.coords for e in closed)
+        else:
+            ok = oracle.inventories_match(closed, inv.indecomposables)
+        if not ok or any(abs(norm(u)) != 1 for u in inv.units):
+            bad.append((field.family.value, field.a))
+    orbits = ", ".join(f"{f.value} a in {r.start}..{r.stop - 1}" for f, r in ORBIT_A_RANGES.items())
+    details = f"exact set equality for a in {INVENTORY_A_SET}; orbit match for {orbits}"
+    return _result("inventory-vs-search", bad, details, 2)
 
 
 def check_trace_certificates() -> CheckResult:
@@ -113,11 +121,7 @@ def check_trace_certificates() -> CheckResult:
             want = 2 if rec.kind == KIND_EXCEPTIONAL else 1
             if got is None or got[0] != want:
                 bad.append((a, rec.element.coords, got, want))
-    return CheckResult(
-        "trace-certificates",
-        not bad,
-        f"min traces over a in {INVENTORY_A_SET}" if not bad else f"failures: {bad[:3]}",
-    )
+    return _result("trace-certificates", bad, f"min traces over a in {INVENTORY_A_SET}", 3)
 
 
 def check_family_traces() -> CheckResult:
@@ -132,10 +136,7 @@ def check_family_traces() -> CheckResult:
     got = oracle.min_trace(elem(ft, 0, 11, -2), t_max=4)
     if got is None or got[0] != 3:
         bad.append(("thomas", (0, 11, -2), got))
-    return CheckResult(
-        "family-traces", not bad,
-        "ennola a=3 all 2, thomas a=3 trace 3" if not bad else f"failures: {bad}",
-    )
+    return _result("family-traces", bad, "ennola a=3 all 2, thomas a=3 trace 3")
 
 
 def check_count_ground_truth() -> CheckResult:
@@ -147,10 +148,7 @@ def check_count_ground_truth() -> CheckResult:
             cb = norms.count_bruteforce(a, X)
             if ce != cb:
                 bad.append((a, X, ce, cb))
-    return CheckResult(
-        "count-ground-truth", not bad,
-        "full sweep a in 7..16, X in 1..a^2" if not bad else f"failures: {bad[:5]}",
-    )
+    return _result("count-ground-truth", bad, "full sweep a in 7..16, X in 1..a^2", 5)
 
 
 def check_count_scaling() -> CheckResult:
@@ -179,11 +177,8 @@ def check_count_scaling() -> CheckResult:
             "band": (float(lo), float(hi)),
             "ratios": [round(c / a ** (2 * float(delta) / 3), 4) for a, c in counts],
         }
-    return CheckResult(
-        "count-scaling", not bad,
-        f"derived bands held: { {k: v['band'] for k, v in observed.items()} }"
-        if not bad else f"failures: {bad}", observed,
-    )
+    details = f"derived bands held: { {k: v['band'] for k, v in observed.items()} }"
+    return _result("count-scaling", bad, details, data=observed)
 
 
 def check_rank_formulas() -> CheckResult:
@@ -200,10 +195,7 @@ def check_rank_formulas() -> CheckResult:
             bad.append(("branch", a))
         if a >= 3 and r.lower_classical < 4:
             bad.append(("ternary", a, r.lower_classical))
-    return CheckResult(
-        "rank-formulas", not bad,
-        "upper 228 / lower 13 at a=7; branch switches at a=21" if not bad else f"failures: {bad}",
-    )
+    return _result("rank-formulas", bad, "upper 228 / lower 13 at a=7; branch switches at a=21")
 
 
 def check_quadratic_suite() -> CheckResult:
@@ -228,11 +220,8 @@ def check_quadratic_suite() -> CheckResult:
         record = quadratic.trace_one_delta_scalings(D, 1)
         if cf.field.one_mod_four and record["literal_trace"] != D:
             bad.append((D, "scaling record", record["literal_trace"]))
-    return CheckResult(
-        "quadratic-suite", not bad,
-        f"inventories and certificates for D in {QUADRATIC_D_SET}"
-        if not bad else f"failures: {bad[:4]}",
-    )
+    details = f"inventories and certificates for D in {QUADRATIC_D_SET}"
+    return _result("quadratic-suite", bad, details, 4)
 
 
 def check_identities() -> CheckResult:
@@ -281,7 +270,7 @@ def check_identities() -> CheckResult:
             if p_i * q_m - p_m * q_i != (-1) ** (i - 1):
                 bad.append(("detid", D, i))
     detail = f"{IDENTITY_PAIRS} random pairs per identity, monotonicity to a=30"
-    return CheckResult("identity-suites", not bad, detail if not bad else f"failures: {bad[:3]}")
+    return _result("identity-suites", bad, detail, 3)
 
 
 def check_universality_windows() -> CheckResult:
@@ -293,10 +282,7 @@ def check_universality_windows() -> CheckResult:
         reports.append((a, bound, rep.checked))
         if rep.failures:
             bad.append((a, bound, rep.failures[:3]))
-    return CheckResult(
-        "universality-windows", not bad,
-        f"windows {reports} with zero counterexamples" if not bad else f"failures: {bad}",
-    )
+    return _result("universality-windows", bad, f"windows {reports} with zero counterexamples")
 
 
 ALL_CHECKS = {

@@ -21,8 +21,9 @@ def test_acceptance_01_squarefree_table():
 
 
 def test_acceptance_02_inventory_equals_search():
-    """Closed-form inventories equal the exhaustive window search for
-    a in {-1, 0, 1, 2, 4, 7, 8}, exact set equality up to unit corners."""
+    """Closed-form inventories equal the exhaustive window search: simplest
+    a in {-1, 0, 1, 2, 4, 7, 8} by exact set equality up to unit corners,
+    Ennola a = 3..8 and Thomas a = 2..8 orbit by orbit."""
     _run(verify.check_inventory_vs_search)
 
 
