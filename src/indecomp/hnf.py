@@ -296,7 +296,8 @@ def parallelepiped_points(gens) -> tuple[list[tuple[int, ...]], set[tuple[int, .
     `positive_adjugate` raises IllegalParameter or DegenerateSpan).  Returns the
     points in lexicographic order and the set of the 2^n subset sums of the
     generators (the vertices).  With M the matrix whose columns are the
-    generators, x is inside iff 0 <= adj(M) x <= det M (with det M > 0), so `lattice_points` runs over the vertex hull with those rows.
+    generators, x is inside iff 0 <= adj(M) x <= det M (with det M > 0), so
+    `lattice_points` runs over the vertex hull with those rows.
     """
     n = len(gens)
     adj, det = positive_adjugate(gens)
