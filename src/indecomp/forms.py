@@ -8,7 +8,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .codifferent import (
     CodifferentElement,
@@ -272,9 +272,10 @@ def _unit_pairing(delta: CodifferentElement, j: int, k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _ranked_parts(field: FieldSpec, radius: int) -> tuple:
-    """(phi, rec, j, k) for every unit u = e1^j e2^k on ring `radius` and
-    every inventory record with phi = Tr(delta * u * rec) >= 1, in descent
-    try order: triangle first, then decreasing phi, record index, j, k."""
+    """(phi, rec, u, u * rec) for every unit u = e1^j e2^k on ring `radius`
+    and every inventory record with phi = Tr(delta * u * rec) >= 1, in
+    descent try order: triangle first, then decreasing phi, record index, j,
+    k.  Each term u * rec is multiplied out once per (field, radius)."""
     delta, records = certificate_delta(field), indecomposables_simplest(field.a)
     ranked = []
     for j in range(-radius, radius + 1):
@@ -287,19 +288,20 @@ def _ranked_parts(field: FieldSpec, radius: int) -> tuple:
                 if phi >= 1:
                     ranked.append((_kind_priority(rec.kind), -phi, idx, j, k, rec))
     ranked.sort(key=lambda r: r[:5])
-    return tuple((-phi, rec, j, k) for _, phi, _, j, k, rec in ranked)
+    parts = []
+    for _, phi, _, j, k, rec in ranked:
+        unit = _unit_power(field, j, k)
+        parts.append((-phi, rec, unit, mul(unit, rec.element)))
+    return tuple(parts)
 
 
 def _find_part(alpha, delta):
-    field = alpha.field
     phi_alpha = trace_pairing(delta, alpha)
     for radius in range(0, _DESCENT_RADIUS_CAP + 1):
         # the try order is total, so skipping phi > phi_alpha keeps it
-        for phi, rec, j, k in _ranked_parts(field, radius):
+        for phi, rec, unit, term in _ranked_parts(alpha.field, radius):
             if phi > phi_alpha:
                 continue
-            unit = _unit_power(field, j, k)
-            term = mul(unit, rec.element)
             rest = alpha - term
             if rest.is_zero() or is_totally_positive(rest):
                 return rec, unit, term
@@ -310,28 +312,62 @@ def _find_part(alpha, delta):
 # Bounded sum-of-squares search and the universality window
 
 
-@lru_cache(maxsize=None)
-def _squares_summing_to(target: OrderElement, budget: int) -> Optional[tuple[OrderElement, ...]]:
+def _square_candidates(target: OrderElement) -> Iterator[tuple[OrderElement, OrderElement]]:
+    """(y, target - y^2) for every y > 0 with target - y^2 zero or totally
+    positive, in lexicographic order, from one square-root region search."""
+    for coords in region_points(*_square_root_region(target)):
+        if coords <= (0, 0, 0):
+            continue  # skip 0; y and -y square identically, keep one
+        y = OrderElement(coords, target.field)
+        rest = target - mul(y, y)
+        if rest.is_zero() or is_totally_positive(rest):
+            yield y, rest
+
+
+def _inherited_candidates(candidates, square: OrderElement):
+    """The candidates of target - square from those of target: one
+    subtraction and one positivity test per entry."""
+    for y, rest in candidates:
+        rest = rest - square
+        if rest.is_zero() or is_totally_positive(rest):
+            yield y, rest
+
+
+# (target, budget) -> the first witness of _squares_summing_to, per process
+_witness_cache: dict[tuple[OrderElement, int], Optional[tuple[OrderElement, ...]]] = {}
+
+
+def _squares_summing_to(
+    target: OrderElement, budget: int, candidates: Iterable[tuple[OrderElement, OrderElement]]
+) -> Optional[tuple[OrderElement, ...]]:
     """Up to `budget` elements whose squares sum to target, or None.
 
-    Depth-first over the square-root region: x is tried when target - x^2 is
-    0 or totally positive.  Cached per process, so each (target, budget) is
-    searched once.
+    `candidates` yields (x, target - x^2) for every x > 0 with target - x^2
+    zero or totally positive, in lexicographic order; depth-first, the first
+    x whose remainder is a sum of budget - 1 squares wins.  Only a top-level
+    target searches a square-root region (`_square_candidates`).  A
+    remainder rest = target - x^2 inherits its candidates from the list of
+    its parent: y is one exactly when (target - y^2) - x^2 is zero or totally
+    positive, and as x^2 >> 0 every such y is already in the parent's list,
+    in the same order.  Answers are cached per (target, budget) for the
+    process; the lists are consumed only on a cache miss and then dropped.
     """
     if target.is_zero():
         return ()
     if budget == 0:
         return None
-    for coords in region_points(*_square_root_region(target)):
-        if coords <= (0, 0, 0):
-            continue  # skip 0; x and -x square identically, keep one
-        x = OrderElement(coords, target.field)
-        rest = target - mul(x, x)
-        if rest.is_zero() or is_totally_positive(rest):
-            tail = _squares_summing_to(rest, budget - 1)
-            if tail is not None:
-                return (x, *tail)
-    return None
+    key = (target, budget)
+    if key in _witness_cache:
+        return _witness_cache[key]
+    candidates = tuple(candidates)
+    witness = None
+    for x, rest in candidates:
+        tail = _squares_summing_to(rest, budget - 1, _inherited_candidates(candidates, target - rest))
+        if tail is not None:
+            witness = (x, *tail)
+            break
+    _witness_cache[key] = witness
+    return witness
 
 
 def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
@@ -340,7 +376,7 @@ def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
         return []
     if not is_totally_positive(beta):
         return None
-    witness = _squares_summing_to(beta, PYTHAGORAS_CAP_CUBIC)
+    witness = _squares_summing_to(beta, PYTHAGORAS_CAP_CUBIC, _square_candidates(beta))
     return None if witness is None else list(witness)
 
 

@@ -195,7 +195,7 @@ def test_sum_of_squares_witness_leaves_no_cyclic_garbage():
     f = make_field(Family.SIMPLEST_CUBIC, 2)
     beta = elem(f, 7, 1, 1)
     want = sum_of_squares_witness(beta)  # warms the field's caches
-    forms._squares_summing_to.cache_clear()  # so that the checked call searches
+    forms._witness_cache.clear()  # so that the checked call searches
     gc.collect()
     gc.disable()
     try:
@@ -284,13 +284,22 @@ def test_witness_lists_are_fresh_copies():
     assert sum_of_squares_witness(beta) == want and want
 
 
+def _clear_forms_caches():
+    """Empty every per-process cache of `forms`: its `lru_cache`d functions
+    and the witness answers."""
+    forms._witness_cache.clear()
+    for value in vars(forms).values():
+        if hasattr(value, "cache_clear") and value.__module__ == forms.__name__:
+            value.cache_clear()
+
+
 def test_a_window_searches_each_square_root_region_once():
     """Work counter: with the square-root and witness searches cached per
-    process, a cold window at a = 2, bound 4 encloses at most 150 square-root
-    regions (1,530 with a fresh search per call), and searches each distinct
-    unit for a square root once."""
-    forms._squares_summing_to.cache_clear()
-    forms.unit_square_root.cache_clear()
+    process and remainders inheriting their parent's candidates, a cold
+    window at a = 2, bound 4 encloses at most 45 square-root regions (1,530
+    with a fresh search per call, 63 with one per remainder), and searches
+    each distinct unit for a square root once."""
+    _clear_forms_caches()
     regions, units = [], set()
     region, root = forms._square_root_region, forms.unit_square_root
 
@@ -306,8 +315,86 @@ def test_a_window_searches_each_square_root_region_once():
             mock.patch.object(forms, "unit_square_root", counting_root):
         report = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 2), 4)
     assert report.checked > 0 and not report.failures
-    assert 0 < len(regions) <= 150, len(regions)
+    assert 0 < len(regions) <= 45, len(regions)
     assert root.cache_info().misses == len(units) > 1
+
+
+def test_only_top_level_targets_search_a_square_root_region():
+    """Work counter: in a cold window every square-root region is enclosed
+    for the argument of the innermost `sum_of_squares_witness` or
+    `unit_square_root` call in progress, never for a remainder inside the
+    witness descent."""
+    _clear_forms_caches()
+    active, regions, remainders = [], [], []
+    region = forms._square_root_region
+
+    def counting_region(target):
+        regions.append(target)
+        if target != active[-1]:
+            remainders.append((active[-1], target))
+        return region(target)
+
+    def top_level(search):
+        def wrapped(target):
+            active.append(target)
+            try:
+                return search(target)
+            finally:
+                active.pop()
+        return wrapped
+
+    with mock.patch.object(forms, "_square_root_region", counting_region), \
+            mock.patch.object(forms, "unit_square_root", top_level(forms.unit_square_root)), \
+            mock.patch.object(forms, "sum_of_squares_witness",
+                              top_level(forms.sum_of_squares_witness)):
+        report = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 2), 4)
+    assert report.checked > 0 and not report.failures
+    assert regions and not active and remainders == [], remainders[:3]
+
+
+def test_a_warm_descent_step_multiplies_nothing():
+    """Work counter: `_ranked_parts` carries each candidate's unit and term,
+    so once a field's rings are ranked `_find_part` calls `mul` 0 times."""
+    field = make_field(Family.SIMPLEST_CUBIC, 2)
+    delta = certificate_delta(field)
+    elements = _window_elements(field, 4)
+    want = [forms._find_part(alpha, delta) for alpha in elements]  # warm
+    calls = []
+
+    def counting_mul(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    with mock.patch.object(forms, "mul", counting_mul):
+        assert [forms._find_part(alpha, delta) for alpha in elements] == want
+    assert all(hit is not None for hit in want)
+    assert calls == []
+
+
+def _benchmark_witness_targets():
+    """Every distinct sum of one or two squares of nonzero x in {-1, 0, 1}^3
+    at simplest a in {1, 2}, and every single such square at a in {4, 7, 8}."""
+    vectors = [v for v in itertools.product((-1, 0, 1), repeat=3) if v > (0, 0, 0)]
+    targets = set()
+    for a in (1, 2, 4, 7, 8):
+        field = make_field(Family.SIMPLEST_CUBIC, a)
+        squares = [mul(x, x) for x in (OrderElement(v, field) for v in vectors)]
+        targets.update(squares)
+        if a <= 2:
+            targets.update(p + q for p, q in itertools.combinations_with_replacement(squares, 2))
+    return sorted(targets, key=lambda e: (e.field.a, e.coords))
+
+
+def test_inherited_witnesses_match_the_region_search_reference():
+    """From cold caches, the candidate-inheriting search returns the same
+    first witness as the search that encloses a region per remainder, over
+    the benchmark's witness set and one deep target."""
+    _clear_forms_caches()
+    targets = _benchmark_witness_targets()
+    assert len(targets) == 247
+    targets.append(elem(make_field(Family.SIMPLEST_CUBIC, 8), 100, 0, 0))
+    for beta in targets:
+        assert sum_of_squares_witness(beta) == _squares_reference(beta, 6, {}), beta
 
 
 def test_universality_window_small():

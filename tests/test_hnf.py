@@ -526,7 +526,7 @@ def test_the_window_search_builds_few_elimination_plans():
     universality window builds at most 8 of them, and every lattice search
     after the first for a plan finds it in the cache."""
     hnf._plan.cache_clear()
-    forms._squares_summing_to.cache_clear()
+    forms._witness_cache.clear()
     forms.unit_square_root.cache_clear()
     levels, searches = hnf._levels, []
 
