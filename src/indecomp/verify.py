@@ -140,15 +140,21 @@ def check_family_traces() -> CheckResult:
 
 
 def check_count_ground_truth() -> CheckResult:
-    """count_exact equals count_bruteforce for a in 7..16, all X <= a^2."""
+    """count_exact equals count_bruteforce for a in 7..16, all X <= a^2, and
+    shows the Lemmermeyer-Petho gap: no primitive principal ideal of norm in
+    [2, 2a + 2], exactly three of norm 2a + 3."""
     bad = []
     for a in range(7, 17):
-        for X in range(1, a * a + 1):
-            ce = norms.count_exact(a, X)
+        exact = {X: norms.count_exact(a, X) for X in range(1, a * a + 1)}
+        for X, ce in exact.items():
             cb = norms.count_bruteforce(a, X)
             if ce != cb:
                 bad.append((a, X, ce, cb))
-    return _result("count-ground-truth", bad, "full sweep a in 7..16, X in 1..a^2", 5)
+        if (exact[2 * a + 2], exact[2 * a + 3]) != (0, 3):
+            bad.append((a, "norm gap", exact[2 * a + 2], exact[2 * a + 3]))
+    details = ("full sweep a in 7..16, X in 1..a^2; Lemmermeyer-Petho gap: "
+               "0 ideals of norm <= 2a+2, 3 of norm <= 2a+3")
+    return _result("count-ground-truth", bad, details, 5)
 
 
 def check_count_scaling() -> CheckResult:

@@ -39,7 +39,9 @@ def test_acceptance_04_family_traces():
 
 
 def test_acceptance_05_count_ground_truth():
-    """count_exact == count_bruteforce for a in 7..16 and every X <= a^2."""
+    """count_exact == count_bruteforce for a in 7..16 and every X <= a^2,
+    with the Lemmermeyer-Petho gap: 0 ideals of norm <= 2a + 2, 3 of norm
+    <= 2a + 3."""
     _run(verify.check_count_ground_truth)
 
 

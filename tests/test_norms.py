@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indecomp import families, hnf, integers, norms, order_kernel
+from indecomp import families, hnf, integers, norms, order_kernel, verify
 from indecomp.errors import (
     BoundTooLarge,
     ConsistencyError,
@@ -74,6 +74,18 @@ def test_lemmermeyer_petho_norm_gap(a):
     the brute force agree on both sides of the gap."""
     assert count_exact(a, 2 * a + 2) == count_bruteforce(a, 2 * a + 2) == 0
     assert count_exact(a, 2 * a + 3) == count_bruteforce(a, 2 * a + 3) == 3
+
+
+def test_verify_flags_a_missing_norm_gap(monkeypatch):
+    """`verify`'s count-ground-truth check fails when the closed-form count
+    and the brute force agree but show no gap below norm 2a + 3."""
+    def shifted(a, X):
+        return 0 if X < 2 * a + 2 else 3
+
+    monkeypatch.setattr(norms, "count_exact", shifted)
+    monkeypatch.setattr(norms, "count_bruteforce", shifted)
+    result = verify.check_count_ground_truth()
+    assert not result.passed and "norm gap" in result.details
 
 
 def test_count_fast_pairs_are_primitive_tp():
