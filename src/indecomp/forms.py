@@ -324,7 +324,9 @@ def _square_candidates(target: OrderElement) -> Iterator[tuple[OrderElement, Ord
             yield y, rest
 
 
-def _inherited_candidates(candidates, square: OrderElement):
+def _inherited_candidates(
+    candidates: tuple[tuple[OrderElement, OrderElement], ...], square: OrderElement
+) -> Iterator[tuple[OrderElement, OrderElement]]:
     """The candidates of target - square from those of target: one
     subtraction and one positivity test per entry."""
     for y, rest in candidates:
@@ -362,7 +364,8 @@ def _squares_summing_to(
     candidates = tuple(candidates)
     witness = None
     for x, rest in candidates:
-        tail = _squares_summing_to(rest, budget - 1, _inherited_candidates(candidates, target - rest))
+        inherited = _inherited_candidates(candidates, target - rest)
+        tail = _squares_summing_to(rest, budget - 1, inherited)
         if tail is not None:
             witness = (x, *tail)
             break
