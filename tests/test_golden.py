@@ -24,6 +24,8 @@ CASES = {
     "field-info": (["field-info", "--family", "ennola", "--a", "4"], False),
     # root intervals from the simplest-family seeds (a >= 7)
     "field-info-simplest50": (["field-info", "--family", "simplest", "--a", "50"], False),
+    # the simplest family below a = 7 has no seeds and is bracketed
+    "field-info-simplest3": (["field-info", "--family", "simplest", "--a", "3"], False),
     # root intervals from the bracket search of [-B, B]
     "field-info-thomas9": (["field-info", "--family", "thomas", "--a", "9"], False),
     "indecomposables": (
