@@ -79,19 +79,21 @@ def euler_pairing(minpoly: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def pairing_matrix(field: FieldSpec) -> tuple[tuple[int, ...], ...]:
     """Integer matrix B with Tr(gamma * x / f'(rho)) = coords(gamma)^T B coords(x).
 
-    B = euler_pairing(field.minpoly), cross-checked against the rational
-    multiplication-matrix route.
+    B = euler_pairing(field.minpoly), cross-checked against the
+    multiplication-matrix route: Tr(adj * rho^m) = t_m * det in integers.
     """
     b = euler_pairing(field.minpoly)
     t = b[0] + b[-1][1:]  # Tr(rho^m / f') for m = 0..2d-2
 
-    # independent check: f'^-1 = adj(M_f') / N(f') in exact rational algebra
+    # independent check: f'^-1 = adj(M_f') / N(f'), so Tr(rho^m / f') = Tr(adj rho^m) / det
     adj, det = _fprime_inverse_parts(field)
     power = one(field)
     for m in range(len(t)):
-        tr = Fraction(trace(apply_matrix(adj, power)), det)
-        if tr != t[m]:
-            raise NonIntegralTrace(f"pairing base Tr(rho^{m}/f') = {tr} != {t[m]}")
+        tr = trace(apply_matrix(adj, power))
+        if tr != t[m] * det:
+            raise NonIntegralTrace(
+                f"pairing base Tr(rho^{m}/f') = {Fraction(tr, det)} != {t[m]}"
+            )
         power = mul(power, rho(field))
     return b
 

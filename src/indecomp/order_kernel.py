@@ -353,7 +353,7 @@ def unit_inverse(x: OrderElement) -> OrderElement:
 
 
 # ---------------------------------------------------------------------------
-# Real root isolation (critical-point root counts, exact-sign bisection)
+# Real root isolation (critical-point root counts, bisection on integer signs)
 #
 # field is a cubic FieldSpec or a quadratic.QuadField: only field.minpoly,
 # and for the simplest family field.family and field.a, are read.
@@ -381,19 +381,38 @@ def poly_eval(field, t: Fraction) -> Fraction:
     return acc
 
 
+def _sign_at(minpoly: tuple[int, ...], n: int, d: int) -> int:
+    """The sign (-1, 0 or 1) of f(n/d) for d > 0, f the monic minpoly.
+
+    It is the sign of the homogenised value d^k f(n/d) = n^k + c_(k-1)
+    n^(k-1) d + ... + c_0 d^k, evaluated by Horner's rule in integers.  Every
+    sign decision of root isolation goes through here.
+    """
+    acc, power = n + minpoly[0] * d, d
+    for c in minpoly[1:]:
+        power *= d
+        acc = acc * n + c * power
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at_fraction(field, t: Fraction) -> int:
+    return _sign_at(field.minpoly, t.numerator, t.denominator)
+
+
 def _critical_below(field, t: Fraction) -> int:
-    """How many critical points of f (roots of f') lie below t.
+    """How many critical points of f (roots of f') lie below t = n/m.
 
     A quadratic's one critical point is -c1/2.  A cubic's are
     (-c2 -+ sqrt(d))/3 with d = c2^2 - 3 c1 > 0 (three real roots), the d
-    that `_integer_root` brackets with isqrt; with u = 3t + c2, the tests
-    -sqrt(d) < u and sqrt(d) < u are exact by squaring.
+    that `_integer_root` brackets with isqrt; with u = 3n + c2 m, the tests
+    -sqrt(d) m < u and sqrt(d) m < u are exact by squaring.
     """
+    n, m = t.numerator, t.denominator
     if len(field.minpoly) == 2:
-        return int(2 * t + field.minpoly[0] > 0)
+        return int(2 * n + field.minpoly[0] * m > 0)
     c2, c1, _ = field.minpoly
-    u, d = 3 * t + c2, c2 * c2 - 3 * c1
-    return (u >= 0 or u * u < d) + (u > 0 and u * u > d)
+    u, dm2 = 3 * n + c2 * m, (c2 * c2 - 3 * c1) * m * m
+    return (u >= 0 or u * u < dm2) + (u > 0 and u * u > dm2)
 
 
 def _root_count(field, lo: Fraction, hi: Fraction) -> int:
@@ -405,10 +424,13 @@ def _root_count(field, lo: Fraction, hi: Fraction) -> int:
     [lo, hi) and f(hi).
     """
     d = len(field.minpoly)
-    signs = [poly_eval(field, lo) > 0]
+    at_lo, at_hi = _sign_at_fraction(field, lo), _sign_at_fraction(field, hi)
+    if at_lo == 0 or at_hi == 0:
+        raise ConsistencyError(f"root count on ({lo}, {hi}) has a root endpoint")
+    signs = [at_lo > 0]
     for k in range(_critical_below(field, lo), _critical_below(field, hi)):
         signs.append((d - 1 - k) % 2 == 0)
-    signs.append(poly_eval(field, hi) > 0)
+    signs.append(at_hi > 0)
     return sum(map(operator.ne, signs, signs[1:]))
 
 
@@ -441,7 +463,7 @@ def _bracket_roots(field) -> list[tuple[Fraction, Fraction]]:
             raise ConsistencyError(
                 f"{count} roots counted on ({lo}, {hi}), narrower than the root separation"
             )
-        # the roots are irrational, so mid is not one of them
+        # the roots are irrational, so mid is not one of them; `_root_count` checks
         mid = (lo + hi) / 2
         left = _root_count(field, lo, mid)
         stack.append((lo, mid, left))
@@ -452,28 +474,39 @@ def _bracket_roots(field) -> list[tuple[Fraction, Fraction]]:
 
 
 def _bisect_to_width(field, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
-    flo = poly_eval(field, lo)
-    if flo == 0 or poly_eval(field, hi) == 0:
+    """Halve [lo, hi], which holds one root, until it is no wider than width.
+
+    The endpoints are kept as integer numerators over one denominator den,
+    which doubles at each halving: with lo = n/den and gap = (hi - lo) den,
+    the midpoint is (2n + gap)/(2 den), and gap stays the same.  Fractions
+    are built only for the returned interval.
+    """
+    minpoly = field.minpoly
+    den = math.lcm(lo.denominator, hi.denominator)
+    n = lo.numerator * (den // lo.denominator)
+    gap = hi.numerator * (den // hi.denominator) - n
+    at_lo = _sign_at(minpoly, n, den)
+    if at_lo == 0 or _sign_at(minpoly, n + gap, den) == 0:
         raise ConsistencyError(f"isolating interval [{lo}, {hi}] has a root endpoint")
-    neg_at_lo = flo < 0
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = poly_eval(field, mid)
-        # roots are irrational, so fm != 0
-        if (fm < 0) == neg_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Interval(lo, hi)
+    # hi - lo > width  <=>  gap * width.den > width.num * den
+    limit = gap * width.denominator
+    while limit > width.numerator * den:
+        n, den = 2 * n, 2 * den
+        at_mid = _sign_at(minpoly, n + gap, den)
+        if at_mid == 0:
+            raise ConsistencyError(f"midpoint {Fraction(n + gap, den)} of a bisection is a root")
+        if at_mid == at_lo:
+            n += gap
+    return Interval(Fraction(n, den), Fraction(n + gap, den))
 
 
 def _seed_intervals(field) -> list[tuple[Fraction, Fraction]] | None:
     """Known bracketing intervals for the SimplestCubic roots, valid for a >= 7.
 
     Kept because it pays: isolating the roots of the simplest fields
-    a = 50, 52, ..., 400 to the default width takes about 0.07 s from these
-    seeds and 0.25-0.3 s from `_bracket_roots` (Python 3.11, one Xeon core),
-    and every field a workload touches pays that once when it is set up.
+    a = 50, 52, ..., 400 to the default width takes about 0.01-0.015 s from
+    these seeds and 0.04-0.05 s from `_bracket_roots` (Python 3.11, one Xeon
+    core), and every field a workload touches pays that once when it is set up.
     The seeds also fix the root intervals that field-info prints for a >= 7.
     Each seed is re-checked for a sign change; None falls back to the search.
     """
@@ -489,7 +522,7 @@ def _seed_intervals(field) -> list[tuple[Fraction, Fraction]] | None:
     for lo, hi in seeds:
         if lo > hi:
             lo, hi = hi, lo
-        if poly_eval(field, lo) * poly_eval(field, hi) >= 0:
+        if _sign_at_fraction(field, lo) * _sign_at_fraction(field, hi) >= 0:
             return None
         out.append((lo, hi))
     return out
@@ -519,7 +552,7 @@ def _root_intervals(field, refined: list[Interval], width: Fraction) -> RootInte
     """
     refined = sorted(refined, key=lambda iv: iv.lo)
     for left, right in zip(refined, refined[1:]):
-        if left.hi > right.lo or (left.hi == right.lo and poly_eval(field, left.hi) == 0):
+        if left.hi > right.lo or (left.hi == right.lo and _sign_at_fraction(field, left.hi) == 0):
             raise ConsistencyError(f"root intervals of {field} overlap")
     if getattr(field, "family", None) is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))

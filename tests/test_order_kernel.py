@@ -55,6 +55,7 @@ from indecomp.order_kernel import (
     _seed_intervals,
 )
 from indecomp.integers import is_squarefree
+from indecomp.intervals import Interval
 from indecomp.quadratic import fundamental_tp_unit, make_quad_field
 
 RNG = random.Random(987123)
@@ -561,11 +562,12 @@ def test_integer_root_agrees_with_sympy(c):
 
 
 def _sturm_intervals(field):
-    """Independent oracle: isolating brackets of the three roots by Sturm counts.
+    """Independent oracle: isolating brackets of the roots by Sturm counts.
 
     The Sturm chain f, f', -rem(f, f'), ... of Fraction polynomials counts
     the roots in (lo, hi] as V(lo) - V(hi), V the sign variations along the
-    chain; [-B, B] is bisected with the same stack order as `_bracket_roots`.
+    chain; [-B, B], B = `_root_bound`, is bisected with the same stack order
+    as `_bracket_roots`.
     """
 
     def rem(num, den):
@@ -584,9 +586,10 @@ def _sturm_intervals(field):
         return tuple(num)
 
     # polynomials as coefficient tuples, low degree first
+    coeffs = (*reversed(field.minpoly), 1)
     chain = [
-        tuple(map(Fraction, (field.c0, field.c1, field.c2, 1))),
-        tuple(map(Fraction, (field.c1, 2 * field.c2, 3))),
+        tuple(map(Fraction, coeffs)),
+        tuple(Fraction(k * c) for k, c in enumerate(coeffs) if k),
     ]
     while len(chain[-1]) > 1:
         r = rem(chain[-2], chain[-1])
@@ -599,7 +602,7 @@ def _sturm_intervals(field):
         signs = [v > 0 for v in values if v != 0]
         return sum(map(operator.ne, signs, signs[1:]))
 
-    bound = 1 + max(abs(field.c2), abs(field.c1), abs(field.c0))
+    bound = order_kernel._root_bound(field.minpoly)
     lo, hi = Fraction(-bound), Fraction(bound)
     stack = [(lo, hi, variations(lo) - variations(hi))]
     isolated = []
@@ -613,7 +616,7 @@ def _sturm_intervals(field):
         mid = (lo + hi) / 2
         stack.append((lo, mid, variations(lo) - variations(mid)))
         stack.append((mid, hi, variations(mid) - variations(hi)))
-    assert len(isolated) == 3
+    assert len(isolated) == len(field.minpoly)
     return isolated
 
 
@@ -712,3 +715,124 @@ def test_quadratic_root_bound_encloses_the_roots():
         else:
             assert D < bound**2, D
         assert bound <= 2 + math.isqrt(D), D
+
+
+# ---------------------------------------------------------------------------
+# The integer sign kernel against Fraction evaluation
+
+
+def _fraction_bisection(field, lo, hi, width):
+    """Independent reference for `_bisect_to_width`: Fraction endpoints and
+    `poly_eval` at every midpoint."""
+    neg_at_lo = poly_eval(field, lo) < 0
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if (poly_eval(field, mid) < 0) == neg_at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)
+
+
+def _reference_rounds(field, last):
+    """Sorted reference intervals of rounds 0..last: round 0 bisects the
+    seeds or the Sturm brackets, round r bisects on from round r - 1."""
+    brackets = _seed_intervals(field) or _sturm_intervals(field)
+    rounds = []
+    for r in range(last + 1):
+        width = order_kernel._default_width(field, r)
+        brackets = [_fraction_bisection(field, lo, hi, width) for lo, hi in brackets]
+        brackets.sort(key=lambda iv: iv.lo)
+        rounds.append(brackets)
+        brackets = [(iv.lo, iv.hi) for iv in brackets]
+    return rounds
+
+
+def _assert_isolation_matches_reference(field):
+    reference = _reference_rounds(field, 30)
+    cold = isolate_roots.__wrapped__(field)
+    assert sorted(cold.intervals, key=lambda iv: iv.lo) == reference[0], field
+    for r, want in enumerate(reference):
+        got = refine_roots(field, r)
+        assert sorted(got.intervals, key=lambda iv: iv.lo) == want, (field, r)
+        assert got.width == order_kernel._default_width(field, r)
+
+
+_SQUAREFREE_D = [D for D in range(2, 41) if is_squarefree(D)]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [make_field(family, a) for family, a in _REFINED_FAMILIES]
+    + [make_quad_field(D) for D in _SQUAREFREE_D],
+    ids=str,
+)
+def test_integer_bisection_equals_the_fraction_reference(field):
+    """`isolate_roots` and every `refine_roots` round up to 30 give the
+    intervals of the Fraction bisection, endpoint for endpoint."""
+    _assert_isolation_matches_reference(field)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_custom_fields())
+def test_integer_bisection_equals_the_fraction_reference_on_custom_cubics(field):
+    _assert_isolation_matches_reference(field)
+
+
+def _fraction_sign(field, t):
+    value = poly_eval(field, t)
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(FIELDS, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+def test_integer_sign_is_the_sign_of_the_fraction_value(field, n, d):
+    assert order_kernel._sign_at(field.minpoly, n, d) == _fraction_sign(field, Fraction(n, d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(FIELDS, st.integers(0, 2), st.integers(1, 2**80), st.integers(-2, 2))
+def test_integer_sign_next_to_a_root_is_the_sign_of_the_fraction_value(field, k, d, step):
+    """n/d within a few steps 1/d of a root, on both sides of it."""
+    iv = isolate_roots(field).intervals[k % len(field.minpoly)]
+    n = math.floor(iv.lo * d) + step
+    assert order_kernel._sign_at(field.minpoly, n, d) == _fraction_sign(field, Fraction(n, d))
+
+
+def test_a_rational_root_is_never_passed_silently():
+    """f = (x - 1)(x^2 + 1) is reducible, which `make_custom_field` rejects,
+    so the kernel is called on a FieldSpec built directly: the root 1 is the
+    first midpoint of [0, 2] and the second of [0, 4], and an endpoint of a
+    root count."""
+    minpoly = (-1, 1, -1)
+    f = FieldSpec(Family.CUSTOM_CUBIC, None, *minpoly)
+    assert [order_kernel._sign_at(minpoly, n, n) for n in (1, 2, 7)] == [0, 0, 0]
+    assert order_kernel._sign_at((0, -4), -6, 3) == 0  # x^2 - 4 at -2
+    for hi in (2, 4):
+        with pytest.raises(ConsistencyError, match="midpoint 1 "):
+            order_kernel._bisect_to_width(f, Fraction(0), Fraction(hi), Fraction(1, 4))
+    with pytest.raises(ConsistencyError, match="root endpoint"):
+        order_kernel._bisect_to_width(f, Fraction(1), Fraction(2), Fraction(1, 4))
+    with pytest.raises(ConsistencyError, match="root endpoint"):
+        order_kernel._root_count(f, Fraction(0), Fraction(1))
+
+
+def test_root_isolation_evaluates_no_fraction_polynomial(monkeypatch):
+    """Work counter: a cold `isolate_roots` decides every sign in integers,
+    with 0 `poly_eval` calls, on a seeded simplest field, a bracketed Thomas
+    field and a quadratic field; the counter itself sees the one call of the
+    Galois placement test."""
+    calls = []
+    original = order_kernel.poly_eval
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(order_kernel, "poly_eval", counting)
+    simplest = make_field(Family.SIMPLEST_CUBIC, 977)
+    for field in (simplest, make_field(Family.THOMAS, 9), make_quad_field(94)):
+        assert isolate_roots.__wrapped__(field) == isolate_roots(field)
+        assert calls == [], field
+    galois_conjugation_matrix.__wrapped__(simplest)
+    assert len(calls) == 1
