@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 from . import forms, norms, oracle, quadratic, verify
 from .codifferent import monogenicity_certificate
@@ -223,6 +222,10 @@ def cmd_sq_table(args) -> int:
     todo = [a for a in targets if a not in done]
     workers = min(args.threads, len(todo))
     if workers > 1:
+        # imported here: the pool machinery (multiprocessing, socket, ...)
+        # would otherwise load on every CLI call
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for a, sq in pool.map(_sq_row, todo):
                 done[a] = sq

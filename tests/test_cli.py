@@ -1,6 +1,10 @@
 """CLI subcommands: outputs, exporters, exit codes, determinism."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -65,7 +69,7 @@ def test_sq_table_resume_and_threads(tmp_path, monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert main(
         ["sq-table", "--a-min", "-1", "--a-max", "6", "--resume", str(resume),
          "--threads", "2"]
@@ -93,7 +97,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -113,6 +117,22 @@ def test_sq_table_pool_is_sized_by_the_rows_to_compute(tmp_path, pool_sizes, cap
     assert main(args + ["--threads", "64"]) == EXIT_OK  # nothing left to compute
     assert pool_sizes == [11, 3]
     assert json.loads(resume.read_text()) == {"-1": 2, "0": 2, "1": 5, "2": 8}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool machinery loads only for sq-table --threads N > 1, not on
+    every CLI call: a fresh interpreter that imports the CLI has neither
+    multiprocessing nor the process-pool module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, indecomp.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5"])
