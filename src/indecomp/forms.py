@@ -351,7 +351,8 @@ def _squares_summing_to(
     remainder rest = target - x^2 inherits its candidates from the list of
     its parent: y is one exactly when (target - y^2) - x^2 is zero or totally
     positive, and as x^2 >> 0 every such y is already in the parent's list,
-    in the same order.  Answers are cached per (target, budget) for the
+    in the same order.  A budget-1 remainder needs no inherited list
+    (`_one_square`).  Answers are cached per (target, budget) for the
     process; the lists are consumed only on a cache miss and then dropped.
     """
     if target.is_zero():
@@ -362,15 +363,42 @@ def _squares_summing_to(
     if key in _witness_cache:
         return _witness_cache[key]
     candidates = tuple(candidates)
+    if budget == 2:
+        # target - y^2 -> y; distinct y > 0 have distinct squares
+        roots = {rest.coords: y for y, rest in candidates}
     witness = None
     for x, rest in candidates:
-        inherited = _inherited_candidates(candidates, target - rest)
-        tail = _squares_summing_to(rest, budget - 1, inherited)
+        square = target - rest
+        if budget == 2:
+            tail = _one_square(rest, square, roots)
+        else:
+            inherited = _inherited_candidates(candidates, square)
+            tail = _squares_summing_to(rest, budget - 1, inherited)
         if tail is not None:
             witness = (x, *tail)
             break
     _witness_cache[key] = witness
     return witness
+
+
+def _one_square(
+    rest: OrderElement, square: OrderElement, roots: dict[tuple[int, ...], OrderElement]
+) -> Optional[tuple[OrderElement, ...]]:
+    """`_squares_summing_to(rest, 1, ...)` for rest = target - square.
+
+    rest = y^2 with y > 0 exactly when target - y^2 = square, and then
+    target - y^2 >> 0 puts y among the candidates of target, which `roots`
+    maps from target - y^2 to y.  So one lookup answers the leaf, with no
+    subtraction and no positivity test; such a y is unique, so it is the
+    first witness.
+    """
+    if rest.is_zero():
+        return ()
+    key = (rest, 1)
+    if key not in _witness_cache:
+        y = roots.get(square.coords)
+        _witness_cache[key] = None if y is None else (y,)
+    return _witness_cache[key]
 
 
 def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:

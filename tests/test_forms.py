@@ -397,6 +397,34 @@ def test_inherited_witnesses_match_the_region_search_reference():
         assert sum_of_squares_witness(beta) == _squares_reference(beta, 6, {}), beta
 
 
+def test_a_budget_one_leaf_tests_no_positivity():
+    """Work counter: a budget-1 remainder target - x^2 is a square exactly
+    when some candidate y of target has target - y^2 == x^2, so a budget-2
+    search over a ready candidate list makes 0 `is_totally_positive` calls,
+    and finds the reference's first witness, or none."""
+    _clear_forms_caches()
+    field = make_field(Family.SIMPLEST_CUBIC, 2)
+    x, y = elem(field, 1, 1, 0), elem(field, 2, -1, 1)
+    targets = [mul(x, x) + mul(y, y), mul(x, x) + 4, elem(field, 7, 0, 0), elem(field, 8, 0, 0)]
+    calls = []
+    positive = forms.is_totally_positive
+
+    def counting(z):
+        calls.append(z)
+        return positive(z)
+
+    answers = []
+    for beta in targets:
+        candidates = tuple(forms._square_candidates(beta))
+        with mock.patch.object(forms, "is_totally_positive", counting):
+            got = forms._squares_summing_to(beta, 2, candidates)
+        want = _squares_reference(beta, 2, {})
+        assert got == (None if want is None else tuple(want)), beta
+        answers.append(got)
+    assert calls == []
+    assert None in answers and any(answers)
+
+
 def test_universality_window_small():
     rep = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 1), 3)
     assert rep.failures == () and rep.checked > 0
