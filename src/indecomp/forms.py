@@ -363,9 +363,8 @@ def _squares_summing_to(
     if key in _witness_cache:
         return _witness_cache[key]
     candidates = tuple(candidates)
-    if budget == 2:
-        # target - y^2 -> y; distinct y > 0 have distinct squares
-        roots = {rest.coords: y for y, rest in candidates}
+    # target - y^2 -> y for the budget-1 leaves; distinct y > 0 have distinct squares
+    roots = {rest.coords: y for y, rest in candidates} if budget == 2 else None
     witness = None
     for x, rest in candidates:
         square = target - rest
