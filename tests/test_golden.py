@@ -28,6 +28,8 @@ CASES = {
     "field-info-simplest3": (["field-info", "--family", "simplest", "--a", "3"], False),
     # root intervals from the bracket search of [-B, B]
     "field-info-thomas9": (["field-info", "--family", "thomas", "--a", "9"], False),
+    # two brackets narrower than the width share the endpoint 1074789375/1048576
+    "field-info-thomas1024": (["field-info", "--family", "thomas", "--a", "1024"], False),
     "indecomposables": (
         ["indecomposables", "--family", "simplest", "--a", "4", "--verify-oracle"],
         True,
