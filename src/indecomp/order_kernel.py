@@ -104,10 +104,8 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
     O(log B) evaluations of f.
     """
 
-    def f(t: int) -> int:
-        return ((t + c2) * t + c1) * t + c0
-
-    bound = _root_bound((c2, c1, c0))
+    minpoly = (c2, c1, c0)
+    bound = _root_bound(minpoly)
     d = c2 * c2 - 3 * c1  # f' = 3x^2 + 2 c2 x + c1 changes sign iff d > 0
     if d <= 0:
         pieces, candidates = [(-bound, bound, 1)], []
@@ -121,12 +119,12 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
         # least t in [lo, hi] with sign * f(t) >= 0: the root if the piece holds one
         while lo < hi:
             mid = (lo + hi) // 2
-            if sign * f(mid) >= 0:
+            if sign * _sign_at(minpoly, mid, 1) >= 0:
                 hi = mid
             else:
                 lo = mid + 1
         candidates.append(lo)
-    return next((t for t in candidates if f(t) == 0), None)
+    return next((t for t in candidates if _sign_at(minpoly, t, 1) == 0), None)
 
 
 def _check_cubic(field: FieldSpec) -> None:
@@ -373,20 +371,13 @@ class RootIntervals:
     width: Fraction
 
 
-def poly_eval(field, t: Fraction) -> Fraction:
-    """f(t) for the monic f = field.minpoly, by Horner's rule."""
-    acc = t + field.minpoly[0]
-    for c in field.minpoly[1:]:
-        acc = acc * t + c
-    return acc
-
-
 def _sign_at(minpoly: tuple[int, ...], n: int, d: int) -> int:
     """The sign (-1, 0 or 1) of f(n/d) for d > 0, f the monic minpoly.
 
     It is the sign of the homogenised value d^k f(n/d) = n^k + c_(k-1)
-    n^(k-1) d + ... + c_0 d^k, evaluated by Horner's rule in integers.  Every
-    sign decision of root isolation goes through here.
+    n^(k-1) d + ... + c_0 d^k, evaluated by Horner's rule in integers.  This
+    is the module's one evaluator of f: every sign decision of root
+    isolation, the Galois placement and `_integer_root` go through here.
     """
     acc, power = n + minpoly[0] * d, d
     for c in minpoly[1:]:
@@ -395,47 +386,52 @@ def _sign_at(minpoly: tuple[int, ...], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at_fraction(field, t: Fraction) -> int:
-    return _sign_at(field.minpoly, t.numerator, t.denominator)
-
-
-def _critical_below(field, t: Fraction) -> int:
-    """How many critical points of f (roots of f') lie below t = n/m.
+def _critical_below(minpoly: tuple[int, ...], n: int, m: int) -> int:
+    """How many critical points of f (roots of f') lie below n/m, m > 0.
 
     A quadratic's one critical point is -c1/2.  A cubic's are
     (-c2 -+ sqrt(d))/3 with d = c2^2 - 3 c1 > 0 (three real roots), the d
     that `_integer_root` brackets with isqrt; with u = 3n + c2 m, the tests
     -sqrt(d) m < u and sqrt(d) m < u are exact by squaring.
     """
-    n, m = t.numerator, t.denominator
-    if len(field.minpoly) == 2:
-        return int(2 * n + field.minpoly[0] * m > 0)
-    c2, c1, _ = field.minpoly
+    if len(minpoly) == 2:
+        return int(2 * n + minpoly[0] * m > 0)
+    c2, c1, _ = minpoly
     u, dm2 = 3 * n + c2 * m, (c2 * c2 - 3 * c1) * m * m
     return (u >= 0 or u * u < dm2) + (u > 0 and u * u > dm2)
 
 
-def _root_count(field, lo: Fraction, hi: Fraction) -> int:
-    """The number of roots of f in (lo, hi); neither endpoint may be a root.
+def _root_count(minpoly: tuple[int, ...], lo: int, hi: int, den: int) -> int:
+    """The number of roots of f in (lo/den, hi/den); neither endpoint may be a root.
 
     f has simple real roots, so it is monotone between neighbouring critical
     points, and its values there alternate in sign, negative at the largest.
     Each root is then one sign change along f(lo), the critical values in
     [lo, hi) and f(hi).
     """
-    d = len(field.minpoly)
-    at_lo, at_hi = _sign_at_fraction(field, lo), _sign_at_fraction(field, hi)
+    d = len(minpoly)
+    at_lo, at_hi = _sign_at(minpoly, lo, den), _sign_at(minpoly, hi, den)
     if at_lo == 0 or at_hi == 0:
-        raise ConsistencyError(f"root count on ({lo}, {hi}) has a root endpoint")
+        raise ConsistencyError(f"root count on {_span(lo, hi - lo, den)} has a root endpoint")
     signs = [at_lo > 0]
-    for k in range(_critical_below(field, lo), _critical_below(field, hi)):
+    for k in range(_critical_below(minpoly, lo, den), _critical_below(minpoly, hi, den)):
         signs.append((d - 1 - k) % 2 == 0)
     signs.append(at_hi > 0)
     return sum(map(operator.ne, signs, signs[1:]))
 
 
-def _bracket_roots(field) -> list[tuple[Fraction, Fraction]]:
-    """One isolating bracket per root, by bisection of [-B, B], B = `_root_bound`.
+def _span(n: int, gap: int, den: int) -> str:
+    return f"[{Fraction(n, den)}, {Fraction(n + gap, den)}]"
+
+
+def _bisect(field, pieces: list[tuple[int, int, int, int]], width: Fraction) -> list[Interval]:
+    """One isolating interval no wider than width per root in the pieces.
+
+    A piece (n, gap, den, count) is the interval [n/den, (n + gap)/den] with
+    count roots inside.  Halving it doubles n and den and keeps gap, so the
+    midpoint is (2n + gap)/(2 den) and every test stays in integers.  A piece
+    with two or more roots is split at its midpoint by `_root_count`; a piece
+    with one root is halved by sign until it is no wider than width.
 
     Two roots in one piece lie closer than its width.  Mahler's bound
     (Mathematika 11, 1964) with |disc| >= 1 and M(f) <= ||f||_2 keeps every
@@ -443,89 +439,77 @@ def _bracket_roots(field) -> list[tuple[Fraction, Fraction]]:
     count outside [0, d], or a count >= 2 on a piece narrower than sep, is a
     fault of the count and raises instead of bisecting forever.
     """
-    d = len(field.minpoly)
-    bound = _root_bound(field.minpoly)
-    # width < sep  <=>  width^2 * scale < 1, exact in rationals
-    scale = d ** (d + 2) * (1 + sum(c * c for c in field.minpoly)) ** (d - 1)
-    lo, hi = Fraction(-bound), Fraction(bound)
-    stack = [(lo, hi, _root_count(field, lo, hi))]
-    isolated: list[tuple[Fraction, Fraction]] = []
-    while stack:
-        lo, hi, count = stack.pop()
+    minpoly = field.minpoly
+    d = len(minpoly)
+    # gap/den < sep  <=>  gap^2 * scale < den^2
+    scale = d ** (d + 2) * (1 + sum(c * c for c in minpoly)) ** (d - 1)
+    isolated: list[Interval] = []
+    while pieces:
+        n, gap, den, count = pieces.pop()
         if not 0 <= count <= d:
-            raise ConsistencyError(f"root count {count} on ({lo}, {hi}) is outside [0, {d}]")
+            raise ConsistencyError(f"root count {count} on {_span(n, gap, den)} is outside [0, {d}]")
         if count == 0:
             continue
-        if count == 1:
-            isolated.append((lo, hi))
+        if count >= 2:
+            if gap * gap * scale < den * den:
+                raise ConsistencyError(
+                    f"{count} roots counted on {_span(n, gap, den)}, narrower than the root separation"
+                )
+            # the roots are irrational, so the midpoint is not one of them; `_root_count` checks
+            n, den = 2 * n, 2 * den
+            left = _root_count(minpoly, n, n + gap, den)
+            pieces += [(n, gap, den, left), (n + gap, gap, den, count - left)]
             continue
-        if (hi - lo) ** 2 * scale < 1:
-            raise ConsistencyError(
-                f"{count} roots counted on ({lo}, {hi}), narrower than the root separation"
-            )
-        # the roots are irrational, so mid is not one of them; `_root_count` checks
-        mid = (lo + hi) / 2
-        left = _root_count(field, lo, mid)
-        stack.append((lo, mid, left))
-        stack.append((mid, hi, count - left))
-    if len(isolated) != len(field.minpoly):
+        at_lo = _sign_at(minpoly, n, den)
+        if at_lo == 0 or _sign_at(minpoly, n + gap, den) == 0:
+            raise ConsistencyError(f"isolating interval {_span(n, gap, den)} has a root endpoint")
+        # gap/den > width  <=>  gap * width.den > width.num * den
+        limit = gap * width.denominator
+        while limit > width.numerator * den:
+            n, den = 2 * n, 2 * den
+            at_mid = _sign_at(minpoly, n + gap, den)
+            if at_mid == 0:
+                raise ConsistencyError(f"midpoint {Fraction(n + gap, den)} of a bisection is a root")
+            if at_mid == at_lo:
+                n += gap
+        isolated.append(Interval(Fraction(n, den), Fraction(n + gap, den)))
+    if len(isolated) != d:
         raise ConsistencyError(f"root isolation found {len(isolated)} roots")
     return isolated
 
 
-def _bisect_to_width(field, lo: Fraction, hi: Fraction, width: Fraction) -> Interval:
-    """Halve [lo, hi], which holds one root, until it is no wider than width.
-
-    The endpoints are kept as integer numerators over one denominator den,
-    which doubles at each halving: with lo = n/den and gap = (hi - lo) den,
-    the midpoint is (2n + gap)/(2 den), and gap stays the same.  Fractions
-    are built only for the returned interval.
-    """
-    minpoly = field.minpoly
+def _piece(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """[lo, hi], holding one root, as a piece of `_bisect` over den = lcm of the denominators."""
     den = math.lcm(lo.denominator, hi.denominator)
     n = lo.numerator * (den // lo.denominator)
-    gap = hi.numerator * (den // hi.denominator) - n
-    at_lo = _sign_at(minpoly, n, den)
-    if at_lo == 0 or _sign_at(minpoly, n + gap, den) == 0:
-        raise ConsistencyError(f"isolating interval [{lo}, {hi}] has a root endpoint")
-    # hi - lo > width  <=>  gap * width.den > width.num * den
-    limit = gap * width.denominator
-    while limit > width.numerator * den:
-        n, den = 2 * n, 2 * den
-        at_mid = _sign_at(minpoly, n + gap, den)
-        if at_mid == 0:
-            raise ConsistencyError(f"midpoint {Fraction(n + gap, den)} of a bisection is a root")
-        if at_mid == at_lo:
-            n += gap
-    return Interval(Fraction(n, den), Fraction(n + gap, den))
+    return n, hi.numerator * (den // hi.denominator) - n, den, 1
 
 
 def _seed_intervals(field) -> list[tuple[Fraction, Fraction]] | None:
     """Known bracketing intervals for the SimplestCubic roots, valid for a >= 7.
 
     Kept because it pays: isolating the roots of the simplest fields
-    a = 50, 52, ..., 400 to the default width takes about 0.01-0.015 s from
-    these seeds and 0.04-0.05 s from `_bracket_roots` (Python 3.11, one Xeon
-    core), and every field a workload touches pays that once when it is set up.
-    The seeds also fix the root intervals that field-info prints for a >= 7.
-    Each seed is re-checked for a sign change; None falls back to the search.
+    a = 50, 52, ..., 400 to the default width takes about 0.015-0.016 s from
+    these seeds and 0.029-0.031 s from the bisection of [-B, B] (Python
+    3.11, one Xeon core), and every field a workload touches pays that once
+    when it is set up.  The seeds also fix the root intervals that field-info
+    prints for a >= 7.  Each seed is re-checked for a sign change; None falls
+    back to the bisection of [-B, B].
     """
     if getattr(field, "family", None) is not Family.SIMPLEST_CUBIC or field.a < 7:
         return None
     a = field.a
+    # a + 1 < a + 1 + 2/a,  -1 - 1/a < -1 - 1/(2a)  and  -1/(a+2) < -1/(a+3)
     seeds = [
-        (Fraction(a + 1), Fraction(a + 1) + Fraction(2, a)),
-        (Fraction(-1) - Fraction(1, a), Fraction(-1) - Fraction(1, 2 * a)),
+        (Fraction(a + 1), Fraction(a * a + a + 2, a)),
+        (Fraction(-a - 1, a), Fraction(-2 * a - 1, 2 * a)),
         (Fraction(-1, a + 2), Fraction(-1, a + 3)),
     ]
-    out = []
     for lo, hi in seeds:
-        if lo > hi:
-            lo, hi = hi, lo
-        if _sign_at_fraction(field, lo) * _sign_at_fraction(field, hi) >= 0:
+        at_lo = _sign_at(field.minpoly, lo.numerator, lo.denominator)
+        if at_lo * _sign_at(field.minpoly, hi.numerator, hi.denominator) >= 0:
             return None
-        out.append((lo, hi))
-    return out
+    return seeds
 
 
 def _default_width(field, rounds: int) -> Fraction:
@@ -534,25 +518,31 @@ def _default_width(field, rounds: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def isolate_roots(field, width: Fraction | None = None) -> RootIntervals:
-    """Isolating intervals of width <= width, one per root of field.minpoly."""
-    width = _default_width(field, 0) if width is None else Fraction(width)
-    if width <= 0:
-        raise IllegalParameter("width must be positive")
-    brackets = _seed_intervals(field) or _bracket_roots(field)
-    refined = [_bisect_to_width(field, lo, hi, width) for lo, hi in brackets]
-    return _root_intervals(field, refined, width)
+def isolate_roots(field) -> RootIntervals:
+    """Isolating intervals of the default width, one per root of field.minpoly.
+
+    The bisection starts from the seeds where `_seed_intervals` has them, and
+    otherwise from [-B, B], B = `_root_bound`.
+    """
+    seeds = _seed_intervals(field)
+    if seeds:
+        pieces = [_piece(lo, hi) for lo, hi in seeds]
+    else:
+        bound = _root_bound(field.minpoly)
+        pieces = [(-bound, 2 * bound, 1, _root_count(field.minpoly, -bound, bound, 1))]
+    return _root_intervals(field, pieces, _default_width(field, 0))
 
 
-def _root_intervals(field, refined: list[Interval], width: Fraction) -> RootIntervals:
-    """The intervals in the embedding order, after the disjointness check.
+def _root_intervals(field, pieces: list, width: Fraction) -> RootIntervals:
+    """The pieces bisected to width, in the embedding order, after the disjointness check.
 
-    Neighbours may share an endpoint: two brackets that are already narrower
+    Neighbours may share an endpoint: two pieces that are already narrower
     than the width are never split.  A shared endpoint must not be a root.
     """
-    refined = sorted(refined, key=lambda iv: iv.lo)
+    refined = sorted(_bisect(field, pieces, width), key=lambda iv: iv.lo)
     for left, right in zip(refined, refined[1:]):
-        if left.hi > right.lo or (left.hi == right.lo and _sign_at_fraction(field, left.hi) == 0):
+        t = left.hi
+        if t > right.lo or t == right.lo and not _sign_at(field.minpoly, t.numerator, t.denominator):
             raise ConsistencyError(f"root intervals of {field} overlap")
     if getattr(field, "family", None) is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))
@@ -564,9 +554,10 @@ def _root_intervals(field, refined: list[Interval], width: Fraction) -> RootInte
 def refine_roots(field, rounds: int) -> RootIntervals:
     """Isolating intervals after halving the default width `rounds` times.
 
-    Round 0 is `isolate_roots(field)`; round r bisects on from round r - 1.
-    Bisection is deterministic, so the intervals equal those that
-    `isolate_roots` finds from the brackets for the same width.
+    Round 0 is `isolate_roots(field)`; round r bisects on from round r - 1,
+    feeding its intervals to `_bisect` as one-root pieces.  Bisection is
+    deterministic, so the intervals equal those that a cold isolation finds
+    for the same width.
     """
     if rounds > REFINEMENT_CAP:
         raise RefinementLimit(f"refinement cap {REFINEMENT_CAP} exceeded")
@@ -574,10 +565,9 @@ def refine_roots(field, rounds: int) -> RootIntervals:
         raise IllegalParameter("rounds must be non-negative")
     if rounds == 0:
         return isolate_roots(field)
-    width = _default_width(field, rounds)
     previous = refine_roots(field, rounds - 1).intervals
-    refined = [_bisect_to_width(field, iv.lo, iv.hi, width) for iv in previous]
-    return _root_intervals(field, refined, width)
+    pieces = [_piece(iv.lo, iv.hi) for iv in previous]
+    return _root_intervals(field, pieces, _default_width(field, rounds))
 
 
 def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, ...]:
@@ -596,27 +586,30 @@ def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, ...]:
 def galois_conjugation_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], ...]:
     """Integer matrix M with M . coords(x) = coords(x') for rho -> rho'.
 
-    rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated exactly, with no
-    root interval.  f(rho') = 0 makes x -> x(rho') a ring map, so M^3 = I
-    once M^3 fixes rho.  With rho*rho' + rho + 1 = 0, sigma_1(rho') lies in
+    rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated exactly from the
+    three products rho'^2, rho'^3 and rho*rho', with no root interval.
+    f(rho') = 0 makes x -> x(rho') a ring map, so M^3 = I once M^3 fixes
+    rho.  With rho*rho' + rho + 1 = 0, sigma_1(rho') lies in
     (-2, -1) exactly when sigma_1(rho) > 1: f(1) = -2a - 3 < 0 puts the
     largest root above 1, and `_root_intervals` lists it first.
     """
     if field.family is not Family.SIMPLEST_CUBIC:
         raise NotGalois(f"{field.family.value} family is not handled as Galois")
     a = field.a
+    unit, r = one(field), rho(field)
     rp = OrderElement((a + 2, a, -1), field)
+    rp2 = mul(rp, rp)
     # f(rho') = 0, exactly
-    val = (rp ** 3) + field.c2 * (rp * rp) + field.c1 * rp + field.c0 * one(field)
+    val = mul(rp2, rp) + field.c2 * rp2 + field.c1 * rp + field.c0 * unit
     if not val.is_zero():
         raise NotGalois("conjugate candidate is not a root")
-    cols = [one(field).coords, rp.coords, (rp * rp).coords]
+    cols = [unit.coords, rp.coords, rp2.coords]
     m = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    if apply_matrix(m, apply_matrix(m, rp)) != rho(field):
+    if apply_matrix(m, apply_matrix(m, rp)) != r:
         raise NotGalois("conjugation matrix does not have order 3")
-    if not (rho(field) * rp + rho(field) + one(field)).is_zero():
+    if not (mul(r, rp) + r + unit).is_zero():
         raise NotGalois("conjugate candidate is not -1 - 1/rho")
-    if poly_eval(field, 1) >= 0:
+    if _sign_at(field.minpoly, 1, 1) >= 0:
         raise NotGalois("conjugate candidate outside (-2,-1)")
     return m
 

@@ -43,14 +43,12 @@ from indecomp.order_kernel import (
     multiplication_matrix,
     norm,
     one,
-    poly_eval,
     refine_roots,
     rho,
     sym_funcs,
     trace,
     unit_generators,
     unit_inverse,
-    _bracket_roots,
     _integer_root,
     _seed_intervals,
 )
@@ -59,6 +57,15 @@ from indecomp.intervals import Interval
 from indecomp.quadratic import fundamental_tp_unit, make_quad_field
 
 RNG = random.Random(987123)
+
+
+def poly_eval(field, t):
+    """f(t) for the monic f = field.minpoly, by Horner's rule in Fractions:
+    the reference that the integer sign kernel is checked against."""
+    acc = t + field.minpoly[0]
+    for c in field.minpoly[1:]:
+        acc = acc * t + c
+    return acc
 
 
 def rand_elem(field, lim=9):
@@ -212,7 +219,7 @@ def test_totally_positive_matches_embedding_signs():
 
 def test_root_isolation_seeded_windows():
     f = make_field(Family.SIMPLEST_CUBIC, 7)
-    ri = isolate_roots(f, Fraction(1, 64))
+    ri = isolate_roots(f)
     big, second, third = ri.intervals
     assert all(iv.width <= Fraction(1, 64) for iv in ri.intervals)
     assert Fraction(8) <= big.lo and big.hi <= 8 + Fraction(2, 7)
@@ -248,28 +255,32 @@ _REFINED_FAMILIES = [
 
 
 @pytest.mark.parametrize("family, a", _REFINED_FAMILIES)
-def test_incremental_refinement_equals_cold_isolation(family, a):
-    """Round r bisects on from round r - 1 and lands where a cold bisection does."""
+def test_incremental_refinement_equals_cold_isolation(family, a, monkeypatch):
+    """Round r bisects on from round r - 1 and lands where a cold bisection
+    does: a cold `isolate_roots` whose default width is that of round r."""
     f = make_field(family, a)
     bound = 1 + max(abs(f.c2), abs(f.c1), abs(f.c0))
     for rounds in range(31):
-        cold = isolate_roots.__wrapped__(f, Fraction(bound, 2 ** (20 + rounds)))
-        assert refine_roots(f, rounds) == cold, rounds
+        incremental = refine_roots(f, rounds)
+        with monkeypatch.context() as patch:
+            width = Fraction(bound, 2 ** (20 + rounds))
+            patch.setattr(order_kernel, "_default_width", lambda field, r: width)
+            cold = isolate_roots.__wrapped__(f)
+        assert incremental == cold, rounds
 
 
 def test_refinement_round_zero_reuses_the_isolation(monkeypatch):
     """Work counter: refine_roots(f, 0) is isolate_roots(f), and each later
-    round bisects each root once more from the round before."""
-    from indecomp import order_kernel
-
+    round bisects each root once more from the round before.  The counter
+    adds up the pieces handed to the bisection loop."""
     calls = [0]
-    original = order_kernel._bisect_to_width
+    original = order_kernel._bisect
 
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
+    def counting(field, pieces, width):
+        calls[0] += len(pieces)
+        return original(field, pieces, width)
 
-    monkeypatch.setattr(order_kernel, "_bisect_to_width", counting)
+    monkeypatch.setattr(order_kernel, "_bisect", counting)
     f = make_field(Family.SIMPLEST_CUBIC, 977)  # a field no other test refines
     r0 = isolate_roots(f)
     assert calls[0] == 3
@@ -286,7 +297,7 @@ def test_refinement_round_zero_reuses_the_isolation(monkeypatch):
 
 def test_embed_examples():
     f = make_field(Family.SIMPLEST_CUBIC, 7)
-    ri = isolate_roots(f, Fraction(1, 64))
+    ri = isolate_roots(f)
     for iv in embed(one(f), ri):
         assert iv.lo <= 1 <= iv.hi
     assert embed(rho(f), ri) == ri.intervals
@@ -566,8 +577,8 @@ def _sturm_intervals(field):
 
     The Sturm chain f, f', -rem(f, f'), ... of Fraction polynomials counts
     the roots in (lo, hi] as V(lo) - V(hi), V the sign variations along the
-    chain; [-B, B], B = `_root_bound`, is bisected with the same stack order
-    as `_bracket_roots`.
+    chain; [-B, B], B = `_root_bound`, is bisected until each piece holds
+    one root.
     """
 
     def rem(num, den):
@@ -627,11 +638,24 @@ _BRACKET_FAMILIES = [
 ]
 
 
-def test_critical_point_brackets_equal_sturm_brackets_on_the_families():
-    """The same brackets, in the same order, as the Sturm bisection."""
+def _bracketed_isolation(field):
+    """A cold `isolate_roots`, which bisects [-B, B] from its root counts,
+    sorted by lower endpoint, and the Sturm brackets bisected in Fractions to
+    the same width."""
+    got = sorted(isolate_roots.__wrapped__(field).intervals, key=lambda iv: iv.lo)
+    width = order_kernel._default_width(field, 0)
+    want = [_fraction_bisection(field, lo, hi, width) for lo, hi in _sturm_intervals(field)]
+    return got, sorted(want, key=lambda iv: iv.lo)
+
+
+def test_critical_point_brackets_equal_sturm_brackets_on_the_families(monkeypatch):
+    """The bisection of [-B, B] by critical-point counts isolates the roots
+    in the same brackets as the Sturm bisection, with the simplest-family
+    seeds switched off."""
+    monkeypatch.setattr(order_kernel, "_seed_intervals", lambda field: None)
     for family, a in _BRACKET_FAMILIES:
-        f = make_field(family, a)
-        assert _bracket_roots(f) == _sturm_intervals(f), (family, a)
+        got, want = _bracketed_isolation(make_field(family, a))
+        assert got == want, (family, a)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -639,15 +663,16 @@ def test_critical_point_brackets_equal_sturm_brackets_on_the_families():
 def test_critical_point_brackets_equal_sturm_brackets_on_custom_cubics(c):
     f = _custom_or_none(c)
     assume(f is not None)
-    assert _bracket_roots(f) == _sturm_intervals(f)
+    got, want = _bracketed_isolation(f)
+    assert got == want
 
 
 def _count_calls(monkeypatch, counts):
     """Replace `_root_count` with `counts(call_index)`; returns the list of calls."""
     calls = []
 
-    def fake(field, lo, hi):
-        calls.append((lo, hi))
+    def fake(minpoly, lo, hi, den):
+        calls.append((Fraction(lo, den), Fraction(hi, den)))
         return counts(len(calls) - 1)
 
     monkeypatch.setattr(order_kernel, "_root_count", fake)
@@ -660,7 +685,7 @@ def test_bracket_roots_stop_at_the_root_separation_bound(monkeypatch, field):
     Mahler's separation bound, after a bounded number of splits."""
     calls = _count_calls(monkeypatch, lambda k: 2)
     with pytest.raises(ConsistencyError, match="root separation"):
-        _bracket_roots(field)
+        isolate_roots.__wrapped__(field)
     assert len(calls) < 100
 
 
@@ -670,7 +695,7 @@ def test_bracket_roots_reject_counts_outside_the_degree(monkeypatch, counts):
     a count above the degree is rejected too."""
     _count_calls(monkeypatch, counts.__getitem__)
     with pytest.raises(ConsistencyError, match="outside"):
-        _bracket_roots(make_field(Family.THOMAS, 9))
+        isolate_roots.__wrapped__(make_field(Family.THOMAS, 9))
 
 
 @pytest.mark.parametrize("family, a", [(Family.THOMAS, 1024), (Family.ENNOLA, 2**20)])
@@ -722,8 +747,8 @@ def test_quadratic_root_bound_encloses_the_roots():
 
 
 def _fraction_bisection(field, lo, hi, width):
-    """Independent reference for `_bisect_to_width`: Fraction endpoints and
-    `poly_eval` at every midpoint."""
+    """Independent reference for the one-root halving of `order_kernel._bisect`:
+    Fraction endpoints and `poly_eval` at every midpoint."""
     neg_at_lo = poly_eval(field, lo) < 0
     while hi - lo > width:
         mid = (lo + hi) / 2
@@ -810,29 +835,70 @@ def test_a_rational_root_is_never_passed_silently():
     assert order_kernel._sign_at((0, -4), -6, 3) == 0  # x^2 - 4 at -2
     for hi in (2, 4):
         with pytest.raises(ConsistencyError, match="midpoint 1 "):
-            order_kernel._bisect_to_width(f, Fraction(0), Fraction(hi), Fraction(1, 4))
+            order_kernel._bisect(f, [(0, hi, 1, 1)], Fraction(1, 4))
     with pytest.raises(ConsistencyError, match="root endpoint"):
-        order_kernel._bisect_to_width(f, Fraction(1), Fraction(2), Fraction(1, 4))
+        order_kernel._bisect(f, [(1, 1, 1, 1)], Fraction(1, 4))
     with pytest.raises(ConsistencyError, match="root endpoint"):
-        order_kernel._root_count(f, Fraction(0), Fraction(1))
+        order_kernel._root_count(minpoly, 0, 1, 1)
+    # a piece [0, 2] of two roots is split at its midpoint 1 by a root count
+    with pytest.raises(ConsistencyError, match="root endpoint"):
+        order_kernel._bisect(f, [(0, 2, 1, 2)], Fraction(1, 4))
 
 
-def test_root_isolation_evaluates_no_fraction_polynomial(monkeypatch):
-    """Work counter: a cold `isolate_roots` decides every sign in integers,
-    with 0 `poly_eval` calls, on a seeded simplest field, a bracketed Thomas
-    field and a quadratic field; the counter itself sees the one call of the
-    Galois placement test."""
+_FRACTION_ARITHMETIC = [
+    f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv") for r in ("", "r")
+]
+
+
+def test_root_isolation_does_no_fraction_arithmetic(monkeypatch):
+    """Work counter: a cold `isolate_roots` and three `refine_roots` rounds
+    decide every sign and every width in integers, with 0 calls of Fraction
+    addition, subtraction, multiplication or division, on bracketed Thomas,
+    quadratic, simplest and Ennola fields (the last with touching brackets)."""
+    from functools import lru_cache
+
+    fields = [
+        make_field(Family.THOMAS, 9),
+        make_quad_field(94),
+        make_field(Family.SIMPLEST_CUBIC, 3),
+        make_field(Family.ENNOLA, 2**20),
+    ]
+    warm = [refine_roots(field, 3) for field in fields]
     calls = []
-    original = order_kernel.poly_eval
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(order_kernel, "poly_eval", counting)
-    simplest = make_field(Family.SIMPLEST_CUBIC, 977)
-    for field in (simplest, make_field(Family.THOMAS, 9), make_quad_field(94)):
-        assert isolate_roots.__wrapped__(field) == isolate_roots(field)
+        return wrapper
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls == ["__add__"]
+    calls.clear()
+    # a fresh cache, so that every round is bisected again
+    monkeypatch.setattr(order_kernel, "refine_roots", lru_cache(maxsize=None)(refine_roots.__wrapped__))
+    for field, want in zip(fields, warm):
+        isolate_roots.__wrapped__(field)
+        assert order_kernel.refine_roots(field, 3) == want
         assert calls == [], field
-    galois_conjugation_matrix.__wrapped__(simplest)
-    assert len(calls) == 1
+
+
+def test_galois_placement_makes_three_products(monkeypatch):
+    """Work counter: a cold `galois_conjugation_matrix` multiplies in the
+    order three times, for rho'^2, rho'^3 and rho * rho'."""
+    calls = [0]
+    original = order_kernel.mul
+
+    def counting(x, y):
+        calls[0] += 1
+        return original(x, y)
+
+    monkeypatch.setattr(order_kernel, "mul", counting)
+    for a in (-1, 3, 50, 977):
+        f = make_field(Family.SIMPLEST_CUBIC, a)
+        cached = galois_conjugation_matrix(f)
+        calls[0] = 0
+        assert galois_conjugation_matrix.__wrapped__(f) == cached
+        assert calls[0] == 3, a
