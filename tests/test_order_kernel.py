@@ -5,6 +5,7 @@ import operator
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -855,8 +856,6 @@ def test_root_isolation_does_no_fraction_arithmetic(monkeypatch):
     decide every sign and every width in integers, with 0 calls of Fraction
     addition, subtraction, multiplication or division, on bracketed Thomas,
     quadratic, simplest and Ennola fields (the last with touching brackets)."""
-    from functools import lru_cache
-
     fields = [
         make_field(Family.THOMAS, 9),
         make_quad_field(94),
