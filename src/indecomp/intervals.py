@@ -16,8 +16,9 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
-        lo = Fraction(lo)
-        hi = lo if hi is None else Fraction(hi)
+        # a Fraction is immutable, so one is kept as it is
+        lo = lo if lo.__class__ is Fraction else Fraction(lo)
+        hi = lo if hi is None else hi if hi.__class__ is Fraction else Fraction(hi)
         if hi < lo:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo = lo

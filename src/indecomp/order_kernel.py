@@ -56,9 +56,19 @@ class FieldSpec:
     c0: int
     # (c2, c1, c0), stored: every element construction reads its length
     minpoly: tuple[int, int, int] = dc_field(init=False, repr=False, compare=False)
+    # the dataclass hash, computed once: every lru_cache lookup and element hash reads it
+    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "minpoly", (self.c2, self.c1, self.c0))
+        object.__setattr__(self, "_hash", hash((self.family, self.a, self.c2, self.c1, self.c0)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: a Family hash differs between processes
+        return FieldSpec, (self.family, self.a, self.c2, self.c1, self.c0)
 
     @property
     def discriminant(self) -> int:
@@ -163,7 +173,7 @@ def make_custom_field(c2: int, c1: int, c0: int) -> FieldSpec:
     return field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class OrderElement:
     """Immutable sum_j coords[j] * rho^j with exact integer coordinates.
 
@@ -175,9 +185,14 @@ class OrderElement:
     coords: tuple[int, ...]
     field: FieldSpec
 
-    def __post_init__(self):
-        if len(self.coords) != len(self.field.minpoly):
-            raise ValueError(f"coords must have {len(self.field.minpoly)} entries")
+    def __init__(self, coords: tuple[int, ...], field: FieldSpec):
+        if len(coords) != len(field.minpoly):
+            raise ValueError(f"coords must have {len(field.minpoly)} entries")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "field", field)
+
+    def __hash__(self):
+        return hash((self.coords, self.field))
 
     def _co(self, other):
         if isinstance(other, OrderElement):
@@ -189,17 +204,20 @@ class OrderElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._co(other)
-        if other is NotImplemented:
-            return NotImplemented
+        # same field object: _co would only return other
+        if other.__class__ is not OrderElement or other.field is not self.field:
+            other = self._co(other)
+            if other is NotImplemented:
+                return NotImplemented
         return OrderElement(tuple(map(operator.add, self.coords, other.coords)), self.field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._co(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not OrderElement or other.field is not self.field:
+            other = self._co(other)
+            if other is NotImplemented:
+                return NotImplemented
         return OrderElement(tuple(map(operator.sub, self.coords, other.coords)), self.field)
 
     def __rsub__(self, other):
@@ -333,11 +351,25 @@ def is_totally_positive(x: OrderElement) -> bool:
     """All conjugates positive, decided symbolically from the signs of (e1, ..., e_d).
 
     Every field here is totally real, so the conjugates are all positive
-    exactly when every e_k > 0.
+    exactly when every e_k > 0.  The e_k are those of `sym_funcs`, decided
+    in the order e1, e2, e3: the first that is not positive settles it.
     """
     if x.is_zero():
         raise ZeroElement("total positivity is undefined for 0")
-    return min(sym_funcs(x)) > 0
+    f = x.field
+    if len(x.coords) == 2:
+        v1, v2 = x.coords
+        c1, c0 = f.minpoly
+        p2 = v1 - c1 * v2
+        return v1 + p2 > 0 and v1 * p2 + c0 * v2 * v2 > 0
+    v1, v2, v3 = x.coords
+    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
+    if v1 + p2 + q3 <= 0:
+        return False
+    minor = p2 * q3 - q2 * p3
+    if v1 * p2 - p1 * v2 + v1 * q3 - q1 * v3 + minor <= 0:
+        return False
+    return v1 * minor - p1 * (v2 * q3 - q2 * v3) + q1 * (v2 * p3 - p2 * v3) > 0
 
 
 def unit_inverse(x: OrderElement) -> OrderElement:

@@ -59,10 +59,16 @@ class QuadField:
     D: int
     # omega is a root of x^2 - Tr(omega) x + N(omega): minpoly = (-Tr, N)
     minpoly: tuple[int, int] = dc_field(init=False, repr=False, compare=False)
+    # the dataclass hash, computed once as for order_kernel.FieldSpec
+    _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         minpoly = (-1, (1 - self.D) // 4) if self.D % 4 == 1 else (0, -self.D)
         object.__setattr__(self, "minpoly", minpoly)
+        object.__setattr__(self, "_hash", hash((self.D,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def one_mod_four(self) -> bool:

@@ -13,12 +13,12 @@ BENCHMARK = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 
 
-def _write(directory, workload, seed, run_s, digest, commit, trace=0):
+def _write(directory, workload, seed, run_s, digest, commit, trace=0, source=None):
     directory.mkdir(exist_ok=True)
     metrics = {name: {"value": 1.0, "unit": "x"} for name in METRICS}
     metrics["run_s"]["value"] = run_s
-    record = {"commit": commit, "python": "3.11", "nproc": 2, "digests": [digest],
-              "metrics": metrics}
+    record = {"commit": commit, "source_sha256": source or f"src-{commit}", "python": "3.11",
+              "nproc": 2, "digests": [digest], "metrics": metrics}
     (directory / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(record))
 
 
@@ -46,3 +46,18 @@ def test_bench_record_needs_a_common_run(tmp_path, capsys):
     out = tmp_path / "BENCH.json"
     assert bench_record.main([str(tmp_path / "p"), str(tmp_path / "c"), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err and not out.exists()
+
+
+def test_bench_record_names_the_sources_of_each_side(tmp_path):
+    """Copies made without git record no commit; the source digests still
+    say which code ran on each side, every distinct one of them."""
+    parent, change, out = tmp_path / "p", tmp_path / "c", tmp_path / "BENCH.json"
+    for seed in (1, 2, 3):
+        _write(parent, "w", seed, 1.0, "d", None, source="aaa")
+        _write(change, "w", seed, 0.5, "d", None, source="ccc" if seed == 2 else "bbb")
+    _write(parent, "w", 9, 1.0, "d", None, source="zzz")  # unpaired: not used
+    assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["parent"]["commits"] == data["change"]["commits"] == ["unknown"]
+    assert data["parent"]["source_sha256"] == ["aaa"]
+    assert data["change"]["source_sha256"] == ["bbb", "ccc"]

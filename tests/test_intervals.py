@@ -15,6 +15,19 @@ def test_construction_and_order():
         Interval(2, 1)
 
 
+def test_fraction_endpoints_are_kept_and_values_unchanged():
+    """A Fraction endpoint is stored as it is; anything else is wrapped by
+    Fraction(), so equality and hash are those of the Fraction endpoints."""
+    q, r = Fraction(-7, 3), Fraction(5, 2)
+    assert Interval(q).lo is q and Interval(q).hi is q
+    assert Interval(q, r).lo is q and Interval(q, r).hi is r
+    for lo, hi in ((-2, 3), (q, r), (-3, r), (q, 3), (q, None), (4, None)):
+        iv = Interval(lo, hi)
+        want = (Fraction(lo), Fraction(lo if hi is None else hi))
+        assert (iv.lo, iv.hi) == want and type(iv.lo) is type(iv.hi) is Fraction
+        assert iv == Interval(*want) and hash(iv) == hash(want) == hash(Interval(*want))
+
+
 def test_arithmetic_encloses_endpoints():
     a = Interval(Fraction(-1, 2), Fraction(3, 2))
     b = Interval(Fraction(1, 3), Fraction(2))

@@ -1,11 +1,16 @@
 """Field construction, exact arithmetic, root isolation, conjugation, units."""
 
+import dataclasses
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indecomp import order_kernel
-from indecomp.codifferent import CodifferentElement, trace_pairing
+from indecomp.codifferent import CodifferentElement, pairing_matrix, trace_pairing
 from indecomp.errors import (
     ConsistencyError,
     FieldMismatch,
@@ -55,7 +60,7 @@ from indecomp.order_kernel import (
 )
 from indecomp.integers import is_squarefree
 from indecomp.intervals import Interval
-from indecomp.quadratic import fundamental_tp_unit, make_quad_field
+from indecomp.quadratic import conj, fundamental_tp_unit, make_quad_field
 
 RNG = random.Random(987123)
 
@@ -120,7 +125,8 @@ def test_field_mismatch():
 
 
 def test_bad_operands_raise_library_errors():
-    """Floats are not order elements, and degrees 2 and 3 never mix."""
+    """Floats are not order elements, degrees 2 and 3 never mix, and neither
+    do two different fields of one degree."""
     cubic, quad = rho(make_field(Family.SIMPLEST_CUBIC, 1)), rho(make_quad_field(5))
     for x in (cubic, quad):
         for op in (operator.add, operator.sub, operator.mul):
@@ -128,19 +134,38 @@ def test_bad_operands_raise_library_errors():
                 op(x, 0.5)
             with pytest.raises(TypeError):
                 op(0.5, x)
+    other_fields = (
+        (rho(make_field(Family.THOMAS, 5)), rho(make_field(Family.THOMAS, 6))),
+        (quad, rho(make_quad_field(6))),
+    )
+    for x, y in ((cubic, quad), (quad, cubic)) + other_fields:
+        for op in (operator.add, operator.sub, mul):
+            with pytest.raises(FieldMismatch):
+                op(x, y)
     for x, y in ((cubic, quad), (quad, cubic)):
-        with pytest.raises(FieldMismatch):
-            x + y
-        with pytest.raises(FieldMismatch):
-            mul(x, y)
         with pytest.raises(FieldMismatch):
             trace_pairing(CodifferentElement(x), y)
 
 
 def test_elements_immutable():
-    x = one(make_field(Family.SIMPLEST_CUBIC, 1))
-    with pytest.raises(Exception):
-        x.coords = (2, 0, 0)
+    """Slotted and frozen: no instance dict, and no field can be set or deleted."""
+    f = make_field(Family.SIMPLEST_CUBIC, 7)
+    x = elem(f, 1, 2, 3)
+    assert not hasattr(x, "__dict__")
+    for name, value in (("coords", (0, 0, 0)), ("field", make_quad_field(5))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    # the frozen __setattr__ of a slotted dataclass fails in super() for other
+    # names (TypeError on Python 3.10-3.13); either way nothing is stored
+    with pytest.raises((AttributeError, TypeError)):
+        x.extra = 1
+    assert repr(x) == "OrderElement(1, 2, 3)" and x.coords == (1, 2, 3) and x.field is f
+    with pytest.raises(ValueError, match="coords must have 3 entries"):
+        OrderElement((1, 2), f)
+    with pytest.raises(ValueError, match="coords must have 2 entries"):
+        OrderElement((1, 2, 3), make_quad_field(5))
 
 
 def test_sym_funcs_examples():
@@ -901,3 +926,135 @@ def test_galois_placement_makes_three_products(monkeypatch):
         calls[0] = 0
         assert galois_conjugation_matrix.__wrapped__(f) == cached
         assert calls[0] == 3, a
+
+
+# ---------------------------------------------------------------------------
+# The element value type: hashes, operands, immutability, staged positivity
+
+CONTRACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _twin(field):
+    """An equal field that is not the same object."""
+    if isinstance(field, FieldSpec):
+        return FieldSpec(field.family, field.a, field.c2, field.c1, field.c0)
+    return type(field)(field.D)
+
+
+@st.composite
+def field_and_coords(draw):
+    f = draw(FIELDS)
+    coords = st.tuples(*[st.integers(-(10**6), 10**6)] * len(f.minpoly))
+    return f, draw(coords), draw(coords)
+
+
+@CONTRACT
+@given(field_and_coords())
+def test_hashes_are_the_dataclass_hashes(case):
+    """Cached field hashes and the element hash have the values that the
+    generated dataclass hashes had, so no set or dict order moves."""
+    f, u, v = case
+    twin = _twin(f)
+    if isinstance(f, FieldSpec):
+        want = hash((f.family, f.a, f.c2, f.c1, f.c0))
+    else:
+        want = hash((f.D,))
+    assert twin is not f and twin == f and hash(f) == hash(twin) == want
+    x = OrderElement(u, f)
+    assert hash(x) == hash(OrderElement(u, twin)) == hash((u, f))
+    assert x == OrderElement(u, twin) and len({x, OrderElement(u, twin), OrderElement(v, f)}) == 1 + (u != v)
+
+
+@CONTRACT
+@given(field_and_coords())
+def test_sum_and_difference_of_equal_fields(case):
+    """The shortcut for one field object must leave equal, distinct fields working."""
+    f, u, v = case
+    twin = _twin(f)
+    x, y = OrderElement(u, f), OrderElement(v, twin)
+    total, diff = tuple(map(operator.add, u, v)), tuple(map(operator.sub, u, v))
+    assert (x + y).coords == (y + x).coords == total
+    assert (x - y).coords == diff and (y - x).coords == tuple(-c for c in diff)
+    assert (x + y).field is f and (y - x).field is twin
+    k = v[0]
+    pad = (0,) * (len(u) - 1)
+    assert (x + k).coords == (k + x).coords == tuple(map(operator.add, u, (k,) + pad))
+    assert (x - k).coords == tuple(map(operator.sub, u, (k,) + pad))
+    assert (k - x).coords == tuple(map(operator.sub, (k,) + pad, u))
+
+
+def test_field_pickles_rebuild_the_hash():
+    """A pickled FieldSpec carries no hash: Family hashes are str hashes,
+    which differ between interpreter processes."""
+    code = (
+        "import pickle, sys\n"
+        "from indecomp.order_kernel import Family, make_field\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps(make_field(Family.ENNOLA, 5)))\n"
+        "else:\n"
+        "    f = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert hash(f) == hash((f.family, f.a, f.c2, f.c1, f.c0))\n"
+        "    assert f in {make_field(Family.ENNOLA, 5)} and f.minpoly == (4, -5, -1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(order_kernel.__file__).resolve().parents[1])}
+    dumped = subprocess.run([sys.executable, "-c", code, "dump"], capture_output=True, check=True,
+                            env={**env, "PYTHONHASHSEED": "1"}).stdout
+    subprocess.run([sys.executable, "-c", code, "load"], input=dumped, check=True,
+                   env={**env, "PYTHONHASHSEED": "2"})
+
+
+@st.composite
+def near_boundary_elements(draw):
+    """Units, their negatives, conjugates and units moved by a small integer."""
+    family = draw(st.sampled_from([Family.SIMPLEST_CUBIC, Family.ENNOLA, Family.THOMAS, None]))
+    i, j = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    if family is None:
+        x = fundamental_tp_unit(draw(st.integers(2, 400).filter(is_squarefree))) ** i
+        if draw(st.booleans()):
+            x = conj(x)
+    else:
+        f = make_field(family, draw(st.integers(order_kernel._FAMILY_RANGES[family], 60)))
+        u1, u2 = unit_generators(f).fundamental
+        x = mul(u1**i, u2**j)
+        if family is Family.SIMPLEST_CUBIC:
+            x = conjugate(x, draw(st.integers(0, 2)))
+    x = x * draw(st.sampled_from([1, -1])) + draw(st.integers(-2, 2))
+    assume(not x.is_zero())
+    return x
+
+
+def _staged_positivity_agrees(x):
+    assert is_totally_positive(x) == (min(sym_funcs(x)) > 0), x
+
+
+@CONTRACT
+@given(elements(1))
+def test_staged_positivity_equals_all_symmetric_functions(xs):
+    assume(not xs[0].is_zero())
+    _staged_positivity_agrees(xs[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_boundary_elements())
+def test_staged_positivity_near_the_boundary(x):
+    _staged_positivity_agrees(x)
+
+
+def test_hashing_reads_no_family_hash(monkeypatch):
+    """Work counter: hashing 1,000 elements and 1,000 `pairing_matrix`
+    lookups hash no Family member; the field hashes are computed once."""
+    f = make_field(Family.SIMPLEST_CUBIC, 7)
+    xs = [elem(f, k, -k, 1) for k in range(1000)]
+    pairing_matrix(f)
+    calls = [0]
+    original = Family.__hash__
+
+    def counting(member):
+        calls[0] += 1
+        return original(member)
+
+    monkeypatch.setattr(Family, "__hash__", counting)
+    hashes = {hash(x) for x in xs}
+    for _ in range(1000):
+        pairing_matrix(f)
+    assert calls[0] == 0 and len(hashes) == 1000

@@ -8,7 +8,8 @@ checkouts, filled by `python3 perfbench/run.py --workload W --seed S
 (workload, seed) pair counts when both directories hold it.  For each
 workload the record holds, per side, every end-to-end metric's median and
 quartiles over the paired seeds, how many pairs the change won on that
-metric, and the answer digests of each seed on both sides.  Quartiles are
+metric, the answer digests of each seed on both sides, and per side the
+commits and the `source_sha256` digests of the sources that ran.  Quartiles are
 `statistics.quantiles(values, n=4, method="inclusive")`.
 """
 
@@ -47,6 +48,8 @@ def spread(values: list[float]) -> dict[str, float]:
 def side(records: list[dict]) -> dict:
     return {
         "commits": sorted({r["commit"] or "unknown" for r in records}),
+        # the digest of src/indecomp: it names the code where no git checkout was at hand
+        "source_sha256": sorted({r["source_sha256"] for r in records}),
         "python": sorted({r["python"] for r in records}),
         "nproc": sorted({r["nproc"] for r in records}),
     }
