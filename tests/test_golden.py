@@ -38,7 +38,16 @@ CASES = {
         ["min-trace", "--family", "thomas", "--a", "3", "--elem", "0,11,-2"],
         False,
     ),
+    # no element past t_max: "t" is null
+    "min-trace-none": (
+        ["min-trace", "--family", "thomas", "--a", "3", "--elem", "0,11,-2", "--tmax", "1"],
+        False,
+    ),
     "count-norms": (["count-norms", "--a", "5", "--x", "25", "--method", "brute"], False),
+    # an empty "pairs" list
+    "count-norms-empty": (["count-norms", "--a", "5", "--x", "1", "--method", "fast"], False),
+    # six nested [k, w] pairs
+    "count-norms-fast": (["count-norms", "--a", "20", "--x", "400", "--method", "fast"], False),
     "count-norms-exact": (
         ["count-norms", "--a", "400", "--x", "160000", "--method", "exact"],
         False,
