@@ -65,10 +65,42 @@ def _open(path, mode="r", **kwargs):
         raise IllegalParameter(f"cannot open {path}: {exc.strerror}") from None
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2), whose encoder is pure Python once
+    indent is set, with one join per container; other types raise TypeError."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _ascii(value)
+    if value is None or kind is bool:
+        return _CONSTANTS[value]
+    if kind is float:
+        return json.dumps(value)
+    inner = indent + "  "
+    # ints, the most common items, skip the recursive call
+    if kind is list or kind is tuple:
+        items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
+        ends = "[]"
+    elif kind is dict and all(type(k) is str for k in value):
+        items = [_ascii(k) + ": " + (repr(v) if type(v) is int else _json_text(v, inner))
+                 for k, v in value.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON (object keys must be str)")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
 def _emit(payload: dict, args, rows=None, header=None) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if getattr(args, "json", None):
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
         with _open(args.json, "w") as fh:
             fh.write(text)
     if getattr(args, "csv", None):

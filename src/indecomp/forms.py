@@ -41,11 +41,15 @@ from .order_kernel import (
     elem,
     is_totally_positive,
     mul,
+    norm,
     one,
     unit_generators,
 )
 
 PYTHAGORAS_CAP_CUBIC = 6  # s(O) <= d + 3 in degree 3
+# Largest size 8 sqrt(N(beta) / disc) of a witness search's square-root region:
+# (2000, 0, 0) at a = 1 has 55,041 and takes about 4 s
+WITNESS_REGION_GUARD = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +318,10 @@ def _find_part(alpha, delta):
 
 def _square_candidates(target: OrderElement) -> Iterator[tuple[OrderElement, OrderElement]]:
     """(y, target - y^2) for every y > 0 with target - y^2 zero or totally
-    positive, in lexicographic order, from one square-root region search."""
+    positive, in lexicographic order, from one square-root region search,
+    which holds about 8 sqrt(N(target) / disc) points and is guarded."""
+    if 64 * norm(target) > WITNESS_REGION_GUARD**2 * target.field.discriminant:
+        raise GuardExceeded(f"square-root region of {target.coords} over {WITNESS_REGION_GUARD}")
     for coords in region_points(*_square_root_region(target)):
         if coords <= (0, 0, 0):
             continue  # skip 0; y and -y square identically, keep one
@@ -401,7 +408,8 @@ def _one_square(
 
 
 def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
-    """Up to PYTHAGORAS_CAP_CUBIC elements whose squares sum to beta, by bounded search."""
+    """Up to PYTHAGORAS_CAP_CUBIC elements whose squares sum to beta, by bounded
+    search; GuardExceeded if its first square-root region is too large."""
     if beta.is_zero():
         return []
     if not is_totally_positive(beta):

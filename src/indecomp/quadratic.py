@@ -227,13 +227,15 @@ def _delta_checks(delta: CodifferentElement, i: int) -> bool:
     alpha_{i,r} = alpha_i + r*alpha_{i+1}, so its trace is t_i + r*t_{i+1},
     with t_j the pairing of delta with the convergent (p_j, q_j).  As
     u_{i+2} >= 1, that is 1 for every r exactly when t_i = 1 and t_{i+1} = 0.
+    The caller checks i >= -1: the tables are read without a range check.
     """
     cf = cf_expand(delta.field.D)
+    cf._ensure(i + 1)  # the convergents i, i + 1 are entries i + 1, i + 2
     c0, c1 = pairing_vector(delta)
-    (p, q), (p_next, q_next) = cf.convergent_pair(i), cf.convergent_pair(i + 1)
+    P, Q = cf._p, cf._q
     return (
-        c0 * p + c1 * q == 1
-        and c0 * p_next + c1 * q_next == 0
+        c0 * P[i + 1] + c1 * Q[i + 1] == 1
+        and c0 * P[i + 2] + c1 * Q[i + 2] == 0
         and is_totally_positive_codiff(delta)
     )
 
@@ -249,7 +251,8 @@ def trace_one_delta(D: int, i: int) -> CodifferentElement:
         raise IndexOutOfRange("certificates exist for odd i >= -1")
     cf = cf_expand(D)
     field = cf.field
-    p, q = cf.convergent_pair(i + 1)
+    cf._ensure(i + 1)
+    p, q = cf._p[i + 2], cf._q[i + 2]  # the convergent i + 1
     gamma = OrderElement((-p - q if field.one_mod_four else -p, q), field)
     delta = CodifferentElement(gamma)
     if not _delta_checks(delta, i):

@@ -9,6 +9,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indecomp import cli
 from indecomp.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, main
@@ -299,3 +301,35 @@ def test_main_reuses_one_parser(capsys):
     assert main(["quadratic", "--d", "13", "--certify"]) == EXIT_OK
     golden = Path(__file__).parent / "golden" / "quadratic.out"
     assert capsys.readouterr().out == golden.read_text()
+
+
+JSON_VALUES = st.recursive(
+    # text covers non-ASCII and control characters; floats include nan and inf
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent / "golden").glob("*.json")), ids=lambda p: p.name
+)
+def test_json_writer_rewrites_every_golden(path):
+    data = path.read_bytes()
+    assert (cli._json_text(json.loads(data)) + "\n").encode() == data
+
+
+@pytest.mark.parametrize(
+    "value", [{1: "a"}, {"a": {None: 1}}, object(), [1, {"x": object()}], {1, 2}, b"x"]
+)
+def test_json_writer_raises_on_other_keys_and_values(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

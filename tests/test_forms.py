@@ -190,6 +190,19 @@ def test_sum_of_squares_witness():
     assert sum_of_squares_witness(elem(f, 0, 0, 0)) == []
 
 
+def test_sum_of_squares_witness_guards_a_deep_target():
+    """(16000, 0, 0) at a = 1 searched for over 60 s; it is refused before any
+    region search, while (1000, 0, 0) stays below the guard and is answered."""
+    f = make_field(Family.SIMPLEST_CUBIC, 1)
+    with mock.patch.object(forms, "region_points") as search:
+        with pytest.raises(GuardExceeded, match="square-root region"):
+            sum_of_squares_witness(elem(f, 16000, 0, 0))
+    search.assert_not_called()
+    w = sum_of_squares_witness(elem(f, 1000, 0, 0))
+    assert w is not None and len(w) <= 6
+    assert sum((mul(x, x) for x in w), elem(f, 0, 0, 0)) == elem(f, 1000, 0, 0)
+
+
 def test_sum_of_squares_witness_leaves_no_cyclic_garbage():
     """The depth-first search keeps no self-referencing closures alive."""
     f = make_field(Family.SIMPLEST_CUBIC, 2)
