@@ -227,8 +227,9 @@ def _delta_checks(delta: CodifferentElement, i: int) -> bool:
     alpha_{i,r} = alpha_i + r*alpha_{i+1}, so its trace is t_i + r*t_{i+1},
     with t_j the pairing of delta with the convergent (p_j, q_j).  As
     u_{i+2} >= 1, that is 1 for every r exactly when t_i = 1 and t_{i+1} = 0.
-    The caller checks i >= -1: the tables are read without a range check.
     """
+    if i < -1:  # a negative table index would wrap around
+        raise IndexOutOfRange("convergents start at i = -1")
     cf = cf_expand(delta.field.D)
     cf._ensure(i + 1)  # the convergents i, i + 1 are entries i + 1, i + 2
     c0, c1 = pairing_vector(delta)

@@ -193,6 +193,8 @@ def test_trace_one_delta_all_odd_indices():
                 assert trace_pairing(delta, semiconvergent(D, i, r)) == 1
     with pytest.raises(IndexOutOfRange):
         trace_one_delta(2, 0)
+    with pytest.raises(IndexOutOfRange):  # not the wrapped-around table entry
+        _delta_checks(trace_one_delta(2, -1), -3)
 
 
 def _delta_checks_reference(delta, i):
