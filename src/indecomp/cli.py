@@ -252,6 +252,8 @@ def cmd_sq_table(args) -> int:
     ]
     done = _read_resume(args.resume) if args.resume and os.path.exists(args.resume) else {}
     todo = [a for a in targets if a not in done]
+    if todo:
+        norms.sq_guard(todo[-1])  # the largest row: refused before any row is computed
     workers = min(args.threads, len(todo))
     if workers > 1:
         # imported here: the pool machinery (multiprocessing, socket, ...)
@@ -439,6 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # `--elem V` as `--elem=V`: argparse would read a V such as -1,-6,2 as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--elem":
+            argv[i : i + 2] = [f"--elem={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

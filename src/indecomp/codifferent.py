@@ -27,16 +27,12 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
-    apply_matrix,
     elem,
     is_totally_positive,
     make_field,
     mul,
     multiplication_matrix,
     norm,
-    one,
-    rho,
-    trace,
 )
 
 
@@ -81,20 +77,25 @@ def pairing_matrix(field: FieldSpec) -> tuple[tuple[int, ...], ...]:
 
     B = euler_pairing(field.minpoly), cross-checked against the
     multiplication-matrix route: Tr(adj * rho^m) = t_m * det in integers.
+    adj = M_g for g = det/f'(rho), so Tr(g rho^m) = sum_k g_k p_(k+m) with
+    the power sums p_j = Tr(rho^j) of Newton's identities.
     """
     b = euler_pairing(field.minpoly)
     t = b[0] + b[-1][1:]  # Tr(rho^m / f') for m = 0..2d-2
 
     # independent check: f'^-1 = adj(M_f') / N(f'), so Tr(rho^m / f') = Tr(adj rho^m) / det
     adj, det = _fprime_inverse_parts(field)
-    power = one(field)
+    c, d = field.minpoly, len(field.minpoly)
+    p = [d]  # p_j = -sum_(i<=min(j,d)) c_(d-i) p_(j-i), with j in place of p_0 at i = j
+    for j in range(1, 3 * d - 2):
+        p.append(-sum(c[i - 1] * (p[j - i] if i < j else j) for i in range(1, min(j, d) + 1)))
+    g = [row[0] for row in adj]
     for m in range(len(t)):
-        tr = trace(apply_matrix(adj, power))
+        tr = sum(map(operator.mul, g, p[m:]))
         if tr != t[m] * det:
             raise NonIntegralTrace(
                 f"pairing base Tr(rho^{m}/f') = {Fraction(tr, det)} != {t[m]}"
             )
-        power = mul(power, rho(field))
     return b
 
 
@@ -160,9 +161,8 @@ def certificate_delta(field: FieldSpec) -> CodifferentElement:
         delta = CodifferentElement(elem(field, -(a - 1), a - 1, 1))
     else:
         raise UnsupportedFamily(f"no certificate delta for {field.family.value}")
-    for i, expected in enumerate((1, 0, 1)):
-        x = elem(field, *[1 if j == i else 0 for j in range(3)])
-        got = trace_pairing(delta, x)
+    # Tr(delta * rho^i) for i = 0, 1, 2
+    for i, (got, expected) in enumerate(zip(pairing_vector(delta), (1, 0, 1))):
         if got != expected:
             raise NonIntegralTrace(f"Tr(delta*rho^{i}) = {got}, expected {expected}")
     if not is_totally_positive_codiff(delta):

@@ -106,7 +106,8 @@ def _root_bound(minpoly: tuple[int, ...]) -> int:
 def _integer_root(c2: int, c1: int, c0: int) -> int | None:
     """An integer root of f = x^3 + c2 x^2 + c1 x + c0, or None.
 
-    Roots lie in [-B, B], B = `_root_bound`.  The critical points
+    An integer root divides c0, so it lies in [-B, B], B = |c0| (the root 0
+    when c0 = 0), inside Cauchy's bound 1 + max |c_k|.  The critical points
     (-c2 -+ sqrt(c2^2 - 3 c1)) / 3, bracketed between integers with isqrt,
     cut that range into at most three pieces on which f is monotone, plus at
     most six integers next to the critical points that are tested directly.
@@ -115,7 +116,7 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
     """
 
     minpoly = (c2, c1, c0)
-    bound = _root_bound(minpoly)
+    bound = abs(c0)
     d = c2 * c2 - 3 * c1  # f' = 3x^2 + 2 c2 x + c1 changes sign iff d > 0
     if d <= 0:
         pieces, candidates = [(-bound, bound, 1)], []
@@ -126,6 +127,7 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
         pieces = [(-bound, lo1, 1), (hi1, lo2, -1), (hi2, bound, 1)]
         candidates = [*range(lo1, hi1 + 1), *range(lo2, hi2 + 1)]
     for lo, hi, sign in pieces:
+        lo, hi = max(lo, -bound), min(hi, bound)
         # least t in [lo, hi] with sign * f(t) >= 0: the root if the piece holds one
         while lo < hi:
             mid = (lo + hi) // 2
@@ -517,29 +519,25 @@ def _piece(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
     return n, hi.numerator * (den // hi.denominator) - n, den, 1
 
 
-def _seed_intervals(field) -> list[tuple[Fraction, Fraction]] | None:
-    """Known bracketing intervals for the SimplestCubic roots, valid for a >= 7.
+def _seed_intervals(field) -> list[tuple[int, int, int, int]] | None:
+    """Known bracketing pieces of `_bisect` for the SimplestCubic roots, valid for a >= 7.
 
     Kept because it pays: isolating the roots of the simplest fields
-    a = 50, 52, ..., 400 to the default width takes about 0.015-0.016 s from
-    these seeds and 0.029-0.031 s from the bisection of [-B, B] (Python
-    3.11, one Xeon core), and every field a workload touches pays that once
-    when it is set up.  The seeds also fix the root intervals that field-info
+    a = 50, 52, ..., 400 to the default width takes about 0.005-0.009 s from
+    these seeds and 0.013-0.023 s from the bisection of [-B, B] (Python
+    3.11.7 on a 2-vCPU Xeon host, the least of 15 runs in each of four
+    processes), and every field a workload touches pays that once when it
+    is set up.  The seeds also fix the root intervals that field-info
     prints for a >= 7.  Each seed is re-checked for a sign change; None falls
     back to the bisection of [-B, B].
     """
     if getattr(field, "family", None) is not Family.SIMPLEST_CUBIC or field.a < 7:
         return None
     a = field.a
-    # a + 1 < a + 1 + 2/a,  -1 - 1/a < -1 - 1/(2a)  and  -1/(a+2) < -1/(a+3)
-    seeds = [
-        (Fraction(a + 1), Fraction(a * a + a + 2, a)),
-        (Fraction(-a - 1, a), Fraction(-2 * a - 1, 2 * a)),
-        (Fraction(-1, a + 2), Fraction(-1, a + 3)),
-    ]
-    for lo, hi in seeds:
-        at_lo = _sign_at(field.minpoly, lo.numerator, lo.denominator)
-        if at_lo * _sign_at(field.minpoly, hi.numerator, hi.denominator) >= 0:
+    # [a+1, a+1 + 2/a],  [-1 - 1/a, -1 - 1/(2a)]  and  [-1/(a+2), -1/(a+3)]
+    seeds = [(a * (a + 1), 2, a, 1), (-2 * a - 2, 1, 2 * a, 1), (-(a + 3), 1, (a + 2) * (a + 3), 1)]
+    for n, gap, den, _ in seeds:
+        if _sign_at(field.minpoly, n, den) * _sign_at(field.minpoly, n + gap, den) >= 0:
             return None
     return seeds
 
@@ -556,10 +554,8 @@ def isolate_roots(field) -> RootIntervals:
     The bisection starts from the seeds where `_seed_intervals` has them, and
     otherwise from [-B, B], B = `_root_bound`.
     """
-    seeds = _seed_intervals(field)
-    if seeds:
-        pieces = [_piece(lo, hi) for lo, hi in seeds]
-    else:
+    pieces = _seed_intervals(field)
+    if pieces is None:
         bound = _root_bound(field.minpoly)
         pieces = [(-bound, 2 * bound, 1, _root_count(field.minpoly, -bound, bound, 1))]
     return _root_intervals(field, pieces, _default_width(field, 0))
@@ -618,37 +614,40 @@ def embed(x: OrderElement, r: RootIntervals) -> tuple[Interval, ...]:
 def galois_conjugation_matrix(field: FieldSpec) -> tuple[tuple[int, int, int], ...]:
     """Integer matrix M with M . coords(x) = coords(x') for rho -> rho'.
 
-    rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated exactly from the
-    three products rho'^2, rho'^3 and rho*rho', with no root interval.
-    f(rho') = 0 makes x -> x(rho') a ring map, so M^3 = I once M^3 fixes
-    rho.  With rho*rho' + rho + 1 = 0, sigma_1(rho') lies in
+    rho' = -1 - 1/rho = (a+2) + a*rho - rho^2; validated exactly on coordinate
+    tuples from one product rho'^2 and the multiplication matrix of rho',
+    which maps rho'^2 to rho'^3 and whose rho column is rho * rho', with no
+    root interval.  f(rho') = 0 makes x -> x(rho') a ring map, so M^3 = I once
+    M^3 fixes rho.  With rho*rho' + rho + 1 = 0, sigma_1(rho') lies in
     (-2, -1) exactly when sigma_1(rho) > 1: f(1) = -2a - 3 < 0 puts the
     largest root above 1, and `_root_intervals` lists it first.
     """
     if field.family is not Family.SIMPLEST_CUBIC:
         raise NotGalois(f"{field.family.value} family is not handled as Galois")
-    a = field.a
-    unit, r = one(field), rho(field)
+    a, (c2, c1, c0) = field.a, field.minpoly
     rp = OrderElement((a + 2, a, -1), field)
-    rp2 = mul(rp, rp)
+    rp2 = mul(rp, rp).coords
+    mm = multiplication_matrix(rp)
     # f(rho') = 0, exactly
-    val = mul(rp2, rp) + field.c2 * rp2 + field.c1 * rp + field.c0 * unit
-    if not val.is_zero():
+    rp3 = [sum(map(operator.mul, row, rp2)) for row in mm]
+    if [u + c2 * v + c1 * w for u, v, w in zip(rp3, rp2, rp.coords)] != [-c0, 0, 0]:
         raise NotGalois("conjugate candidate is not a root")
-    cols = [unit.coords, rp.coords, rp2.coords]
-    m = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    if apply_matrix(m, apply_matrix(m, rp)) != r:
+    m = tuple(zip((1, 0, 0), rp.coords, rp2))
+    if _apply(m, _apply(m, rp.coords)) != (0, 1, 0):
         raise NotGalois("conjugation matrix does not have order 3")
-    if not (mul(r, rp) + r + unit).is_zero():
+    if [row[1] for row in mm] != [-1, -1, 0]:
         raise NotGalois("conjugate candidate is not -1 - 1/rho")
     if _sign_at(field.minpoly, 1, 1) >= 0:
         raise NotGalois("conjugate candidate outside (-2,-1)")
     return m
 
 
+def _apply(m, v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([sum(map(operator.mul, row, v)) for row in m])
+
+
 def apply_matrix(m, x: OrderElement) -> OrderElement:
-    v = x.coords
-    return OrderElement(tuple([sum(map(operator.mul, row, v)) for row in m]), x.field)
+    return OrderElement(_apply(m, x.coords), x.field)
 
 
 def conjugate(x: OrderElement, times: int = 1) -> OrderElement:
@@ -676,13 +675,14 @@ def unit_generators(field: FieldSpec) -> UnitSystem:
     f = field
     a = f.a
     if f.family is Family.SIMPLEST_CUBIC:
+        m = galois_conjugation_matrix(f)
         u1 = rho(f)
-        u2 = conjugate(u1)
-        e1 = u1 * u1
+        u2 = OrderElement(tuple([row[1] for row in m]), f)  # the rho column: rho'
+        e1 = OrderElement((0, 0, 1), f)  # rho^2
         e2 = OrderElement((1, 2, 1), f)  # (1+rho)^2 = (rho'')^{-2}
-        # (1+rho) * rho'' = -1 pins the inverse-square identity
-        rpp = conjugate(u1, 2)
-        if mul(OrderElement((1, 1, 0), f), rpp).coords != (-1, 0, 0):
+        # (1+rho) * rho'' = -1 pins the inverse-square identity; rho'' = M rho'
+        rpp = _apply(m, u2.coords)
+        if tuple(map(operator.add, rpp, _rho_columns(*rpp, *f.minpoly)[0])) != (-1, 0, 0):
             raise ConsistencyError("(1+rho) * rho'' != -1")
     elif f.family is Family.ENNOLA:
         u1 = rho(f)

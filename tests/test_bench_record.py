@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", TOOL)
 bench_record = importlib.util.module_from_spec(spec)
@@ -37,6 +39,7 @@ def test_bench_record_pairs_seeds_present_on_both_sides(tmp_path):
     run = w["metrics"]["run_s"]
     assert run["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
     assert run["change"]["median"] == 0.45 and run["change_wins"] == 3
+    assert run["parent_iqr"] == 1.5 and run["claim_rule_met"] is False  # 3 of 4 won
     assert w["metrics"]["pass_ratio"]["better"] == "higher"
 
 
@@ -61,3 +64,29 @@ def test_bench_record_names_the_sources_of_each_side(tmp_path):
     assert data["parent"]["commits"] == data["change"]["commits"] == ["unknown"]
     assert data["parent"]["source_sha256"] == ["aaa"]
     assert data["change"]["source_sha256"] == ["bbb", "ccc"]
+
+
+@pytest.mark.parametrize(
+    "pairs, shift, lost, met",
+    [
+        (10, -0.5, 1, True),  # 9 of 10 won, medians 0.5 apart, parent IQR 0.135
+        (10, -0.5, 2, False),  # 8 of 10 won
+        (10, -0.1, 0, False),  # 10 of 10 won, but the medians are closer than the IQR
+        (10, 0.5, 0, False),  # every pair lost
+        (9, -0.5, 0, False),  # every pair won, but fewer than ten pairs ran
+    ],
+)
+def test_bench_record_claim_verdict(tmp_path, pairs, shift, lost, met):
+    """claim_rule_met: at least ten pairs, the change wins nine tenths of them,
+    ties counting for neither, and its median is better by more than the
+    parent's IQR."""
+    parent, change, out = tmp_path / "p", tmp_path / "c", tmp_path / "BENCH.json"
+    for seed in range(pairs):
+        old = 1.0 + seed / 10 * 0.3
+        new = old if seed < lost else old + shift  # a tie for each lost pair
+        _write(parent, "w", seed, old, "d", "aaa")
+        _write(change, "w", seed, new, "d", "bbb")
+    assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
+    run = json.loads(out.read_text())["workloads"]["w"]["metrics"]["run_s"]
+    assert run["parent_iqr"] == pytest.approx(0.135 if pairs == 10 else 0.12)
+    assert run["claim_rule_met"] is met

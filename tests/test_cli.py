@@ -137,6 +137,22 @@ def test_importing_the_cli_loads_no_process_pool():
     assert done.stdout.strip() == "[]"
 
 
+def test_sq_table_refuses_a_row_over_the_orbit_guard(tmp_path):
+    """A row of 1.7e9 triangle orbits (a = 100000, certified) would run for
+    hours: the table exits 3 before any row is computed, so it prints no row
+    and writes no checkpoint."""
+    resume = tmp_path / "rows.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "indecomp", "sq-table", "--a-min", "99990", "--a-max", "100000",
+         "--resume", str(resume)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 3
+    assert done.stdout == "" and "sq_count(100000) visits 1666716667 triangle orbits" in done.stderr
+    assert not resume.exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5"])
 def test_sq_table_threads_below_one_is_usage_error(threads, pool_sizes, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -272,7 +288,17 @@ def test_csv_on_a_non_tabular_subcommand_is_usage_error(argv, tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("elem", ["1,x,2", "1,2", "1,2,3,4", ""])
+def test_elem_with_a_leading_minus_sign_in_both_spellings(capsys):
+    """A triangle element (-v, -w, v + 1) starts with a minus sign; `--elem V`
+    reads it as `--elem=V` does."""
+    outputs = []
+    for spelling in (["--elem", "-1,-6,2"], ["--elem=-1,-6,2"]):
+        assert main(["min-trace", "--family", "simplest", "--a", "3", *spelling]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("min trace: 1 ")
+
+
+@pytest.mark.parametrize("elem", ["1,x,2", "1,2", "1,2,3,4", "", "-1,-6", "-1,x,2", "--tmax"])
 def test_malformed_elem_is_usage_error(elem, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["min-trace", "--family", "simplest", "--a", "7", "--elem", elem])

@@ -265,6 +265,26 @@ def test_sq_count_work_is_one_squarefree_test_per_orbit(monkeypatch):
     assert len(tests) == 1 + len(fundamental_triangle(40))
 
 
+def test_sq_guard_counts_the_orbits_of_the_triangle(monkeypatch):
+    """sq_guard(a) refuses exactly the a whose fundamental triangle holds more
+    than SQ_ORBIT_GUARD points, checked under smaller limits; 2447 is the
+    last a under the limit of 10^6, so tables far past a = 60 still run."""
+    sizes = [len(fundamental_triangle(a)) for a in range(200)]
+    for limit in (0, 1, 2, 100, 1000, 6000):
+        monkeypatch.setattr(norms, "SQ_ORBIT_GUARD", limit)
+        for a, size in enumerate(sizes):
+            if size > limit:
+                with pytest.raises(GuardExceeded, match=f"visits {size} triangle orbits"):
+                    norms.sq_guard(a)
+            else:
+                norms.sq_guard(a)
+    monkeypatch.undo()
+    norms.sq_guard(2447)
+    for a in (2448, 100000):
+        with pytest.raises(GuardExceeded, match="triangle orbits"):
+            sq_count(a)
+
+
 def test_max_norm_examples():
     pt, mx = max_norm_indecomposable(4)
     assert (pt, mx) == (TrianglePoint(1, 1), 47)

@@ -8,7 +8,10 @@ checkouts, filled by `python3 perfbench/run.py --workload W --seed S
 (workload, seed) pair counts when both directories hold it.  For each
 workload the record holds, per side, every end-to-end metric's median and
 quartiles over the paired seeds, how many pairs the change won on that
-metric, the answer digests of each seed on both sides, and per side the
+metric, the parent's interquartile range, whether the claim rule holds
+(`claim_rule_met`: at least ten pairs, of which the change won at least nine
+tenths, ties counting for neither, and its median better than the parent's by
+more than that range), the answer digests of each seed on both sides, and per side the
 commits and the `source_sha256` digests of the sources that ran.  Quartiles are
 `statistics.quantiles(values, n=4, method="inclusive")`.
 """
@@ -68,12 +71,20 @@ def record(parent: dict, change: dict, metrics: list[dict]) -> dict:
             old = [r["metrics"][m["name"]]["value"] for r in before]
             new = [r["metrics"][m["name"]]["value"] for r in after]
             sign = -1 if m["better"] == "lower" else 1
+            before_spread, after_spread = spread(old), spread(new)
+            wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+            iqr = before_spread["q3"] - before_spread["q1"]
             table[m["name"]] = {
                 "unit": m["unit"],
                 "better": m["better"],
-                "parent": spread(old),
-                "change": spread(new),
-                "change_wins": sum(sign * (b - a) > 0 for a, b in zip(old, new)),
+                "parent": before_spread,
+                "change": after_spread,
+                "change_wins": wins,
+                "parent_iqr": iqr,
+                # the claim rule: at least ten pairs, nine tenths of them won, and
+                # the medians apart by more than the parent's interquartile range
+                "claim_rule_met": len(seeds) >= 10 and 10 * wins >= 9 * len(seeds)
+                and sign * (after_spread["median"] - before_spread["median"]) > iqr,
             }
         workloads[workload] = {
             "seeds": seeds,
