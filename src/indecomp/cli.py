@@ -245,15 +245,15 @@ def _sq_row(a: int) -> tuple[int, int]:
 
 
 def cmd_sq_table(args) -> int:
-    targets = [
-        a
-        for a in range(args.a_min, args.a_max + 1)
-        if norms.certified_simplest(a)
-    ]
     done = _read_resume(args.resume) if args.resume and os.path.exists(args.resume) else {}
+    # the largest row to compute, found from the top: refused before any row
+    # is computed, and before the whole range is certified
+    for a in range(args.a_max, args.a_min - 1, -1):
+        if a not in done and norms.certified_simplest(a):
+            norms.sq_guard(a)
+            break
+    targets = [a for a in range(args.a_min, args.a_max + 1) if norms.certified_simplest(a)]
     todo = [a for a in targets if a not in done]
-    if todo:
-        norms.sq_guard(todo[-1])  # the largest row: refused before any row is computed
     workers = min(args.threads, len(todo))
     if workers > 1:
         # imported here: the pool machinery (multiprocessing, socket, ...)

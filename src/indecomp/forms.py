@@ -33,7 +33,7 @@ from .families import (
     indecomposables_simplest,
     inventory,
 )
-from .oracle import _context, region_points
+from .oracle import _square_root_region, _trace_region, region_points
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -95,13 +95,6 @@ def minimal_vector_bound(rank: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Square classes of totally positive units and the diagonal universal form
-
-
-def _square_root_region(target: OrderElement):
-    """(ctx, bounds) for `region_points`: every x with sigma_i(x)^2 <= sigma_i(target)."""
-    ctx, enclosures = _context(target.field, positive=[target])
-    # |2^k sigma_i(x)| <= sqrt(2^k * 2^k sigma_i(target)) <= isqrt(2^k * hi) + 1
-    return ctx, [(-s, s) for s in (math.isqrt(hi << ctx.k) + 1 for _, hi in enclosures[target])]
 
 
 @lru_cache(maxsize=None)
@@ -428,21 +421,13 @@ class WindowReport:
 
 def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     """All totally positive alpha with Tr(delta * alpha) <= trace_bound."""
-    delta = certificate_delta(field)
-    gamma = delta.numerator
-    c = pairing_vector(delta)
+    gamma = certificate_delta(field).numerator
     out = []
-    ctx, enclosures = _context(field, sign_definite=[gamma])
-    # sigma_i(delta) = sigma_i(gamma)/sigma_i(f') >= min|gamma_i| / max|f'_i| > 0 since delta >> 0
-    ratios = []
-    for (glo, ghi), (flo, fhi) in zip(enclosures[gamma], ctx.fprime):
-        if (glo > 0) != (flo > 0):
-            raise ConsistencyError("certificate delta must be totally positive")
-        ratios.append((max(-flo, fhi), min(abs(glo), abs(ghi))))
     for t in range(1, trace_bound + 1):
-        # 0 < sigma_i(alpha) < t / sigma_i(delta), at scale 2^k
-        bounds = [(0, -(-(t * f << ctx.k) // g)) for f, g in ratios]
-        for coords in region_points(ctx, bounds, (c, t)):
+        ctx, bounds, equality = _trace_region(gamma, t)
+        if any(lo < 0 for lo, _ in bounds):
+            raise ConsistencyError("certificate delta must be totally positive")
+        for coords in region_points(ctx, bounds, equality):
             el = OrderElement(coords, field)
             if not el.is_zero() and is_totally_positive(el):
                 out.append(el)

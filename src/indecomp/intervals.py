@@ -37,25 +37,6 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def is_positive(self) -> bool:
-        return self.lo > 0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0
-
-    def sign_definite(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
     def __add__(self, other):
         other = _coerce(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -65,9 +46,6 @@ class Interval:
     def __sub__(self, other):
         other = _coerce(other)
         return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -80,13 +58,6 @@ class Interval:
         return Interval(min(products), max(products))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.contains_zero():
-            raise ZeroDivisionError("division by an interval containing zero")
-        inv = Interval(1 / other.hi, 1 / other.lo)
-        return self * inv
 
     def square(self) -> "Interval":
         """Exact range of x^2 for x in the interval (tighter than self*self)."""

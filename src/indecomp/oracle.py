@@ -9,10 +9,12 @@ to a scale 2^k once per field and refinement round; `hnf.interval_dot` over
 those rows encloses every element, f' and the b_j included.  `_context`, the
 only loop that refines root intervals, refines until the needed signs are
 definite, `box_from_embedding` is the box rule, and `region_points` hands
-the box and the rows to the one enumerator, `hnf.lattice_points`.  No search
-step uses a float, nor a Fraction after the rounding.  `window_points` is the
-one window scan for quadratic and cubic fields, shared by
-`indecomposables_by_search` and `quadratic.search_indecomposables`."""
+the box and the rows to the one enumerator, `hnf.lattice_points`.  Every
+search region is built here; `_trace_region` is one rule for both sides of
+the trace pairing.  No search step uses a float, nor a Fraction after the
+rounding.  `window_points` is the one window scan for quadratic and cubic
+fields, shared by `indecomposables_by_search` and
+`quadratic.search_indecomposables`."""
 
 from __future__ import annotations
 
@@ -108,24 +110,19 @@ def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
     return DyadicContext(k, rows, fp, dual)
 
 
-def _context(field, positive: Sequence = (), sign_definite: Sequence = ()):
+def _context(field, elements: Sequence = ()):
     """The dyadic context (see `_dyadic`), plus `interval_dot` enclosures of 2^k sigma_i(el).
 
-    Refines until ctx.fprime is sign-definite in every embedding, every element
-    of `positive` has positive enclosures, and every element of
-    `sign_definite` has sign-definite enclosures.
+    Refines until ctx.fprime and the enclosures of every element are
+    sign-definite in every embedding; for a totally positive element that
+    makes its enclosures positive.
     """
     for rounds in range(REFINEMENT_CAP + 1):
         ctx = _dyadic(field, rounds)
         if ctx is None:
             continue
-        enclosures = {
-            el: tuple(interval_dot(row, el.coords) for row in ctx.rows)
-            for el in (*positive, *sign_definite)
-        }
-        if all(lo > 0 for el in positive for lo, _ in enclosures[el]) and all(
-            lo > 0 or hi < 0 for ivs in enclosures.values() for lo, hi in ivs
-        ):
+        enclosures = {el: tuple(interval_dot(row, el.coords) for row in ctx.rows) for el in elements}
+        if all(lo > 0 or hi < 0 for ivs in enclosures.values() for lo, hi in ivs):
             return ctx, enclosures
     raise RefinementLimit("embedding context did not stabilize")
 
@@ -171,6 +168,13 @@ def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -
     return box_from_embedding(ctx, [_outward(Interval(lo, hi), ctx.k) for lo, hi in constraints])
 
 
+def _square_root_region(target: OrderElement):
+    """(ctx, bounds) for `region_points`: every x with sigma_i(x)^2 <= sigma_i(target) >> 0."""
+    ctx, enclosures = _context(target.field, [target])
+    # |2^k sigma_i(x)| <= sqrt(2^k * 2^k sigma_i(target)) <= isqrt(2^k * hi) + 1
+    return ctx, [(-s, s) for s in (math.isqrt(hi << ctx.k) + 1 for _, hi in enclosures[target])]
+
+
 # ---------------------------------------------------------------------------
 # Decomposability
 
@@ -184,7 +188,7 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
     if alpha.is_zero() or not is_totally_positive(alpha):
         raise IllegalParameter("decompose expects a totally positive element")
     field = alpha.field
-    ctx, enclosures = _context(field, positive=[alpha])
+    ctx, enclosures = _context(field, [alpha])
     for coords in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
         if not any(coords):
             continue
@@ -201,18 +205,23 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
 # Minimal trace over the totally positive codifferent
 
 
-def _trace_region(alpha: OrderElement, t: int):
-    """(ctx, bounds, equality) for `region_points`: the numerators of `_trace_slice`."""
-    field = alpha.field
-    ctx, enclosures = _context(field, positive=[alpha])
+def _trace_region(w: OrderElement, t: int):
+    """(ctx, bounds, equality) for `region_points`: every v with Tr(v*w/f') = t
+    and v*w/f' >> 0, for an element w that is sign-definite in every embedding.
+
+    The pairing is symmetric, so this one rule gives both sides of it: with
+    w = alpha >> 0 the numerators of `_trace_slice`, and with w the numerator
+    of a delta >> 0 the universality window of `forms._window_elements`.
+    Each 0 < sigma_i(v*w/f') < t puts 2^k sigma_i(v) between 0 and
+    t * 2^k max|sigma_i(f')| / min|sigma_i(w)|, with the sign of sigma_i(f'/w).
+    """
+    field = w.field
+    ctx, enclosures = _context(field, [w])
     bounds = []
-    for (alo, _), (flo, fhi) in zip(enclosures[alpha], ctx.fprime):
-        # 0 < sigma_i(delta) < t / sigma_i(alpha), gamma = delta * f'(rho), at scale 2^k
-        if flo > 0:
-            bounds.append((0, -(-(t * fhi << ctx.k) // alo)))
-        else:
-            bounds.append(((t * flo << ctx.k) // alo, 0))
-    return ctx, bounds, (dual_pairing_vector(field, alpha), t)
+    for (wlo, whi), (flo, fhi) in zip(enclosures[w], ctx.fprime):
+        reach = -(-(t * max(-flo, fhi) << ctx.k) // min(abs(wlo), abs(whi)))
+        bounds.append((0, reach) if (wlo > 0) == (flo > 0) else (-reach, 0))
+    return ctx, bounds, (dual_pairing_vector(field, w), t)
 
 
 def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:

@@ -153,6 +153,32 @@ def test_sq_table_refuses_a_row_over_the_orbit_guard(tmp_path):
     assert not resume.exists()
 
 
+def test_sq_table_refuses_a_huge_range_before_certifying_it(tmp_path):
+    """The guard row is found by scanning down from --a-max, so a range of
+    100,001 rows is refused without certifying each of them first."""
+    resume = tmp_path / "rows.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "indecomp", "sq-table", "--a-min", "1000000", "--a-max", "1100000",
+         "--resume", str(resume)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 3
+    assert done.stdout == "" and "sq_count(1100000) visits" in done.stderr
+    assert not resume.exists()
+
+
+def test_sq_table_guards_the_largest_row_not_yet_done(tmp_path, monkeypatch):
+    """Rows already in the checkpoint are not guarded again: the scan from
+    --a-max skips them and the rows that are not certified (a = 3)."""
+    resume = tmp_path / "rows.json"
+    resume.write_text(json.dumps({"4": 3}))
+    guarded = []
+    monkeypatch.setattr(cli.norms, "sq_guard", guarded.append)
+    assert main(["sq-table", "--a-min", "-1", "--a-max", "4", "--resume", str(resume)]) == EXIT_OK
+    assert guarded == [2, -1, 0, 1, 2]  # then sq_count guards each row it computes
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "two", "1.5"])
 def test_sq_table_threads_below_one_is_usage_error(threads, pool_sizes, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -133,7 +133,7 @@ def test_inverse_fprime_not_totally_positive():
     assert not is_totally_positive_codiff(CodifferentElement(one(f)))
     # embedding-sign confirmation: f'(rho) has a negative conjugate
     fp = fprime_element(f)
-    _, enclosures = _context(f, sign_definite=[fp])
+    _, enclosures = _context(f, [fp])
     signs = [1 if lo > 0 else -1 for lo, _ in enclosures[fp]]
     assert -1 in signs and 1 in signs
 
@@ -252,7 +252,7 @@ def test_codiff_positivity_matches_embedding_signs(field, coords):
     assume(any(coords))
     gamma = OrderElement(coords, field)
     fp = fprime_element(field)
-    _, enclosures = _context(field, sign_definite=[gamma, fp])
+    _, enclosures = _context(field, [gamma, fp])
     want = all((g > 0) == (f > 0) for (g, _), (f, _) in zip(enclosures[gamma], enclosures[fp]))
     assert is_totally_positive_codiff(CodifferentElement(gamma)) == want
 

@@ -458,9 +458,11 @@ def test_window_elements_equal_a_full_scan_of_an_exact_box(a):
     for rounds in range(20):
         r = refine_roots(field, rounds)
         gs, fs = embed(delta.numerator, r), embed(fprime_element(field), r)
-        if all(iv.sign_definite() for iv in gs + fs):
+        if all(iv.lo > 0 or iv.hi < 0 for iv in gs + fs):
             break
-    box = search_box(field, [(0, Fraction(3) / (g / f).lo) for g, f in zip(gs, fs)])
+    # the least sigma_i(delta) = sigma_i(gamma)/sigma_i(f') allowed by the enclosures
+    least = [min(u / v for u in (g.lo, g.hi) for v in (f.lo, f.hi)) for g, f in zip(gs, fs)]
+    box = search_box(field, [(0, Fraction(3) / q) for q in least])
     c = pairing_vector(delta)
     full = [
         x for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box))

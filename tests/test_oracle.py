@@ -12,8 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indecomp.codifferent import certificate_delta, trace_pairing
+from indecomp.codifferent import (
+    certificate_delta,
+    dual_pairing_vector,
+    pairing_vector,
+    trace_pairing,
+)
 from indecomp.errors import (
+    ConsistencyError,
     FieldMismatch,
     IllegalParameter,
     IndecompError,
@@ -22,17 +28,19 @@ from indecomp.errors import (
 )
 from indecomp.families import (
     TrianglePoint,
+    inventory,
     indecomposables_ennola,
     indecomposables_simplest,
     indecomposables_thomas,
     triangle_element,
 )
+from indecomp.hnf import interval_dot
 from indecomp.intervals import Interval, det
 from indecomp import oracle, order_kernel
-from indecomp.forms import _square_root_region
 from indecomp.oracle import (
     _context,
     _dyadic,
+    _square_root_region,
     _trace_region,
     _trace_slice,
     box_from_embedding,
@@ -44,8 +52,10 @@ from indecomp.oracle import (
     norms_superadditive,
     region_points,
     search_box,
+    window_points,
 )
 from indecomp.order_kernel import (
+    REFINEMENT_CAP,
     Family,
     OrderElement,
     conjugate,
@@ -67,6 +77,7 @@ from indecomp.order_kernel import (
 from indecomp.codifferent import CodifferentElement, is_totally_positive_codiff
 from indecomp.norms import ideal_hnf
 from indecomp.quadratic import make_quad_field
+from indecomp.verify import QUADRATIC_D_SET
 
 RNG = random.Random(31337)
 
@@ -346,16 +357,21 @@ BOX_FIELDS = st.one_of(
 )
 
 
+def _sign_definite(iv):
+    return iv.lo > 0 or iv.hi < 0
+
+
 def _cramer_box(rows, bounds):
     """The box rule by Cramer's rule: x_j = det(rows, column j := bounds) / det(rows)."""
     d = len(rows)
     dt = det(rows)
-    assert dt.sign_definite()
+    assert _sign_definite(dt)
     box = []
     for j in range(d):
         m = [[bounds[i] if k == j else rows[i][k] for k in range(d)] for i in range(d)]
-        xj = det(m) / dt
-        box.append((math.ceil(xj.lo), math.floor(xj.hi)))
+        num = det(m)
+        xj = [u / v for u in (num.lo, num.hi) for v in (dt.lo, dt.hi)]
+        box.append((math.ceil(min(xj)), math.floor(max(xj))))
     return box
 
 
@@ -382,7 +398,8 @@ def test_dual_box_contains_every_cramer_box_point_in_the_region(field, coords, w
     coords = tuple(coords[:d])
     rounds = next(
         r for r in range(64)
-        if _dyadic(field, r) is not None and det(_embedding_rows(field, r)).sign_definite()
+        if _dyadic(field, r) is not None
+        and _sign_definite(det(_embedding_rows(field, r)))
     ) + extra
     rows = _embedding_rows(field, rounds)
     # a region around a lattice point, so that it is never empty
@@ -440,7 +457,7 @@ def _box_scan(box):
 def test_split_region_hits_equal_a_full_box_scan(field, coords, m):
     """decompose's region: 0 < sigma_i(beta) < sigma_i(alpha)."""
     alpha = _totally_positive(field, coords, m)
-    ctx, enclosures = _context(field, positive=[alpha])
+    ctx, enclosures = _context(field, [alpha])
     bounds = [(0, hi) for _, hi in enclosures[alpha]]
 
     def splits(c):
@@ -514,16 +531,140 @@ def _counting(original, calls):
     return counted
 
 
-def test_dyadic_context_makes_no_rational_embedding_or_interval_division(monkeypatch):
+def test_dyadic_context_makes_no_rational_embedding(monkeypatch):
     """Work counter: `_dyadic` encloses f' and the dual basis from its integer rows."""
-    embeds, divisions = [], []
+    embeds = []
     original = order_kernel.embed
     for mod in list(sys.modules.values()):
         if mod.__name__.startswith("indecomp") and getattr(mod, "embed", None) is original:
             monkeypatch.setattr(mod, "embed", _counting(original, embeds))
-    monkeypatch.setattr(Interval, "__truediv__", _counting(Interval.__truediv__, divisions))
     # fields that no other test builds a context for, so that no cached context hides the work
     for field in (make_field(Family.THOMAS, 211), make_quad_field(1013)):
         contexts = [_dyadic(field, r) for r in range(4)]
         assert any(ctx is not None for ctx in contexts), field
-    assert (embeds, divisions) == ([], [])
+    assert embeds == []
+
+
+# ---------------------------------------------------------------------------
+# The symmetric trace rule against the two rules it replaced
+
+
+def _reference_context(field, el, positive):
+    """The refinement of the two-list `_context`: until f' is sign-definite
+    and el has positive (or else sign-definite) enclosures."""
+    for rounds in range(REFINEMENT_CAP + 1):
+        ctx = _dyadic(field, rounds)
+        if ctx is None:
+            continue
+        ivs = [interval_dot(row, el.coords) for row in ctx.rows]
+        if all(lo > 0 if positive else lo > 0 or hi < 0 for lo, hi in ivs):
+            return ctx, ivs
+    raise AssertionError("no context")
+
+
+def _reference_slice(alpha, t):
+    """0 < sigma_i(gamma/f') < t / sigma_i(alpha), with gamma of the sign of f'."""
+    ctx, ivs = _reference_context(alpha.field, alpha, positive=True)
+    bounds = []
+    for (alo, _), (flo, fhi) in zip(ivs, ctx.fprime):
+        if flo > 0:
+            bounds.append((0, -(-(t * fhi << ctx.k) // alo)))
+        else:
+            bounds.append(((t * flo << ctx.k) // alo, 0))
+    return ctx.k, bounds, (dual_pairing_vector(alpha.field, alpha), t)
+
+
+def _reference_window(field, t):
+    """0 < sigma_i(alpha) < t / sigma_i(delta), by the ratio max|f'_i| / min|gamma_i|."""
+    delta = certificate_delta(field)
+    ctx, ivs = _reference_context(field, delta.numerator, positive=False)
+    ratios = [
+        (max(-flo, fhi), min(abs(glo), abs(ghi)))
+        for (glo, ghi), (flo, fhi) in zip(ivs, ctx.fprime)
+    ]
+    bounds = [(0, -(-(t * f << ctx.k) // g)) for f, g in ratios]
+    return ctx.k, bounds, (pairing_vector(delta), t)
+
+
+def _region_key(w, t):
+    ctx, bounds, equality = _trace_region(w, t)
+    return ctx.k, bounds, equality
+
+
+WINDOW_FIELDS = [make_field(Family.SIMPLEST_CUBIC, a) for a in range(-1, 13)] + [
+    make_field(Family.ENNOLA, a) for a in range(3, 11)
+]
+
+
+@pytest.mark.parametrize("field", WINDOW_FIELDS, ids=lambda f: f"{f.family.value}-{f.a}")
+def test_trace_region_of_the_certificate_is_the_window_ratio_rule(field):
+    gamma = certificate_delta(field).numerator
+    for t in range(1, 7):
+        assert _region_key(gamma, t) == _reference_window(field, t), t
+
+
+def _slice_elements():
+    fields = (
+        [make_field(Family.SIMPLEST_CUBIC, a) for a in range(-1, 9)]
+        + [make_field(Family.ENNOLA, a) for a in range(3, 9)]
+        + [make_field(Family.THOMAS, a) for a in range(2, 9)]
+    )
+    for field in fields:
+        yield from (rec.element for rec in inventory(field) if rec.kind != "unit")
+    for D in QUADRATIC_D_SET:
+        yield from window_points(make_quad_field(D))
+
+
+def test_trace_region_of_a_totally_positive_element_is_the_slice_rule():
+    checked = 0
+    for alpha in _slice_elements():
+        for t in range(1, 4):
+            assert _region_key(alpha, t) == _reference_slice(alpha, t), (alpha, t)
+            checked += 1
+    assert checked > 300
+
+
+def test_window_elements_refuse_a_delta_that_is_not_totally_positive(monkeypatch):
+    """A certificate with a negative conjugate gives a bound below 0."""
+    import indecomp.forms as forms
+
+    field = make_field(Family.SIMPLEST_CUBIC, 1)
+    fake = CodifferentElement(elem(field, 1, 0, 0))  # 1/f' has conjugates of both signs
+    monkeypatch.setattr(forms, "certificate_delta", lambda f: fake)
+    with pytest.raises(ConsistencyError):
+        forms._window_elements(field, 1)
+
+
+def _called(node):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_oracle_reads_the_embedding_context():
+    """The 2^k context format is private to `oracle`: no other module calls
+    `_context` or `_dyadic`, or reads .k, .fprime or .dual of a context
+    (a name bound from `_context`, `_dyadic`, `_trace_region` or
+    `_square_root_region`)."""
+    import indecomp
+
+    factories = {"_context", "_dyadic", "_trace_region", "_square_root_region"}
+    modules = sorted(Path(indecomp.__file__).parent.glob("*.py"))
+    assert "forms" in {m.stem for m in modules}
+    for module in modules:
+        if module.stem == "oracle":
+            continue
+        nodes = list(ast.walk(ast.parse(module.read_text())))
+        calls = [n.lineno for n in nodes if isinstance(n, ast.Call) and _called(n) in {"_context", "_dyadic"}]
+        contexts = set()
+        for n in nodes:
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Call) and _called(n.value) in factories:
+                for target in n.targets:
+                    first = target.elts[0] if isinstance(target, ast.Tuple) else target
+                    if isinstance(first, ast.Name):
+                        contexts.add(first.id)
+        reads = [
+            n.lineno for n in nodes
+            if isinstance(n, ast.Attribute)
+            and (n.attr in {"fprime", "dual"} or n.attr == "k" and getattr(n.value, "id", None) in contexts)
+        ]
+        assert (calls, reads) == ([], []), module.name
