@@ -139,6 +139,18 @@ def is_totally_positive_codiff(delta: CodifferentElement) -> bool:
     return is_totally_positive(mul(g, fprime_element(delta.field)))
 
 
+def checked_delta(numerator: OrderElement, expected: tuple[int, ...]) -> CodifferentElement:
+    """numerator/f'(rho), checked to pair to Tr(delta*rho^i) = expected[i] and
+    to be totally positive: the one check of every closed-form certificate."""
+    delta = CodifferentElement(numerator)
+    for i, (got, want) in enumerate(zip(pairing_vector(delta), expected, strict=True)):
+        if got != want:
+            raise NonIntegralTrace(f"Tr(delta*rho^{i}) = {got}, expected {want}")
+    if not is_totally_positive_codiff(delta):
+        raise ConsistencyError(f"certificate delta {delta} is not totally positive")
+    return delta
+
+
 @lru_cache(maxsize=None)
 def certificate_delta(field: FieldSpec) -> CodifferentElement:
     """The canonical totally positive delta with Tr(delta*(v1+v2 rho+v3 rho^2)) = v1+v3.
@@ -147,27 +159,19 @@ def certificate_delta(field: FieldSpec) -> CodifferentElement:
     the alternative rationalized display of the same element is reconciled
     by an exact identity check at construction.
     """
+    a = field.a
     if field.family is Family.SIMPLEST_CUBIC:
-        a = field.a
         scale = a * a + 3 * a + 9
         first = elem(field, -4 - a, -1 - 2 * a, 2)
-        second = elem(field, -(a + 2), -a, 1)
-        # first * f'(rho) = a^2+3a+9, so second/f' = first*second/(a^2+3a+9)
+        numerator = elem(field, -(a + 2), -a, 1)
+        # first * f'(rho) = a^2+3a+9, so numerator/f' = first*numerator/(a^2+3a+9)
         if mul(first, fprime_element(field)).coords != (scale, 0, 0):
             raise NonIntegralTrace("codifferent display identity failed")
-        delta = CodifferentElement(second)
     elif field.family is Family.ENNOLA:
-        a = field.a
-        delta = CodifferentElement(elem(field, -(a - 1), a - 1, 1))
+        numerator = elem(field, -(a - 1), a - 1, 1)
     else:
         raise UnsupportedFamily(f"no certificate delta for {field.family.value}")
-    # Tr(delta * rho^i) for i = 0, 1, 2
-    for i, (got, expected) in enumerate(zip(pairing_vector(delta), (1, 0, 1))):
-        if got != expected:
-            raise NonIntegralTrace(f"Tr(delta*rho^{i}) = {got}, expected {expected}")
-    if not is_totally_positive_codiff(delta):
-        raise ConsistencyError(f"certificate delta {delta} is not totally positive")
-    return delta
+    return checked_delta(numerator, (1, 0, 1))
 
 
 class MonogenicityStatus(enum.Enum):

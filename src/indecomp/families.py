@@ -10,9 +10,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
-from .codifferent import CodifferentElement, certificate_delta, pairing_vector
+from .codifferent import CodifferentElement, certificate_delta, checked_delta, pairing_vector
 from .errors import (
     ConsistencyError,
     FieldMismatch,
@@ -113,15 +113,18 @@ def fundamental_triangle(a: int) -> list[TrianglePoint]:
     """A fundamental third of the triangle under the order-3 rotation."""
     if a < 0:
         raise IllegalParameter("fundamental triangle needs a >= 0")
+    return list(_fundamental_points(a))
+
+
+def _fundamental_points(a: int) -> Iterator[TrianglePoint]:
+    """The points of `fundamental_triangle(a)`, a >= 0, one at a time."""
     bigA, a0 = divmod(a, 3)
-    points: list[TrianglePoint] = []
     top = bigA - 1 if a0 == 0 else bigA
     for v in range(0, top + 1):
         for W in range(v, 3 * bigA + a0 - 2 * v - 1 + 1):
-            points.append(TrianglePoint(v, W))
+            yield TrianglePoint(v, W)
     if a0 == 0:
-        points.append(TrianglePoint(bigA, bigA))
-    return points
+        yield TrianglePoint(bigA, bigA)
 
 
 @dataclass(frozen=True)
@@ -182,12 +185,13 @@ def indecomposables_thomas(a: int) -> tuple[IndecomposableRecord, ...]:
     ]
     for v in range(1, a):
         records.append(_record(elem(field, 0, (a + 2) * v + 1, -v), KIND_THOMAS_ROW1, (v,)))
-    delta2 = _thomas_row2_delta(a)
-    cert2 = (delta2, pairing_vector(delta2))
+    c2 = (1, 3, 3 * a + 6)  # pairs every -1 + ((a+2)w+1) rho - w rho^2 to 2
+    cert2 = (checked_delta(elem(field, a * (a - 1), -(2 * a - 1), 1), c2), c2)
     for w in range(a, 2 * a):
-        records.append(
-            _record(elem(field, -1, (a + 2) * w + 1, -w), KIND_THOMAS_ROW2, (w,), cert2)
-        )
+        rec = _record(elem(field, -1, (a + 2) * w + 1, -w), KIND_THOMAS_ROW2, (w,), cert2)
+        if rec.certificate[1] != 2:
+            raise ConsistencyError(f"{rec} pairs to {rec.certificate[1]}, not 2")
+        records.append(rec)
     if len(records) != 2 * a + 1:
         raise ConsistencyError(f"{len(records)} records, expected 2a+1")
     for rec in records:
@@ -205,16 +209,6 @@ def inventory(field: FieldSpec) -> tuple[IndecomposableRecord, ...]:
     if field.family is Family.THOMAS:
         return indecomposables_thomas(field.a)
     raise UnsupportedFamily("no inventory for custom cubics")
-
-
-@lru_cache(maxsize=None)
-def _thomas_row2_delta(a: int) -> CodifferentElement:
-    """Shared trace-2 certificate for the second Thomas row, found by search."""
-    from .oracle import shared_trace_witness
-
-    field = make_field(Family.THOMAS, a)
-    row = [elem(field, -1, (a + 2) * w + 1, -w) for w in range(a, 2 * a)]
-    return shared_trace_witness(row, t=2)
 
 
 def parallelepiped_candidates(*gens: OrderElement) -> tuple[list[OrderElement], list[OrderElement]]:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_DIVISION_BOUND = 10**6
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # from 7, the gaps between the integers prime to 30
 
 
 def is_probable_prime(n: int) -> bool:
@@ -39,22 +41,37 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Floyd's cycle detection)."""
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        seed += 1
-        x = y = 2
-        c = seed
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+    """One nontrivial factor of a composite n free of primes up to
+    TRIAL_DIVISION_BOUND: Brent's cycle finding on x -> x^2 + c with one gcd
+    per batch of 128 steps (Brent, BIT 20, 1980).  A batch whose gcd is n
+    starts over with the next c."""
+    for c in itertools.count(2):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+
+
+def _rho_factors(n: int, factors: dict[int, int]) -> dict[int, int]:
+    """factors, with the prime factors of n >= 1 added by Pollard rho."""
+    if n > 1 and is_probable_prime(n):
+        factors[n] = factors.get(n, 0) + 1
+    elif n > 1:
+        f = _pollard_rho(n)
+        _rho_factors(f, factors)
+        _rho_factors(n // f, factors)
+    return factors
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -67,58 +84,42 @@ def factorize(n: int) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
     while d * d <= n and d <= TRIAL_DIVISION_BOUND:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if m == 1:
-                continue
-            if is_probable_prime(m):
-                factors[m] = factors.get(m, 0) + 1
-                continue
-            f = _pollard_rho(m)
-            stack.append(f)
-            stack.append(m // f)
-    return factors
+        for gap in _WHEEL:
+            while n % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                n //= d
+            d += gap
+    return _rho_factors(n, factors)
 
 
 def is_squarefree(n: int) -> bool:
-    """Whether |n| is squarefree (n = 0 is not; units are)."""
+    """Whether |n| is squarefree (n = 0 is not; units are).
+
+    Trial division stops once d^3 > n: every prime factor of the cofactor n
+    is then >= d, so n is 1, p, p*q or p^2 and one math.isqrt decides.  A
+    cofactor left at TRIAL_DIVISION_BOUND goes to Pollard rho directly.
+    """
     n = abs(n)
     if n == 0:
         return False
-    if n <= 3:
-        return True
-    for p in (2, 3, 5):
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while d * d * d <= n and d <= TRIAL_DIVISION_BOUND:
+    for d in (2, 3, 5):
         if n % d == 0:
             n //= d
             if n % d == 0:
                 return False
-        d += wheel[w]
-        w = (w + 1) % 8
-    if n == 1:
-        return True
-    if d * d * d > n:
-        # every prime factor of n is >= d, so n is p, p*q or p^2
-        r = math.isqrt(n)
-        return r * r != n
-    return all(e == 1 for e in factorize(n).values())
+    d = 7
+    while d * d * d <= n:
+        if d > TRIAL_DIVISION_BOUND:
+            return all(e == 1 for e in _rho_factors(n, {}).values())
+        for gap in _WHEEL:
+            if n % d == 0:
+                n //= d
+                if n % d == 0:
+                    return False
+            d += gap
+    r = math.isqrt(n)
+    return n == 1 or r * r != n
 
 
 def icbrt(n: int) -> int:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .families import (
     TrianglePoint,
-    fundamental_triangle,
+    _fundamental_points,
     standard_parallelepipeds,
     triangle_norm,
 )
@@ -290,7 +290,7 @@ def sq_count(a: int) -> int:
     count = 1 + is_squarefree(a * a + 3 * a + 9)  # the unit has norm 1
     if a < 0:
         return count  # a = -1: the triangle is empty
-    for p in fundamental_triangle(a):
+    for p in _fundamental_points(a):
         if is_squarefree(triangle_norm(a, p.v, p.W)):
             count += 1 if 3 * p.v == 3 * p.W == a else 3
     return count

@@ -153,6 +153,20 @@ def test_sq_table_refuses_a_row_over_the_orbit_guard(tmp_path):
     assert not resume.exists()
 
 
+def test_thomas_inventory_at_a_200_needs_no_search():
+    """The Thomas row-2 certificate is a closed form, so a = 200 lists its
+    401 records well inside the timeout; a run-time search for it took over
+    60 s."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "indecomp", "indecomposables", "--family", "thomas", "--a", "200"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 0
+    head, *rows = done.stdout.splitlines()
+    assert head.startswith("401 indecomposable representatives") and len(rows) == 401
+
+
 def test_sq_table_refuses_a_huge_range_before_certifying_it(tmp_path):
     """The guard row is found by scanning down from --a-max, so a range of
     100,001 rows is refused without certifying each of them first."""

@@ -32,6 +32,7 @@ from indecomp.families import (
     unit_corners,
     upper_strip_split,
 )
+from indecomp.oracle import shared_trace_witness
 from indecomp.order_kernel import (
     Family,
     conjugate,
@@ -274,6 +275,28 @@ def test_thomas_inventory():
         if rec.kind == KIND_THOMAS_ROW1:
             assert rec.certificate is None
     assert len(indecomposables_thomas(2)) == 5
+
+
+def _thomas_row2(a):
+    return [r for r in indecomposables_thomas(a) if r.kind == KIND_THOMAS_ROW2]
+
+
+def test_thomas_row2_certificate_is_the_searched_witness():
+    """The closed-form row-2 delta is the lexicographically least shared
+    trace-2 witness that the brute-force search finds."""
+    for a in (*range(2, 21), 30):
+        field = make_field(Family.THOMAS, a)
+        row = [elem(field, -1, (a + 2) * w + 1, -w) for w in range(a, 2 * a)]
+        records = _thomas_row2(a)
+        assert [r.element for r in records] == row
+        assert {r.certificate[0] for r in records} == {shared_trace_witness(row, t=2)}, a
+
+
+@pytest.mark.parametrize("a", [200, 1000])
+def test_thomas_row2_certificate_at_large_a(a):
+    records = _thomas_row2(a)
+    assert len(records) == a
+    assert all(r.certificate[1] == 2 for r in records)
 
 
 def test_in_triangle_helper():

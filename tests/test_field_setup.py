@@ -17,6 +17,7 @@ from indecomp.codifferent import (
     CodifferentElement,
     _fprime_inverse_parts,
     certificate_delta,
+    checked_delta,
     euler_pairing,
     fprime_element,
     is_totally_positive_codiff,
@@ -220,6 +221,32 @@ def test_tampered_fields_reach_the_error_paths():
     galois = {_outcome(galois_conjugation_matrix.__wrapped__, f)[1] for f in TAMPERED[:3]}
     assert galois == {"conjugate candidate is not a root", "conjugate candidate outside (-2,-1)"}
     assert _outcome(certificate_delta.__wrapped__, TAMPERED[3])[0] is NonIntegralTrace
+
+
+def test_checked_delta_fails_as_certificate_delta():
+    """The one closed-form check fails with certificate_delta's errors and
+    messages: on a tampered field, on a tampered expected vector (simplest,
+    Ennola, and the Thomas row-2 vector (1, 3, 3a+6)), and on a numerator
+    that is not totally positive."""
+    bad = TAMPERED[3]
+    ennola = lambda f: checked_delta(elem(f, -(f.a - 1), f.a - 1, 1), (1, 0, 1))
+    assert _outcome(ennola, bad) == _outcome(certificate_delta.__wrapped__, bad)
+    a = 7
+    thomas = make_field(Family.THOMAS, a)
+    cases = [
+        (certificate_delta(make_field(Family.SIMPLEST_CUBIC, a)).numerator, (1, 0, 1)),
+        (certificate_delta(make_field(Family.ENNOLA, a)).numerator, (1, 0, 1)),
+        (elem(thomas, a * (a - 1), -(2 * a - 1), 1), (1, 3, 3 * a + 6)),
+    ]
+    for numerator, vector in cases:
+        assert checked_delta(numerator, vector) == CodifferentElement(numerator)
+        with pytest.raises(NonIntegralTrace) as tampered:
+            checked_delta(numerator, (*vector[:2], vector[2] + 1))
+        assert str(tampered.value) == f"Tr(delta*rho^2) = {vector[2]}, expected {vector[2] + 1}"
+        with pytest.raises(ConsistencyError) as negated:
+            checked_delta(-numerator, tuple(-c for c in vector))
+        delta = CodifferentElement(-numerator)
+        assert str(negated.value) == f"certificate delta {delta} is not totally positive"
 
 
 @pytest.mark.parametrize("scale, got", [(2, "1/2"), (-1, "-1")])

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -263,6 +264,26 @@ def test_sq_count_work_is_one_squarefree_test_per_orbit(monkeypatch):
     sq_count(40)
     assert inventories == []
     assert len(tests) == 1 + len(fundamental_triangle(40))
+
+
+def test_sq_count_walks_the_triangle_without_building_it(monkeypatch):
+    """The traced peak of sq_count(601) is far below the size of its
+    60,501-point fundamental triangle.  The norm and the squarefree test are
+    stubbed out: they set the time, not the memory, and each point still
+    counts once with weight 3 (601 % 3 != 0, so there is no fixed centre)."""
+    monkeypatch.setattr(norms, "triangle_norm", lambda a, v, W: 1)
+    monkeypatch.setattr(norms, "is_squarefree", lambda n: True)
+    tracemalloc.start()
+    try:
+        count = sq_count(601)
+        walked = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        points = fundamental_triangle(601)
+        listed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 + 3 * len(points)
+    assert 100 * walked < listed
 
 
 def test_sq_guard_counts_the_orbits_of_the_triangle(monkeypatch):

@@ -668,3 +668,20 @@ def test_only_oracle_reads_the_embedding_context():
             and (n.attr in {"fprime", "dual"} or n.attr == "k" and getattr(n.value, "id", None) in contexts)
         ]
         assert (calls, reads) == ([], []), module.name
+
+
+@pytest.mark.parametrize("name", ["families", "codifferent"])
+def test_closed_forms_import_nothing_from_oracle(name):
+    """A closed form must not call the oracle it is checked against: neither
+    module imports from `oracle`, at module level or inside a function."""
+    import indecomp
+
+    tree = ast.parse((Path(indecomp.__file__).parent / f"{name}.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            imported += (node.module or "").split(".") + [alias.name for alias in node.names]
+    assert "codifferent" in imported or "order_kernel" in imported
+    assert "oracle" not in imported
