@@ -61,6 +61,10 @@ CASES = {
     "quadratic": (["quadratic", "--d", "13", "--certify"], False),
     # D = 2 mod 4 with a 16-term period
     "quadratic-d94": (["quadratic", "--d", "94", "--certify"], False),
+    # D = 3 mod 4 with a 26-term period
+    "quadratic-d211": (["quadratic", "--d", "211", "--certify"], False),
+    # D = 1 mod 4 with a 27-term period
+    "quadratic-d409": (["quadratic", "--d", "409", "--certify"], False),
 }
 
 
