@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 3 illegal parameter or domain error, 4 internal consistency error or any
-unexpected exception (traceback on stderr).
+unexpected exception (traceback on stderr), 141 (128 + SIGPIPE) quietly when
+stdout closes before the output ends.
 All JSON/CSV output is deterministic for identical invocations.
 """
 
@@ -44,6 +45,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 def element_json(el: OrderElement) -> dict:
     return {
@@ -86,9 +88,13 @@ def _json_text(value, indent: str = "\n") -> str:
     if kind is list or kind is tuple:
         items = [repr(v) if type(v) is int else _json_text(v, inner) for v in value]
         ends = "[]"
-    elif kind is dict and all(type(k) is str for k in value):
-        items = [_ascii(k) + ": " + (repr(v) if type(v) is int else _json_text(v, inner))
-                 for k, v in value.items()]
+    elif kind is dict:
+        items = []
+        for k, v in value.items():
+            if type(k) is not str:
+                raise TypeError("cannot write a dict as JSON (object keys must be str)")
+            items.append(_ascii(k) + ": " + (repr(v) if type(v) is int else _CONSTANTS[v]
+                         if v is None or type(v) is bool else _json_text(v, inner)))
         ends = "{}"
     else:
         raise TypeError(f"cannot write a {kind.__name__} as JSON (object keys must be str)")
@@ -314,30 +320,21 @@ def cmd_quadratic(args) -> int:
     D = args.d
     cf = quadratic.cf_expand(D)
     n, s_count = quadratic.quad_counts(D)
-    payload = {
-        "D": D,
-        "u0": cf.u0,
-        "period": list(cf.period),
-        "n": n,
-        "s_count": s_count,
-    }
+    payload = {"D": D, "u0": cf.u0, "period": list(cf.period), "n": n, "s_count": s_count}
     print(f"xi_{D} = [{cf.u0}; {list(cf.period)} repeating], n = {n}, #S = {s_count}")
     ok = True
     if args.certify:
         certs = []
         for i in range(-1, 2 * cf.period_length, 2):
             try:
-                delta = quadratic.trace_one_delta(D, i)
-                certs.append({"i": i, "numerator": list(delta.numerator.coords), "ok": True})
+                numerator = list(quadratic.trace_one_numerator(D, i))
+                certs.append({"i": i, "numerator": numerator, "ok": True})
             except IndecompError as exc:
                 certs.append({"i": i, "ok": False, "error": str(exc)})
                 ok = False
         record = quadratic.trace_one_delta_scalings(D, 1)
         payload["certificates"] = certs
-        payload["scaling"] = {
-            "passing": record["passing"],
-            "literal_trace": record["literal_trace"],
-        }
+        payload["scaling"] = {"passing": record["passing"], "literal_trace": record["literal_trace"]}
         print(f"certificates: {sum(c['ok'] for c in certs)}/{len(certs)} pass; "
               f"scaling resolution: {record['passing']} (literal pairs to {record['literal_trace']})")
     _emit(payload, args)
@@ -368,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Indecomposable integers, codifferent traces, small norms and "
         "universal form bounds in cubic and quadratic fields.",
         epilog="Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain error, "
-        "4 internal error.",
+        "4 internal error, 141 stdout closed early.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -448,7 +445,12 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--elem={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader left (`| head`): the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (NonIntegralTrace, RefinementLimit, ConsistencyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -47,10 +47,15 @@ def fprime_element(field: FieldSpec) -> OrderElement:
 
 
 @lru_cache(maxsize=None)
+def fprime_matrix(field: FieldSpec) -> tuple[tuple[int, ...], ...]:
+    """The multiplication matrix of f'(rho): its rows applied to coords(gamma) give gamma * f'."""
+    return multiplication_matrix(fprime_element(field))
+
+
+@lru_cache(maxsize=None)
 def _fprime_inverse_parts(field: FieldSpec):
     """(adjugate, det) of the multiplication matrix of f'(rho)."""
-    m = multiplication_matrix(fprime_element(field))
-    adj, det = adjugate(m)
+    adj, det = adjugate(fprime_matrix(field))
     if det == 0 or det != norm(fprime_element(field)):
         raise ConsistencyError(f"det {det} of f'(rho) is not its nonzero norm")
     return adj, det

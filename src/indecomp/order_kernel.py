@@ -318,6 +318,13 @@ def multiplication_matrix(x: OrderElement) -> tuple[tuple[int, ...], ...]:
     return ((v1, p1, q1), (v2, p2, q2), (v3, p3, q3))
 
 
+def quad_sym_funcs(v1: int, v2: int, minpoly: tuple[int, int]) -> tuple[int, int]:
+    """(e1, e2) = (Tr, N) of v1 + v2*rho, rho a root of x^2 + c1 x + c0, on integers."""
+    c1, c0 = minpoly
+    p2 = v1 - c1 * v2  # the rho coordinate of x*rho
+    return v1 + p2, v1 * p2 + c0 * v2 * v2
+
+
 def sym_funcs(x: OrderElement) -> tuple[int, ...]:
     """Elementary symmetric functions (e1, ..., e_d) of the conjugates of x.
 
@@ -327,10 +334,7 @@ def sym_funcs(x: OrderElement) -> tuple[int, ...]:
     """
     f = x.field
     if len(x.coords) == 2:
-        v1, v2 = x.coords
-        c1, c0 = f.minpoly
-        p2 = v1 - c1 * v2
-        return (v1 + p2, v1 * p2 + c0 * v2 * v2)
+        return quad_sym_funcs(*x.coords, f.minpoly)
     v1, v2, v3 = x.coords
     (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
     minor = p2 * q3 - q2 * p3
@@ -360,10 +364,7 @@ def is_totally_positive(x: OrderElement) -> bool:
         raise ZeroElement("total positivity is undefined for 0")
     f = x.field
     if len(x.coords) == 2:
-        v1, v2 = x.coords
-        c1, c0 = f.minpoly
-        p2 = v1 - c1 * v2
-        return v1 + p2 > 0 and v1 * p2 + c0 * v2 * v2 > 0
+        return min(quad_sym_funcs(*x.coords, f.minpoly)) > 0
     v1, v2, v3 = x.coords
     (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
     if v1 + p2 + q3 <= 0:
@@ -458,8 +459,8 @@ def _span(n: int, gap: int, den: int) -> str:
     return f"[{Fraction(n, den)}, {Fraction(n + gap, den)}]"
 
 
-def _bisect(field, pieces: list[tuple[int, int, int, int]], width: Fraction) -> list[Interval]:
-    """One isolating interval no wider than width per root in the pieces.
+def _bisect(field, pieces: list[tuple[int, int, int, int]], width: Fraction) -> list[tuple]:
+    """One isolating interval (n, gap, den) no wider than width per root in the pieces.
 
     A piece (n, gap, den, count) is the interval [n/den, (n + gap)/den] with
     count roots inside.  Halving it doubles n and den and keeps gap, so the
@@ -477,7 +478,7 @@ def _bisect(field, pieces: list[tuple[int, int, int, int]], width: Fraction) -> 
     d = len(minpoly)
     # gap/den < sep  <=>  gap^2 * scale < den^2
     scale = d ** (d + 2) * (1 + sum(c * c for c in minpoly)) ** (d - 1)
-    isolated: list[Interval] = []
+    isolated: list[tuple[int, int, int]] = []
     while pieces:
         n, gap, den, count = pieces.pop()
         if not 0 <= count <= d:
@@ -506,7 +507,7 @@ def _bisect(field, pieces: list[tuple[int, int, int, int]], width: Fraction) -> 
                 raise ConsistencyError(f"midpoint {Fraction(n + gap, den)} of a bisection is a root")
             if at_mid == at_lo:
                 n += gap
-        isolated.append(Interval(Fraction(n, den), Fraction(n + gap, den)))
+        isolated.append((n, gap, den))
     if len(isolated) != d:
         raise ConsistencyError(f"root isolation found {len(isolated)} roots")
     return isolated
@@ -567,11 +568,14 @@ def _root_intervals(field, pieces: list, width: Fraction) -> RootIntervals:
     Neighbours may share an endpoint: two pieces that are already narrower
     than the width are never split.  A shared endpoint must not be a root.
     """
-    refined = sorted(_bisect(field, pieces, width), key=lambda iv: iv.lo)
-    for left, right in zip(refined, refined[1:]):
-        t = left.hi
-        if t > right.lo or t == right.lo and not _sign_at(field.minpoly, t.numerator, t.denominator):
+    refined = _bisect(field, pieces, width)
+    common = math.lcm(*(den for _, _, den in refined))  # order on integers, not Fractions
+    refined.sort(key=lambda piece: piece[0] * (common // piece[2]))
+    for (n, gap, den), (m, _, den2) in zip(refined, refined[1:]):
+        end, start = (n + gap) * den2, m * den  # (n + gap)/den and m/den2 over den * den2
+        if end > start or end == start and not _sign_at(field.minpoly, n + gap, den):
             raise ConsistencyError(f"root intervals of {field} overlap")
+    refined = [Interval(Fraction(n, den), Fraction(n + gap, den)) for n, gap, den in refined]
     if getattr(field, "family", None) is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))
         return RootIntervals(field, (refined[2], refined[0], refined[1]), width)

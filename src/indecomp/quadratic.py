@@ -18,8 +18,9 @@ from typing import Optional
 
 from .codifferent import (
     CodifferentElement,
+    fprime_matrix,
     is_totally_positive_codiff,
-    pairing_vector,
+    pairing_matrix,
     trace_pairing,
 )
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
 from .integers import is_squarefree
 from .norms import ideal_hnf
 from .oracle import decompose, window_points
-from .order_kernel import OrderElement, is_totally_positive, norm
+from .order_kernel import OrderElement, is_totally_positive, norm, quad_sym_funcs
 
 __all__ = [
     "QuadField",
@@ -43,6 +44,7 @@ __all__ = [
     "cf_expand",
     "semiconvergent",
     "indecomposables_quadratic",
+    "trace_one_numerator",
     "trace_one_delta",
     "trace_one_delta_scalings",
     "quad_counts",
@@ -124,10 +126,12 @@ class CFExpansion:
         return self.period[(i - 1) % len(self.period)]
 
     def _ensure(self, i: int) -> None:
-        while len(self._p) < i + 2:
-            k = len(self._p) - 1  # next index to fill
-            self._p.append(self.u(k) * self._p[-1] + self._p[-2])
-            self._q.append(self.u(k) * self._q[-1] + self._q[-2])
+        """Fill the tables up to the convergent i, which is entry i + 1."""
+        P, Q, period = self._p, self._q, self.period
+        for k in range(len(P) - 2, i):  # entry k + 2 is the convergent k + 1, by u_{k+1}
+            u = period[k % len(period)]
+            P.append(u * P[-1] + P[-2])
+            Q.append(u * Q[-1] + Q[-2])
 
     def convergent_pair(self, i: int) -> tuple[int, int]:
         if i < -1:
@@ -147,31 +151,21 @@ def cf_expand(D: int) -> CFExpansion:
     """Exact periodic expansion via the integer quadratic-surd recurrence."""
     field = make_quad_field(D)
     s = math.isqrt(D)
-    if field.one_mod_four:
-        p, q = -1, 2  # xi = (sqrt(D) - 1)/2
-    else:
-        p, q = 0, 1  # xi = sqrt(D)
-    terms = []
-    i = 0
-    first_state = None
-    while True:
+    # xi = (p + sqrt(D))/q: (sqrt(D) - 1)/2 or sqrt(D)
+    p, q = (-1, 2) if field.one_mod_four else (0, 1)
+    terms, first_state = [], None
+    for _ in range(4 * D + 11):
         if q <= 0 or (D - p * p) % q:
             raise ConsistencyError(f"surd recurrence left its invariant at D={D}")
         u = (p + s) // q
         terms.append(u)
         p = u * q - p
         q = (D - p * p) // q
-        i += 1
-        state = (p, q)
-        if i == 1:
-            first_state = state
-        elif state == first_state:
-            break
-        if i > 4 * D + 10:
-            raise RefinementLimit("continued fraction failed to close")
-    u0 = terms[0]
-    period = tuple(terms[1:])
-    return CFExpansion(field, u0, period)
+        if first_state is None:
+            first_state = (p, q)
+        elif (p, q) == first_state:
+            return CFExpansion(field, terms[0], tuple(terms[1:]))
+    raise RefinementLimit("continued fraction failed to close")
 
 
 def semiconvergent(D: int, i: int, r: int) -> OrderElement:
@@ -221,28 +215,26 @@ def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
 # Codifferent and trace-one certificates
 
 
-def _delta_checks(delta: CodifferentElement, i: int) -> bool:
-    """Tr(alpha_{i,r} * delta) = 1 for all 0 <= r <= u_{i+2}, and delta >> 0.
+def _delta_checks(cf: CFExpansion, g0: int, g1: int, i: int) -> bool:
+    """Tr(alpha_{i,r} * delta) = 1 for all 0 <= r <= u_{i+2}, and delta >> 0, for
+    delta = (g0 + g1*omega)/f'(omega), in integers on the convergent tables.
 
-    alpha_{i,r} = alpha_i + r*alpha_{i+1}, so its trace is t_i + r*t_{i+1},
-    with t_j the pairing of delta with the convergent (p_j, q_j).  As
-    u_{i+2} >= 1, that is 1 for every r exactly when t_i = 1 and t_{i+1} = 0.
+    alpha_{i,r} = alpha_i + r*alpha_{i+1} pairs to t_i + r*t_{i+1}, with t_j the
+    pairing (rows of `pairing_matrix`) with (p_j, q_j); as u_{i+2} >= 1, that is
+    1 for every r iff t_i = 1 and t_{i+1} = 0.  delta >> 0 iff gamma*f' >> 0.
     """
-    if i < -1:  # a negative table index would wrap around
-        raise IndexOutOfRange("convergents start at i = -1")
-    cf = cf_expand(delta.field.D)
-    cf._ensure(i + 1)  # the convergents i, i + 1 are entries i + 1, i + 2
-    c0, c1 = pairing_vector(delta)
-    P, Q = cf._p, cf._q
-    return (
-        c0 * P[i + 1] + c1 * Q[i + 1] == 1
-        and c0 * P[i + 2] + c1 * Q[i + 2] == 0
-        and is_totally_positive_codiff(delta)
-    )
+    field = cf.field
+    (p0, q0), (p1, q1) = cf.convergent_pair(i), cf.convergent_pair(i + 1)
+    (b00, b01), (b10, b11) = pairing_matrix(field)
+    c0, c1 = b00 * g0 + b01 * g1, b10 * g0 + b11 * g1
+    if c0 * p0 + c1 * q0 != 1 or c0 * p1 + c1 * q1 != 0:
+        return False
+    (m00, m01), (m10, m11) = fprime_matrix(field)
+    return min(quad_sym_funcs(m00 * g0 + m01 * g1, m10 * g0 + m11 * g1, field.minpoly)) > 0
 
 
-def trace_one_delta(D: int, i: int) -> CodifferentElement:
-    """The certificate delta_i for the odd-index semiconvergent family.
+def trace_one_numerator(D: int, i: int) -> tuple[int, int]:
+    """The numerator coordinates of the certificate delta_i, checked.
 
     For D = 2,3 mod 4: delta = (-p_{i+1} + q_{i+1}*sqrt(D)) / (2*sqrt(D)).
     For D = 1 mod 4 the right scaling of the analogous element is fixed by
@@ -251,14 +243,16 @@ def trace_one_delta(D: int, i: int) -> CodifferentElement:
     if i < -1 or i % 2 == 0:
         raise IndexOutOfRange("certificates exist for odd i >= -1")
     cf = cf_expand(D)
-    field = cf.field
-    cf._ensure(i + 1)
-    p, q = cf._p[i + 2], cf._q[i + 2]  # the convergent i + 1
-    gamma = OrderElement((-p - q if field.one_mod_four else -p, q), field)
-    delta = CodifferentElement(gamma)
-    if not _delta_checks(delta, i):
+    p, q = cf.convergent_pair(i + 1)
+    g0 = -p - q if cf.field.one_mod_four else -p
+    if not _delta_checks(cf, g0, q, i):
         raise CertificateFailure(f"certificate checks failed for D={D}, i={i}")
-    return delta
+    return g0, q
+
+
+def trace_one_delta(D: int, i: int) -> CodifferentElement:
+    """delta_i for the odd-index semiconvergent family, built once it is checked."""
+    return CodifferentElement(OrderElement(trace_one_numerator(D, i), make_quad_field(D)))
 
 
 def trace_one_delta_scalings(D: int, i: int) -> dict[str, object]:
@@ -268,20 +262,15 @@ def trace_one_delta_scalings(D: int, i: int) -> dict[str, object]:
     times the working certificate: it stays in the codifferent and totally
     positive but pairs to D, not 1.  The record reports both candidates.
     """
-    field = make_quad_field(D)
-    if not field.one_mod_four:
-        delta = trace_one_delta(D, i)
+    delta = trace_one_delta(D, i)
+    if not delta.field.one_mod_four:
         return {"passing": "direct", "delta": delta, "literal_trace": 1}
-    cf = cf_expand(D)
-    p, q = cf.convergent_pair(i + 1)
     # literal display times sqrt(D)/sqrt(D): numerator over sqrt(Delta)=sqrt(D)
-    literal = CodifferentElement(OrderElement((-p - q, q), field) * D)
-    literal_trace = trace_pairing(literal, semiconvergent(D, i, 0))
-    corrected = trace_one_delta(D, i)
+    literal = CodifferentElement(delta.numerator * D)
     return {
         "passing": "literal/D",
-        "delta": corrected,
-        "literal_trace": literal_trace,
+        "delta": delta,
+        "literal_trace": trace_pairing(literal, semiconvergent(D, i, 0)),
         "literal_totally_positive": is_totally_positive_codiff(literal),
     }
 

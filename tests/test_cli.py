@@ -167,6 +167,25 @@ def test_thomas_inventory_at_a_200_needs_no_search():
     assert head.startswith("401 indecomposable representatives") and len(rows) == 401
 
 
+def test_closed_stdout_exits_141_quietly():
+    """A reader that stops after one line (`| head -1`) ends the run with the
+    shell's SIGPIPE code 141 and nothing on stderr.  The 279 kB of a = 3000
+    overfill a 64 kB pipe, so the write that fails comes while the run prints."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "indecomp", "indecomposables", "--family", "thomas", "--a", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+    assert first.startswith(b"6001 indecomposable representatives")
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"") and cli.EXIT_BROKEN_PIPE == 141
+
+
 def test_sq_table_refuses_a_huge_range_before_certifying_it(tmp_path):
     """The guard row is found by scanning down from --a-max, so a range of
     100,001 rows is refused without certifying each of them first."""

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indecomp import codifferent
+from indecomp import codifferent, order_kernel, quadratic
 from indecomp.codifferent import (
     CodifferentElement,
     MonogenicityStatus,
@@ -176,7 +176,9 @@ def test_monogenicity_certificate():
 
 
 def test_one_pairing_vector_per_certificate(monkeypatch):
-    """A loop that pairs one delta with many elements builds its vector once."""
+    """A loop that pairs one delta with many elements builds its vector once;
+    a quadratic trace-one certificate reads the pairing matrix once and
+    multiplies no elements."""
     certificate_delta(make_field(Family.SIMPLEST_CUBIC, 40))  # its own checks pair 3 times
     calls = []
     inner = codifferent.dual_pairing_vector
@@ -190,8 +192,20 @@ def test_one_pairing_vector_per_certificate(monkeypatch):
     assert len(indecomposables_simplest(40)) == 863
     assert len(calls) == 1
     calls.clear()
+    products = []
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(codifferent, "mul", counting_mul)
+    monkeypatch.setattr(order_kernel, "mul", counting_mul)
+    rows = []
+    monkeypatch.setattr(
+        quadratic, "pairing_matrix", lambda field: rows.append(field) or pairing_matrix(field)
+    )
     trace_one_delta(94, 1)  # u_3 + 1 = 4 semiconvergents
-    assert len(calls) == 1
+    assert (len(rows), len(calls), len(products)) == (1, 0, 0)
 
 
 def test_certificate_delta_unsupported():

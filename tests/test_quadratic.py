@@ -1,5 +1,6 @@
 """Continued fractions, semiconvergents, quadratic certificates and counts."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -11,17 +12,21 @@ from indecomp.codifferent import (
     CodifferentElement,
     fprime_element,
     is_totally_positive_codiff,
+    pairing_vector,
     trace_pairing,
 )
 from indecomp.errors import (
+    CertificateFailure,
     IndexOutOfRange,
     NotSquarefree,
     IllegalParameter,
+    ZeroElement,
 )
 from indecomp.integers import is_squarefree
 from indecomp.hnf import parallelepiped_points
 from indecomp.oracle import _dyadic, indecomposables_by_search, inventories_match
 from indecomp.order_kernel import (
+    OrderElement,
     elem,
     is_totally_positive,
     isolate_roots,
@@ -43,6 +48,7 @@ from indecomp.quadratic import (
     semiconvergent,
     trace_one_delta,
     trace_one_delta_scalings,
+    trace_one_numerator,
 )
 from indecomp.verify import QUADRATIC_D_SET
 
@@ -194,7 +200,7 @@ def test_trace_one_delta_all_odd_indices():
     with pytest.raises(IndexOutOfRange):
         trace_one_delta(2, 0)
     with pytest.raises(IndexOutOfRange):  # not the wrapped-around table entry
-        _delta_checks(trace_one_delta(2, -1), -3)
+        _delta_checks(cf_expand(2), *trace_one_delta(2, -1).numerator.coords, -3)
 
 
 def _delta_checks_reference(delta, i):
@@ -216,11 +222,83 @@ def test_delta_checks_match_the_per_semiconvergent_loop():
             p, q = cf.convergent_pair(i + 1)
             g0 = -p - q if field.one_mod_four else -p
             delta = CodifferentElement(elem(field, g0, q))
-            got = (_delta_checks(delta, i), _delta_checks_reference(delta, i))
+            got = (_delta_checks(cf, g0, q, i), _delta_checks_reference(delta, i))
             assert got == (True, True), (D, i)
             perturbed = CodifferentElement(elem(field, g0 + 1, q))
-            got = (_delta_checks(perturbed, i), _delta_checks_reference(perturbed, i))
+            got = (_delta_checks(cf, g0 + 1, q, i), _delta_checks_reference(perturbed, i))
             assert got == (False, False), (D, i)
+
+
+@functools.lru_cache(maxsize=None)
+def _convergents_on_elements(D):
+    """The tables (p_j), (q_j) for j = -1..4s+1, one `u(k)` call per entry."""
+    cf = cf_expand(D)
+    P, Q = [1, cf.u0], [0, 1]
+    for k in range(1, 4 * cf.period_length + 2):
+        P.append(cf.u(k) * P[-1] + P[-2])
+        Q.append(cf.u(k) * Q[-1] + Q[-2])
+    return P, Q
+
+
+def _delta_checks_on_elements(delta, i):
+    """The element-based checks: one `pairing_vector` of delta against the
+    convergents i and i + 1, then the positivity test of gamma*f' by `mul`."""
+    if i < -1:
+        raise IndexOutOfRange("convergents start at i = -1")
+    P, Q = _convergents_on_elements(delta.field.D)
+    c0, c1 = pairing_vector(delta)
+    return (
+        c0 * P[i + 1] + c1 * Q[i + 1] == 1
+        and c0 * P[i + 2] + c1 * Q[i + 2] == 0
+        and is_totally_positive_codiff(delta)
+    )
+
+
+def _trace_one_delta_on_elements(D, i):
+    if i < -1 or i % 2 == 0:
+        raise IndexOutOfRange("certificates exist for odd i >= -1")
+    cf = cf_expand(D)
+    P, Q = _convergents_on_elements(D)
+    p, q = P[i + 2], Q[i + 2]
+    delta = CodifferentElement(elem(cf.field, -p - q if cf.field.one_mod_four else -p, q))
+    if not _delta_checks_on_elements(delta, i):
+        raise CertificateFailure(f"certificate checks failed for D={D}, i={i}")
+    return delta
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, type and message
+        return type(exc), str(exc)
+
+
+def test_integer_certificates_equal_the_element_checks():
+    """Over squarefree D <= 2000 and every odd i in -1..4s, the integer route
+    and the element-based checks give the same numerator and the same table
+    entries; perturbed numerators fail on both sides, and so does 0, whose
+    pairing t_i = 0 fails before the positivity test could raise."""
+    for D in range(2, 2001):
+        if not is_squarefree(D):
+            continue
+        cf = cf_expand(D)
+        field, last = cf.field, 4 * cf.period_length
+        for i in range(-1, last + 1, 2):
+            want = _trace_one_delta_on_elements(D, i)
+            g0, q = want.numerator.coords
+            assert trace_one_numerator(D, i) == (g0, q), (D, i)
+            assert trace_one_delta(D, i) == want, (D, i)
+            for wrong in ((g0 + 1, q), (g0 - 1, q), (g0, q + 1), (g0, q - 1), (-g0, -q), (0, 0)):
+                delta = CodifferentElement(OrderElement(wrong, field))
+                got = (_delta_checks(cf, *wrong, i), _delta_checks_on_elements(delta, i))
+                assert got == (False, False), (D, i, wrong)
+        cf._ensure(last + 1)
+        assert (cf._p[: last + 3], cf._q[: last + 3]) == _convergents_on_elements(D), D
+        for i in (-3, -2, 0, last):
+            got = _outcome(trace_one_numerator, D, i)
+            assert got == _outcome(_trace_one_delta_on_elements, D, i), (D, i)
+    with pytest.raises(ZeroElement):
+        is_totally_positive_codiff(CodifferentElement(elem(make_quad_field(7), 0, 0)))
 
 
 def test_trace_one_delta_d2_explicit():
