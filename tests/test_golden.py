@@ -52,6 +52,16 @@ CASES = {
         ["count-norms", "--a", "400", "--x", "160000", "--method", "exact"],
         False,
     ),
+    # the unit rho^2 first, then the six pairs of count-norms-fast
+    "count-norms-fast-unit": (
+        ["count-norms", "--a", "20", "--x", "400", "--method", "fast", "--include-unit"],
+        False,
+    ),
+    # the unit ideal counted once beside its (k, w) ideals
+    "count-norms-exact-unit": (
+        ["count-norms", "--a", "137", "--x", "18769", "--method", "exact", "--include-unit"],
+        False,
+    ),
     "sq-table": (["sq-table", "--a-min", "-1", "--a-max", "12"], True),
     # rows above the paper's a <= 50, which verify does not check
     "sq-table-high": (["sq-table", "--a-min", "51", "--a-max", "60"], True),
