@@ -330,13 +330,19 @@ def cmd_quadratic(args) -> int:
                 numerator = list(quadratic.trace_one_numerator(D, i))
                 certs.append({"i": i, "numerator": numerator, "ok": True})
             except IndecompError as exc:
+                if i == 1:
+                    raise  # the scaling record below rests on the i = 1 certificate
                 certs.append({"i": i, "ok": False, "error": str(exc)})
                 ok = False
-        record = quadratic.trace_one_delta_scalings(D, 1)
+        # the record of `trace_one_delta_scalings(D, 1)`: the literal numerator
+        # is D times the checked one, so it pairs to D when D = 1 mod 4
+        one_mod_four = cf.field.one_mod_four
+        scaling = {"passing": "literal/D" if one_mod_four else "direct",
+                   "literal_trace": D if one_mod_four else 1}
         payload["certificates"] = certs
-        payload["scaling"] = {"passing": record["passing"], "literal_trace": record["literal_trace"]}
-        print(f"certificates: {sum(c['ok'] for c in certs)}/{len(certs)} pass; "
-              f"scaling resolution: {record['passing']} (literal pairs to {record['literal_trace']})")
+        payload["scaling"] = scaling
+        print(f"certificates: {sum(c['ok'] for c in certs)}/{len(certs)} pass; scaling "
+              f"resolution: {scaling['passing']} (literal pairs to {scaling['literal_trace']})")
     _emit(payload, args)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

@@ -5,10 +5,15 @@ Three routes to the ideal count P_a(X) for X <= a^2:
 * count_fast: the (k, w) parametrization beta = -w*rho + k*rho^2 with the
   enumeration cuts a*k^2*w < X and a*k*w^2 < X;
 * count_exact: distinct ideals among the fast candidates and their Galois
-  conjugates, keyed by HNF rows written in closed form: (beta) is the kernel
-  of x -> x(r) mod n = N(beta) at r = w/k mod n (`sum_ideal_rows`);
+  conjugates.  (beta) is the kernel of x -> x(r) mod n = N(beta) at
+  r = w/k mod n, so each ideal is keyed by (n, s), s its residue
+  (`_sum_residues`; `sum_ideal_rows` writes out the HNF rows);
 * count_bruteforce: exhaustive scan of the two fundamental cones, the
   ground truth the others are validated against.
+
+count_fast and count_exact share one candidate loop, `_candidates`, which
+works on integers: each (k, w) is checked by `sum_norm` and by the kernel's
+`cubic_sym_funcs` on the coordinates (0, -w, k), and no element is built.
 """
 
 from __future__ import annotations
@@ -38,14 +43,13 @@ from .order_kernel import (
     FieldSpec,
     OrderElement,
     apply_matrix,
-    elem,
+    cubic_sym_funcs,
     galois_conjugation_matrix,
     make_field,
     mul,  # unused here; perfbench/tests/selfcheck.py checks tracing rebinds norms.mul
     multiplication_matrix,
     norm,
     rho,
-    sym_funcs,
 )
 
 
@@ -54,10 +58,6 @@ def sum_norm(a: int, k: int, w: int) -> int:
     if k < 1 or w < 0:
         raise IllegalParameter("need k >= 1 and w >= 0")
     return -(w**3) + a * k * w * w + (a + 3) * k * k * w + k**3
-
-
-def _sum_element(field: FieldSpec, k: int, w: int) -> OrderElement:
-    return elem(field, 0, -w, k)
 
 
 @dataclass(frozen=True)
@@ -77,45 +77,60 @@ class CountFastResult:
         return len(self.pairs)
 
 
+# count_fast and count_exact visit about (X/a)^(2/3) candidates and keep
+# them all: at X // a = 10^8 (a = 10^8, X = 10^16) count_exact took 2.2 s and
+# a peak RSS of 158 MB for 1,007,715 ideals on a 2-vCPU Xeon.
+COUNT_RATIO_GUARD = 10**8
+
+
 def _check_count_domain(a: int, X: int) -> None:
-    """The domain of every count: a >= 1, then 1 <= X <= a^2."""
+    """The domain of every count: a >= 1, then 1 <= X <= a^2, then
+    X // a <= COUNT_RATIO_GUARD (GuardExceeded)."""
     if a < 1:
         raise IllegalParameter("counting needs a >= 1")
     if not 1 <= X <= a * a:
         raise BoundTooLarge(f"X must lie in [1, a^2 = {a * a}]")
+    if X // a > COUNT_RATIO_GUARD:
+        raise GuardExceeded(f"counting is guarded to X // a <= {COUNT_RATIO_GUARD}, got {X // a}")
 
 
-def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
-    """Primitive totally positive sums with norm <= X, X <= a^2.
+def _candidates(a: int, X: int, include_unit: bool):
+    """(k, w, n) for each primitive totally positive beta = -w*rho + k*rho^2
+    with n = N(beta) <= X, X <= a^2, in the order of `count_fast`.
 
-    Enumerates coprime (k, w), k >= 1, w >= 1 subject to the cuts
-    a*k^2*w < X and a*k*w^2 < X, keeping 1 <= sum_norm <= X and the element
-    totally positive; (1, 0) is the unit rho^2, included only on request.
-    Raises ConsistencyError unless each kept candidate's norm e3 from
-    `sym_funcs` equals `sum_norm`, the n that `count_exact` relies on.
+    Runs over coprime (k, w), k >= 1, w >= 1, subject to the cuts
+    a*k^2*w < X and a*k*w^2 < X, keeps 1 <= n = sum_norm <= X, then takes
+    (e1, e2, e3) from `cubic_sym_funcs` on the coordinates (0, -w, k):
+    ConsistencyError unless e3 == n, and beta is kept when e1, e2 > 0.  The
+    unit rho^2, (k, w) = (1, 0), comes first, on request.
     """
     _check_count_domain(a, X)
-    field = make_field(Family.SIMPLEST_CUBIC, a)
-    pairs = []
+    minpoly = make_field(Family.SIMPLEST_CUBIC, a).minpoly
     if include_unit:
-        pairs.append(SumElement(1, 0))
+        yield 1, 0, sum_norm(a, 1, 0)
     k = 1
     while a * k * k < X:  # the cut forces a*k^2*w < X with w >= 1
-        w_cap = (X - 1) // (a * k * k)
-        for w in range(1, w_cap + 1):
-            if a * k * w * w >= X:
-                break
+        # both cuts as one bound: a*k^2*w <= X - 1 and a*k*w^2 <= X - 1
+        w_max = min((X - 1) // (a * k * k), math.isqrt((X - 1) // (a * k)))
+        for w in range(1, w_max + 1):
             if math.gcd(k, w) != 1:
                 continue
             n = sum_norm(a, k, w)
             if not 1 <= n <= X:
                 continue
-            e1, e2, e3 = sym_funcs(_sum_element(field, k, w))
+            e1, e2, e3 = cubic_sym_funcs(0, -w, k, minpoly)
             if e3 != n:
                 raise ConsistencyError(f"N(-{w}*rho + {k}*rho^2) = {e3} != sum_norm = {n}")
             if e1 > 0 and e2 > 0:
-                pairs.append(SumElement(k, w))
+                yield k, w, n
         k += 1
+
+
+def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
+    """Primitive totally positive sums with norm <= X, X <= a^2: the (k, w) of
+    `_candidates`, with every check made there; the unit rho^2, (1, 0), only
+    on request."""
+    pairs = [SumElement(k, w) for k, w, _ in _candidates(a, X, include_unit)]
     return CountFastResult(tuple(pairs))
 
 
@@ -162,47 +177,60 @@ def _sum_residue(n: int, k: int, w: int) -> int:
         raise IllegalParameter(f"beta is not primitive: gcd({k}, {w}) > 1") from None
 
 
-def sum_ideal_rows(field: FieldSpec, k: int, w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """HNF rows of (beta), (beta') and (beta''), beta = -w*rho + k*rho^2, in closed form.
+def _sum_residues(field: FieldSpec, n: int, k: int, w: int) -> tuple[int, int, int]:
+    """(r, rho''(r), rho'(r)) mod n: the residues whose kernels x -> x(s) mod n
+    are (beta), (beta') and (beta''), beta = -w*rho + k*rho^2, n = |N(beta)|.
 
     Needs coprime k >= 1, w >= 0 (IllegalParameter otherwise).
 
     beta = rho * (k*rho - w) with rho a unit, so Z[rho]/(beta) is cyclic of
-    order n = |N(beta)| = |sum_norm(a, k, w)| and (beta) is the kernel of
-    x -> x(r) mod n at r = w/k mod n.  Its rows are (n, 0, 0), (-r, 1, 0)
-    and (-r^2, 0, 1) mod n, equal to `ideal_hnf(beta).rows`.  Certificate,
-    checked here (ConsistencyError otherwise): f(r) = 0 mod n makes x -> x(r)
-    a ring map onto Z/n, so its kernel has index n, and beta(r) = 0 mod n
-    puts (beta) inside it; (beta) also has index n, so the two are equal.
-    The j-th conjugate ideal is the kernel at sigma^-j(rho)(r): rho''(r) for
-    `conjugate(beta, 1)`, rho'(r) for `conjugate(beta, 2)`.  No element,
-    multiplication matrix or HNF is built.
+    order n and (beta) is the kernel of x -> x(r) mod n at r = w/k mod n.
+    Certificate, checked here (ConsistencyError otherwise): f(r) = 0 mod n
+    makes x -> x(r) a ring map onto Z/n, so its kernel has index n, and
+    beta(r) = 0 mod n puts (beta) inside it; (beta) also has index n, so the
+    two are equal.  The j-th conjugate ideal is the kernel at
+    sigma^-j(rho)(r): rho''(r) for `conjugate(beta, 1)`, rho'(r) for
+    `conjugate(beta, 2)`.  No element, multiplication matrix or HNF is built.
     """
-    n = abs(sum_norm(field.a, k, w))
     r = _sum_residue(n, k, w)
     c2, c1, c0 = field.minpoly
     if (((r + c2) * r + c1) * r + c0) % n or r * (k * r - w) % n:
         raise ConsistencyError(f"rho -> {r} mod {n} is not a root killing -{w}*rho + {k}*rho^2")
     rr = r * r
-    residues = [r] + [(p0 + p1 * r + p2 * rr) % n for p0, p1, p2 in _conjugate_roots(field)]
-    return tuple(((n, 0, 0), (-s % n, 1, 0), (-s * s % n, 0, 1)) for s in residues)
+    (s0, s1, s2), (t0, t1, t2) = _conjugate_roots(field)
+    return r, (s0 + s1 * r + s2 * rr) % n, (t0 + t1 * r + t2 * rr) % n
+
+
+def sum_ideal_rows(field: FieldSpec, k: int, w: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """HNF rows of (beta), (beta') and (beta''), beta = -w*rho + k*rho^2, in closed form.
+
+    Needs coprime k >= 1, w >= 0 (IllegalParameter otherwise).  With
+    n = |sum_norm(a, k, w)| and s each residue of `_sum_residues`, the rows
+    are (n, 0, 0), (-s, 1, 0) and (-s^2, 0, 1) mod n, equal to
+    `ideal_hnf(...).rows`.
+    """
+    n = abs(sum_norm(field.a, k, w))
+    return tuple(((n, 0, 0), (-s % n, 1, 0), (-s * s % n, 0, 1))
+                 for s in _sum_residues(field, n, k, w))
 
 
 def count_exact(a: int, X: int, include_unit: bool = False) -> int:
     """Distinct ideals from the fast candidates and their Galois conjugates.
 
-    Each ideal is keyed by its HNF rows, written in closed form and
-    certified by `sum_ideal_rows`; n = |N(beta)| is `sum_norm`, which
-    `count_fast` checks against `sym_funcs` for every candidate.
+    Each ideal is keyed by (n, s): n = N(beta) from `_candidates`, where it
+    is `sum_norm` checked against `cubic_sym_funcs`, and s a residue of
+    `_sum_residues`, certified there.  The key fixes the HNF rows of
+    `sum_ideal_rows` and is fixed by them.
     """
     field = make_field(Family.SIMPLEST_CUBIC, a)
     seen = set()
-    for pair in count_fast(a, X, include_unit).pairs:
-        rows = sum_ideal_rows(field, pair.k, pair.w)
-        n = rows[0][0][0]
+    for k, w, n in _candidates(a, X, include_unit):
         if n > X:
             raise ConsistencyError(f"candidate ideal of norm {n} exceeds X = {X}")
-        seen.update(rows)
+        r0, r1, r2 = _sum_residues(field, n, k, w)
+        seen.add((n, r0))
+        seen.add((n, r1))
+        seen.add((n, r2))
     return len(seen)
 
 
@@ -227,6 +255,7 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
     coordinate hull of the simplex with those exact rows.
     """
     field = make_field(Family.SIMPLEST_CUBIC, a)
+    minpoly = field.minpoly
     X = a * a
     bound = icbrt(X) + 1
     found: dict[tuple, int] = {}
@@ -238,11 +267,10 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
         for x in lattice_points(hull, rows):
             if math.gcd(*x) != 1:
                 continue
-            el = OrderElement(x, field)
-            e1, e2, e3 = sym_funcs(el)
+            e1, e2, e3 = cubic_sym_funcs(*x, minpoly)
             if e1 <= 0 or e2 <= 0 or not 1 < e3 <= X:
                 continue  # not totally positive, or a unit or too large
-            h = ideal_hnf(el)
+            h = ideal_hnf(OrderElement(x, field))
             found[h.rows] = h.det
     return tuple(sorted(zip(found.values(), found.keys())))
 

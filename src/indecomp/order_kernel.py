@@ -325,24 +325,33 @@ def quad_sym_funcs(v1: int, v2: int, minpoly: tuple[int, int]) -> tuple[int, int
     return v1 + p2, v1 * p2 + c0 * v2 * v2
 
 
-def sym_funcs(x: OrderElement) -> tuple[int, ...]:
-    """Elementary symmetric functions (e1, ..., e_d) of the conjugates of x.
+def cubic_sym_funcs(v1: int, v2: int, v3: int, minpoly: tuple[int, int, int]) -> tuple[int, ...]:
+    """(e1, e2, e3) of v1 + v2*rho + v3*rho^2, rho a root of x^3 + c2 x^2 + c1 x + c0.
 
     They are the characteristic-polynomial coefficients of the multiplication
-    matrix: e1 = Tr(x) is its trace, e_d = N(x) its determinant, and for
-    d = 3, e2 is the sum of its principal 2x2 minors.
+    matrix: e1 = Tr is its trace, e2 the sum of its principal 2x2 minors and
+    e3 = N its determinant.
     """
-    f = x.field
-    if len(x.coords) == 2:
-        return quad_sym_funcs(*x.coords, f.minpoly)
-    v1, v2, v3 = x.coords
-    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
+    c2, c1, c0 = minpoly
+    # the columns x*rho and x*rho^2 of `_rho_columns`, inline: this is the hot call
+    p1, p2, p3 = -c0 * v3, v1 - c1 * v3, v2 - c2 * v3
+    q1, q2, q3 = -c0 * p3, p1 - c1 * p3, p2 - c2 * p3
     minor = p2 * q3 - q2 * p3
     return (
         v1 + p2 + q3,
         v1 * p2 - p1 * v2 + v1 * q3 - q1 * v3 + minor,
         v1 * minor - p1 * (v2 * q3 - q2 * v3) + q1 * (v2 * p3 - p2 * v3),
     )
+
+
+def sym_funcs(x: OrderElement) -> tuple[int, ...]:
+    """Elementary symmetric functions (e1, ..., e_d) of the conjugates of x:
+    `quad_sym_funcs` or `cubic_sym_funcs` on its coordinates."""
+    coords = x.coords
+    if len(coords) == 2:
+        return quad_sym_funcs(*coords, x.field.minpoly)
+    v1, v2, v3 = coords
+    return cubic_sym_funcs(v1, v2, v3, x.field.minpoly)
 
 
 def trace(x: OrderElement) -> int:

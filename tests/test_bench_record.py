@@ -90,3 +90,22 @@ def test_bench_record_claim_verdict(tmp_path, pairs, shift, lost, met):
     run = json.loads(out.read_text())["workloads"]["w"]["metrics"]["run_s"]
     assert run["parent_iqr"] == pytest.approx(0.135 if pairs == 10 else 0.12)
     assert run["claim_rule_met"] is met
+
+
+def test_bench_record_keeps_the_median_host_speed_of_each_side(tmp_path):
+    """The median of `repetitions[].speed` over the paired runs of one side:
+    a change side that ran on a slowed host shows it."""
+    parent, change, out = tmp_path / "p", tmp_path / "c", tmp_path / "BENCH.json"
+    for seed, (old, new) in enumerate((((1.0, 0.9), (0.5,)), ((0.8,), (0.4, 0.6, 0.45)))):
+        for directory, speeds in ((parent, old), (change, new)):
+            _write(directory, "w", seed, 1.0, "d", "aaa")
+            path = directory / f"w-seed{seed}-trace0.json"
+            record = json.loads(path.read_text())
+            record["repetitions"] = [{"run_s": 1.0, "speed": s} for s in speeds]
+            path.write_text(json.dumps(record))
+    _write(parent, "v", 1, 1.0, "d", "aaa")  # records without repetitions
+    _write(change, "v", 1, 1.0, "d", "bbb")
+    assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["w"]["host_speed"] == {"parent": 0.9, "change": 0.475}
+    assert workloads["v"]["host_speed"] == {"parent": None, "change": None}

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indecomp import cli
-from indecomp.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, main
+from indecomp.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAIL, main
 
 
 def test_field_info(capsys):
@@ -275,6 +275,60 @@ def test_quadratic_certify(tmp_path, capsys):
     assert data["n"] == 3 and data["s_count"] == 3
     assert all(c["ok"] for c in data["certificates"])
     assert data["scaling"]["literal_trace"] == 13
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 13, 17, 94, 211, 409])
+def test_quadratic_scaling_record_is_that_of_trace_one_delta_scalings(D, tmp_path, capsys):
+    """The record is read off the i = 1 certificate of the loop, with no second check."""
+    from indecomp import quadratic
+
+    path = tmp_path / "quad.json"
+    assert main(["quadratic", "--d", str(D), "--certify", "--json", str(path)]) == EXIT_OK
+    record = quadratic.trace_one_delta_scalings(D, 1)
+    assert json.loads(path.read_text())["scaling"] == {
+        "passing": record["passing"], "literal_trace": record["literal_trace"]}
+
+
+def _failing_certificate(monkeypatch, index):
+    from indecomp import quadratic
+
+    checks = quadratic._delta_checks
+    monkeypatch.setattr(quadratic, "_delta_checks",
+                        lambda cf, g0, g1, i: i != index and checks(cf, g0, g1, i))
+
+
+def test_quadratic_failing_first_certificate_is_a_domain_error(monkeypatch, capsys):
+    """The scaling record rests on the i = 1 certificate: when it fails the
+    command exits 3 with its message, after the expansion line only."""
+    _failing_certificate(monkeypatch, 1)
+    assert main(["quadratic", "--d", "13", "--certify"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == "xi_13 = [1; [3] repeating], n = 3, #S = 3\n"
+    assert captured.err == "error: certificate checks failed for D=13, i=1\n"
+
+
+def test_quadratic_failing_later_certificate_is_a_verification_failure(monkeypatch, tmp_path):
+    _failing_certificate(monkeypatch, -1)
+    path = tmp_path / "quad.json"
+    assert main(["quadratic", "--d", "13", "--certify", "--json", str(path)]) == EXIT_VERIFY_FAIL
+    data = json.loads(path.read_text())
+    assert [c["ok"] for c in data["certificates"]] == [False, True]
+    assert data["certificates"][0]["error"] == "certificate checks failed for D=13, i=-1"
+    assert data["scaling"] == {"passing": "literal/D", "literal_trace": 13}
+
+
+def test_count_norms_refuses_a_ratio_over_the_guard():
+    """X // a = 10^9 would run for well over 20 s: the count exits 3 at once."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for method in ("exact", "fast"):
+        done = subprocess.run(
+            [sys.executable, "-m", "indecomp", "count-norms", "--a", "1000000000",
+             "--x", "1000000000000000000", "--method", method],
+            capture_output=True, text=True, env=env, timeout=5,
+        )
+        assert done.returncode == EXIT_DOMAIN and done.stdout == ""
+        assert done.stderr == (
+            "error: counting is guarded to X // a <= 100000000, got 1000000000\n")
 
 
 def test_indecomposables_with_oracle(tmp_path):

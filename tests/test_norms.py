@@ -194,6 +194,150 @@ def test_count_exact_isolates_no_roots(monkeypatch):
     assert (isolations, refinements) == ([], [])
 
 
+def _count_fast_by_elements(a, X, include_unit=False):
+    """The element-based count_fast loop: sym_funcs on each candidate element."""
+    field = make_field(Family.SIMPLEST_CUBIC, a)
+    pairs = [(1, 0)] if include_unit else []
+    k = 1
+    while a * k * k < X:
+        for w in range(1, (X - 1) // (a * k * k) + 1):
+            if a * k * w * w >= X:
+                break
+            if math.gcd(k, w) != 1:
+                continue
+            n = sum_norm(a, k, w)
+            if not 1 <= n <= X:
+                continue
+            e1, e2, e3 = order_kernel.sym_funcs(elem(field, 0, -w, k))
+            assert e3 == n
+            if e1 > 0 and e2 > 0:
+                pairs.append((k, w))
+        k += 1
+    return pairs
+
+
+def _count_exact_by_rows(a, X, include_unit=False):
+    """The row-keyed count_exact: the HNF rows of every candidate and its conjugates."""
+    field = make_field(Family.SIMPLEST_CUBIC, a)
+    seen = set()
+    for k, w in _count_fast_by_elements(a, X, include_unit):
+        seen.update(sum_ideal_rows(field, k, w))
+    return len(seen)
+
+
+def _count_grid():
+    for a in range(1, 13):
+        for X in range(1, a * a + 1):
+            yield a, X
+    for a in (50, 137, 400):
+        for X in sorted({1, 2 * a + 2, 2 * a + 3, *(1 + j * a * a // 16 for j in range(17))}):
+            yield a, min(X, a * a)
+
+
+@pytest.mark.parametrize("include_unit", [False, True])
+def test_counts_equal_the_element_and_row_references(include_unit):
+    for a, X in _count_grid():
+        pairs = [(p.k, p.w) for p in count_fast(a, X, include_unit).pairs]
+        assert pairs == _count_fast_by_elements(a, X, include_unit), (a, X)
+        assert count_exact(a, X, include_unit) == _count_exact_by_rows(a, X, include_unit), (a, X)
+
+
+def _norm_passing(a, X):
+    """(k, w) within the cuts, coprime, with 1 <= sum_norm <= X."""
+    return [(k, w) for k in range(1, math.isqrt(X // a) + 2) for w in range(1, X // a + 2)
+            if a * k * k * w < X and a * k * w * w < X
+            and math.gcd(k, w) == 1 and 1 <= sum_norm(a, k, w) <= X]
+
+
+@pytest.mark.parametrize("count", [count_fast, count_exact])
+def test_counts_build_no_element_and_call_the_kernel_once_per_candidate(count, monkeypatch):
+    """Work counter: one `cubic_sym_funcs` call per candidate that passes the
+    norm cut, and no `sym_funcs` or `elem` call and no element built."""
+    a, X = 40, 1600
+    count(a, X, include_unit=True)  # the field and its conjugation are cached
+    kernel = _wrap_everywhere(monkeypatch, order_kernel, "cubic_sym_funcs")
+    sym = _wrap_everywhere(monkeypatch, order_kernel, "sym_funcs")
+    elems = _wrap_everywhere(monkeypatch, order_kernel, "elem")
+    built = []
+    init = order_kernel.OrderElement.__init__
+    monkeypatch.setattr(order_kernel.OrderElement, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    count(a, X, include_unit=True)
+    assert [(k, -w) for _, w, k, _ in kernel] == _norm_passing(a, X)
+    assert (sym, elems, built) == ([], [], [])
+    assert not hasattr(norms, "_sum_element")
+
+
+@pytest.mark.parametrize("count", [count_fast, count_exact])
+def test_a_tampered_kernel_norm_raises(count, monkeypatch):
+    kernel = order_kernel.cubic_sym_funcs
+
+    def tampered(*args):
+        e1, e2, e3 = kernel(*args)
+        return e1, e2, e3 + 1
+
+    monkeypatch.setattr(norms, "cubic_sym_funcs", tampered)
+    with pytest.raises(ConsistencyError):
+        count(40, 1600)
+
+
+def test_the_total_positivity_filter_is_live(monkeypatch):
+    """A candidate with e2 <= 0 is dropped: with every e2 zeroed nothing is left."""
+    kernel = order_kernel.cubic_sym_funcs
+    def no_e2(*args):
+        e1, _, e3 = kernel(*args)
+        return e1, 0, e3
+
+    monkeypatch.setattr(norms, "cubic_sym_funcs", no_e2)
+    assert count_fast(40, 1600).count == count_exact(40, 1600) == 0
+    assert count_exact(40, 1600, include_unit=True) == 1
+
+
+def test_count_exact_refuses_a_candidate_over_x(monkeypatch):
+    candidates = norms._candidates
+
+    def over(a, X, include_unit):
+        for k, w, n in candidates(a, X, include_unit):
+            yield k, w, n + X
+
+    monkeypatch.setattr(norms, "_candidates", over)
+    with pytest.raises(ConsistencyError, match="exceeds X"):
+        count_exact(40, 1600)
+
+
+def test_count_ratio_guard_bounds_x_over_a(monkeypatch):
+    """X // a above COUNT_RATIO_GUARD is refused by every count, at the boundary."""
+    assert norms.COUNT_RATIO_GUARD >= 800  # verify and the benchmark stay inside it
+    monkeypatch.setattr(norms, "COUNT_RATIO_GUARD", 100)
+    assert count_exact(200, 200 * 100 + 199) > 0
+    for count in (count_fast, count_exact):
+        with pytest.raises(GuardExceeded, match="X // a <= 100, got 101"):
+            count(200, 200 * 101)
+    monkeypatch.setattr(norms, "COUNT_RATIO_GUARD", 1)
+    with pytest.raises(GuardExceeded):
+        count_bruteforce(7, 14)
+
+
+def test_bruteforce_builds_an_element_only_for_a_kept_point(monkeypatch):
+    """Cone points are filtered by the kernel on coordinate tuples; only the
+    points that pass reach `ideal_hnf` as elements."""
+    built, points = [], []
+    element = norms.OrderElement
+    monkeypatch.setattr(norms, "OrderElement", lambda *args: built.append(args) or element(*args))
+    hnfs = _wrap_everywhere(monkeypatch, norms, "ideal_hnf")
+    kernel = _wrap_everywhere(monkeypatch, order_kernel, "cubic_sym_funcs")
+    lattice = norms.lattice_points
+
+    def listed(*args):
+        points.append(list(lattice(*args)))
+        return points[-1]
+
+    monkeypatch.setattr(norms, "lattice_points", listed)
+    ideals = norms._bruteforce_ideals.__wrapped__(6)
+    assert len(built) == len(hnfs) >= len(ideals) > 0
+    assert sum(map(len, points)) > len(kernel) > len(built)
+
+
 def test_count_bruteforce_guard_and_monotone():
     with pytest.raises(GuardExceeded):
         count_bruteforce(31, 10)

@@ -11,8 +11,11 @@ quartiles over the paired seeds, how many pairs the change won on that
 metric, the parent's interquartile range, whether the claim rule holds
 (`claim_rule_met`: at least ten pairs, of which the change won at least nine
 tenths, ties counting for neither, and its median better than the parent's by
-more than that range), the answer digests of each seed on both sides, and per side the
-commits and the `source_sha256` digests of the sources that ran.  Quartiles are
+more than that range), the answer digests of each seed on both sides, per side the
+median host-speed ratio over every repetition of the paired runs (`repetitions[].speed`,
+the host's speed against perfbench's reference; null when no run records one), so a
+pair set slowed by other load on the host shows, and per side the commits and the
+`source_sha256` digests of the sources that ran.  Quartiles are
 `statistics.quantiles(values, n=4, method="inclusive")`.
 """
 
@@ -46,6 +49,12 @@ def spread(values: list[float]) -> dict[str, float]:
         statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     )
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def host_speed(records: list[dict]) -> float | None:
+    """Median `speed` over every repetition of the records, None without any."""
+    speeds = [rep["speed"] for r in records for rep in r.get("repetitions", ())]
+    return statistics.median(speeds) if speeds else None
 
 
 def side(records: list[dict]) -> dict:
@@ -95,6 +104,7 @@ def record(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 for s, p, c in zip(seeds, before, after)
             },
             "digests_equal": all(p["digests"] == c["digests"] for p, c in zip(before, after)),
+            "host_speed": {"parent": host_speed(before), "change": host_speed(after)},
         }
     return {"parent": side(used[0]), "change": side(used[1]), "workloads": workloads}
 
