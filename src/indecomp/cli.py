@@ -21,6 +21,7 @@ import traceback
 from . import forms, norms, oracle, quadratic, verify
 from .codifferent import monogenicity_certificate
 from .errors import (
+    CertificateFailure,
     ConsistencyError,
     IllegalParameter,
     IndecompError,
@@ -180,10 +181,7 @@ def cmd_indecomposables(args) -> int:
     }
     ok = True
     if args.verify_oracle:
-        inv = oracle.indecomposables_by_search(field)
-        closed = [r.element for r in records if r.kind != "unit"]
-        # the search may pick other representatives of the same unit orbits
-        ok = oracle.inventories_match(closed, inv.indecomposables)
+        ok = verify.inventory_matches_search(field)
         payload["oracle_match"] = ok
         print(f"oracle match: {ok}")
     _emit(payload, args, rows=rows, header=("kind", "v1", "v2", "v3", "norm", "certificate"))
@@ -232,9 +230,9 @@ def cmd_min_trace(args) -> int:
 def cmd_count_norms(args) -> int:
     a, X = args.a, args.x
     if args.method == "fast":
-        res = norms.count_fast(a, X, include_unit=args.include_unit)
-        count = res.count
-        extra = {"pairs": [[p.k, p.w] for p in res.pairs]}
+        pairs = norms.count_fast(a, X, include_unit=args.include_unit)
+        count = len(pairs)
+        extra = {"pairs": pairs}
     elif args.method == "exact":
         count = norms.count_exact(a, X, include_unit=args.include_unit)
         extra = {}
@@ -329,7 +327,7 @@ def cmd_quadratic(args) -> int:
             try:
                 numerator = list(quadratic.trace_one_numerator(D, i))
                 certs.append({"i": i, "numerator": numerator, "ok": True})
-            except IndecompError as exc:
+            except CertificateFailure as exc:
                 if i == 1:
                     raise  # the scaling record below rests on the i = 1 certificate
                 certs.append({"i": i, "ok": False, "error": str(exc)})

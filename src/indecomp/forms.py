@@ -261,7 +261,6 @@ def decompose_into_indecomposables(
     return parts
 
 
-@lru_cache(maxsize=None)
 def _unit_pairing(delta: CodifferentElement, j: int, k: int) -> tuple[int, ...]:
     """c with Tr(delta * u * x) = c . coords(x) for the unit u = e1^j e2^k."""
     return pairing_vector(CodifferentElement(mul(delta.numerator, _unit_power(delta.field, j, k))))

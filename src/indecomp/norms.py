@@ -2,7 +2,7 @@
 
 Three routes to the ideal count P_a(X) for X <= a^2:
 
-* count_fast: the (k, w) parametrization beta = -w*rho + k*rho^2 with the
+* count_fast: the (k, w) pairs of the parametrization beta = -w*rho + k*rho^2 with the
   enumeration cuts a*k^2*w < X and a*k*w^2 < X;
 * count_exact: distinct ideals among the fast candidates and their Galois
   conjugates.  (beta) is the kernel of x -> x(r) mod n = N(beta) at
@@ -60,23 +60,6 @@ def sum_norm(a: int, k: int, w: int) -> int:
     return -(w**3) + a * k * w * w + (a + 3) * k * k * w + k**3
 
 
-@dataclass(frozen=True)
-class SumElement:
-    """beta = -w*rho + k*rho^2 = k * alpha_{w/k}; primitive iff gcd(k, w) = 1."""
-
-    k: int
-    w: int
-
-
-@dataclass(frozen=True)
-class CountFastResult:
-    pairs: tuple[SumElement, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.pairs)
-
-
 # count_fast and count_exact visit about (X/a)^(2/3) candidates and keep
 # them all: at X // a = 10^8 (a = 10^8, X = 10^16) count_exact took 2.2 s and
 # a peak RSS of 158 MB for 1,007,715 ideals on a 2-vCPU Xeon.
@@ -126,12 +109,11 @@ def _candidates(a: int, X: int, include_unit: bool):
         k += 1
 
 
-def count_fast(a: int, X: int, include_unit: bool = False) -> CountFastResult:
-    """Primitive totally positive sums with norm <= X, X <= a^2: the (k, w) of
-    `_candidates`, with every check made there; the unit rho^2, (1, 0), only
-    on request."""
-    pairs = [SumElement(k, w) for k, w, _ in _candidates(a, X, include_unit)]
-    return CountFastResult(tuple(pairs))
+def count_fast(a: int, X: int, include_unit: bool = False) -> tuple[tuple[int, int], ...]:
+    """Primitive totally positive sums beta = -w*rho + k*rho^2 with norm <= X,
+    X <= a^2: the (k, w) pairs of `_candidates`, with every check made there;
+    the unit rho^2, (1, 0), first and only on request.  The count is their number."""
+    return tuple((k, w) for k, w, _ in _candidates(a, X, include_unit))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .errors import (
     UnboundedRegion,
     ZeroElement,
 )
+from .families import parallelepiped_candidates, standard_parallelepipeds
 from .hnf import adjugate, interval_dot, lattice_points
 from .intervals import Interval
 from .order_kernel import (
@@ -295,8 +296,6 @@ def window_points(field) -> list[OrderElement]:
     positive units for a cubic one.  Every indecomposable is a totally
     positive unit times one of its points.
     """
-    from .families import parallelepiped_candidates, standard_parallelepipeds
-
     seen: dict[tuple[int, ...], OrderElement] = {}
     for gens in standard_parallelepipeds(field):
         cands, vertices = parallelepiped_candidates(*gens)

@@ -30,6 +30,7 @@ from .errors import (
     NotTotallyReal,
     Reducible,
     RefinementLimit,
+    UnsupportedFamily,
     ZeroElement,
 )
 from .hnf import adjugate
@@ -366,22 +367,15 @@ def is_totally_positive(x: OrderElement) -> bool:
     """All conjugates positive, decided symbolically from the signs of (e1, ..., e_d).
 
     Every field here is totally real, so the conjugates are all positive
-    exactly when every e_k > 0.  The e_k are those of `sym_funcs`, decided
-    in the order e1, e2, e3: the first that is not positive settles it.
+    exactly when every e_k > 0, the e_k being those of `sym_funcs`.
     """
     if x.is_zero():
         raise ZeroElement("total positivity is undefined for 0")
-    f = x.field
     if len(x.coords) == 2:
-        return min(quad_sym_funcs(*x.coords, f.minpoly)) > 0
+        return min(quad_sym_funcs(*x.coords, x.field.minpoly)) > 0
     v1, v2, v3 = x.coords
-    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
-    if v1 + p2 + q3 <= 0:
-        return False
-    minor = p2 * q3 - q2 * p3
-    if v1 * p2 - p1 * v2 + v1 * q3 - q1 * v3 + minor <= 0:
-        return False
-    return v1 * minor - p1 * (v2 * q3 - q2 * v3) + q1 * (v2 * p3 - p2 * v3) > 0
+    e1, e2, e3 = cubic_sym_funcs(v1, v2, v3, x.field.minpoly)
+    return e1 > 0 and e2 > 0 and e3 > 0
 
 
 def unit_inverse(x: OrderElement) -> OrderElement:
@@ -708,8 +702,6 @@ def unit_generators(field: FieldSpec) -> UnitSystem:
         e1 = u1  # rho is totally positive in this family
         e2 = u2 * u2
     else:
-        from .errors import UnsupportedFamily
-
         raise UnsupportedFamily("no unit system for custom cubics")
     for u in (u1, u2):
         if norm(u) not in (1, -1):

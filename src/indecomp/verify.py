@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import forms, norms, oracle, quadratic
 from .codifferent import certified_simplest
-from .errors import ConsistencyError
+from .errors import CertificateFailure, ConsistencyError
 from .families import (
     KIND_EXCEPTIONAL,
     KIND_UNIT,
@@ -90,23 +90,30 @@ def check_squarefree_table() -> CheckResult:
     return CheckResult("squarefree-table", ok, details)
 
 
+def inventory_matches_search(field) -> bool:
+    """The closed-form inventory of a cubic field equals the window search.
+
+    Simplest inventories must equal the searched indecomposables as sets of
+    coordinates; Ennola and Thomas ones orbit by orbit
+    (`oracle.inventories_match`), since the search may pick other unit
+    multiples.  Every unit the search lists must have norm +-1.
+    """
+    inv = oracle.indecomposables_by_search(field)
+    closed = [rec.element for rec in inventory(field) if rec.kind != KIND_UNIT]
+    if field.family is Family.SIMPLEST_CUBIC:
+        ok = sorted(e.coords for e in inv.indecomposables) == sorted(e.coords for e in closed)
+    else:
+        ok = oracle.inventories_match(closed, inv.indecomposables)
+    return ok and all(abs(norm(u)) == 1 for u in inv.units)
+
+
 def check_inventory_vs_search() -> CheckResult:
-    """Closed-form inventories equal the window search: simplest a in
-    INVENTORY_A_SET as exact sets up to unit corners, Ennola and Thomas
-    orbit by orbit (`oracle.inventories_match`, as `--verify-oracle`)."""
-    bad = []
+    """`inventory_matches_search` for simplest a in INVENTORY_A_SET and
+    Ennola and Thomas a in ORBIT_A_RANGES."""
     fields = [make_field(Family.SIMPLEST_CUBIC, a) for a in INVENTORY_A_SET] + [
         make_field(family, a) for family, r in ORBIT_A_RANGES.items() for a in r
     ]
-    for field in fields:
-        inv = oracle.indecomposables_by_search(field)
-        closed = [rec.element for rec in inventory(field) if rec.kind != KIND_UNIT]
-        if field.family is Family.SIMPLEST_CUBIC:
-            ok = sorted(e.coords for e in inv.indecomposables) == sorted(e.coords for e in closed)
-        else:
-            ok = oracle.inventories_match(closed, inv.indecomposables)
-        if not ok or any(abs(norm(u)) != 1 for u in inv.units):
-            bad.append((field.family.value, field.a))
+    bad = [(f.family.value, f.a) for f in fields if not inventory_matches_search(f)]
     orbits = ", ".join(f"{f.value} a in {r.start}..{r.stop - 1}" for f, r in ORBIT_A_RANGES.items())
     details = f"exact set equality for a in {INVENTORY_A_SET}; orbit match for {orbits}"
     return _result("inventory-vs-search", bad, details, 2)
@@ -170,7 +177,7 @@ def check_count_scaling() -> CheckResult:
         counts = []
         for a in SCALING_A_GRID:
             X = min(a * a, math.isqrt(a ** (2 + two_delta)))  # floor(a^(1+delta))
-            cnt = norms.count_fast(a, X).count
+            cnt = len(norms.count_fast(a, X))
             counts.append((a, cnt))
             if not (lo**3 * a**two_delta <= cnt**3 <= hi**3 * a**two_delta):
                 bad.append((str(delta), a, cnt))
@@ -221,7 +228,7 @@ def check_quadratic_suite() -> CheckResult:
         for i in range(-1, 2 * cf.period_length, 2):
             try:
                 quadratic.trace_one_delta(D, i)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+            except CertificateFailure as exc:
                 bad.append((D, i, repr(exc)))
         record = quadratic.trace_one_delta_scalings(D, 1)
         if cf.field.one_mod_four and record["literal_trace"] != D:

@@ -5,7 +5,10 @@ band); the implementations live in indecomp.verify so the CLI `verify`
 subcommand runs the identical code.
 """
 
-from indecomp import verify
+import dataclasses
+
+from indecomp import oracle, verify
+from indecomp.order_kernel import Family, make_field, mul, unit_generators
 
 
 def _run(check):
@@ -25,6 +28,25 @@ def test_acceptance_02_inventory_equals_search():
     a in {-1, 0, 1, 2, 4, 7, 8} by exact set equality up to unit corners,
     Ennola a = 3..8 and Thomas a = 2..8 orbit by orbit."""
     _run(verify.check_inventory_vs_search)
+
+
+def test_inventory_rule_compares_simplest_fields_by_coordinates(monkeypatch):
+    """`verify.inventory_matches_search`, the one rule of `verify` and of
+    `indecomposables --verify-oracle`: a searched element moved to another
+    representative of its orbit fails a simplest field, compared by
+    coordinates, and passes an Ennola field, compared orbit by orbit; a
+    searched unit of norm other than +-1 fails both."""
+    search = oracle.indecomposables_by_search
+    for family, a, moved_ok in ((Family.SIMPLEST_CUBIC, 2, False), (Family.ENNOLA, 4, True)):
+        field = make_field(family, a)
+        found = search(field)
+        unit = unit_generators(field).totally_positive[0]
+        moved = dataclasses.replace(
+            found, indecomposables=found.indecomposables[:-1] + (mul(unit, found.indecomposables[-1]),))
+        bad_unit = dataclasses.replace(found, units=found.units + found.indecomposables[:1])
+        for inv, want in ((found, True), (moved, moved_ok), (bad_unit, False)):
+            monkeypatch.setattr(oracle, "indecomposables_by_search", lambda f, inv=inv: inv)
+            assert verify.inventory_matches_search(field) is want, (family, inv)
 
 
 def test_acceptance_03_trace_certificates():

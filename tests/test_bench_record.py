@@ -109,3 +109,29 @@ def test_bench_record_keeps_the_median_host_speed_of_each_side(tmp_path):
     workloads = json.loads(out.read_text())["workloads"]
     assert workloads["w"]["host_speed"] == {"parent": 0.9, "change": 0.475}
     assert workloads["v"]["host_speed"] == {"parent": None, "change": None}
+
+
+@pytest.mark.parametrize(
+    "old, new, verdict",
+    [
+        ((1.0, 1.0, 1.0, 1.0), (1.2, 1.2, 1.2, 1.2), "yes"),  # 20% worse, bound 25%
+        ((1.0, 1.0, 1.0, 1.0), (1.3, 1.3, 1.3, 1.3), "no"),  # 30% worse
+        ((1.0, 2.0, 3.0, 4.0), (2.5, 0.5, 0.6, 0.7), "unresolved"),  # parent IQR 60% of median
+        ((1.0, 2.0, 3.0, 4.0), (0.1, 0.2, 0.3, 0.4), "yes"),  # as wide, but every run beats
+        ((1.0, 2.0, 3.0, 4.0), (4.5, 5.0, 5.5, 6.0), "unresolved"),  # and every run loses
+    ],
+)
+def test_bench_record_no_regression_verdict(tmp_path, old, new, verdict):
+    """no_regression against the metric's relative bound in BENCHMARK.json
+    (0.25 for run_s): the medians decide unless the parent's own IQR is wider
+    than the bound and not every change run beats every parent run."""
+    bound = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+    assert bound["run_s"] == 0.25
+    parent, change, out = tmp_path / "p", tmp_path / "c", tmp_path / "BENCH.json"
+    for seed, (before, after) in enumerate(zip(old, new)):
+        _write(parent, "w", seed, before, "d", "aaa")
+        _write(change, "w", seed, after, "d", "bbb")
+    assert bench_record.main([str(parent), str(change), "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    assert metrics["run_s"]["no_regression"] == verdict
+    assert metrics["pass_ratio"]["no_regression"] == "yes"  # equal on both sides

@@ -317,6 +317,27 @@ def test_quadratic_failing_later_certificate_is_a_verification_failure(monkeypat
     assert data["scaling"] == {"passing": "literal/D", "literal_trace": 13}
 
 
+@pytest.mark.parametrize("faulty", [{-1}, {-1, 1, 3}])
+def test_an_internal_fault_in_a_certificate_is_an_internal_error(monkeypatch, capsys, faulty):
+    """Only a failed certificate check is a certificate failure: a
+    ConsistencyError raised inside the checks exits 4 from both the command
+    and the verify suite, at the first index or at every one."""
+    from indecomp import quadratic
+    from indecomp.errors import ConsistencyError
+
+    checks = quadratic._delta_checks
+
+    def broken(cf, g0, g1, i):
+        if i in faulty:
+            raise ConsistencyError("broken certificate arithmetic")
+        return checks(cf, g0, g1, i)
+
+    monkeypatch.setattr(quadratic, "_delta_checks", broken)
+    assert main(["quadratic", "--d", "13", "--certify"]) == EXIT_INTERNAL
+    assert main(["verify", "--suite", "quadratic"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: broken certificate arithmetic\n" * 2
+
+
 def test_count_norms_refuses_a_ratio_over_the_guard():
     """X // a = 10^9 would run for well over 20 s: the count exits 3 at once."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -350,6 +371,17 @@ def test_indecomposables_oracle_matches_other_representatives(family, a, capsys)
     rc = main(["indecomposables", "--family", family, "--a", str(a), "--verify-oracle"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.endswith("oracle match: True\n")
+
+
+def test_indecomposables_oracle_is_the_verify_rule(monkeypatch, capsys):
+    """`--verify-oracle` reports `verify.inventory_matches_search` and exits 1 when it fails."""
+    calls = []
+    monkeypatch.setattr(cli.verify, "inventory_matches_search",
+                        lambda field: calls.append((field.family.value, field.a)) or False)
+    assert main(["indecomposables", "--family", "simplest", "--a", "2", "--verify-oracle"]) == (
+        EXIT_VERIFY_FAIL)
+    assert calls == [("simplest", 2)]
+    assert capsys.readouterr().out.endswith("oracle match: False\n")
 
 
 def test_verify_suite(tmp_path, capsys):

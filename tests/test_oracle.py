@@ -258,6 +258,32 @@ def test_inventories_match_modulo_totally_positive_units(family, a):
     assert not inventories_match(closed[:-1] + [elem(f, v1 + 1, v2, v3)], found)
 
 
+def _shared_orbits(field):
+    """(kind, index) pairs of the inventory records that lie in one totally
+    positive unit orbit."""
+    records = inventory(field)
+    return [
+        ((x.kind, x.index), (y.kind, y.index))
+        for x, y in itertools.combinations(records, 2)
+        if equal_mod_totally_positive_units(x.element, y.element)
+    ]
+
+
+def test_inventories_list_each_unit_orbit_once_except_one_thomas_pair():
+    """Today's orbit structure: simplest and Ennola list every totally positive
+    unit orbit once; Thomas lists one orbit twice, as the exceptional
+    1 - a*rho + rho^2 = (rho - a)^2 * (-1 + (a+1)^2 rho - a rho^2) and the
+    row-2 element w = a.  Listing one representative per orbit changes this."""
+    for a in range(-1, 9):
+        assert _shared_orbits(make_field(Family.SIMPLEST_CUBIC, a)) == [], a
+    for a in range(3, 11):
+        assert _shared_orbits(make_field(Family.ENNOLA, a)) == [], a
+    for a in range(2, 11):
+        f = make_field(Family.THOMAS, a)
+        assert _shared_orbits(f) == [(("exceptional", ()), ("thomas_row2", (a,)))], a
+        assert elem(f, 1, -a, 1) == mul(elem(f, -a, 1, 0) ** 2, elem(f, -1, (a + 1) ** 2, -a))
+
+
 def test_equal_mod_totally_positive_units():
     f = make_field(Family.THOMAS, 4)
     x = elem(f, 1, -4, 1)
@@ -668,6 +694,27 @@ def test_only_oracle_reads_the_embedding_context():
             and (n.attr in {"fprime", "dual"} or n.attr == "k" and getattr(n.value, "id", None) in contexts)
         ]
         assert (calls, reads) == ([], []), module.name
+
+
+def test_function_level_imports_are_the_two_deliberate_ones():
+    """Imports belong at module level.  Two stay inside a function: `families`
+    takes `quadratic` there, which breaks the oracle-families-quadratic import
+    cycle, and `sq-table` loads the process pool only when it uses one."""
+    import indecomp
+
+    found = []
+    for module in sorted(Path(indecomp.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(module.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    (module.stem, fn.name, node.module if isinstance(node, ast.ImportFrom)
+                     else node.names[0].name)
+                    for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert found == [
+        ("cli", "cmd_sq_table", "concurrent.futures"),
+        ("families", "standard_parallelepipeds", "quadratic"),
+    ]
 
 
 @pytest.mark.parametrize("name", ["families", "codifferent"])

@@ -11,7 +11,9 @@ quartiles over the paired seeds, how many pairs the change won on that
 metric, the parent's interquartile range, whether the claim rule holds
 (`claim_rule_met`: at least ten pairs, of which the change won at least nine
 tenths, ties counting for neither, and its median better than the parent's by
-more than that range), the answer digests of each seed on both sides, per side the
+more than that range), the no-regression verdict (`no_regression`: "yes", "no" or
+"unresolved", against the metric's relative `bound` in BENCHMARK.json; see
+`no_regression`), the answer digests of each seed on both sides, per side the
 median host-speed ratio over every repetition of the paired runs (`repetitions[].speed`,
 the host's speed against perfbench's reference; null when no run records one), so a
 pair set slowed by other load on the host shows, and per side the commits and the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import os
 import re
 import statistics
@@ -55,6 +58,30 @@ def host_speed(records: list[dict]) -> float | None:
     """Median `speed` over every repetition of the records, None without any."""
     speeds = [rep["speed"] for r in records for rep in r.get("repetitions", ())]
     return statistics.median(speeds) if speeds else None
+
+
+def _relative(delta: float, base: float) -> float:
+    """delta as a share of |base|; a nonzero delta on a zero base is infinite."""
+    if base:
+        return delta / abs(base)
+    return math.inf if delta > 0 else 0.0
+
+
+def no_regression(old: list[float], new: list[float], sign: int, bound: float) -> str:
+    """The no-regression verdict on one metric, with `bound` its relative bound.
+
+    "unresolved" when the parent's interquartile range, relative to its
+    median, is wider than the bound and not every change run beats every
+    parent run; else "no" when the change's median is worse than the
+    parent's by more than the bound, relative to the parent's median, and
+    "yes" otherwise.  sign is -1 when lower is better, 1 when higher is.
+    """
+    before, after = spread(old), spread(new)
+    all_beat = all(sign * (b - a) > 0 for a in old for b in new)
+    if _relative(before["q3"] - before["q1"], before["median"]) > bound and not all_beat:
+        return "unresolved"
+    worse = sign * (before["median"] - after["median"])
+    return "no" if _relative(worse, before["median"]) > bound else "yes"
 
 
 def side(records: list[dict]) -> dict:
@@ -94,6 +121,7 @@ def record(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 # the medians apart by more than the parent's interquartile range
                 "claim_rule_met": len(seeds) >= 10 and 10 * wins >= 9 * len(seeds)
                 and sign * (after_spread["median"] - before_spread["median"]) > iqr,
+                "no_regression": no_regression(old, new, sign, m["bound"]),
             }
         workloads[workload] = {
             "seeds": seeds,
