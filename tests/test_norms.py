@@ -236,8 +236,7 @@ def _count_grid():
 @pytest.mark.parametrize("include_unit", [False, True])
 def test_counts_equal_the_element_and_row_references(include_unit):
     for a, X in _count_grid():
-        pairs = count_fast(a, X, include_unit)
-        assert pairs == tuple(_count_fast_by_elements(a, X, include_unit)), (a, X)
+        assert count_fast(a, X, include_unit) == tuple(_count_fast_by_elements(a, X, include_unit)), (a, X)
         assert count_exact(a, X, include_unit) == _count_exact_by_rows(a, X, include_unit), (a, X)
 
 

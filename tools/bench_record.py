@@ -61,7 +61,8 @@ def host_speed(records: list[dict]) -> float | None:
 
 
 def _relative(delta: float, base: float) -> float:
-    """delta as a share of |base|; a nonzero delta on a zero base is infinite."""
+    """delta as a share of |base|; on a zero base a positive delta is infinite
+    and any other is 0."""
     if base:
         return delta / abs(base)
     return math.inf if delta > 0 else 0.0
