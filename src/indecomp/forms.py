@@ -15,7 +15,6 @@ from .codifferent import (
     certificate_delta,
     certified_simplest,
     pairing_vector,
-    trace_pairing,
 )
 from .errors import (
     ConsistencyError,
@@ -38,9 +37,11 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
+    coords_totally_positive,
     elem,
     is_totally_positive,
     mul,
+    mul_coords,
     norm,
     one,
     unit_generators,
@@ -102,10 +103,10 @@ def unit_square_root(eps: OrderElement) -> Optional[OrderElement]:
     """x with x^2 = eps, or None; complete search over |sigma_i(x)| <= sqrt, once per eps."""
     if not is_totally_positive(eps):
         return None
+    minpoly = eps.field.minpoly
     for coords in region_points(*_square_root_region(eps)):
-        x = OrderElement(coords, eps.field)
-        if mul(x, x) == eps:
-            return x
+        if mul_coords(coords, coords, minpoly) == eps.coords:
+            return OrderElement(coords, eps.field)
     return None
 
 
@@ -234,7 +235,8 @@ def decompose_into_indecomposables(
     totally positive element bounds from below by 1; each subtracted part
     strictly decreases it, so termination is guaranteed.  Candidate parts
     are tried triangle-first by decreasing trace contribution, widening the
-    unit-exponent window on demand.
+    unit-exponent window on demand.  The remainder is carried as a
+    coordinate tuple.
     """
     field = alpha.field
     if field.family is not Family.SIMPLEST_CUBIC:
@@ -243,16 +245,16 @@ def decompose_into_indecomposables(
         raise IllegalParameter("descent needs the monogenicity certificate")
     if not is_totally_positive(alpha):
         raise IllegalParameter("alpha must be totally positive")
-    delta = certificate_delta(field)
+    c = pairing_vector(certificate_delta(field))
     parts: list[tuple[IndecomposableRecord, OrderElement]] = []
-    remaining = alpha
-    while not remaining.is_zero():
-        hit = _find_part(remaining, delta)
+    remaining = alpha.coords
+    while any(remaining):
+        hit = _find_part(field, remaining, c)
         if hit is None:
-            raise DescentStuck(f"no subtractable part for {remaining}")
+            raise DescentStuck(f"no subtractable part for {OrderElement(remaining, field)}")
         rec, unit, term = hit
         parts.append((rec, unit))
-        remaining = remaining - term
+        remaining = tuple(map(operator.sub, remaining, term.coords))
     total = elem(field, 0, 0, 0)
     for rec, unit in parts:
         total = total + mul(unit, rec.element)
@@ -291,56 +293,68 @@ def _ranked_parts(field: FieldSpec, radius: int) -> tuple:
     return tuple(parts)
 
 
-def _find_part(alpha, delta):
-    phi_alpha = trace_pairing(delta, alpha)
+def _find_part(field: FieldSpec, alpha: tuple[int, ...], c: tuple[int, ...]):
+    """The first ranked (rec, u, u * rec) whose subtraction leaves the
+    coordinates alpha zero or totally positive, or None; c is the pairing
+    vector of the certificate delta, so c . alpha = Tr(delta * alpha)."""
+    phi_alpha = sum(map(operator.mul, c, alpha))
+    minpoly = field.minpoly
     for radius in range(0, _DESCENT_RADIUS_CAP + 1):
         # the try order is total, so skipping phi > phi_alpha keeps it
-        for phi, rec, unit, term in _ranked_parts(alpha.field, radius):
+        for phi, rec, unit, term in _ranked_parts(field, radius):
             if phi > phi_alpha:
                 continue
-            rest = alpha - term
-            if rest.is_zero() or is_totally_positive(rest):
+            rest = tuple(map(operator.sub, alpha, term.coords))
+            if not any(rest) or coords_totally_positive(rest, minpoly):
                 return rec, unit, term
     return None
 
 
 # ---------------------------------------------------------------------------
 # Bounded sum-of-squares search and the universality window
+#
+# The search runs on coordinate tuples: a candidate is (y, target - y^2) and a
+# witness a tuple of y, all as coordinates over one field, and elements are
+# built only for the list that `sum_of_squares_witness` returns.
+
+Coords = tuple[int, ...]
 
 
-def _square_candidates(target: OrderElement) -> Iterator[tuple[OrderElement, OrderElement]]:
+def _square_candidates(target: OrderElement) -> Iterator[tuple[Coords, Coords]]:
     """(y, target - y^2) for every y > 0 with target - y^2 zero or totally
     positive, in lexicographic order, from one square-root region search,
     which holds about 8 sqrt(N(target) / disc) points and is guarded."""
-    if 64 * norm(target) > WITNESS_REGION_GUARD**2 * target.field.discriminant:
+    field = target.field
+    if 64 * norm(target) > WITNESS_REGION_GUARD**2 * field.discriminant:
         raise GuardExceeded(f"square-root region of {target.coords} over {WITNESS_REGION_GUARD}")
-    for coords in region_points(*_square_root_region(target)):
-        if coords <= (0, 0, 0):
+    minpoly, t = field.minpoly, target.coords
+    zero = (0,) * len(t)
+    for y in region_points(*_square_root_region(target)):
+        if y <= zero:
             continue  # skip 0; y and -y square identically, keep one
-        y = OrderElement(coords, target.field)
-        rest = target - mul(y, y)
-        if rest.is_zero() or is_totally_positive(rest):
+        rest = tuple(map(operator.sub, t, mul_coords(y, y, minpoly)))
+        if not any(rest) or coords_totally_positive(rest, minpoly):
             yield y, rest
 
 
 def _inherited_candidates(
-    candidates: tuple[tuple[OrderElement, OrderElement], ...], square: OrderElement
-) -> Iterator[tuple[OrderElement, OrderElement]]:
+    candidates: tuple[tuple[Coords, Coords], ...], square: Coords, minpoly: tuple[int, ...]
+) -> Iterator[tuple[Coords, Coords]]:
     """The candidates of target - square from those of target: one
     subtraction and one positivity test per entry."""
     for y, rest in candidates:
-        rest = rest - square
-        if rest.is_zero() or is_totally_positive(rest):
+        rest = tuple(map(operator.sub, rest, square))
+        if not any(rest) or coords_totally_positive(rest, minpoly):
             yield y, rest
 
 
-# (target, budget) -> the first witness of _squares_summing_to, per process
-_witness_cache: dict[tuple[OrderElement, int], Optional[tuple[OrderElement, ...]]] = {}
+# (field, target coords, budget) -> the first witness of _squares_summing_to, per process
+_witness_cache: dict[tuple[FieldSpec, Coords, int], Optional[tuple[Coords, ...]]] = {}
 
 
 def _squares_summing_to(
-    target: OrderElement, budget: int, candidates: Iterable[tuple[OrderElement, OrderElement]]
-) -> Optional[tuple[OrderElement, ...]]:
+    field: FieldSpec, target: Coords, budget: int, candidates: Iterable[tuple[Coords, Coords]]
+) -> Optional[tuple[Coords, ...]]:
     """Up to `budget` elements whose squares sum to target, or None.
 
     `candidates` yields (x, target - x^2) for every x > 0 with target - x^2
@@ -351,27 +365,27 @@ def _squares_summing_to(
     its parent: y is one exactly when (target - y^2) - x^2 is zero or totally
     positive, and as x^2 >> 0 every such y is already in the parent's list,
     in the same order.  A budget-1 remainder needs no inherited list
-    (`_one_square`).  Answers are cached per (target, budget) for the
+    (`_one_square`).  Answers are cached per (field, target, budget) for the
     process; the lists are consumed only on a cache miss and then dropped.
     """
-    if target.is_zero():
+    if not any(target):
         return ()
     if budget == 0:
         return None
-    key = (target, budget)
+    key = (field, target, budget)
     if key in _witness_cache:
         return _witness_cache[key]
     candidates = tuple(candidates)
     # target - y^2 -> y for the budget-1 leaves; distinct y > 0 have distinct squares
-    roots = {rest.coords: y for y, rest in candidates} if budget == 2 else None
+    roots = {rest: y for y, rest in candidates} if budget == 2 else None
     witness = None
     for x, rest in candidates:
-        square = target - rest
+        square = tuple(map(operator.sub, target, rest))
         if budget == 2:
-            tail = _one_square(rest, square, roots)
+            tail = _one_square(field, rest, square, roots)
         else:
-            inherited = _inherited_candidates(candidates, square)
-            tail = _squares_summing_to(rest, budget - 1, inherited)
+            inherited = _inherited_candidates(candidates, square, field.minpoly)
+            tail = _squares_summing_to(field, rest, budget - 1, inherited)
         if tail is not None:
             witness = (x, *tail)
             break
@@ -380,9 +394,9 @@ def _squares_summing_to(
 
 
 def _one_square(
-    rest: OrderElement, square: OrderElement, roots: dict[tuple[int, ...], OrderElement]
-) -> Optional[tuple[OrderElement, ...]]:
-    """`_squares_summing_to(rest, 1, ...)` for rest = target - square.
+    field: FieldSpec, rest: Coords, square: Coords, roots: dict[Coords, Coords]
+) -> Optional[tuple[Coords, ...]]:
+    """`_squares_summing_to(field, rest, 1, ...)` for rest = target - square.
 
     rest = y^2 with y > 0 exactly when target - y^2 = square, and then
     target - y^2 >> 0 puts y among the candidates of target, which `roots`
@@ -390,11 +404,11 @@ def _one_square(
     subtraction and no positivity test; such a y is unique, so it is the
     first witness.
     """
-    if rest.is_zero():
+    if not any(rest):
         return ()
-    key = (rest, 1)
+    key = (field, rest, 1)
     if key not in _witness_cache:
-        y = roots.get(square.coords)
+        y = roots.get(square)
         _witness_cache[key] = None if y is None else (y,)
     return _witness_cache[key]
 
@@ -406,8 +420,11 @@ def sum_of_squares_witness(beta: OrderElement) -> Optional[list[OrderElement]]:
         return []
     if not is_totally_positive(beta):
         return None
-    witness = _squares_summing_to(beta, PYTHAGORAS_CAP_CUBIC, _square_candidates(beta))
-    return None if witness is None else list(witness)
+    field = beta.field
+    witness = _squares_summing_to(
+        field, beta.coords, PYTHAGORAS_CAP_CUBIC, _square_candidates(beta)
+    )
+    return None if witness is None else [OrderElement(x, field) for x in witness]
 
 
 @dataclass(frozen=True)
@@ -421,17 +438,16 @@ class WindowReport:
 def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     """All totally positive alpha with Tr(delta * alpha) <= trace_bound."""
     gamma = certificate_delta(field).numerator
-    out = []
+    minpoly = field.minpoly
+    kept = []
     for t in range(1, trace_bound + 1):
         ctx, bounds, equality = _trace_region(gamma, t)
         if any(lo < 0 for lo, _ in bounds):
             raise ConsistencyError("certificate delta must be totally positive")
-        for coords in region_points(ctx, bounds, equality):
-            el = OrderElement(coords, field)
-            if not el.is_zero() and is_totally_positive(el):
-                out.append(el)
-    out.sort(key=lambda e: e.coords)
-    return out
+        points = region_points(ctx, bounds, equality)
+        kept += [x for x in points if coords_totally_positive(x, minpoly)]
+    kept.sort()
+    return [OrderElement(x, field) for x in kept]
 
 
 def verify_universality_window(field: FieldSpec, trace_bound: int) -> WindowReport:

@@ -281,21 +281,30 @@ def mul(x: OrderElement, y: OrderElement) -> OrderElement:
     f = x.field
     if y.field is not f and y.field != f:
         raise FieldMismatch(f"{f} vs {y.field}")
-    if len(x.coords) == 2:
-        a1, a2 = x.coords
-        b1, b2 = y.coords
-        c1, c0 = f.minpoly  # rho^2 = -c1 rho - c0
+    return OrderElement(mul_coords(x.coords, y.coords, f.minpoly), f)
+
+
+def mul_coords(u: tuple[int, ...], v: tuple[int, ...], minpoly: tuple[int, ...]) -> tuple[int, ...]:
+    """Coordinates of the product of the elements with coordinates u and v,
+    reduced with the monic minpoly: `mul` on tuples, for searches that keep
+    their intermediate values as coordinates."""
+    if len(u) == 2:
+        a1, a2 = u
+        b1, b2 = v
+        c1, c0 = minpoly  # rho^2 = -c1 rho - c0
         r2 = a2 * b2
-        return OrderElement((a1 * b1 - c0 * r2, a1 * b2 + a2 * b1 - c1 * r2), f)
-    a1, a2, a3 = x.coords
-    b1, b2, b3 = y.coords
+        return (a1 * b1 - c0 * r2, a1 * b2 + a2 * b1 - c1 * r2)
+    a1, a2, a3 = u
+    b1, b2, b3 = v
+    c2, c1, c0 = minpoly
     # rho^4 = -c2 rho^3 - c1 rho^2 - c0 rho, then rho^3 = -c2 rho^2 - c1 rho - c0
     r4 = a3 * b3
-    r3 = a2 * b3 + a3 * b2 - f.c2 * r4
-    r0 = a1 * b1 - f.c0 * r3
-    r1 = a1 * b2 + a2 * b1 - f.c0 * r4 - f.c1 * r3
-    r2 = a1 * b3 + a2 * b2 + a3 * b1 - f.c1 * r4 - f.c2 * r3
-    return OrderElement((r0, r1, r2), f)
+    r3 = a2 * b3 + a3 * b2 - c2 * r4
+    return (
+        a1 * b1 - c0 * r3,
+        a1 * b2 + a2 * b1 - c0 * r4 - c1 * r3,
+        a1 * b3 + a2 * b2 + a3 * b1 - c1 * r4 - c2 * r3,
+    )
 
 
 def _rho_columns(v1: int, v2: int, v3: int, c2: int, c1: int, c0: int):
@@ -363,19 +372,26 @@ def norm(x: OrderElement) -> int:
     return sym_funcs(x)[-1]
 
 
-def is_totally_positive(x: OrderElement) -> bool:
-    """All conjugates positive, decided symbolically from the signs of (e1, ..., e_d).
+def coords_totally_positive(coords: tuple[int, ...], minpoly: tuple[int, ...]) -> bool:
+    """All conjugates of the element with these coordinates positive, decided
+    symbolically from the signs of (e1, ..., e_d): the one positivity rule.
 
     Every field here is totally real, so the conjugates are all positive
-    exactly when every e_k > 0, the e_k being those of `sym_funcs`.
+    exactly when every e_k > 0, the e_k being those of `sym_funcs`.  The
+    zero element has every e_k = 0 and reads False.
     """
+    if len(coords) == 2:
+        return min(quad_sym_funcs(*coords, minpoly)) > 0
+    v1, v2, v3 = coords
+    e1, e2, e3 = cubic_sym_funcs(v1, v2, v3, minpoly)
+    return e1 > 0 and e2 > 0 and e3 > 0
+
+
+def is_totally_positive(x: OrderElement) -> bool:
+    """`coords_totally_positive` of x; ZeroElement for 0."""
     if x.is_zero():
         raise ZeroElement("total positivity is undefined for 0")
-    if len(x.coords) == 2:
-        return min(quad_sym_funcs(*x.coords, x.field.minpoly)) > 0
-    v1, v2, v3 = x.coords
-    e1, e2, e3 = cubic_sym_funcs(v1, v2, v3, x.field.minpoly)
-    return e1 > 0 and e2 > 0 and e3 > 0
+    return coords_totally_positive(x.coords, x.field.minpoly)
 
 
 def unit_inverse(x: OrderElement) -> OrderElement:

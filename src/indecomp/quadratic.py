@@ -34,7 +34,7 @@ from .errors import (
 from .integers import is_squarefree
 from .norms import ideal_hnf
 from .oracle import decompose, window_points
-from .order_kernel import OrderElement, is_totally_positive, norm, quad_sym_funcs
+from .order_kernel import OrderElement, coords_totally_positive, is_totally_positive, norm
 
 __all__ = [
     "QuadField",
@@ -230,7 +230,7 @@ def _delta_checks(cf: CFExpansion, g0: int, g1: int, i: int) -> bool:
     if c0 * p0 + c1 * q0 != 1 or c0 * p1 + c1 * q1 != 0:
         return False
     (m00, m01), (m10, m11) = fprime_matrix(field)
-    return min(quad_sym_funcs(m00 * g0 + m01 * g1, m10 * g0 + m11 * g1, field.minpoly)) > 0
+    return coords_totally_positive((m00 * g0 + m01 * g1, m10 * g0 + m11 * g1), field.minpoly)
 
 
 def trace_one_numerator(D: int, i: int) -> tuple[int, int]:

@@ -28,6 +28,7 @@ from indecomp.forms import (
     verify_universality_window,
 )
 from indecomp.oracle import region_points, search_box
+from indecomp.quadratic import make_quad_field
 from indecomp.order_kernel import (
     Family,
     OrderElement,
@@ -280,8 +281,11 @@ def test_cached_descent_and_witnesses_match_the_references(a, bound):
         assert sum_of_squares_witness(alpha) == _squares_reference(alpha, 6, {}), alpha
     parts = [decompose_into_indecomposables(alpha) for alpha in elements]
 
-    def reference(alpha, delta):
-        return _find_part_reference(alpha, records, delta)
+    delta = certificate_delta(field)
+
+    def reference(field, alpha, c):
+        assert c == pairing_vector(delta)
+        return _find_part_reference(OrderElement(alpha, field), records, delta)
 
     with mock.patch.object(forms, "_find_part", reference):
         assert parts == [decompose_into_indecomposables(alpha) for alpha in elements]
@@ -367,21 +371,27 @@ def test_only_top_level_targets_search_a_square_root_region():
 
 def test_a_warm_descent_step_multiplies_nothing():
     """Work counter: `_ranked_parts` carries each candidate's unit and term,
-    so once a field's rings are ranked `_find_part` calls `mul` 0 times."""
+    and the remainder is a coordinate tuple, so once a field's rings are
+    ranked `_find_part` calls `mul` 0 times and builds no element."""
     field = make_field(Family.SIMPLEST_CUBIC, 2)
-    delta = certificate_delta(field)
+    c = pairing_vector(certificate_delta(field))
     elements = _window_elements(field, 4)
-    want = [forms._find_part(alpha, delta) for alpha in elements]  # warm
-    calls = []
+    want = [forms._find_part(field, alpha.coords, c) for alpha in elements]  # warm
+    calls, built = [], []
 
     def counting_mul(x, y):
         calls.append((x, y))
         return mul(x, y)
 
-    with mock.patch.object(forms, "mul", counting_mul):
-        assert [forms._find_part(alpha, delta) for alpha in elements] == want
+    def counting_element(coords, field):
+        built.append(coords)
+        return OrderElement(coords, field)
+
+    with mock.patch.object(forms, "mul", counting_mul), \
+            mock.patch.object(forms, "OrderElement", counting_element):
+        assert [forms._find_part(field, alpha.coords, c) for alpha in elements] == want
     assert all(hit is not None for hit in want)
-    assert calls == []
+    assert calls == [] and built == []
 
 
 def _benchmark_witness_targets():
@@ -410,32 +420,75 @@ def test_inherited_witnesses_match_the_region_search_reference():
         assert sum_of_squares_witness(beta) == _squares_reference(beta, 6, {}), beta
 
 
-def test_a_budget_one_leaf_tests_no_positivity():
-    """Work counter: a budget-1 remainder target - x^2 is a square exactly
-    when some candidate y of target has target - y^2 == x^2, so a budget-2
-    search over a ready candidate list makes 0 `is_totally_positive` calls,
-    and finds the reference's first witness, or none."""
+def test_each_witness_call_tests_positivity_once():
+    """Work counter: from cold caches, every `sum_of_squares_witness` call
+    over the benchmark's 247 witness targets makes exactly one
+    `is_totally_positive` call, its entry check; the search itself decides
+    positivity on coordinates with `coords_totally_positive`."""
     _clear_forms_caches()
-    field = make_field(Family.SIMPLEST_CUBIC, 2)
-    x, y = elem(field, 1, 1, 0), elem(field, 2, -1, 1)
-    targets = [mul(x, x) + mul(y, y), mul(x, x) + 4, elem(field, 7, 0, 0), elem(field, 8, 0, 0)]
-    calls = []
-    positive = forms.is_totally_positive
+    targets = _benchmark_witness_targets()
+    assert len(targets) == 247
+    calls, leaves = [], []
+    positive, predicate = forms.is_totally_positive, forms.coords_totally_positive
 
     def counting(z):
         calls.append(z)
         return positive(z)
 
+    def counting_predicate(coords, minpoly):
+        leaves.append(coords)
+        return predicate(coords, minpoly)
+
+    with mock.patch.object(forms, "is_totally_positive", counting), \
+            mock.patch.object(forms, "coords_totally_positive", counting_predicate):
+        for beta in targets:
+            calls.clear()
+            assert sum_of_squares_witness(beta) is not None, beta
+            assert calls == [beta], beta
+    assert leaves
+
+
+def test_a_budget_one_leaf_tests_no_positivity():
+    """Work counter: a budget-1 remainder target - x^2 is a square exactly
+    when some candidate y of target has target - y^2 == x^2, so a budget-2
+    search over a ready candidate list makes 0 `coords_totally_positive`
+    calls, and finds the reference's first witness, or none."""
+    _clear_forms_caches()
+    field = make_field(Family.SIMPLEST_CUBIC, 2)
+    x, y = elem(field, 1, 1, 0), elem(field, 2, -1, 1)
+    targets = [mul(x, x) + mul(y, y), mul(x, x) + 4, elem(field, 7, 0, 0), elem(field, 8, 0, 0)]
+    calls = []
+    predicate = forms.coords_totally_positive
+
+    def counting(coords, minpoly):
+        calls.append(coords)
+        return predicate(coords, minpoly)
+
     answers = []
     for beta in targets:
         candidates = tuple(forms._square_candidates(beta))
-        with mock.patch.object(forms, "is_totally_positive", counting):
-            got = forms._squares_summing_to(beta, 2, candidates)
+        with mock.patch.object(forms, "coords_totally_positive", counting):
+            got = forms._squares_summing_to(field, beta.coords, 2, candidates)
         want = _squares_reference(beta, 2, {})
-        assert got == (None if want is None else tuple(want)), beta
+        assert got == (None if want is None else tuple(w.coords for w in want)), beta
         answers.append(got)
     assert calls == []
     assert None in answers and any(answers)
+
+
+def test_witnesses_over_a_quadratic_field_and_ennola():
+    """The search is degree-generic: over Q(sqrt 2), 5 + sqrt 2 (norm 23, no
+    unit square class) has no witness and 3 + 2 sqrt 2 = (1 + sqrt 2)^2 has
+    one; Ennola a = 3 keeps its three-square witness of 7 + rho + rho^2."""
+    field = make_quad_field(2)
+    assert sum_of_squares_witness(OrderElement((5, 1), field)) is None
+    beta = OrderElement((3, 2), field)
+    w = sum_of_squares_witness(beta)
+    assert w and sum((mul(x, x) for x in w), OrderElement((0, 0), field)) == beta
+    assert w == _squares_reference(beta, 6, {})
+    ennola = make_field(Family.ENNOLA, 3)
+    w = sum_of_squares_witness(elem(ennola, 7, 1, 1))
+    assert [x.coords for x in w] == [(0, 1, 0), (1, 1, 0), (2, -2, -1)]
 
 
 def test_universality_window_small():

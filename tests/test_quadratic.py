@@ -1,9 +1,11 @@
 """Continued fractions, semiconvergents, quadratic certificates and counts."""
 
+import collections
 import functools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -50,6 +52,7 @@ from indecomp.quadratic import (
     trace_one_delta_scalings,
     trace_one_numerator,
 )
+from indecomp import quadratic, verify
 from indecomp.verify import QUADRATIC_D_SET
 
 RNG = random.Random(424242)
@@ -316,6 +319,23 @@ def test_scaling_resolution_one_mod_four():
         assert rec["literal_totally_positive"] is True
     rec = trace_one_delta_scalings(2, 1)
     assert rec["passing"] == "direct" and rec["literal_trace"] == 1
+
+
+def test_the_quadratic_suite_checks_each_certificate_once():
+    """Work counter: `verify.check_quadratic_suite` runs `_delta_checks` once
+    per (D, odd i): the scaling record checks i = 1, so the loop skips it."""
+    calls = collections.Counter()
+
+    def counting(cf, g0, g1, i):
+        calls[cf.field.D, i] += 1
+        return _delta_checks(cf, g0, g1, i)
+
+    with mock.patch.object(quadratic, "_delta_checks", counting):
+        result = verify.check_quadratic_suite()
+    assert result.passed
+    want = {(D, i) for D in QUADRATIC_D_SET
+            for i in range(-1, 2 * cf_expand(D).period_length, 2)}
+    assert set(calls) == want and set(calls.values()) == {1}
 
 
 def test_quad_pairing_integrality():
