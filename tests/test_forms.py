@@ -28,7 +28,6 @@ from indecomp.forms import (
     verify_universality_window,
 )
 from indecomp.oracle import region_points, search_box
-from indecomp.quadratic import make_quad_field
 from indecomp.order_kernel import (
     Family,
     OrderElement,
@@ -41,6 +40,7 @@ from indecomp.order_kernel import (
     refine_roots,
     unit_generators,
 )
+from indecomp.quadratic import make_quad_field
 
 
 def test_minimal_vector_table():
@@ -477,9 +477,10 @@ def test_a_budget_one_leaf_tests_no_positivity():
 
 
 def test_witnesses_over_a_quadratic_field_and_ennola():
-    """The search is degree-generic: over Q(sqrt 2), 5 + sqrt 2 (norm 23, no
-    unit square class) has no witness and 3 + 2 sqrt 2 = (1 + sqrt 2)^2 has
-    one; Ennola a = 3 keeps its three-square witness of 7 + rho + rho^2."""
+    """The search is degree-generic: over Q(sqrt 2), 5 + sqrt 2 >> 0 has no
+    witness, as every square (x + y sqrt 2)^2 has the even sqrt 2 coordinate
+    2xy, and 3 + 2 sqrt 2 = (1 + sqrt 2)^2 has one; Ennola a = 3 keeps its
+    three-square witness of 7 + rho + rho^2."""
     field = make_quad_field(2)
     assert sum_of_squares_witness(OrderElement((5, 1), field)) is None
     beta = OrderElement((3, 2), field)

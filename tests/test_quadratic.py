@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 import sympy
 
+from indecomp import quadratic, verify
 from indecomp.codifferent import (
     CodifferentElement,
     fprime_element,
@@ -52,7 +53,6 @@ from indecomp.quadratic import (
     trace_one_delta_scalings,
     trace_one_numerator,
 )
-from indecomp import quadratic, verify
 from indecomp.verify import QUADRATIC_D_SET
 
 RNG = random.Random(424242)
