@@ -67,7 +67,6 @@ from .oracle import (
 )
 from .quadratic import (
     CFExpansion,
-    QuadField,
     cf_expand,
     indecomposables_quadratic,
     make_quad_field,

@@ -334,9 +334,8 @@ def cmd_quadratic(args) -> int:
                 ok = False
         # the record of `trace_one_delta_scalings(D, 1)`: the literal numerator
         # is D times the checked one, so it pairs to D when D = 1 mod 4
-        one_mod_four = cf.field.one_mod_four
-        scaling = {"passing": "literal/D" if one_mod_four else "direct",
-                   "literal_trace": D if one_mod_four else 1}
+        scaling = ({"passing": "literal/D", "literal_trace": D} if D % 4 == 1
+                   else {"passing": "direct", "literal_trace": 1})
         payload["certificates"] = certs
         payload["scaling"] = scaling
         print(f"certificates: {sum(c['ok'] for c in certs)}/{len(certs)} pass; scaling "
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
-        named = sorted(f.value for f in Family if f is not Family.CUSTOM_CUBIC)
+        named = sorted(f.value for f in Family if f not in (Family.CUSTOM_CUBIC, Family.QUADRATIC))
         p.add_argument("--family", choices=named, required=True)
         p.add_argument("--a", type=int, required=True)
 

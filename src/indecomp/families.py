@@ -1,4 +1,5 @@
-"""Closed-form indecomposable inventories for the three cubic families.
+"""Closed-form indecomposable inventories for the three cubic families, and
+the record type that the quadratic inventory shares.
 
 The triangle of a SimplestCubic field is indexed internally by (v, W) with
 w = v(a+2) + 1 + W; the order-3 rotation (conjugation combined with a fixed
@@ -42,6 +43,8 @@ KIND_TRIANGLE = "triangle"
 KIND_ENNOLA_ROW = "ennola_row"
 KIND_THOMAS_ROW1 = "thomas_row1"
 KIND_THOMAS_ROW2 = "thomas_row2"
+KIND_SEMICONVERGENT = "semiconvergent"  # quadratic: alpha_{i,r}, index (i, r)
+KIND_CONJUGATE = "conjugate"  # quadratic: the conjugate of alpha_{i,r}
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,7 @@ def inventory(field: FieldSpec) -> tuple[IndecomposableRecord, ...]:
         return indecomposables_ennola(field.a)
     if field.family is Family.THOMAS:
         return indecomposables_thomas(field.a)
-    raise UnsupportedFamily("no inventory for custom cubics")
+    raise UnsupportedFamily(f"no inventory for {field.family.value}")
 
 
 def parallelepiped_candidates(*gens: OrderElement) -> tuple[list[OrderElement], list[OrderElement]]:
@@ -234,7 +237,7 @@ def standard_parallelepipeds(field):
     if len(field.minpoly) == 2:
         from .quadratic import fundamental_tp_unit
 
-        return ((one(field), fundamental_tp_unit(field.D)),)
+        return ((one(field), fundamental_tp_unit(field.a)),)
     e1, e2 = unit_generators(field).totally_positive
     e3 = mul(e1, unit_inverse(e2))
     return ((one(field), e1, e2), (one(field), e1, e3))

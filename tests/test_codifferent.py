@@ -282,7 +282,7 @@ def test_quad_codiff_positivity_matches_embedding_signs(D, coords):
     field = make_quad_field(D)
     x, y = coords
     root = sympy.sqrt(D)
-    w, wc = ((1 + root) / 2, (1 - root) / 2) if field.one_mod_four else (root, -root)
+    w, wc = ((1 + root) / 2, (1 - root) / 2) if D % 4 == 1 else (root, -root)
     want = sympy.sign(x + y * w) > 0 and sympy.sign(x + y * wc) < 0
     got = is_totally_positive_codiff(CodifferentElement(OrderElement(coords, field)))
     assert got == bool(want)

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from indecomp import codifferent, order_kernel
+from indecomp import codifferent, families, forms, order_kernel
 from indecomp.codifferent import (
     CodifferentElement,
     _fprime_inverse_parts,
@@ -61,7 +61,7 @@ from indecomp.quadratic import make_quad_field
 
 def _seed_intervals_reference(field):
     """Fraction seed brackets for the SimplestCubic roots, a >= 7, or None."""
-    if getattr(field, "family", None) is not Family.SIMPLEST_CUBIC or field.a < 7:
+    if field.family is not Family.SIMPLEST_CUBIC or field.a < 7:
         return None
     a = field.a
     seeds = [
@@ -93,7 +93,8 @@ def galois_conjugation_matrix_reference(field):
     unit, r = one(field), rho(field)
     rp = OrderElement((a + 2, a, -1), field)
     rp2 = mul(rp, rp)
-    val = mul(rp2, rp) + field.c2 * rp2 + field.c1 * rp + field.c0 * unit
+    c2, c1, c0 = field.minpoly
+    val = mul(rp2, rp) + c2 * rp2 + c1 * rp + c0 * unit
     if not val.is_zero():
         raise NotGalois("conjugate candidate is not a root")
     cols = [unit.coords, rp.coords, rp2.coords]
@@ -124,7 +125,7 @@ def unit_generators_reference(f):
         u1, u2 = rho(f), OrderElement((-a, 1, 0), f)
         e1, e2 = u1, u2 * u2
     else:
-        raise UnsupportedFamily("no unit system for custom cubics")
+        raise UnsupportedFamily(f"no unit system for {f.family.value}")
     for u in (u1, u2):
         if norm(u) not in (1, -1):
             raise ConsistencyError(f"fundamental unit {u} has norm {norm(u)}")
@@ -183,10 +184,10 @@ QUAD_FIELDS = [make_quad_field(D) for D in range(2, 201) if is_squarefree(D)]
 # FieldSpecs that no constructor builds: a wrong coefficient, or the simplest
 # polynomial at a = -2, where f(1) = 1 > 0
 TAMPERED = [
-    FieldSpec(Family.SIMPLEST_CUBIC, 5, -5, -9, -1),
-    FieldSpec(Family.SIMPLEST_CUBIC, 5, -6, -8, -1),
-    FieldSpec(Family.SIMPLEST_CUBIC, -2, 2, -1, -1),
-    FieldSpec(Family.ENNOLA, 5, 3, -5, -2),
+    FieldSpec(Family.SIMPLEST_CUBIC, 5, (-5, -9, -1)),
+    FieldSpec(Family.SIMPLEST_CUBIC, 5, (-6, -8, -1)),
+    FieldSpec(Family.SIMPLEST_CUBIC, -2, (2, -1, -1)),
+    FieldSpec(Family.ENNOLA, 5, (3, -5, -2)),
 ]
 
 CASES = [
@@ -221,6 +222,24 @@ def test_tampered_fields_reach_the_error_paths():
     galois = {_outcome(galois_conjugation_matrix.__wrapped__, f)[1] for f in TAMPERED[:3]}
     assert galois == {"conjugate candidate is not a root", "conjugate candidate outside (-2,-1)"}
     assert _outcome(certificate_delta.__wrapped__, TAMPERED[3])[0] is NonIntegralTrace
+
+
+@pytest.mark.parametrize("fn, error, names_family", [
+    (unit_generators, UnsupportedFamily, True),
+    (certificate_delta, UnsupportedFamily, True),
+    (monogenicity_certificate, UnsupportedFamily, False),
+    (galois_conjugation_matrix, NotGalois, True),
+    (families.inventory, UnsupportedFamily, True),
+    (forms.tp_unit_square_classes, UnsupportedFamily, True),
+    (forms.rank_report, UnsupportedFamily, False),
+    (forms.diagonal_universal, UnsupportedFamily, True),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_family_dispatch_refuses_a_quadratic_field(fn, error, names_family):
+    """A quadratic field is a FieldSpec too: every cubic-family dispatch ends
+    in a library error, not an AttributeError, and names the family where
+    its message names one."""
+    with pytest.raises(error, match="quadratic" if names_family else None):
+        fn(make_quad_field(5))
 
 
 def test_checked_delta_fails_as_certificate_delta():

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indecomp.errors import IndecompError
 from indecomp.integers import (
     TRIAL_DIVISION_BOUND,
     factorize,
@@ -33,6 +34,13 @@ def test_factorize_roundtrip():
 def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_out_of_domain_arguments_raise_library_errors():
+    with pytest.raises(IndecompError, match="factorize expects a positive integer"):
+        factorize(0)
+    with pytest.raises(IndecompError, match="icbrt expects n >= 0"):
+        icbrt(-8)
 
 
 def test_is_squarefree_reference():

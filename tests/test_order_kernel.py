@@ -166,6 +166,8 @@ def test_elements_immutable():
         OrderElement((1, 2), f)
     with pytest.raises(ValueError, match="coords must have 2 entries"):
         OrderElement((1, 2, 3), make_quad_field(5))
+    with pytest.raises(IndecompError, match="coords must have 3 entries"):
+        OrderElement((1, 2, 3, 4), f)
 
 
 def test_sym_funcs_examples():
@@ -285,7 +287,7 @@ def test_incremental_refinement_equals_cold_isolation(family, a, monkeypatch):
     """Round r bisects on from round r - 1 and lands where a cold bisection
     does: a cold `isolate_roots` whose default width is that of round r."""
     f = make_field(family, a)
-    bound = 1 + max(abs(f.c2), abs(f.c1), abs(f.c0))
+    bound = 1 + max(map(abs, f.minpoly))
     for rounds in range(31):
         incremental = refine_roots(f, rounds)
         with monkeypatch.context() as patch:
@@ -338,7 +340,8 @@ def test_conjugation_matrix():
     assert m != ident
     rp = conjugate(rho(f))
     # exact root check: f(rho') = 0
-    val = rp ** 3 + f.c2 * mul(rp, rp) + f.c1 * rp + f.c0 * one(f)
+    c2, c1, c0 = f.minpoly
+    val = rp ** 3 + c2 * mul(rp, rp) + c1 * rp + c0 * one(f)
     assert val.is_zero()
     assert conjugate(rho(f), 3) == rho(f)
     assert conjugate(one(f)) == one(f)
@@ -526,7 +529,7 @@ def element_and_unit(draw):
         u = rho(f) ** draw(st.integers(-4, 4))
     else:
         f = draw(_quadratic_fields(200))
-        u = fundamental_tp_unit(f.D) ** draw(st.integers(-3, 3))
+        u = fundamental_tp_unit(f.a) ** draw(st.integers(-3, 3))
     return OrderElement(draw(st.tuples(*[st.integers(-50, 50)] * len(f.minpoly))), f), u
 
 
@@ -543,7 +546,7 @@ def test_ideal_hnf_invariant_under_units(pair):
 
 def test_field_check_is_identity_first_but_value_based():
     f = make_field(Family.THOMAS, 5)
-    twin = FieldSpec(f.family, f.a, f.c2, f.c1, f.c0)
+    twin = FieldSpec(f.family, f.a, f.minpoly)
     assert twin is not f
     x, y = elem(f, 1, 2, 3), elem(twin, -4, 0, 7)
     assert mul(x, y) == mul(y, x) and (x + y).coords == (-3, 2, 10)
@@ -862,7 +865,7 @@ def test_a_rational_root_is_never_passed_silently():
     first midpoint of [0, 2] and the second of [0, 4], and an endpoint of a
     root count."""
     minpoly = (-1, 1, -1)
-    f = FieldSpec(Family.CUSTOM_CUBIC, None, *minpoly)
+    f = FieldSpec(Family.CUSTOM_CUBIC, None, minpoly)
     assert [order_kernel._sign_at(minpoly, n, n) for n in (1, 2, 7)] == [0, 0, 0]
     assert order_kernel._sign_at((0, -4), -6, 3) == 0  # x^2 - 4 at -2
     for hi in (2, 4):
@@ -943,9 +946,7 @@ CONTRACT = settings(max_examples=80, deadline=None, derandomize=True, database=N
 
 def _twin(field):
     """An equal field that is not the same object."""
-    if isinstance(field, FieldSpec):
-        return FieldSpec(field.family, field.a, field.c2, field.c1, field.c0)
-    return type(field)(field.D)
+    return FieldSpec(field.family, field.a, field.minpoly)
 
 
 @st.composite
@@ -962,10 +963,7 @@ def test_hashes_are_the_dataclass_hashes(case):
     generated dataclass hashes had, so no set or dict order moves."""
     f, u, v = case
     twin = _twin(f)
-    if isinstance(f, FieldSpec):
-        want = hash((f.family, f.a, f.c2, f.c1, f.c0))
-    else:
-        want = hash((f.D,))
+    want = hash((f.family, f.a, f.minpoly))
     assert twin is not f and twin == f and hash(f) == hash(twin) == want
     x = OrderElement(u, f)
     assert hash(x) == hash(OrderElement(u, twin)) == hash((u, f))
@@ -992,16 +990,21 @@ def test_sum_and_difference_of_equal_fields(case):
 
 def test_field_pickles_rebuild_the_hash():
     """A pickled FieldSpec carries no hash: Family hashes are str hashes,
-    which differ between interpreter processes."""
+    which differ between interpreter processes.  Quadratic fields included,
+    whose hash now holds their Family too."""
     code = (
         "import pickle, sys\n"
         "from indecomp.order_kernel import Family, make_field\n"
+        "from indecomp.quadratic import make_quad_field\n"
+        "fields = [make_field(Family.ENNOLA, 5), make_quad_field(13)]\n"
         "if sys.argv[1] == 'dump':\n"
-        "    sys.stdout.buffer.write(pickle.dumps(make_field(Family.ENNOLA, 5)))\n"
+        "    sys.stdout.buffer.write(pickle.dumps(fields))\n"
         "else:\n"
-        "    f = pickle.loads(sys.stdin.buffer.read())\n"
-        "    assert hash(f) == hash((f.family, f.a, f.c2, f.c1, f.c0))\n"
-        "    assert f in {make_field(Family.ENNOLA, 5)} and f.minpoly == (4, -5, -1)\n"
+        "    loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "    for f, g in zip(loaded, fields, strict=True):\n"
+        "        assert hash(f) == hash((f.family, f.a, f.minpoly)) == hash(g)\n"
+        "        assert f in {g} and f.minpoly == g.minpoly\n"
+        "    assert [f.minpoly for f in loaded] == [(4, -5, -1), (-1, -3)]\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(order_kernel.__file__).resolve().parents[1])}
     dumped = subprocess.run([sys.executable, "-c", code, "dump"], capture_output=True, check=True,

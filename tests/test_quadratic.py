@@ -25,14 +25,18 @@ from indecomp.errors import (
     IllegalParameter,
     ZeroElement,
 )
+from indecomp.families import KIND_CONJUGATE, KIND_SEMICONVERGENT, IndecomposableRecord
 from indecomp.integers import is_squarefree
 from indecomp.hnf import parallelepiped_points
 from indecomp.oracle import _dyadic, indecomposables_by_search, inventories_match
 from indecomp.order_kernel import (
+    Family,
+    FieldSpec,
     OrderElement,
     elem,
     is_totally_positive,
     isolate_roots,
+    make_field,
     norm,
     refine_roots,
     trace,
@@ -64,8 +68,15 @@ def test_make_quad_field_checks():
         make_quad_field(12)
     with pytest.raises(IllegalParameter):
         make_quad_field(1)
-    assert make_quad_field(5).one_mod_four
-    assert not make_quad_field(7).one_mod_four
+    # one FieldSpec type: family QUADRATIC, a = D, omega's minpoly and disc D or 4D
+    for D, minpoly, disc in ((5, (-1, -1), 5), (13, (-1, -3), 13), (7, (0, -7), 28), (2, (0, -2), 8)):
+        f = make_quad_field(D)
+        assert isinstance(f, FieldSpec) and f.family is Family.QUADRATIC and f.a == D
+        assert f.minpoly == minpoly and f.discriminant == disc
+        assert repr(f) == f"FieldSpec(quadratic, a={D}, x^2{minpoly[0]:+d}x{minpoly[1]:+d})"
+    assert make_quad_field(5) is make_quad_field(5)
+    with pytest.raises(IllegalParameter, match="use make_quad_field"):
+        make_field(Family.QUADRATIC, 5)
 
 
 def test_element_arithmetic():
@@ -116,7 +127,7 @@ def test_cf_against_rational_euclid():
         s = math.isqrt(D * 10**60)
         approx = Fraction(s, 10**30)
         field = make_quad_field(D)
-        xi = (approx - 1) / 2 if field.one_mod_four else approx
+        xi = (approx - 1) / 2 if D % 4 == 1 else approx
         want = terms_from_rational(xi, 12)[:11]
         cf = cf_expand(D)
         assert want == [cf.u(i) for i in range(11)], D
@@ -166,6 +177,14 @@ def test_indecomposables_quadratic_d2():
     for r in recs:
         assert is_totally_positive(r.element)
         assert norm(r.element) <= 50
+    # the shared record type: alpha_{i,r} and its conjugate, indexed by (i, r)
+    assert all(isinstance(r, IndecomposableRecord) and r.certificate is None for r in recs)
+    assert recs[0] == IndecomposableRecord(elem(make_quad_field(2), 1, 0), KIND_SEMICONVERGENT, (-1, 0), None)
+    for r in recs:
+        i, k = r.index
+        alpha = semiconvergent(2, i, k)
+        assert r.element == (alpha if r.kind == KIND_SEMICONVERGENT else conj(alpha))
+    assert {r.kind for r in recs} == {KIND_SEMICONVERGENT, KIND_CONJUGATE}
 
 
 def test_indecomposables_quadratic_d5():
@@ -208,9 +227,9 @@ def test_trace_one_delta_all_odd_indices():
 
 def _delta_checks_reference(delta, i):
     """The per-semiconvergent loop: one trace pairing with each alpha_{i,r}."""
-    cf = cf_expand(delta.field.D)
+    cf = cf_expand(delta.field.a)
     for r in range(0, cf.u(i + 2) + 1):
-        if trace_pairing(delta, semiconvergent(delta.field.D, i, r)) != 1:
+        if trace_pairing(delta, semiconvergent(delta.field.a, i, r)) != 1:
             return False
     return is_totally_positive_codiff(delta)
 
@@ -223,7 +242,7 @@ def test_delta_checks_match_the_per_semiconvergent_loop():
         field = cf.field
         for i in range(-1, 2 * cf.period_length, 2):
             p, q = cf.convergent_pair(i + 1)
-            g0 = -p - q if field.one_mod_four else -p
+            g0 = -p - q if D % 4 == 1 else -p
             delta = CodifferentElement(elem(field, g0, q))
             got = (_delta_checks(cf, g0, q, i), _delta_checks_reference(delta, i))
             assert got == (True, True), (D, i)
@@ -248,7 +267,7 @@ def _delta_checks_on_elements(delta, i):
     convergents i and i + 1, then the positivity test of gamma*f' by `mul`."""
     if i < -1:
         raise IndexOutOfRange("convergents start at i = -1")
-    P, Q = _convergents_on_elements(delta.field.D)
+    P, Q = _convergents_on_elements(delta.field.a)
     c0, c1 = pairing_vector(delta)
     return (
         c0 * P[i + 1] + c1 * Q[i + 1] == 1
@@ -263,7 +282,7 @@ def _trace_one_delta_on_elements(D, i):
     cf = cf_expand(D)
     P, Q = _convergents_on_elements(D)
     p, q = P[i + 2], Q[i + 2]
-    delta = CodifferentElement(elem(cf.field, -p - q if cf.field.one_mod_four else -p, q))
+    delta = CodifferentElement(elem(cf.field, -p - q if D % 4 == 1 else -p, q))
     if not _delta_checks_on_elements(delta, i):
         raise CertificateFailure(f"certificate checks failed for D={D}, i={i}")
     return delta
@@ -327,7 +346,7 @@ def test_the_quadratic_suite_checks_each_certificate_once():
     calls = collections.Counter()
 
     def counting(cf, g0, g1, i):
-        calls[cf.field.D, i] += 1
+        calls[cf.field.a, i] += 1
         return _delta_checks(cf, g0, g1, i)
 
     with mock.patch.object(quadratic, "_delta_checks", counting):
@@ -445,8 +464,8 @@ def test_quadratic_root_intervals_are_disjoint_descending_and_isolating(D):
 def test_dyadic_context_encloses_the_embeddings_of_one_and_omega(D):
     f = make_quad_field(D)
     s = sympy.sqrt(D)
-    omega = (1 + s) / 2 if f.one_mod_four else s
-    conjugates = (omega, 1 - omega if f.one_mod_four else -omega)  # descending
+    omega = (1 + s) / 2 if D % 4 == 1 else s
+    conjugates = (omega, 1 - omega if D % 4 == 1 else -omega)  # descending
     c1 = f.minpoly[0]
     for rounds in (0, 2):
         ctx = _dyadic(f, rounds)
