@@ -126,7 +126,7 @@ def tp_unit_square_classes(field: FieldSpec) -> tuple[OrderElement, ...]:
         return (one(field), e2)  # rho*(rho-1)
     if field.family is Family.THOMAS:
         return (one(field), e1)  # rho
-    raise UnsupportedFamily("square classes only for the named families")
+    raise UnsupportedFamily(f"no square classes for {field.family.value}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def rank_report(field: FieldSpec) -> RankReport:
         return RankReport(
             field.family.value, a, None, m, s_count, 12 * s_count, None, lower_diag, None, None
         )
-    raise UnsupportedFamily("rank report only for the named families")
+    raise UnsupportedFamily(f"no rank report for {field.family.value}")
 
 
 # ---------------------------------------------------------------------------

@@ -411,6 +411,16 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family", ["custom", "quadratic"])
+def test_family_choices_are_the_three_cubic_families(family, capsys):
+    """Custom cubics and quadratic fields have their own constructors, so
+    --family offers only the parametrized cubic families."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--family", family, "--a", "5"])
+    assert exc.value.code == 2
+    assert "{ennola,simplest,thomas}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

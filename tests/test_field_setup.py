@@ -224,21 +224,25 @@ def test_tampered_fields_reach_the_error_paths():
     assert _outcome(certificate_delta.__wrapped__, TAMPERED[3])[0] is NonIntegralTrace
 
 
-@pytest.mark.parametrize("fn, error, names_family", [
-    (unit_generators, UnsupportedFamily, True),
-    (certificate_delta, UnsupportedFamily, True),
-    (monogenicity_certificate, UnsupportedFamily, False),
-    (galois_conjugation_matrix, NotGalois, True),
-    (families.inventory, UnsupportedFamily, True),
-    (forms.tp_unit_square_classes, UnsupportedFamily, True),
-    (forms.rank_report, UnsupportedFamily, False),
-    (forms.diagonal_universal, UnsupportedFamily, True),
-], ids=lambda v: getattr(v, "__name__", None))
-def test_family_dispatch_refuses_a_quadratic_field(fn, error, names_family):
+QUADRATIC_DISPATCH = [
+    (unit_generators, UnsupportedFamily, "no unit system for quadratic"),
+    (certificate_delta, UnsupportedFamily, "no certificate delta for quadratic"),
+    (monogenicity_certificate, UnsupportedFamily, "only covers SimplestCubic"),
+    (galois_conjugation_matrix, NotGalois, "quadratic family is not handled as Galois"),
+    (families.inventory, UnsupportedFamily, "no inventory for quadratic"),
+    (forms.tp_unit_square_classes, UnsupportedFamily, "no unit system for quadratic"),
+    (forms.rank_report, UnsupportedFamily, "no rank report for quadratic"),
+    (forms.diagonal_universal, UnsupportedFamily, "no inventory for quadratic"),
+]
+
+
+@pytest.mark.parametrize("fn, error, match", QUADRATIC_DISPATCH,
+                         ids=[case[0].__name__ for case in QUADRATIC_DISPATCH])
+def test_family_dispatch_refuses_a_quadratic_field(fn, error, match):
     """A quadratic field is a FieldSpec too: every cubic-family dispatch ends
-    in a library error, not an AttributeError, and names the family where
-    its message names one."""
-    with pytest.raises(error, match="quadratic" if names_family else None):
+    in a library error, not an AttributeError, that names the family or the
+    one family it covers."""
+    with pytest.raises(error, match=match):
         fn(make_quad_field(5))
 
 
