@@ -11,15 +11,25 @@ only loop that refines root intervals, refines until the needed signs are
 definite, `box_from_embedding` is the box rule, and `region_points` hands
 the box and the rows to the one enumerator, `hnf.lattice_points`.  Every
 search region is built here; `_trace_region` is one rule for both sides of
-the trace pairing.  No search step uses a float, nor a Fraction after the
-rounding.  `window_points` is the one window scan for quadratic and cubic
-fields, shared by `indecomposables_by_search` and
-`quadratic.search_indecomposables`."""
+the trace pairing; `min_trace` builds its t-free part (`_trace_setup`) once
+and each `_trace_slice` only its bounds.  No search step uses a float, nor a
+Fraction after the rounding, and the candidates of `decompose` and
+`_trace_slice` stay coordinate tuples tested by `coords_totally_positive`.
+
+`indecomposables_by_search` is the one window search for quadratic and cubic
+fields (`quadratic.search_indecomposables` filters it by norm).  It walks the
+window points in trace order and pre-tests each one: alpha - beta >> 0 for a
+unit or indecomposable beta found earlier proves alpha decomposable, so
+`decompose` runs only on the points no such beta splits.  The answer is the
+plain search's: a beta the pre-test finds is a real splitting, and a point it
+does not settle still goes to `decompose`.  The pre-test reads no closed form.
+`inventories_match` compares two inventories orbit by orbit within each norm."""
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -28,7 +38,6 @@ from .codifferent import (
     CodifferentElement,
     dual_pairing_vector,
     fprime_element,
-    is_totally_positive_codiff,
     pairing_vector,
     trace_pairing,
 )
@@ -48,10 +57,13 @@ from .order_kernel import (
     REFINEMENT_CAP,
     FieldSpec,
     OrderElement,
+    coords_totally_positive,
     is_totally_positive,
+    mul_coords,
     multiplication_matrix,
     norm,
     refine_roots,
+    sym_funcs,
 )
 
 
@@ -184,26 +196,62 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
     """Lexicographically least (beta, alpha-beta) with both totally positive.
 
     Works in any degree; returns None exactly when alpha is indecomposable
-    in the order.
+    in the order.  The candidates stay coordinate tuples: only the returned
+    pair is built as order elements.
     """
     if alpha.is_zero() or not is_totally_positive(alpha):
         raise IllegalParameter("decompose expects a totally positive element")
     field = alpha.field
+    minpoly = field.minpoly
     ctx, enclosures = _context(field, [alpha])
-    for coords in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
-        if not any(coords):
-            continue
-        beta = OrderElement(coords, field)
-        rest = alpha - beta
-        if rest.is_zero():
-            continue
-        if is_totally_positive(beta) and is_totally_positive(rest):
-            return beta, rest
+    for beta in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
+        # coords_totally_positive reads False on zero, so 0 and alpha are skipped
+        rest = tuple(map(operator.sub, alpha.coords, beta))
+        if coords_totally_positive(beta, minpoly) and coords_totally_positive(rest, minpoly):
+            return OrderElement(beta, field), OrderElement(rest, field)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Minimal trace over the totally positive codifferent
+
+
+@dataclass(frozen=True)
+class TraceSetup:
+    """The part of `_trace_region` that does not depend on t, for one element w.
+
+    scales[i] = (n_i, d_i, positive_i): every v with 0 < sigma_i(v*w/f') < t
+    has 2^k sigma_i(v) within t * n_i / d_i of 0, on the side given by
+    positive_i; pairing is `dual_pairing_vector(field, w)`.
+    """
+
+    ctx: DyadicContext
+    scales: tuple[tuple[int, int, bool], ...]
+    pairing: tuple[int, ...]
+
+
+def _trace_setup(w: OrderElement) -> TraceSetup:
+    """The context, the per-embedding scales and the pairing vector of w.
+
+    Each 0 < sigma_i(v*w/f') < t puts 2^k sigma_i(v) between 0 and
+    t * 2^k max|sigma_i(f')| / min|sigma_i(w)|, with the sign of sigma_i(f'/w).
+    """
+    field = w.field
+    ctx, enclosures = _context(field, [w])
+    scales = tuple(
+        (max(-flo, fhi) << ctx.k, min(abs(wlo), abs(whi)), (wlo > 0) == (flo > 0))
+        for (wlo, whi), (flo, fhi) in zip(enclosures[w], ctx.fprime)
+    )
+    return TraceSetup(ctx, scales, dual_pairing_vector(field, w))
+
+
+def _trace_bounds(setup: TraceSetup, t: int):
+    """(ctx, bounds, equality) for `region_points` of the trace-t slice of a set-up."""
+    bounds = []
+    for num, den, positive in setup.scales:
+        reach = -(-(t * num) // den)
+        bounds.append((0, reach) if positive else (-reach, 0))
+    return setup.ctx, bounds, (setup.pairing, t)
 
 
 def _trace_region(w: OrderElement, t: int):
@@ -213,27 +261,32 @@ def _trace_region(w: OrderElement, t: int):
     The pairing is symmetric, so this one rule gives both sides of it: with
     w = alpha >> 0 the numerators of `_trace_slice`, and with w the numerator
     of a delta >> 0 the universality window of `forms._window_elements`.
-    Each 0 < sigma_i(v*w/f') < t puts 2^k sigma_i(v) between 0 and
-    t * 2^k max|sigma_i(f')| / min|sigma_i(w)|, with the sign of sigma_i(f'/w).
+    It is `_trace_bounds` of `_trace_setup(w)`; `min_trace` keeps one set-up
+    for all its slices.
     """
-    field = w.field
-    ctx, enclosures = _context(field, [w])
-    bounds = []
-    for (wlo, whi), (flo, fhi) in zip(enclosures[w], ctx.fprime):
-        reach = -(-(t * max(-flo, fhi) << ctx.k) // min(abs(wlo), abs(whi)))
-        bounds.append((0, reach) if (wlo > 0) == (flo > 0) else (-reach, 0))
-    return ctx, bounds, (dual_pairing_vector(field, w), t)
+    return _trace_bounds(_trace_setup(w), t)
 
 
-def _trace_slice(alpha: OrderElement, t: int) -> list[OrderElement]:
-    """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0."""
-    hits = []
-    for coords in region_points(*_trace_region(alpha, t)):
-        gamma = OrderElement(coords, alpha.field)
-        if is_totally_positive_codiff(CodifferentElement(gamma)):
-            hits.append(gamma)
-    hits.sort(key=lambda g: g.coords)
-    return hits
+def _trace_slice(
+    alpha: OrderElement, t: int, setup: Optional[TraceSetup] = None
+) -> list[OrderElement]:
+    """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0,
+    sorted by coordinates.
+
+    setup is `_trace_setup(alpha)`, built here when not given.  gamma/f' is
+    totally positive iff gamma * f' is, tested on coordinate tuples; only the
+    hits are built as order elements.
+    """
+    field = alpha.field
+    minpoly = field.minpoly
+    fprime = fprime_element(field).coords
+    hits = [
+        gamma
+        for gamma in region_points(*_trace_bounds(setup or _trace_setup(alpha), t))
+        if coords_totally_positive(mul_coords(gamma, fprime, minpoly), minpoly)
+    ]
+    hits.sort()
+    return [OrderElement(gamma, field) for gamma in hits]
 
 
 def min_trace(
@@ -248,8 +301,9 @@ def min_trace(
         raise IllegalParameter("min_trace expects a totally positive element")
     if t_max < 1:
         raise IllegalParameter("t_max must be at least 1")
+    setup = _trace_setup(alpha)
     for t in range(1, t_max + 1):
-        hits = _trace_slice(alpha, t)
+        hits = _trace_slice(alpha, t, setup)
         if hits:
             witness = CodifferentElement(hits[0])
             if trace_pairing(witness, alpha) != t:
@@ -309,14 +363,52 @@ def indecomposables_by_search(field) -> SearchInventory:
 
     Unit lattice points (norm 1) are reported separately: they are
     trivially indecomposable and the closed-form inventories list only the
-    element 1 for them.
+    element 1 for them.  Both lists are sorted by coordinates.
+
+    The points are walked in trace order, and alpha skips `decompose` when
+    alpha - beta >> 0 for a unit or indecomposable beta found before it:
+    that proves alpha decomposable, and every other alpha goes to
+    `decompose`, so the answer is the plain search's.  A summand has a
+    smaller trace, so trace order puts it first.  Every point has integer
+    enclosures (lo_i, hi_i) of 2^k sigma_i at one scale; alpha - beta >> 0
+    needs lo_i(beta) < hi_i(alpha) for every i, so the found list is kept
+    sorted by lo_1 and only a prefix of it is read, and only the betas that
+    pass the other bounds get the exact test.
     """
-    units, indec = [], []
+    minpoly = field.minpoly
+    ctx, _ = _context(field)
+    walk = []
     for el in window_points(field):
-        if norm(el) == 1:
+        e = sym_funcs(el)
+        walk.append((e[0], e[-1], el))
+    walk.sort(key=operator.itemgetter(0))  # stable: equal traces keep coordinate order
+    units, indec = [], []
+    # per embedding i, the found (lows, coords) sorted by lows[i], and those keys
+    found = [[] for _ in ctx.rows]
+    keys = [[] for _ in ctx.rows]
+    for _, n, el in walk:
+        alpha = el.coords
+        enclosures = [interval_dot(row, alpha) for row in ctx.rows]
+        his = [hi for _, hi in enclosures]
+        if n == 1:
             units.append(el)
-        elif decompose(el) is None:
+        else:
+            # the candidates lie in each prefix lows[i] < his[i]: read the shortest, nearest first
+            cut, i = min((bisect_left(ks, hi), i) for i, (ks, hi) in enumerate(zip(keys, his)))
+            if any(
+                all(map(operator.lt, lows, his))
+                and coords_totally_positive(tuple(map(operator.sub, alpha, beta)), minpoly)
+                for lows, beta in reversed(found[i][:cut])
+            ) or decompose(el) is not None:
+                continue
             indec.append(el)
+        lows = [lo for lo, _ in enclosures]
+        for ks, entries, lo in zip(keys, found, lows):
+            j = bisect_left(ks, lo)
+            ks.insert(j, lo)
+            entries.insert(j, (lows, alpha))
+    units.sort(key=lambda u: u.coords)
+    indec.sort(key=lambda u: u.coords)
     return SearchInventory(tuple(indec), tuple(units))
 
 
@@ -349,15 +441,38 @@ def equal_mod_totally_positive_units(x: OrderElement, y: OrderElement) -> bool:
     return is_totally_positive(OrderElement(tuple(quotient), x.field))
 
 
+def _by_norm(elements: Sequence[OrderElement], field) -> dict[int, list[OrderElement]]:
+    """The elements grouped by norm; FieldMismatch or ZeroElement as in
+    `equal_mod_totally_positive_units`."""
+    buckets: dict[int, list[OrderElement]] = {}
+    for el in elements:
+        if el.field is not field and el.field != field:
+            raise FieldMismatch(f"{el.field} vs {field}")
+        if el.is_zero():
+            raise ZeroElement("zero has no unit orbit")
+        buckets.setdefault(norm(el), []).append(el)
+    return buckets
+
+
 def inventories_match(xs: Sequence[OrderElement], ys: Sequence[OrderElement]) -> bool:
     """True when xs and ys cover the same totally positive unit orbits.
 
     Every element of each list must be equal, modulo totally positive units,
     to some element of the other; an orbit listed twice in one list still
-    matches a single representative in the other.
+    matches a single representative in the other.  Equal orbits have equal
+    norms, so each element is compared only with the other list's elements
+    of its norm.
     """
-    return all(any(equal_mod_totally_positive_units(x, y) for y in ys) for x in xs) and all(
-        any(equal_mod_totally_positive_units(x, y) for x in xs) for y in ys
+    if not xs or not ys:
+        return not xs and not ys
+    field = xs[0].field
+    bx, by = _by_norm(xs, field), _by_norm(ys, field)
+    if bx.keys() != by.keys():
+        return False
+    return all(
+        all(any(equal_mod_totally_positive_units(x, y) for y in by[n]) for x in bx[n])
+        and all(any(equal_mod_totally_positive_units(x, y) for x in bx[n]) for y in by[n])
+        for n in bx
     )
 
 

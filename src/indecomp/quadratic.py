@@ -6,8 +6,8 @@ QUADRATIC with a = D, and elements are OrderElement pairs over the basis
 (1, omega_D), omega_D a root of x^2 - Tr(omega) x + N(omega); the codifferent is
 (1/sqrt(Delta)) Z[omega_D] = (1/f'(omega_D)) Z[omega_D], so order_kernel,
 codifferent, oracle and norms.ideal_hnf serve these fields as they serve
-the cubic ones; the ground-truth search filters the window scan that
-`oracle.indecomposables_by_search` runs too, over the parallelepiped (1, eps).
+the cubic ones; the ground-truth search filters the inventory of
+`oracle.indecomposables_by_search` over the parallelepiped (1, eps).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
 from .families import KIND_CONJUGATE, KIND_SEMICONVERGENT, IndecomposableRecord
 from .integers import is_squarefree
 from .norms import ideal_hnf
-from .oracle import decompose, window_points
+from .oracle import decompose, indecomposables_by_search
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -296,14 +296,8 @@ def quad_ideal_hnf(beta: OrderElement):
 
 
 def search_indecomposables(D: int, norm_bound: int) -> list[OrderElement]:
-    """Ground-truth inventory: the window points of (1, eps0) with 1 < norm <= bound
-    that decompose finds no totally positive splitting of.
-
-    `oracle.window_points` is the scan that `oracle.indecomposables_by_search`
-    runs too; the norm cut comes before `decompose`, which is the costly test.
-    """
-    return [
-        el
-        for el in window_points(make_quad_field(D))
-        if 1 < norm(el) <= norm_bound and decompose_quadratic(el) is None
-    ]
+    """Ground-truth inventory: the indecomposables of
+    `oracle.indecomposables_by_search` over the window (1, eps0), the cubic
+    fields' search too, with 1 < norm <= bound, sorted by coordinates."""
+    found = indecomposables_by_search(make_quad_field(D)).indecomposables
+    return [el for el in found if 1 < norm(el) <= norm_bound]

@@ -35,6 +35,7 @@ from indecomp.families import (
     triangle_element,
 )
 from indecomp.hnf import interval_dot
+from indecomp.integers import is_squarefree
 from indecomp.intervals import Interval, det
 from indecomp import oracle, order_kernel
 from indecomp.oracle import (
@@ -77,7 +78,7 @@ from indecomp.order_kernel import (
 from indecomp.codifferent import CodifferentElement, is_totally_positive_codiff
 from indecomp.norms import ideal_hnf
 from indecomp.quadratic import make_quad_field
-from indecomp.verify import QUADRATIC_D_SET
+from indecomp.verify import QUADRATIC_D_SET, inventory_matches_search
 
 RNG = random.Random(31337)
 
@@ -557,6 +558,160 @@ def _counting(original, calls):
     return counted
 
 
+# ---------------------------------------------------------------------------
+# The pre-tested window search, the shared trace set-up and the tuple paths
+# against the plain loops they replaced
+
+SEARCH_FIELDS = (
+    [make_field(Family.SIMPLEST_CUBIC, a) for a in range(-1, 9)]
+    + [make_field(Family.ENNOLA, a) for a in range(3, 11)]
+    + [make_field(Family.THOMAS, a) for a in range(2, 11)]
+    + [make_quad_field(D) for D in range(2, 31) if is_squarefree(D)]
+)
+
+
+def _decompose_on_elements(alpha):
+    """`decompose` as it ran on order elements: every region point built and tested."""
+    field = alpha.field
+    ctx, enclosures = _context(field, [alpha])
+    for coords in region_points(ctx, [(0, hi) for _, hi in enclosures[alpha]]):
+        if not any(coords):
+            continue
+        beta = OrderElement(coords, field)
+        rest = alpha - beta
+        if rest.is_zero():
+            continue
+        if is_totally_positive(beta) and is_totally_positive(rest):
+            return beta, rest
+    return None
+
+
+def _plain_search(field):
+    """The window search without the pre-test: `decompose` on every non-unit point."""
+    units, indec = [], []
+    for el in window_points(field):
+        if norm(el) == 1:
+            units.append(el)
+        elif decompose(el) is None:
+            indec.append(el)
+    return tuple(indec), tuple(units)
+
+
+@pytest.mark.parametrize("field", SEARCH_FIELDS, ids=lambda f: f"{f.family.value}-{f.a}")
+def test_pretested_search_equals_the_plain_decompose_loop(field):
+    inv = indecomposables_by_search(field)
+    assert (inv.indecomposables, inv.units) == _plain_search(field)
+
+
+def test_pretested_search_matches_the_thomas_closed_form_up_to_a_20():
+    """From a = 15 on, some Thomas pairs pass every enclosure bound of the
+    pre-test with alpha - beta not totally positive, so only the exact test
+    keeps the search right there."""
+    for a in range(11, 21):
+        assert inventory_matches_search(make_field(Family.THOMAS, a)), a
+
+
+def test_the_search_decomposes_only_the_indecomposables(monkeypatch):
+    """Work counter: the pre-test leaves no decomposable Thomas or Ennola
+    window point for `decompose`."""
+    calls = []
+    monkeypatch.setattr(oracle, "decompose", _counting(decompose, calls))
+    fields = [make_field(Family.THOMAS, a) for a in range(2, 11)]
+    fields += [make_field(Family.ENNOLA, a) for a in range(3, 11)]
+    for field in fields:
+        calls.clear()
+        inv = indecomposables_by_search(field)
+        assert sorted(alpha.coords for alpha, in calls) == [e.coords for e in inv.indecomposables]
+
+
+def test_tuple_decompose_returns_the_least_pair_of_the_element_loop():
+    checked = splits = 0
+    for field in SEARCH_FIELDS[::3]:
+        points = window_points(field)
+        for alpha in points + [x + y for x, y in zip(points, points[1:])]:
+            got = decompose(alpha)
+            want = _decompose_on_elements(alpha)
+            assert got == want, alpha
+            checked += 1
+            splits += got is not None
+    assert checked > 500 and splits > 300
+
+
+def _slice_on_elements(alpha, t):
+    """`_trace_slice` as it ran on order elements, one fresh region per call."""
+    hits = [
+        OrderElement(coords, alpha.field)
+        for coords in region_points(*_trace_region(alpha, t))
+    ]
+    return sorted(
+        (g for g in hits if is_totally_positive_codiff(CodifferentElement(g))),
+        key=lambda g: g.coords,
+    )
+
+
+ORACLE_SEARCH_FIELDS = (
+    [make_field(Family.SIMPLEST_CUBIC, a) for a in (-1, 0, 1, 2, 4, 7)]
+    + [make_field(Family.ENNOLA, a) for a in (3, 4, 5, 6)]
+    + [make_field(Family.THOMAS, a) for a in (2, 3)]
+)
+
+
+def test_min_trace_with_one_set_up_equals_fresh_slices():
+    checked = 0
+    for field in ORACLE_SEARCH_FIELDS:
+        for rec in inventory(field):
+            alpha = rec.element
+            want = None
+            for t in range(1, 4):
+                hits = _trace_slice(alpha, t)
+                assert hits == _slice_on_elements(alpha, t), (alpha, t)
+                if hits:
+                    want = (t, hits[0].coords)
+                    break
+            got = min_trace(alpha, t_max=3)
+            assert (None if got is None else (got[0], got[1].numerator.coords)) == want, alpha
+            checked += 1
+    assert checked > 100
+
+
+def _all_pairs_match(xs, ys):
+    """`inventories_match` before the norm buckets: every pair tested."""
+    return all(any(equal_mod_totally_positive_units(x, y) for y in ys) for x in xs) and all(
+        any(equal_mod_totally_positive_units(x, y) for x in xs) for y in ys
+    )
+
+
+def test_norm_buckets_give_the_all_pairs_verdict():
+    verdicts = set()
+    for family, values in ((Family.THOMAS, range(2, 7)), (Family.ENNOLA, range(3, 7))):
+        for a in values:
+            f = make_field(family, a)
+            found = list(indecomposables_by_search(f).indecomposables)
+            closed = _closed_form(family, a)
+            tp_unit = unit_generators(f).totally_positive[0]
+            other = next(u for u in unit_generators(f).fundamental if not is_totally_positive(u))
+            v1, v2, v3 = closed[-1].coords
+            variants = [
+                closed,
+                closed + [mul(closed[0], tp_unit)],  # one orbit listed twice
+                closed[:-1],
+                closed[:-1] + [elem(f, v1 + 1, v2, v3)],
+                closed[:-1] + [mul(closed[-1], other)],  # another orbit of the same ideal
+                [],
+            ]
+            for xs in variants:
+                for left, right in ((xs, found), (found, xs)):
+                    verdict = inventories_match(left, right)
+                    assert verdict == _all_pairs_match(left, right), (f, xs)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+    f, g = make_field(Family.THOMAS, 4), make_field(Family.ENNOLA, 4)
+    with pytest.raises(ZeroElement):
+        inventories_match([elem(f, 0, 0, 0)], [one(f)])
+    with pytest.raises(FieldMismatch):
+        inventories_match([one(f)], [one(g)])
+
+
 def test_dyadic_context_makes_no_rational_embedding(monkeypatch):
     """Work counter: `_dyadic` encloses f' and the dual basis from its integer rows."""
     embeds = []
@@ -715,6 +870,33 @@ def test_function_level_imports_are_the_two_deliberate_ones():
         ("cli", "cmd_sq_table", "concurrent.futures"),
         ("families", "standard_parallelepipeds", "quadratic"),
     ]
+
+
+CLOSED_FORMS = {
+    "indecomposables_simplest",
+    "indecomposables_ennola",
+    "indecomposables_thomas",
+    "inventory",
+    "certificate_delta",
+}
+
+
+def test_oracle_refers_to_no_closed_form():
+    """The oracle checks the closed forms, so none of its steps may lean on
+    one: `oracle` names no closed form, as an import, a name or an attribute."""
+    import indecomp
+
+    tree = ast.parse((Path(indecomp.__file__).parent / "oracle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert {"decompose", "window_points", "coords_totally_positive"} <= names
+    assert names.isdisjoint(CLOSED_FORMS), names & CLOSED_FORMS
 
 
 @pytest.mark.parametrize("name", ["families", "codifferent"])
