@@ -216,42 +216,31 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
 # Minimal trace over the totally positive codifferent
 
 
-@dataclass(frozen=True)
-class TraceSetup:
-    """The part of `_trace_region` that does not depend on t, for one element w.
+def _trace_setup(w: OrderElement):
+    """(ctx, scales, pairing): the part of `_trace_region(w, t)` that does not depend on t.
 
-    scales[i] = (n_i, d_i, positive_i): every v with 0 < sigma_i(v*w/f') < t
-    has 2^k sigma_i(v) within t * n_i / d_i of 0, on the side given by
-    positive_i; pairing is `dual_pairing_vector(field, w)`.
-    """
-
-    ctx: DyadicContext
-    scales: tuple[tuple[int, int, bool], ...]
-    pairing: tuple[int, ...]
-
-
-def _trace_setup(w: OrderElement) -> TraceSetup:
-    """The context, the per-embedding scales and the pairing vector of w.
-
-    Each 0 < sigma_i(v*w/f') < t puts 2^k sigma_i(v) between 0 and
-    t * 2^k max|sigma_i(f')| / min|sigma_i(w)|, with the sign of sigma_i(f'/w).
+    scales[i] = (2^k max|sigma_i(f')|, min|sigma_i(w)|, sign): each
+    0 < sigma_i(v*w/f') < t puts 2^k sigma_i(v) between 0 and t times their
+    quotient, on the side of the sign of sigma_i(f'/w); pairing is
+    `dual_pairing_vector(field, w)`.
     """
     field = w.field
     ctx, enclosures = _context(field, [w])
-    scales = tuple(
+    scales = [
         (max(-flo, fhi) << ctx.k, min(abs(wlo), abs(whi)), (wlo > 0) == (flo > 0))
         for (wlo, whi), (flo, fhi) in zip(enclosures[w], ctx.fprime)
-    )
-    return TraceSetup(ctx, scales, dual_pairing_vector(field, w))
+    ]
+    return ctx, scales, dual_pairing_vector(field, w)
 
 
-def _trace_bounds(setup: TraceSetup, t: int):
-    """(ctx, bounds, equality) for `region_points` of the trace-t slice of a set-up."""
+def _trace_bounds(setup, t: int):
+    """`_trace_region` from its `_trace_setup`."""
+    ctx, scales, pairing = setup
     bounds = []
-    for num, den, positive in setup.scales:
+    for num, den, positive in scales:
         reach = -(-(t * num) // den)
         bounds.append((0, reach) if positive else (-reach, 0))
-    return setup.ctx, bounds, (setup.pairing, t)
+    return ctx, bounds, (pairing, t)
 
 
 def _trace_region(w: OrderElement, t: int):
@@ -267,9 +256,7 @@ def _trace_region(w: OrderElement, t: int):
     return _trace_bounds(_trace_setup(w), t)
 
 
-def _trace_slice(
-    alpha: OrderElement, t: int, setup: Optional[TraceSetup] = None
-) -> list[OrderElement]:
+def _trace_slice(alpha: OrderElement, t: int, setup=None) -> list[OrderElement]:
     """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0,
     sorted by coordinates.
 
