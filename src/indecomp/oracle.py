@@ -358,9 +358,10 @@ def indecomposables_by_search(field) -> SearchInventory:
     `decompose`, so the answer is the plain search's.  A summand has a
     smaller trace, so trace order puts it first.  Every point has integer
     enclosures (lo_i, hi_i) of 2^k sigma_i at one scale; alpha - beta >> 0
-    needs lo_i(beta) < hi_i(alpha) for every i, so the found list is kept
-    sorted by lo_1 and only a prefix of it is read, and only the betas that
-    pass the other bounds get the exact test.
+    needs lo_i(beta) < hi_i(alpha) for every i.  So the found list is kept
+    sorted by lo_i once per embedding i, only the shortest of the prefixes
+    lo_i(beta) < hi_i(alpha) is read, nearest beta first, and only the betas
+    that pass every bound get the exact test.
     """
     minpoly = field.minpoly
     ctx, _ = _context(field)
@@ -370,7 +371,7 @@ def indecomposables_by_search(field) -> SearchInventory:
         walk.append((e[0], e[-1], el))
     walk.sort(key=operator.itemgetter(0))  # stable: equal traces keep coordinate order
     units, indec = [], []
-    # per embedding i, the found (lows, coords) sorted by lows[i], and those keys
+    # per embedding i: the found (lows, coords) sorted by lows[i], and those keys
     found = [[] for _ in ctx.rows]
     keys = [[] for _ in ctx.rows]
     for _, n, el in walk:
@@ -380,7 +381,6 @@ def indecomposables_by_search(field) -> SearchInventory:
         if n == 1:
             units.append(el)
         else:
-            # the candidates lie in each prefix lows[i] < his[i]: read the shortest, nearest first
             cut, i = min((bisect_left(ks, hi), i) for i, (ks, hi) in enumerate(zip(keys, his)))
             if any(
                 all(map(operator.lt, lows, his))
