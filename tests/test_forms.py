@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from indecomp import forms
-from indecomp.errors import GuardExceeded, IllegalRank, UnsupportedFamily
+from indecomp.errors import DescentStuck, GuardExceeded, IllegalRank, UnsupportedFamily
 from indecomp.families import indecomposables_simplest
 from indecomp.codifferent import certificate_delta, fprime_element, pairing_vector, trace_pairing
 from indecomp.forms import (
@@ -495,6 +495,47 @@ def test_witnesses_over_a_quadratic_field_and_ennola():
 def test_universality_window_small():
     rep = verify_universality_window(make_field(Family.SIMPLEST_CUBIC, 1), 3)
     assert rep.failures == () and rep.checked > 0
+
+
+def _stuck(alpha):
+    raise DescentStuck("no subtractable part")
+
+
+def _window_failures(field, case):
+    """The failure lines `verify_universality_window(field, 3)` owes when
+    `case` patches one step to fail, from the unpatched descent."""
+    lines = []
+    for alpha in _window_elements(field, 3):
+        if case == "descent":
+            lines.append(f"{alpha.coords}: no subtractable part")
+            continue
+        parts = decompose_into_indecomposables(alpha)
+        if case == "unit":
+            lines.append(f"{alpha.coords}: unit {parts[0][1].coords} is not a square")
+            continue
+        for key in dict.fromkeys(rec.element.coords for rec, _ in parts):
+            lines.append(f"{alpha.coords}: group {key} is not a sum of 6 squares")
+        lines.append(f"{alpha.coords}: regrouped sum mismatch")
+    return tuple(lines)
+
+
+@pytest.mark.parametrize(
+    "case, name, patch",
+    [
+        ("descent", "decompose_into_indecomposables", _stuck),
+        ("unit", "unit_square_root", lambda eps: None),
+        ("squares", "sum_of_squares_witness", lambda beta: None),
+    ],
+)
+def test_universality_window_reports_each_failed_step(monkeypatch, case, name, patch):
+    """A failed descent, a unit with no square root and a group with no
+    squares witness each give their failure lines, and the window goes on."""
+    field = make_field(Family.SIMPLEST_CUBIC, 1)
+    want = _window_failures(field, case)
+    monkeypatch.setattr(forms, name, patch)
+    rep = verify_universality_window(field, 3)
+    assert rep.checked == len(_window_elements(field, 3)) > 0
+    assert rep.failures == want
 
 
 def test_universality_window_guards():
