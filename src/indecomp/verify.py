@@ -232,8 +232,11 @@ def check_quadratic_suite() -> CheckResult:
                 quadratic.trace_one_delta(D, i)
             except CertificateFailure as exc:
                 bad.append((D, i, repr(exc)))
-        # a refused i = 1 certificate raises CertificateFailure here, as before
-        record = quadratic.trace_one_delta_scalings(D, 1)
+        try:
+            record = quadratic.trace_one_delta_scalings(D, 1)
+        except CertificateFailure as exc:
+            bad.append((D, 1, repr(exc)))
+            continue
         if D % 4 == 1 and record["literal_trace"] != D:
             bad.append((D, "scaling record", record["literal_trace"]))
     details = f"inventories and certificates for D in {QUADRATIC_D_SET}"

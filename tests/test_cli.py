@@ -317,6 +317,25 @@ def test_quadratic_failing_later_certificate_is_a_verification_failure(monkeypat
     assert data["scaling"] == {"passing": "literal/D", "literal_trace": 13}
 
 
+def test_verify_reports_a_failing_first_certificate_as_a_failure(monkeypatch, capsys):
+    """A refused i = 1 certificate fails the quadratic suite: every check
+    still prints its line and `verify` exits 1."""
+    from indecomp.errors import CertificateFailure
+    from indecomp.verify import QUADRATIC_D_SET
+
+    _failing_certificate(monkeypatch, 1)
+    assert main(["verify", "--suite", "all"]) == EXIT_VERIFY_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    shown = [
+        (D, 1, repr(CertificateFailure(f"certificate checks failed for D={D}, i=1")))
+        for D in QUADRATIC_D_SET[:4]
+    ]
+    assert [line for line in lines if not line.startswith("[PASS] ")] == [
+        f"[FAIL] quadratic-suite: failures: {shown}"
+    ]
+
+
 @pytest.mark.parametrize("faulty", [{-1}, {-1, 1}])
 def test_an_internal_fault_in_a_certificate_is_an_internal_error(monkeypatch, capsys, faulty):
     """Only a failed certificate check is a certificate failure: a
