@@ -27,10 +27,11 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
+    coords_totally_positive,
     elem,
-    is_totally_positive,
     make_field,
     mul,
+    mul_coords,
     multiplication_matrix,
     norm,
 )
@@ -136,12 +137,17 @@ def dual_pairing_vector(field: FieldSpec, x: OrderElement) -> tuple[int, ...]:
     return tuple([sum(map(operator.mul, row, x.coords)) for row in pairing_matrix(field)])
 
 
+def numerator_totally_positive(coords: tuple[int, ...], field: FieldSpec) -> bool:
+    """gamma/f' >> 0, for gamma on coordinates, iff gamma * f' = (gamma/f') * f'^2 is; 0 reads False."""
+    minpoly = field.minpoly
+    return coords_totally_positive(mul_coords(coords, fprime_element(field).coords, minpoly), minpoly)
+
+
 def is_totally_positive_codiff(delta: CodifferentElement) -> bool:
-    """gamma/f' is totally positive iff gamma * f' = (gamma/f') * f'^2 is."""
-    g = delta.numerator
-    if g.is_zero():
+    """`numerator_totally_positive` of delta's numerator; ZeroElement for 0."""
+    if delta.numerator.is_zero():
         raise ZeroElement("zero codifferent element")
-    return is_totally_positive(mul(g, fprime_element(delta.field)))
+    return numerator_totally_positive(delta.numerator.coords, delta.field)
 
 
 def checked_delta(numerator: OrderElement, expected: tuple[int, ...]) -> CodifferentElement:

@@ -32,7 +32,7 @@ from .families import (
     indecomposables_simplest,
     inventory,
 )
-from .oracle import _square_root_region, _trace_region, region_points
+from .oracle import _square_root_region, _trace_bounds, _trace_setup, region_points
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -437,15 +437,14 @@ class WindowReport:
 
 def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
     """All totally positive alpha with Tr(delta * alpha) <= trace_bound."""
-    gamma = certificate_delta(field).numerator
+    setup = _trace_setup(certificate_delta(field).numerator)
     minpoly = field.minpoly
     kept = []
     for t in range(1, trace_bound + 1):
-        ctx, bounds, equality = _trace_region(gamma, t)
+        ctx, bounds, equality = _trace_bounds(setup, t)
         if any(lo < 0 for lo, _ in bounds):
             raise ConsistencyError("certificate delta must be totally positive")
-        points = region_points(ctx, bounds, equality)
-        kept += [x for x in points if coords_totally_positive(x, minpoly)]
+        kept += [x for x in region_points(ctx, bounds, equality) if coords_totally_positive(x, minpoly)]
     kept.sort()
     return [OrderElement(x, field) for x in kept]
 
@@ -471,37 +470,25 @@ def verify_universality_window(field: FieldSpec, trace_bound: int) -> WindowRepo
         except DescentStuck as exc:
             failures.append(f"{alpha.coords}: {exc}")
             continue
-        groups: dict[tuple[int, ...], list[OrderElement]] = {}
-        rec_by_key = {}
-        ok = True
+        groups: dict[OrderElement, list[OrderElement]] = {}
         for rec, unit in parts:
             root = unit_square_root(unit)
             if root is None or mul(root, root) != unit:
                 failures.append(f"{alpha.coords}: unit {unit.coords} is not a square")
-                ok = False
                 break
-            key = rec.element.coords
-            rec_by_key[key] = rec
-            groups.setdefault(key, []).append(unit)
-        if not ok:
-            continue
-        rebuilt = elem(field, 0, 0, 0)
-        for key, units in groups.items():
-            group_sum = elem(field, 0, 0, 0)
-            for u in units:
-                group_sum = group_sum + u
-            witness = sum_of_squares_witness(group_sum)
-            if witness is None:
-                failures.append(
-                    f"{alpha.coords}: group {key} is not a sum of {PYTHAGORAS_CAP_CUBIC} squares"
-                )
-                continue
-            check = elem(field, 0, 0, 0)
-            for x in witness:
-                check = check + mul(x, x)
-            if check != group_sum:
-                raise ConsistencyError(f"squares do not re-sum to group {key}")
-            rebuilt = rebuilt + mul(rec_by_key[key].element, group_sum)
-        if rebuilt != alpha:
-            failures.append(f"{alpha.coords}: regrouped sum mismatch")
+            groups.setdefault(rec.element, []).append(unit)
+        else:
+            rebuilt = zero = elem(field, 0, 0, 0)
+            for element, units in groups.items():
+                group_sum = sum(units, zero)
+                witness = sum_of_squares_witness(group_sum)
+                if witness is None:
+                    failures.append(f"{alpha.coords}: group {element.coords} is not a sum of "
+                                    f"{PYTHAGORAS_CAP_CUBIC} squares")
+                    continue
+                if sum((mul(x, x) for x in witness), zero) != group_sum:
+                    raise ConsistencyError(f"squares do not re-sum to group {element.coords}")
+                rebuilt = rebuilt + mul(element, group_sum)
+            if rebuilt != alpha:
+                failures.append(f"{alpha.coords}: regrouped sum mismatch")
     return WindowReport(a, trace_bound, len(elements), tuple(failures))

@@ -10,11 +10,10 @@ those rows encloses every element, f' and the b_j included.  `_context`, the
 only loop that refines root intervals, refines until the needed signs are
 definite, `box_from_embedding` is the box rule, and `region_points` hands
 the box and the rows to the one enumerator, `hnf.lattice_points`.  Every
-search region is built here; `_trace_region` is one rule for both sides of
-the trace pairing; `min_trace` builds its t-free part (`_trace_setup`) once
-and each `_trace_slice` only its bounds.  No search step uses a float, nor a
-Fraction after the rounding, and the candidates of `decompose` and
-`_trace_slice` stay coordinate tuples tested by `coords_totally_positive`.
+search region is built here; a trace slice, on either side of the pairing,
+is `_trace_bounds` of the `_trace_setup` that its search builds once.  No
+search step uses a float, nor a Fraction after the rounding, and the
+candidates of `decompose` and `_trace_slice` stay coordinate tuples.
 
 `indecomposables_by_search` is the one window search for quadratic and cubic
 fields (`quadratic.search_indecomposables` filters it by norm).  It walks the
@@ -38,6 +37,7 @@ from .codifferent import (
     CodifferentElement,
     dual_pairing_vector,
     fprime_element,
+    numerator_totally_positive,
     pairing_vector,
     trace_pairing,
 )
@@ -59,7 +59,6 @@ from .order_kernel import (
     OrderElement,
     coords_totally_positive,
     is_totally_positive,
-    mul_coords,
     multiplication_matrix,
     norm,
     refine_roots,
@@ -217,7 +216,7 @@ def decompose(alpha: OrderElement) -> Optional[tuple[OrderElement, OrderElement]
 
 
 def _trace_setup(w: OrderElement):
-    """(ctx, scales, pairing): the part of `_trace_region(w, t)` that does not depend on t.
+    """(ctx, scales, pairing): the t-free part of a trace slice, built once per search.
 
     scales[i] = (2^k max|sigma_i(f')|, min|sigma_i(w)|, sign): each
     0 < sigma_i(v*w/f') < t puts 2^k sigma_i(v) between 0 and t times their
@@ -234,7 +233,12 @@ def _trace_setup(w: OrderElement):
 
 
 def _trace_bounds(setup, t: int):
-    """`_trace_region` from its `_trace_setup`."""
+    """(ctx, bounds, equality) for `region_points`: every v with Tr(v*w/f') = t
+    and v*w/f' >> 0, for setup = `_trace_setup(w)` and w sign-definite in every
+    embedding.  The pairing is symmetric: with w = alpha >> 0 these are the
+    numerators of `_trace_slice`, and with w the numerator of a delta >> 0 the
+    window of `forms._window_elements`.
+    """
     ctx, scales, pairing = setup
     bounds = []
     for num, den, positive in scales:
@@ -243,34 +247,18 @@ def _trace_bounds(setup, t: int):
     return ctx, bounds, (pairing, t)
 
 
-def _trace_region(w: OrderElement, t: int):
-    """(ctx, bounds, equality) for `region_points`: every v with Tr(v*w/f') = t
-    and v*w/f' >> 0, for an element w that is sign-definite in every embedding.
-
-    The pairing is symmetric, so this one rule gives both sides of it: with
-    w = alpha >> 0 the numerators of `_trace_slice`, and with w the numerator
-    of a delta >> 0 the universality window of `forms._window_elements`.
-    It is `_trace_bounds` of `_trace_setup(w)`; `min_trace` keeps one set-up
-    for all its slices.
-    """
-    return _trace_bounds(_trace_setup(w), t)
-
-
-def _trace_slice(alpha: OrderElement, t: int, setup=None) -> list[OrderElement]:
+def _trace_slice(alpha: OrderElement, t: int, setup) -> list[OrderElement]:
     """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0,
     sorted by coordinates.
 
-    setup is `_trace_setup(alpha)`, built here when not given.  gamma/f' is
-    totally positive iff gamma * f' is, tested on coordinate tuples; only the
-    hits are built as order elements.
+    setup is `_trace_setup(alpha)`; the candidates are coordinate tuples tested
+    by `numerator_totally_positive`, and only the hits become order elements.
     """
     field = alpha.field
-    minpoly = field.minpoly
-    fprime = fprime_element(field).coords
     hits = [
         gamma
-        for gamma in region_points(*_trace_bounds(setup or _trace_setup(alpha), t))
-        if coords_totally_positive(mul_coords(gamma, fprime, minpoly), minpoly)
+        for gamma in region_points(*_trace_bounds(setup, t))
+        if numerator_totally_positive(gamma, field)
     ]
     hits.sort()
     return [OrderElement(gamma, field) for gamma in hits]
@@ -304,7 +292,7 @@ def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> Codifferen
     if not elements:
         raise IllegalParameter("need at least one element")
     field = elements[0].field
-    for gamma in _trace_slice(elements[0], t):
+    for gamma in _trace_slice(elements[0], t, _trace_setup(elements[0])):
         delta = CodifferentElement(gamma)
         c = pairing_vector(delta)
         for e in elements[1:]:

@@ -19,6 +19,7 @@ from indecomp.codifferent import (
     fprime_element,
     is_totally_positive_codiff,
     monogenicity_certificate,
+    numerator_totally_positive,
     pairing_matrix,
     trace_pairing,
 )
@@ -259,16 +260,27 @@ CUBIC_FIELDS = st.one_of(
 )
 
 
+def _assert_zero_numerator(field):
+    zero = (0,) * len(field.minpoly)
+    assert numerator_totally_positive(zero, field) is False
+    with pytest.raises(ZeroElement):
+        is_totally_positive_codiff(CodifferentElement(OrderElement(zero, field)))
+
+
 @PROPERTY
 @given(CUBIC_FIELDS, st.tuples(*[st.integers(-50, 50)] * 3))
 def test_codiff_positivity_matches_embedding_signs(field, coords):
-    """gamma/f' >> 0 exactly when every sigma_i(gamma) has the sign of sigma_i(f')."""
+    """gamma/f' >> 0 exactly when every sigma_i(gamma) has the sign of sigma_i(f'),
+    by `is_totally_positive_codiff` and by `numerator_totally_positive`; on zero
+    the first raises and the second reads False."""
+    _assert_zero_numerator(field)
     assume(any(coords))
     gamma = OrderElement(coords, field)
     fp = fprime_element(field)
     _, enclosures = _context(field, [gamma, fp])
     want = all((g > 0) == (f > 0) for (g, _), (f, _) in zip(enclosures[gamma], enclosures[fp]))
     assert is_totally_positive_codiff(CodifferentElement(gamma)) == want
+    assert numerator_totally_positive(coords, field) == want
 
 
 @PROPERTY
@@ -277,12 +289,14 @@ def test_codiff_positivity_matches_embedding_signs(field, coords):
     st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
 )
 def test_quad_codiff_positivity_matches_embedding_signs(D, coords):
-    """gamma/sqrt(Delta) >> 0 exactly when sigma_1(gamma) > 0 > sigma_2(gamma)."""
-    assume(any(coords))
+    """gamma/sqrt(Delta) >> 0 exactly when sigma_1(gamma) > 0 > sigma_2(gamma),
+    by both tests, as in the cubic property."""
     field = make_quad_field(D)
+    _assert_zero_numerator(field)
+    assume(any(coords))
     x, y = coords
     root = sympy.sqrt(D)
     w, wc = ((1 + root) / 2, (1 - root) / 2) if D % 4 == 1 else (root, -root)
     want = sympy.sign(x + y * w) > 0 and sympy.sign(x + y * wc) < 0
     got = is_totally_positive_codiff(CodifferentElement(OrderElement(coords, field)))
-    assert got == bool(want)
+    assert got == bool(want) == numerator_totally_positive(coords, field)

@@ -447,7 +447,7 @@ def test_trace_slices_match_the_residue_class_reference():
     largest = points = 0
     for record in indecomposables_simplest(7):
         for t in range(1, 4) if record.kind != "unit" else ():
-            ctx, bounds, equality = oracle._trace_region(record.element, t)
+            ctx, bounds, equality = oracle._trace_bounds(oracle._trace_setup(record.element), t)
             box = oracle.box_from_embedding(ctx, bounds)
             rows = [(row, lo, hi) for row, (lo, hi) in zip(ctx.rows, bounds)]
             got = sorted(oracle.region_points(ctx, bounds, equality))

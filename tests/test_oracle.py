@@ -42,7 +42,8 @@ from indecomp.oracle import (
     _context,
     _dyadic,
     _square_root_region,
-    _trace_region,
+    _trace_bounds,
+    _trace_setup,
     _trace_slice,
     box_from_embedding,
     decompose,
@@ -525,13 +526,13 @@ def test_square_root_region_hits_equal_a_full_box_scan(field, coords, m):
 def test_trace_slice_hits_equal_a_full_box_scan(field, coords, m, t):
     """The codifferent slice: gamma/f' >> 0 with Tr((gamma/f') alpha) = t."""
     alpha = _totally_positive(field, coords, m)
-    ctx, bounds, (c, _) = _trace_region(alpha, t)
+    ctx, bounds, (c, _) = _trace_bounds(_trace_setup(alpha), t)
     full = [
         x for x in _box_scan(box_from_embedding(ctx, bounds))
         if sum(a * v for a, v in zip(c, x)) == t
         and is_totally_positive_codiff(CodifferentElement(OrderElement(x, field)))
     ]
-    assert [g.coords for g in _trace_slice(alpha, t)] == sorted(full)
+    assert [g.coords for g in _trace_slice(alpha, t, _trace_setup(alpha))] == sorted(full)
 
 
 def test_inventory_search_total_positivity_tests_stay_under_ceiling(monkeypatch):
@@ -641,7 +642,7 @@ def _slice_on_elements(alpha, t):
     """`_trace_slice` as it ran on order elements, one fresh region per call."""
     hits = [
         OrderElement(coords, alpha.field)
-        for coords in region_points(*_trace_region(alpha, t))
+        for coords in region_points(*_trace_bounds(_trace_setup(alpha), t))
     ]
     return sorted(
         (g for g in hits if is_totally_positive_codiff(CodifferentElement(g))),
@@ -663,7 +664,7 @@ def test_min_trace_with_one_set_up_equals_fresh_slices():
             alpha = rec.element
             want = None
             for t in range(1, 4):
-                hits = _trace_slice(alpha, t)
+                hits = _trace_slice(alpha, t, _trace_setup(alpha))
                 assert hits == _slice_on_elements(alpha, t), (alpha, t)
                 if hits:
                     want = (t, hits[0].coords)
@@ -768,7 +769,7 @@ def _reference_window(field, t):
 
 
 def _region_key(w, t):
-    ctx, bounds, equality = _trace_region(w, t)
+    ctx, bounds, equality = _trace_bounds(_trace_setup(w), t)
     return ctx.k, bounds, equality
 
 
@@ -824,11 +825,11 @@ def _called(node):
 def test_only_oracle_reads_the_embedding_context():
     """The 2^k context format is private to `oracle`: no other module calls
     `_context` or `_dyadic`, or reads .k, .fprime or .dual of a context
-    (a name bound from `_context`, `_dyadic`, `_trace_region` or
-    `_square_root_region`)."""
+    (a name bound from `_context`, `_dyadic`, `_trace_setup`, `_trace_bounds`
+    or `_square_root_region`)."""
     import indecomp
 
-    factories = {"_context", "_dyadic", "_trace_region", "_square_root_region"}
+    factories = {"_context", "_dyadic", "_trace_setup", "_trace_bounds", "_square_root_region"}
     modules = sorted(Path(indecomp.__file__).parent.glob("*.py"))
     assert "forms" in {m.stem for m in modules}
     for module in modules:
@@ -870,6 +871,27 @@ def test_function_level_imports_are_the_two_deliberate_ones():
         ("cli", "cmd_sq_table", "concurrent.futures"),
         ("families", "standard_parallelepipeds", "quadratic"),
     ]
+
+
+def test_every_module_level_import_is_used():
+    """No module of the package imports a name it never reads.  `__init__`
+    re-exports what it imports, and `norms` keeps `mul`, which
+    perfbench/tests/selfcheck.py reads there to check that tracing rebinds it."""
+    import indecomp
+
+    unused = []
+    for module in sorted(Path(indecomp.__file__).parent.glob("*.py")):
+        if module.stem == "__init__":
+            continue
+        tree = ast.parse(module.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append((module.stem, name))
+    assert unused == [("norms", "mul")]
 
 
 CLOSED_FORMS = {
