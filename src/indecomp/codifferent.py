@@ -138,7 +138,8 @@ def dual_pairing_vector(field: FieldSpec, x: OrderElement) -> tuple[int, ...]:
 
 
 def numerator_totally_positive(coords: tuple[int, ...], field: FieldSpec) -> bool:
-    """gamma/f' >> 0, for gamma on coordinates, iff gamma * f' = (gamma/f') * f'^2 is; 0 reads False."""
+    """gamma/f' >> 0 for the numerator gamma on coordinates: iff gamma * f' =
+    (gamma/f') * f'^2 is.  The one such rule of the searches; 0 reads False."""
     minpoly = field.minpoly
     return coords_totally_positive(mul_coords(coords, fprime_element(field).coords, minpoly), minpoly)
 

@@ -444,7 +444,8 @@ def _window_elements(field: FieldSpec, trace_bound: int) -> list[OrderElement]:
         ctx, bounds, equality = _trace_bounds(setup, t)
         if any(lo < 0 for lo, _ in bounds):
             raise ConsistencyError("certificate delta must be totally positive")
-        kept += [x for x in region_points(ctx, bounds, equality) if coords_totally_positive(x, minpoly)]
+        points = region_points(ctx, bounds, equality)
+        kept += [x for x in points if coords_totally_positive(x, minpoly)]
     kept.sort()
     return [OrderElement(x, field) for x in kept]
 

@@ -255,12 +255,8 @@ def _trace_slice(alpha: OrderElement, t: int, setup) -> list[OrderElement]:
     by `numerator_totally_positive`, and only the hits become order elements.
     """
     field = alpha.field
-    hits = [
-        gamma
-        for gamma in region_points(*_trace_bounds(setup, t))
-        if numerator_totally_positive(gamma, field)
-    ]
-    hits.sort()
+    region = region_points(*_trace_bounds(setup, t))
+    hits = sorted(gamma for gamma in region if numerator_totally_positive(gamma, field))
     return [OrderElement(gamma, field) for gamma in hits]
 
 

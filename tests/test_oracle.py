@@ -885,12 +885,14 @@ def test_every_module_level_import_is_used():
             continue
         tree = ast.parse(module.read_text())
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    if name not in read:
-                        unused.append((module.stem, name))
+        imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append((module.stem, name))
     assert unused == [("norms", "mul")]
 
 
