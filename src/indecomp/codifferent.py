@@ -37,26 +37,15 @@ from .order_kernel import (
 )
 
 
-@lru_cache(maxsize=None)
 def fprime_element(field: FieldSpec) -> OrderElement:
-    """f'(rho) as an order element, from the coefficients of f = field.minpoly.
-
-    Cached: every codifferent positivity test multiplies by it.
-    """
-    c = (*reversed(field.minpoly), 1)  # f = sum_k c_k x^k
-    return OrderElement(tuple(k * c[k] for k in range(1, len(c))), field)
-
-
-@lru_cache(maxsize=None)
-def fprime_matrix(field: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """The multiplication matrix of f'(rho): its rows applied to coords(gamma) give gamma * f'."""
-    return multiplication_matrix(fprime_element(field))
+    """f'(rho) as an order element: the field's `fprime_coords`."""
+    return OrderElement(field.fprime_coords, field)
 
 
 @lru_cache(maxsize=None)
 def _fprime_inverse_parts(field: FieldSpec):
     """(adjugate, det) of the multiplication matrix of f'(rho)."""
-    adj, det = adjugate(fprime_matrix(field))
+    adj, det = adjugate(multiplication_matrix(fprime_element(field)))
     if det == 0 or det != norm(fprime_element(field)):
         raise ConsistencyError(f"det {det} of f'(rho) is not its nonzero norm")
     return adj, det
@@ -139,9 +128,10 @@ def dual_pairing_vector(field: FieldSpec, x: OrderElement) -> tuple[int, ...]:
 
 def numerator_totally_positive(coords: tuple[int, ...], field: FieldSpec) -> bool:
     """gamma/f' >> 0 for the numerator gamma on coordinates: iff gamma * f' =
-    (gamma/f') * f'^2 is.  The one such rule of the searches; 0 reads False."""
+    (gamma/f') * f'^2 is.  The one such rule of the searches and the quadratic
+    certificates; 0 reads False."""
     minpoly = field.minpoly
-    return coords_totally_positive(mul_coords(coords, fprime_element(field).coords, minpoly), minpoly)
+    return coords_totally_positive(mul_coords(coords, field.fprime_coords, minpoly), minpoly)
 
 
 def is_totally_positive_codiff(delta: CodifferentElement) -> bool:

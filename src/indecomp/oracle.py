@@ -36,7 +36,6 @@ from typing import Iterator, Optional, Sequence
 from .codifferent import (
     CodifferentElement,
     dual_pairing_vector,
-    fprime_element,
     numerator_totally_positive,
     pairing_vector,
     trace_pairing,
@@ -111,7 +110,7 @@ def _dyadic(field, rounds: int) -> Optional[DyadicContext]:
     k = (width.denominator // width.numerator).bit_length() + 8
     powers = [(Interval(1), iv, iv.square())[:d] for iv in roots.intervals]
     rows = tuple(tuple(_outward(p, k) for p in ps) for ps in powers)
-    fp = tuple(interval_dot(row, fprime_element(field).coords) for row in rows)
+    fp = tuple(interval_dot(row, field.fprime_coords) for row in rows)
     if not all(lo > 0 or hi < 0 for lo, hi in fp):
         return None
     # synthetic division b_(d-1) = 1, b_(j-1) = rho*b_j + c_j: b_j = sum_k c_(j+1+k) rho^k
@@ -249,7 +248,9 @@ def _trace_bounds(setup, t: int):
 
 def _trace_slice(alpha: OrderElement, t: int, setup) -> list[OrderElement]:
     """All numerators gamma with Tr((gamma/f')*alpha) = t and gamma/f' >> 0,
-    sorted by coordinates.
+    sorted by coordinates.  alpha must be totally positive: the region holds
+    the gamma with gamma*alpha/f' >> 0, and only then does that take in
+    every gamma/f' >> 0.
 
     setup is `_trace_setup(alpha)`; the candidates are coordinate tuples tested
     by `numerator_totally_positive`, and only the hits become order elements.
@@ -284,19 +285,23 @@ def min_trace(
 
 
 def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> CodifferentElement:
-    """One totally positive delta with Tr(delta*e) = t for every listed element."""
+    """One totally positive delta with Tr(delta*e) = t for every listed element.
+
+    The search runs over the trace slice of the first element, which must
+    be totally positive; the others may be any elements of its field.
+    """
     if not elements:
         raise IllegalParameter("need at least one element")
-    field = elements[0].field
-    for gamma in _trace_slice(elements[0], t, _trace_setup(elements[0])):
+    first, rest = elements[0], elements[1:]
+    if first.is_zero() or not is_totally_positive(first):
+        raise IllegalParameter("shared_trace_witness expects a totally positive first element")
+    field = first.field
+    if any(e.field is not field and e.field != field for e in rest):
+        raise FieldMismatch("codifferent element and order element fields differ")
+    for gamma in _trace_slice(first, t, _trace_setup(first)):
         delta = CodifferentElement(gamma)
         c = pairing_vector(delta)
-        for e in elements[1:]:
-            if e.field is not field and e.field != field:
-                raise FieldMismatch("codifferent element and order element fields differ")
-            if sum(map(operator.mul, c, e.coords)) != t:
-                break
-        else:
+        if all(sum(map(operator.mul, c, e.coords)) == t for e in rest):
             return delta
     raise CertificateFailure(f"no shared totally positive trace-{t} witness")
 

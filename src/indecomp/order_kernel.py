@@ -57,9 +57,13 @@ class FieldSpec:
     minpoly: tuple[int, ...]
     # the dataclass hash, computed once: every lru_cache lookup and element hash reads it
     _hash: int = dc_field(init=False, repr=False, compare=False)
+    # the coordinates of f'(rho), computed once: each gamma/f' >> 0 test reads them
+    fprime_coords: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.family, self.a, self.minpoly)))
+        c = (*reversed(self.minpoly), 1)  # f = sum_k c_k x^k
+        object.__setattr__(self, "fprime_coords", tuple(k * c[k] for k in range(1, len(c))))
 
     def __hash__(self):
         return self._hash

@@ -18,8 +18,8 @@ from typing import Optional
 
 from .codifferent import (
     CodifferentElement,
-    fprime_matrix,
     is_totally_positive_codiff,
+    numerator_totally_positive,
     pairing_matrix,
     trace_pairing,
 )
@@ -39,7 +39,6 @@ from .order_kernel import (
     Family,
     FieldSpec,
     OrderElement,
-    coords_totally_positive,
     is_totally_positive,
     norm,
 )
@@ -197,7 +196,8 @@ def _delta_checks(cf: CFExpansion, g0: int, g1: int, i: int) -> bool:
 
     alpha_{i,r} = alpha_i + r*alpha_{i+1} pairs to t_i + r*t_{i+1}, with t_j the
     pairing (rows of `pairing_matrix`) with (p_j, q_j); as u_{i+2} >= 1, that is
-    1 for every r iff t_i = 1 and t_{i+1} = 0.  delta >> 0 iff gamma*f' >> 0.
+    1 for every r iff t_i = 1 and t_{i+1} = 0; delta >> 0 is
+    `numerator_totally_positive`, the rule of every search.
     """
     field = cf.field
     (p0, q0), (p1, q1) = cf.convergent_pair(i), cf.convergent_pair(i + 1)
@@ -205,10 +205,7 @@ def _delta_checks(cf: CFExpansion, g0: int, g1: int, i: int) -> bool:
     c0, c1 = b00 * g0 + b01 * g1, b10 * g0 + b11 * g1
     if c0 * p0 + c1 * q0 != 1 or c0 * p1 + c1 * q1 != 0:
         return False
-    # codifferent.numerator_totally_positive, inline: the call took these checks
-    # from 39 to 43 us per D (squarefree D < 400, 2-vCPU Xeon, Python 3.11)
-    (m00, m01), (m10, m11) = fprime_matrix(field)
-    return coords_totally_positive((m00 * g0 + m01 * g1, m10 * g0 + m11 * g1), field.minpoly)
+    return numerator_totally_positive((g0, g1), field)
 
 
 def trace_one_numerator(D: int, i: int) -> tuple[int, int]:

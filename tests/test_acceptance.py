@@ -5,7 +5,10 @@ band); the implementations live in indecomp.verify so the CLI `verify`
 subcommand runs the identical code.
 """
 
+import ast
 import dataclasses
+import importlib
+from pathlib import Path
 
 from indecomp import oracle, verify
 from indecomp.order_kernel import Family, make_field, mul, unit_generators
@@ -96,3 +99,23 @@ def test_acceptance_09_identity_suites():
 def test_acceptance_10_universality_windows():
     """Constructive universality windows (a, bound) in {(1, 6), (2, 4)}."""
     _run(verify.check_universality_windows)
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark traces (TRACED in perfbench/tracer.py, 52
+    names) is a callable attribute of its `indecomp` layer.  TRACED is read
+    from the source, so no benchmark code is imported."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    ]
+    names = [(layer, name) for layer, funcs in traced.items() for name in funcs]
+    assert names
+    missing = [
+        f"{layer}.{name}"
+        for layer, name in names
+        if not callable(getattr(importlib.import_module(f"indecomp.{layer}"), name, None))
+    ]
+    assert missing == []

@@ -226,7 +226,8 @@ X = sympy.Symbol("X")
 @PROPERTY
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=3))
 def test_euler_pairing_is_sympy_trace_of_rho_power_over_fprime(minpoly):
-    """t_(i+j) = Tr(rho^(i+j)/f'(rho)), computed as a trace of companion-matrix powers."""
+    """t_(i+j) = Tr(rho^(i+j)/f'(rho)), computed as a trace of companion-matrix powers;
+    the f' of a FieldSpec on that minpoly is sympy's derivative."""
     d = len(minpoly)
     f = sympy.Poly([1, *minpoly], X)
     assume(f.is_irreducible)
@@ -236,6 +237,8 @@ def test_euler_pairing_is_sympy_trace_of_rho_power_over_fprime(minpoly):
     for k, c in enumerate(reversed(minpoly)):
         companion[k, d - 1] = -c
     fp = f.diff(X).all_coeffs()[::-1]
+    family = Family.CUSTOM_CUBIC if d == 3 else Family.QUADRATIC
+    assert order_kernel.FieldSpec(family, None, tuple(minpoly)).fprime_coords == tuple(fp)
     inv_fp = sum((c * companion**k for k, c in enumerate(fp)), sympy.zeros(d, d)).inv()
     b = euler_pairing(tuple(minpoly))
     for i in range(d):

@@ -311,7 +311,6 @@ _CACHED = [
     (order_kernel, "isolate_roots"),
     (order_kernel, "galois_conjugation_matrix"),
     (order_kernel, "unit_generators"),
-    (codifferent, "fprime_element"),
     (codifferent, "_fprime_inverse_parts"),
     (codifferent, "euler_pairing"),
     (codifferent, "pairing_matrix"),

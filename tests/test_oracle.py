@@ -54,6 +54,7 @@ from indecomp.oracle import (
     norms_superadditive,
     region_points,
     search_box,
+    shared_trace_witness,
     window_points,
 )
 from indecomp.order_kernel import (
@@ -208,6 +209,27 @@ def test_min_trace_cap():
     assert min_trace(el, t_max=1)[0] == 1
     with pytest.raises(IllegalParameter):
         min_trace(el, t_max=0)
+
+
+@pytest.mark.parametrize(
+    "coords, other, t, error",
+    [((0, 1, 0), None, 1, IllegalParameter), ((0, 0, 0), None, 1, IllegalParameter),
+     ((1, 0, 0), 8, 0, FieldMismatch)],
+    ids=["rho", "zero", "field"],
+)
+def test_shared_trace_witness_refuses_what_it_cannot_search(coords, other, t, error):
+    """The search runs over the first element's trace slice, which needs that
+    element totally positive: at a = 7, (-17, -13, 2)/f' >> 0 pairs with rho
+    to 1 but lies outside rho's slice, and 0 has no sign-definite enclosure.
+    Another field is refused before the search, though the trace-0 slice is empty."""
+    f = make_field(Family.SIMPLEST_CUBIC, 7)
+    missed = CodifferentElement(elem(f, -17, -13, 2))
+    assert is_totally_positive_codiff(missed) and trace_pairing(missed, rho(f)) == 1
+    elements = [OrderElement(coords, f)]
+    if other is not None:
+        elements.append(one(make_field(Family.SIMPLEST_CUBIC, other)))
+    with pytest.raises(error):
+        shared_trace_witness(elements, t)
 
 
 def test_search_matches_closed_form_small_a():

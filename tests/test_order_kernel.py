@@ -991,7 +991,7 @@ def test_sum_and_difference_of_equal_fields(case):
 def test_field_pickles_rebuild_the_hash():
     """A pickled FieldSpec carries no hash: Family hashes are str hashes,
     which differ between interpreter processes.  Quadratic fields included,
-    whose hash now holds their Family too."""
+    whose hash now holds their Family too.  The rebuilt fields carry f' too."""
     code = (
         "import pickle, sys\n"
         "from indecomp.order_kernel import Family, make_field\n"
@@ -1004,6 +1004,7 @@ def test_field_pickles_rebuild_the_hash():
         "    for f, g in zip(loaded, fields, strict=True):\n"
         "        assert hash(f) == hash((f.family, f.a, f.minpoly)) == hash(g)\n"
         "        assert f in {g} and f.minpoly == g.minpoly\n"
+        "        assert f.fprime_coords == g.fprime_coords\n"
         "    assert [f.minpoly for f in loaded] == [(4, -5, -1), (-1, -3)]\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(order_kernel.__file__).resolve().parents[1])}
