@@ -168,13 +168,16 @@ def region_points(ctx: DyadicContext, bounds, equality=None) -> Iterator[tuple[i
 def search_box(field: FieldSpec, constraints: Sequence[tuple[object, object]]) -> list[tuple[int, int]]:
     """Integer box for per-embedding constraints lo_i < sigma_i(x) < hi_i.
 
-    Every embedding must carry two finite rational bounds, otherwise the
-    region is unbounded.
+    Every embedding must carry two finite rational bounds lo_i <= hi_i,
+    otherwise the region is unbounded or empty.
     """
     if len(constraints) != len(field.minpoly):
         raise UnboundedRegion("need one (lo, hi) constraint per embedding")
     if any(lo is None or hi is None for lo, hi in constraints):
         raise UnboundedRegion("one-sided constraints leave the region unbounded")
+    for i, (lo, hi) in enumerate(constraints):
+        if lo > hi:
+            raise IllegalParameter(f"empty constraint [{lo}, {hi}] on embedding {i}")
     ctx, _ = _context(field)
     return box_from_embedding(ctx, [_outward(Interval(lo, hi), ctx.k) for lo, hi in constraints])
 
@@ -288,7 +291,8 @@ def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> Codifferen
     """One totally positive delta with Tr(delta*e) = t for every listed element.
 
     The search runs over the trace slice of the first element, which must
-    be totally positive; the others may be any elements of its field.
+    be totally positive; the others may be any elements of its field.  A
+    totally positive delta pairs a totally positive element to t >= 1 only.
     """
     if not elements:
         raise IllegalParameter("need at least one element")
@@ -298,6 +302,8 @@ def shared_trace_witness(elements: Sequence[OrderElement], t: int) -> Codifferen
     field = first.field
     if any(e.field is not field and e.field != field for e in rest):
         raise FieldMismatch("codifferent element and order element fields differ")
+    if t < 1:
+        raise IllegalParameter("t must be at least 1")
     for gamma in _trace_slice(first, t, _trace_setup(first)):
         delta = CodifferentElement(gamma)
         c = pairing_vector(delta)

@@ -535,24 +535,17 @@ def _bisect(field, pieces: list[tuple[int, int, int, int]], width: Fraction) -> 
     return isolated
 
 
-def _piece(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """[lo, hi], holding one root, as a piece of `_bisect` over den = lcm of the denominators."""
-    den = math.lcm(lo.denominator, hi.denominator)
-    n = lo.numerator * (den // lo.denominator)
-    return n, hi.numerator * (den // hi.denominator) - n, den, 1
-
-
 def _seed_intervals(field) -> list[tuple[int, int, int, int]] | None:
     """Known bracketing pieces of `_bisect` for the SimplestCubic roots, valid for a >= 7.
 
     Kept because it pays: isolating the roots of the simplest fields
-    a = 50, 52, ..., 400 to the default width takes about 0.005-0.009 s from
-    these seeds and 0.013-0.023 s from the bisection of [-B, B] (Python
-    3.11.7 on a 2-vCPU Xeon host, the least of 15 runs in each of four
-    processes), and every field a workload touches pays that once when it
-    is set up.  The seeds also fix the root intervals that field-info
-    prints for a >= 7.  Each seed is re-checked for a sign change; None falls
-    back to the bisection of [-B, B].
+    a = 7, 50, 100, 200, 300, 400 to the default width takes about 25-44 us
+    from these seeds and 67-99 us from the bisection of [-B, B] (Python
+    3.11.7 on a 2-vCPU Xeon host, `timeit`, best of 5 x 20 runs), and every
+    field a workload touches pays that once when it is set up and once per
+    refinement round it reaches.  The seeds also fix the root intervals that
+    field-info prints for a >= 7.  Each seed is re-checked for a sign change;
+    None falls back to the bisection of [-B, B].
     """
     if field.family is not Family.SIMPLEST_CUBIC or field.a < 7:
         return None
@@ -572,16 +565,8 @@ def _default_width(field, rounds: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def isolate_roots(field) -> RootIntervals:
-    """Isolating intervals of the default width, one per root of field.minpoly.
-
-    The bisection starts from the seeds where `_seed_intervals` has them, and
-    otherwise from [-B, B], B = `_root_bound`.
-    """
-    pieces = _seed_intervals(field)
-    if pieces is None:
-        bound = _root_bound(field.minpoly)
-        pieces = [(-bound, 2 * bound, 1, _root_count(field.minpoly, -bound, bound, 1))]
-    return _root_intervals(field, pieces, _default_width(field, 0))
+    """Isolating intervals of the default width, one per root of field.minpoly: round 0."""
+    return refine_roots(field, 0)
 
 
 def _root_intervals(field, pieces: list, width: Fraction) -> RootIntervals:
@@ -608,19 +593,19 @@ def _root_intervals(field, pieces: list, width: Fraction) -> RootIntervals:
 def refine_roots(field, rounds: int) -> RootIntervals:
     """Isolating intervals after halving the default width `rounds` times.
 
-    Round 0 is `isolate_roots(field)`; round r bisects on from round r - 1,
-    feeding its intervals to `_bisect` as one-root pieces.  Bisection is
-    deterministic, so the intervals equal those that a cold isolation finds
-    for the same width.
+    Every round is bisected cold, from the seeds where `_seed_intervals` has
+    them and otherwise from [-B, B], B = `_root_bound`.  Bisection is
+    deterministic, so each round's intervals lie on the halving path of the
+    round before and nest inside them.
     """
     if rounds > REFINEMENT_CAP:
         raise RefinementLimit(f"refinement cap {REFINEMENT_CAP} exceeded")
     if rounds < 0:
         raise IllegalParameter("rounds must be non-negative")
-    if rounds == 0:
-        return isolate_roots(field)
-    previous = refine_roots(field, rounds - 1).intervals
-    pieces = [_piece(iv.lo, iv.hi) for iv in previous]
+    pieces = _seed_intervals(field)
+    if pieces is None:
+        bound = _root_bound(field.minpoly)
+        pieces = [(-bound, 2 * bound, 1, _root_count(field.minpoly, -bound, bound, 1))]
     return _root_intervals(field, pieces, _default_width(field, rounds))
 
 

@@ -7,6 +7,7 @@ brackets, products of order elements and a trace per power of rho.  Each
 must give the same result, or raise the same error with the same message.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -79,7 +80,11 @@ def _seed_intervals_reference(field):
 def isolate_roots_reference(field):
     seeds = _seed_intervals_reference(field)
     if seeds:
-        pieces = [order_kernel._piece(lo, hi) for lo, hi in seeds]
+        pieces = []
+        for lo, hi in seeds:
+            den = math.lcm(lo.denominator, hi.denominator)
+            n = lo.numerator * (den // lo.denominator)
+            pieces.append((n, hi.numerator * (den // hi.denominator) - n, den, 1))
     else:
         bound = order_kernel._root_bound(field.minpoly)
         pieces = [(-bound, 2 * bound, 1, order_kernel._root_count(field.minpoly, -bound, bound, 1))]
@@ -309,6 +314,7 @@ def test_seed_pieces_are_the_reference_brackets():
 _CACHED = [
     (order_kernel, "make_field"),
     (order_kernel, "isolate_roots"),
+    (order_kernel, "refine_roots"),
     (order_kernel, "galois_conjugation_matrix"),
     (order_kernel, "unit_generators"),
     (codifferent, "_fprime_inverse_parts"),

@@ -103,6 +103,13 @@ def test_search_box_unbounded():
         search_box(f, [(0, None), (0, 2), (0, 2)])
 
 
+def test_search_box_refuses_an_empty_constraint():
+    """lo > hi on one embedding is an illegal parameter that names the embedding."""
+    f = make_field(Family.SIMPLEST_CUBIC, 7)
+    with pytest.raises(IllegalParameter, match="embedding 0"):
+        search_box(f, [(2, 1), (0, 1), (0, 1)])
+
+
 def test_search_box_compact_trace_slice():
     """{delta >> 0, Tr(alpha*delta) = t} has a finite box via delta_i < t/alpha_i."""
     f = make_field(Family.SIMPLEST_CUBIC, 7)
@@ -214,14 +221,16 @@ def test_min_trace_cap():
 @pytest.mark.parametrize(
     "coords, other, t, error",
     [((0, 1, 0), None, 1, IllegalParameter), ((0, 0, 0), None, 1, IllegalParameter),
-     ((1, 0, 0), 8, 0, FieldMismatch)],
-    ids=["rho", "zero", "field"],
+     ((1, 0, 0), 8, 0, FieldMismatch), ((1, 0, 0), None, 0, IllegalParameter),
+     ((1, 0, 0), None, -1, IllegalParameter)],
+    ids=["rho", "zero", "field", "trace-0", "trace-negative"],
 )
 def test_shared_trace_witness_refuses_what_it_cannot_search(coords, other, t, error):
     """The search runs over the first element's trace slice, which needs that
     element totally positive: at a = 7, (-17, -13, 2)/f' >> 0 pairs with rho
     to 1 but lies outside rho's slice, and 0 has no sign-definite enclosure.
-    Another field is refused before the search, though the trace-0 slice is empty."""
+    Another field is refused before the search, though the trace-0 slice is
+    empty, and so is t < 1, which no totally positive pair reaches."""
     f = make_field(Family.SIMPLEST_CUBIC, 7)
     missed = CodifferentElement(elem(f, -17, -13, 2))
     assert is_totally_positive_codiff(missed) and trace_pairing(missed, rho(f)) == 1

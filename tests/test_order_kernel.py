@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -283,24 +282,26 @@ _REFINED_FAMILIES = [
 
 
 @pytest.mark.parametrize("family, a", _REFINED_FAMILIES)
-def test_incremental_refinement_equals_cold_isolation(family, a, monkeypatch):
-    """Round r bisects on from round r - 1 and lands where a cold bisection
-    does: a cold `isolate_roots` whose default width is that of round r."""
+def test_refinement_rounds_nest(family, a):
+    """Each round is bisected cold, on the halving path of the round before:
+    every round-r interval lies inside the round-(r - 1) interval of the same
+    root, and none is wider than the width of round r."""
     f = make_field(family, a)
-    bound = 1 + max(map(abs, f.minpoly))
-    for rounds in range(31):
-        incremental = refine_roots(f, rounds)
-        with monkeypatch.context() as patch:
-            width = Fraction(bound, 2 ** (20 + rounds))
-            patch.setattr(order_kernel, "_default_width", lambda field, r: width)
-            cold = isolate_roots.__wrapped__(f)
-        assert incremental == cold, rounds
+    previous = refine_roots(f, 0).intervals
+    for rounds in range(1, 31):
+        refined = refine_roots(f, rounds)
+        width = order_kernel._default_width(f, rounds)
+        assert refined.width == width
+        for inner, outer in zip(refined.intervals, previous):
+            assert outer.lo <= inner.lo and inner.hi <= outer.hi, rounds
+            assert inner.width <= width, rounds
+        previous = refined.intervals
 
 
 def test_refinement_round_zero_reuses_the_isolation(monkeypatch):
-    """Work counter: refine_roots(f, 0) is isolate_roots(f), and each later
-    round bisects each root once more from the round before.  The counter
-    adds up the pieces handed to the bisection loop."""
+    """Work counter: refine_roots(f, 0) is isolate_roots(f), each newly
+    computed round hands the bisection loop the 3 seed pieces once, and a
+    cached round hands it none."""
     calls = [0]
     original = order_kernel._bisect
 
@@ -314,9 +315,11 @@ def test_refinement_round_zero_reuses_the_isolation(monkeypatch):
     assert calls[0] == 3
     assert refine_roots(f, 0) is r0 and calls[0] == 3
     refine_roots(f, 5)
-    assert calls[0] == 3 + 3 * 5
+    assert calls[0] == 3 + 3
+    refine_roots(f, 5)
+    assert calls[0] == 3 + 3
     refine_roots(f, REFINEMENT_CAP)
-    assert calls[0] == 3 + 3 * REFINEMENT_CAP
+    assert calls[0] == 3 + 3 + 3
     with pytest.raises(RefinementLimit):
         refine_roots(f, REFINEMENT_CAP + 1)
     with pytest.raises(IllegalParameter):
@@ -668,10 +671,10 @@ _BRACKET_FAMILIES = [
 
 
 def _bracketed_isolation(field):
-    """A cold `isolate_roots`, which bisects [-B, B] from its root counts,
+    """A cold round 0, which bisects [-B, B] from its root counts,
     sorted by lower endpoint, and the Sturm brackets bisected in Fractions to
     the same width."""
-    got = sorted(isolate_roots.__wrapped__(field).intervals, key=lambda iv: iv.lo)
+    got = sorted(refine_roots.__wrapped__(field, 0).intervals, key=lambda iv: iv.lo)
     width = order_kernel._default_width(field, 0)
     want = [_fraction_bisection(field, lo, hi, width) for lo, hi in _sturm_intervals(field)]
     return got, sorted(want, key=lambda iv: iv.lo)
@@ -714,7 +717,7 @@ def test_bracket_roots_stop_at_the_root_separation_bound(monkeypatch, field):
     Mahler's separation bound, after a bounded number of splits."""
     calls = _count_calls(monkeypatch, lambda k: 2)
     with pytest.raises(ConsistencyError, match="root separation"):
-        isolate_roots.__wrapped__(field)
+        refine_roots.__wrapped__(field, 0)
     assert len(calls) < 100
 
 
@@ -724,7 +727,7 @@ def test_bracket_roots_reject_counts_outside_the_degree(monkeypatch, counts):
     a count above the degree is rejected too."""
     _count_calls(monkeypatch, counts.__getitem__)
     with pytest.raises(ConsistencyError, match="outside"):
-        isolate_roots.__wrapped__(make_field(Family.THOMAS, 9))
+        refine_roots.__wrapped__(make_field(Family.THOMAS, 9), 0)
 
 
 @pytest.mark.parametrize("family, a", [(Family.THOMAS, 1024), (Family.ENNOLA, 2**20)])
@@ -810,7 +813,7 @@ def _reference_rounds(field, last):
 
 def _assert_isolation_matches_reference(field):
     reference = _reference_rounds(field, 30)
-    cold = isolate_roots.__wrapped__(field)
+    cold = refine_roots.__wrapped__(field, 0)
     assert sorted(cold.intervals, key=lambda iv: iv.lo) == reference[0], field
     for r, want in enumerate(reference):
         got = refine_roots(field, r)
@@ -886,7 +889,7 @@ _FRACTION_ARITHMETIC = [
 
 
 def test_root_isolation_does_no_fraction_arithmetic(monkeypatch):
-    """Work counter: a cold `isolate_roots` and three `refine_roots` rounds
+    """Work counter: a cold round 0 and a cold round 3 of `refine_roots`
     decide every sign and every width in integers, with 0 calls of Fraction
     addition, subtraction, multiplication or division, on bracketed Thomas,
     quadratic, simplest and Ennola fields (the last with touching brackets)."""
@@ -910,11 +913,9 @@ def test_root_isolation_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
     assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls == ["__add__"]
     calls.clear()
-    # a fresh cache, so that every round is bisected again
-    monkeypatch.setattr(order_kernel, "refine_roots", lru_cache(maxsize=None)(refine_roots.__wrapped__))
     for field, want in zip(fields, warm):
-        isolate_roots.__wrapped__(field)
-        assert order_kernel.refine_roots(field, 3) == want
+        refine_roots.__wrapped__(field, 0)
+        assert refine_roots.__wrapped__(field, 3) == want
         assert calls == [], field
 
 
