@@ -32,7 +32,8 @@ from .families import (
     indecomposables_simplest,
     inventory,
 )
-from .oracle import _square_root_region, _trace_bounds, _trace_setup, region_points
+from .hnf import lattice_points
+from .oracle import _square_root_region, _trace_bounds, _trace_setup, box_from_embedding, region_points
 from .order_kernel import (
     Family,
     FieldSpec,
@@ -329,9 +330,12 @@ def _square_candidates(target: OrderElement) -> Iterator[tuple[Coords, Coords]]:
         raise GuardExceeded(f"square-root region of {target.coords} over {WITNESS_REGION_GUARD}")
     minpoly, t = field.minpoly, target.coords
     zero = (0,) * len(t)
-    for y in region_points(*_square_root_region(target)):
+    ctx, bounds = _square_root_region(target)
+    box = box_from_embedding(ctx, bounds)
+    box[0] = (max(0, box[0][0]), box[0][1])  # y and -y square identically: walk y_0 >= 0
+    for y in lattice_points(box, [(row, lo, hi) for row, (lo, hi) in zip(ctx.rows, bounds)]):
         if y <= zero:
-            continue  # skip 0; y and -y square identically, keep one
+            continue  # skip 0 and the y < 0 with y_0 = 0
         rest = tuple(map(operator.sub, t, mul_coords(y, y, minpoly)))
         if not any(rest) or coords_totally_positive(rest, minpoly):
             yield y, rest

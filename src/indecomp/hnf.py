@@ -85,9 +85,15 @@ def positive_adjugate(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def interval_dot(coeffs, x) -> tuple[int, int]:
-    """Enclosure (lo, hi) of sum_j C_j x_j for integer intervals C_j = (lo, hi), integer x."""
-    terms = [(v * a, v * b) if v >= 0 else (v * b, v * a) for (a, b), v in zip(coeffs, x)]
-    return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
+    """Enclosure (lo, hi) of sum_j C_j x_j for integer intervals C_j = (lo, hi), integer x,
+    in one pass with two running sums; a negative x_j swaps the ends of C_j."""
+    lo = hi = 0
+    for (a, b), v in zip(coeffs, x):
+        if v < 0:
+            a, b = b, a
+        lo += v * a
+        hi += v * b
+    return lo, hi
 
 
 def lattice_points(box, rows, equality=None) -> Iterator[tuple[int, ...]]:
@@ -112,11 +118,13 @@ def lattice_points(box, rows, equality=None) -> Iterator[tuple[int, ...]]:
     if any(lo > hi for lo, hi in box):
         return iter(())
     coeffs, bounds = [], []
+    reach = [(min(0, blo), max(0, bhi)) for blo, bhi in box]
     for cs, lo, hi in rows:
         slack_lo = slack_hi = 0
-        for (a, b), (blo, bhi) in zip(cs, box):
-            slack_lo += min(0, blo) * (b - a)
-            slack_hi += max(0, bhi) * (b - a)
+        for (a, b), (rlo, rhi) in zip(cs, reach):
+            if a != b:  # an exact coefficient has no slack
+                slack_lo += rlo * (b - a)
+                slack_hi += rhi * (b - a)
         coeffs.append(tuple([a for a, _ in cs]))
         bounds.append((lo - slack_hi, hi - slack_lo))
     coeffs = tuple(coeffs)
@@ -157,7 +165,9 @@ def _solution_lattice(coeffs, c):
     `_xgcd` folds of each column into the last, as in `row_hnf_lower`; the
     kernel columns K are then Lagrange-reduced under the Gram matrix
     A^T A + I, so that the walk over u meets few prefixes without a point
-    (Cohen, GTM 138, Alg. 1.3.14).
+    (Cohen, GTM 138, Alg. 1.3.14).  Their Gram matrix is computed once from
+    the stacked (b, A b); a step b2 -= q b1 updates g22 -= 2q g12 - q^2 g11
+    and g12 -= q g11, and a swap exchanges g11 and g22.
     """
     n = len(c)
     if n > 3:
@@ -176,19 +186,17 @@ def _solution_lattice(coeffs, c):
         return abs(g), (1 if g > 0 else -1,), (), (), (), ()
     w, kernel = cols[-1], cols[:-1]
     if len(kernel) == 2:
-
-        def dot(x, y):  # x^T (A^T A + I) y
-            return sum(map(operator.mul, x, y)) + sum(
-                sum(map(operator.mul, a, x)) * sum(map(operator.mul, a, y)) for a in coeffs
-            )
-
-        b1, b2 = sorted(kernel, key=lambda b: dot(b, b))
+        b1, b2 = kernel
+        x1, x2 = ([*b, *(sum(map(operator.mul, a, b)) for a in coeffs)] for b in kernel)
+        g11, g12, g22 = (sum(map(operator.mul, x, y)) for x, y in ((x1, x1), (x1, x2), (x2, x2)))
         while True:
-            q = (2 * dot(b1, b2) + dot(b1, b1)) // (2 * dot(b1, b1))  # nearest integer
+            if g22 < g11:  # the shorter column first
+                b1, b2, g11, g22 = b2, b1, g22, g11
+            q = (2 * g12 + g11) // (2 * g11)  # the nearest integer to g12 / g11
             b2 = [p - q * r for p, r in zip(b2, b1)]
-            if dot(b2, b2) >= dot(b1, b1):
+            g22, g12 = g22 - 2 * q * g12 + q * q * g11, g12 - q * g11
+            if g22 >= g11:
                 break
-            b1, b2 = b2, b1
         kernel = [b1, b2]
     adj, det = adjugate([[col[i] for col in (*kernel, w)] for i in range(n)])
     return (

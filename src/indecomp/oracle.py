@@ -143,14 +143,19 @@ def box_from_embedding(ctx: DyadicContext, bounds: Sequence[tuple[int, int]]) ->
 
     By Euler's lemma x_j = sum_i sigma_i(x) sigma_i(b_j/f'), so 2^(2k) x_j
     lies in sum_i dual[j][i] * bounds_i; the result holds per-coordinate
-    integer ranges (possibly empty).
+    integer ranges (possibly empty).  [a, b] * [u, v] is monotone in each factor, so
+    its extremes are the corners the signs pick; if u < 0 < v, min(a v, b u), max(a u, b v).
     """
     ranges = []
     for col in ctx.dual:
         lo = hi = 0
         for (a, b), (u, v) in zip(col, bounds):
-            products = (a * u, a * v, b * u, b * v)
-            lo, hi = lo + min(products), hi + max(products)
+            if u >= 0:
+                lo, hi = lo + a * (u if a >= 0 else v), hi + b * (v if b >= 0 else u)
+            elif v <= 0:
+                lo, hi = lo + b * (u if b >= 0 else v), hi + a * (v if a >= 0 else u)
+            else:
+                lo, hi = lo + min(a * v, b * u), hi + max(a * u, b * v)
         ranges.append((-(-lo >> 2 * ctx.k), hi >> 2 * ctx.k))
     return ranges
 

@@ -195,13 +195,33 @@ def test_sum_of_squares_witness_guards_a_deep_target():
     """(16000, 0, 0) at a = 1 searched for over 60 s; it is refused before any
     region search, while (1000, 0, 0) stays below the guard and is answered."""
     f = make_field(Family.SIMPLEST_CUBIC, 1)
-    with mock.patch.object(forms, "region_points") as search:
+    with mock.patch.object(forms, "lattice_points") as search:
         with pytest.raises(GuardExceeded, match="square-root region"):
             sum_of_squares_witness(elem(f, 16000, 0, 0))
     search.assert_not_called()
     w = sum_of_squares_witness(elem(f, 1000, 0, 0))
     assert w is not None and len(w) <= 6
     assert sum((mul(x, x) for x in w), elem(f, 0, 0, 0)) == elem(f, 1000, 0, 0)
+
+
+@pytest.mark.parametrize("family, a, coords", [
+    (Family.SIMPLEST_CUBIC, 1, (1000, 0, 0)),
+    (Family.SIMPLEST_CUBIC, 2, (7, 1, 1)),
+    (Family.SIMPLEST_CUBIC, 7, (40, -3, 2)),
+    (Family.ENNOLA, 3, (30, 2, 1)),
+    (Family.THOMAS, 3, (25, -1, 1)),
+])
+def test_square_candidates_equal_the_whole_region_filtered(family, a, coords):
+    """Walking only the half y_0 >= 0 of the square-root region gives the
+    candidates, in the order, of the whole region filtered to y > 0."""
+    target = elem(make_field(family, a), *coords)
+    assert is_totally_positive(target)
+    want = []
+    for y in region_points(*_square_root_region(target)):
+        rest = target - mul(OrderElement(y, target.field), OrderElement(y, target.field))
+        if y > (0, 0, 0) and (rest.is_zero() or is_totally_positive(rest)):
+            want.append((y, rest.coords))
+    assert list(forms._square_candidates(target)) == want and want
 
 
 def test_sum_of_squares_witness_leaves_no_cyclic_garbage():

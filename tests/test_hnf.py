@@ -219,6 +219,94 @@ def test_adjugate_identity():
         assert _matmul([list(r) for r in adj], m) == eye
 
 
+def _interval_dot_reference(coeffs, x):
+    """The pair-list enclosure: one (lo, hi) pair per term, then two sums."""
+    terms = [(v * a, v * b) if v >= 0 else (v * b, v * a) for (a, b), v in zip(coeffs, x)]
+    return sum(lo for lo, _ in terms), sum(hi for _, hi in terms)
+
+
+@st.composite
+def _interval_terms(draw):
+    """Integer intervals C_j with integer x_j, negative and zero ones included."""
+    n = draw(st.integers(0, 4))
+    big = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**70, 2**70))
+    coeffs = []
+    for _ in range(n):
+        lo = draw(big)
+        coeffs.append((lo, lo + draw(st.one_of(st.just(0), st.integers(0, 2**40)))))
+    return coeffs, draw(st.lists(big, min_size=n, max_size=n))
+
+
+@given(_interval_terms())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_interval_dot_matches_the_pair_list_sums(terms):
+    coeffs, x = terms
+    got = interval_dot(coeffs, x)
+    assert got == _interval_dot_reference(coeffs, x)
+    assert got[0] <= got[1]
+
+
+def _solution_lattice_reference(coeffs, c):
+    """`hnf._solution_lattice` with each Gram entry recomputed from the
+    vectors on every use, uncached."""
+    n = len(c)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    g = c[-1]
+    for j in range(n - 1):
+        g, u, v, s, t = hnf._xgcd(g, c[j])
+        cols[-1], cols[j] = (
+            [u * p + v * q for p, q in zip(cols[-1], cols[j])],
+            [s * p + t * q for p, q in zip(cols[-1], cols[j])],
+        )
+    if g == 0:
+        return None
+    if n == 1:
+        return abs(g), (1 if g > 0 else -1,), (), (), (), ()
+    w, kernel = cols[-1], cols[:-1]
+    if len(kernel) == 2:
+
+        def dot(x, y):  # x^T (A^T A + I) y
+            return sum(p * q for p, q in zip(x, y)) + sum(
+                sum(p * q for p, q in zip(a, x)) * sum(p * q for p, q in zip(a, y)) for a in coeffs
+            )
+
+        b1, b2 = sorted(kernel, key=lambda b: dot(b, b))
+        while True:
+            q = (2 * dot(b1, b2) + dot(b1, b1)) // (2 * dot(b1, b1))
+            b2 = [p - q * r for p, r in zip(b2, b1)]
+            if dot(b2, b2) >= dot(b1, b1):
+                break
+            b1, b2 = b2, b1
+        kernel = [b1, b2]
+    adj, det = adjugate([[col[i] for col in (*kernel, w)] for i in range(n)])
+    return (
+        g,
+        tuple(w),
+        tuple(tuple(col[i] for col in kernel) for i in range(n)),
+        tuple(tuple(det * v for v in row) for row in adj[:-1]),
+        tuple(tuple(sum(p * q for p, q in zip(a, col)) for col in kernel) for a in coeffs),
+        tuple(sum(p * q for p, q in zip(a, w)) for a in coeffs),
+    )
+
+
+@st.composite
+def _equality_systems(draw):
+    """Exact rows with entries up to 2^40 and an equality c with entries up
+    to 10^8, zero entries included, over two or three coordinates."""
+    n = draw(st.sampled_from((2, 3)))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2**40, 2**40))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3))
+    c = draw(st.lists(st.one_of(st.just(0), st.integers(-10**8, 10**8)), min_size=n, max_size=n))
+    return tuple(rows), tuple(c)
+
+
+@given(_equality_systems())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_solution_lattice_matches_the_recomputed_gram_reduction(system):
+    coeffs, c = system
+    assert hnf._solution_lattice.__wrapped__(coeffs, c) == _solution_lattice_reference(coeffs, c)
+
+
 def _parallelepiped_reference(gens):
     """Every hull point tested against t = M^{-1} x in [0, 1]^n."""
     n = len(gens)

@@ -477,6 +477,50 @@ def test_dual_box_contains_every_cramer_box_point_in_the_region(field, coords, w
     assert inside >= 1
 
 
+def _box_reference(ctx, bounds):
+    """The four-corner box rule: every product [a, b] * [u, v] by the min and
+    max of its four corner products."""
+    ranges = []
+    for col in ctx.dual:
+        lo = hi = 0
+        for (a, b), (u, v) in zip(col, bounds):
+            products = (a * u, a * v, b * u, b * v)
+            lo, hi = lo + min(products), hi + max(products)
+        ranges.append((-(-lo >> 2 * ctx.k), hi >> 2 * ctx.k))
+    return ranges
+
+
+@st.composite
+def _dual_boxes(draw):
+    """A dual matrix of integer intervals of any sign and one bound per
+    embedding: (0, hi), (-reach, 0), (-s, s), another one-signed or
+    straddling bound, or a zero-width one."""
+    d = draw(st.sampled_from((2, 3)))
+    entry = st.one_of(st.just(0), st.integers(-99, 99), st.integers(-2**60, 2**60))
+    width = st.one_of(st.just(0), st.integers(0, 99), st.integers(0, 2**60))
+    dual = []
+    for _ in range(d):
+        col = []
+        for _ in range(d):
+            lo = draw(entry)
+            col.append((lo, lo + draw(width)))
+        dual.append(tuple(col))
+    bounds = []
+    for _ in range(d):
+        r, u = draw(width), draw(entry)
+        bounds.append(draw(st.sampled_from(
+            [(0, r), (-r, 0), (-r, r), (u, u + r), (u, u), (0, 0)]
+        )))
+    return oracle.DyadicContext(draw(st.integers(0, 70)), (), (), tuple(dual)), bounds
+
+
+@given(_dual_boxes())
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+def test_sign_case_box_matches_the_four_corner_rule(case):
+    ctx, bounds = case
+    assert box_from_embedding(ctx, bounds) == _box_reference(ctx, bounds)
+
+
 # ---------------------------------------------------------------------------
 # The region enumerator against a full scan of its box
 
