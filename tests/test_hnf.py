@@ -238,7 +238,7 @@ def _interval_terms(draw):
 
 
 @given(_interval_terms())
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_interval_dot_matches_the_pair_list_sums(terms):
     coeffs, x = terms
     got = interval_dot(coeffs, x)
@@ -301,7 +301,7 @@ def _equality_systems(draw):
 
 
 @given(_equality_systems())
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_solution_lattice_matches_the_recomputed_gram_reduction(system):
     coeffs, c = system
     assert hnf._solution_lattice.__wrapped__(coeffs, c) == _solution_lattice_reference(coeffs, c)

@@ -515,7 +515,7 @@ def _dual_boxes(draw):
 
 
 @given(_dual_boxes())
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 def test_sign_case_box_matches_the_four_corner_rule(case):
     ctx, bounds = case
     assert box_from_embedding(ctx, bounds) == _box_reference(ctx, bounds)
