@@ -87,29 +87,20 @@ def rotate(p: TrianglePoint, a: int, turns: int = 1) -> TrianglePoint:
     return q
 
 
+def _row_cubic(a: int, v: int) -> tuple[int, int, int]:
+    """(c2, c1, c0) such that the norm of alpha(v, W) on row v of the triangle
+    is -W^3 + c2*W^2 + c1*W + c0."""
+    d = a - v
+    return a - 3 - (a + 3) * v, a * v * (d + 1) + 3 * d, v * d * (d + 3) + 2 * a + 3
+
+
 def triangle_norm(a: int, v: int, W: int) -> int:
-    """Closed-form norm of alpha(v, W) inside the triangle."""
+    """Closed-form norm of alpha(v, W) inside the triangle: the cubic in W of
+    `_row_cubic(a, v)`, evaluated by Horner's rule."""
     if not in_triangle(a, TrianglePoint(v, W)):
         raise OutOfTriangle(f"(v, W) = ({v}, {W}) outside triangle for a={a}")
-    return (
-        a * a * v * W
-        - a * v * v * W
-        - a * v * W * W
-        + a * a * v
-        - 2 * a * v * v
-        + a * v * W
-        + a * W * W
-        + v**3
-        - 3 * v * W * W
-        - W**3
-        + 3 * a * v
-        + 3 * a * W
-        - 3 * v * v
-        - 3 * v * W
-        - 3 * W * W
-        + 2 * a
-        + 3
-    )
+    c2, c1, c0 = _row_cubic(a, v)
+    return ((c2 - W) * W + c1) * W + c0
 
 
 def fundamental_triangle(a: int) -> list[TrianglePoint]:
@@ -119,15 +110,22 @@ def fundamental_triangle(a: int) -> list[TrianglePoint]:
     return list(_fundamental_points(a))
 
 
+def _fundamental_rows(a: int) -> Iterator[tuple[int, range, int]]:
+    """(v, the W of row v, the orbit size) over `fundamental_triangle(a)`, a >= 0,
+    in its order: full rows of orbits of 3, then, when 3 | a, the fixed centre
+    (a/3, a/3) alone with orbit size 1."""
+    bigA, a0 = divmod(a, 3)
+    for v in range(bigA + 1):  # row bigA is empty when 3 | a
+        yield v, range(v, a - 2 * v), 3
+    if a0 == 0:
+        yield bigA, range(bigA, bigA + 1), 1
+
+
 def _fundamental_points(a: int) -> Iterator[TrianglePoint]:
     """The points of `fundamental_triangle(a)`, a >= 0, one at a time."""
-    bigA, a0 = divmod(a, 3)
-    top = bigA - 1 if a0 == 0 else bigA
-    for v in range(0, top + 1):
-        for W in range(v, 3 * bigA + a0 - 2 * v - 1 + 1):
+    for v, row, _ in _fundamental_rows(a):
+        for W in row:
             yield TrianglePoint(v, W)
-    if a0 == 0:
-        yield TrianglePoint(bigA, bigA)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_DIVISION_BOUND = 10**6
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # from 7, the gaps between the integers prime to 30
+# the product of the 25 primes below 100, stripped by `is_squarefree` in two gcds
+_PRIMES_BELOW_100 = math.prod(p for p in range(2, 100) if all(p % q for q in range(2, p)))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -98,19 +100,21 @@ def factorize(n: int) -> dict[int, int]:
 def is_squarefree(n: int) -> bool:
     """Whether |n| is squarefree (n = 0 is not; units are).
 
-    Trial division stops once d^3 > n: every prime factor of the cofactor n
-    is then >= d, so n is 1, p, p*q or p^2 and one math.isqrt decides.  A
-    cofactor left at TRIAL_DIVISION_BOUND goes to Pollard rho directly.
+    The primes below 100 go first, in two gcds: g = gcd(n, P) with P their
+    product, and some p^2 divides n exactly when gcd(n / g, g) != 1.  Trial division
+    then runs on n / g from d = 97 (7 mod 30, so the wheel stays aligned) and
+    stops once d^3 > n: every prime factor of the cofactor n is then >= d, so
+    n is 1, p, p*q or p^2 and one math.isqrt decides.  A cofactor left at
+    TRIAL_DIVISION_BOUND goes to Pollard rho directly.
     """
     n = abs(n)
     if n == 0:
         return False
-    for d in (2, 3, 5):
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-    d = 7
+    g = math.gcd(n, _PRIMES_BELOW_100)
+    n //= g
+    if math.gcd(n, g) != 1:
+        return False
+    d = 97
     while d * d * d <= n:
         if d > TRIAL_DIVISION_BOUND:
             return all(e == 1 for e in _rho_factors(n, {}).values())

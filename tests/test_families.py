@@ -1,5 +1,7 @@
 """Triangle geometry, rotations, closed-form inventories, parallelepipeds."""
 
+import random
+
 import pytest
 
 from indecomp.codifferent import trace_pairing
@@ -76,6 +78,60 @@ def test_triangle_norm_matches_sym_funcs():
             for W in range(0, a - v + 1):
                 el = triangle_element(f, TrianglePoint(v, W))
                 assert triangle_norm(a, v, W) == norm(el), (a, v, W)
+
+
+def _triangle_norm_expansion(a, v, W):
+    """The seventeen-term expansion of the triangle norm that the row cubic replaced."""
+    return (
+        a * a * v * W
+        - a * v * v * W
+        - a * v * W * W
+        + a * a * v
+        - 2 * a * v * v
+        + a * v * W
+        + a * W * W
+        + v**3
+        - 3 * v * W * W
+        - W**3
+        + 3 * a * v
+        + 3 * a * W
+        - 3 * v * v
+        - 3 * v * W
+        - 3 * W * W
+        + 2 * a
+        + 3
+    )
+
+
+def test_triangle_norm_equals_the_seventeen_term_expansion():
+    """Every triangle point for a <= 60, and 2000 random points at a = 10^3 and 10^6."""
+    for a in range(0, 61):
+        for v in range(0, a + 1):
+            for W in range(0, a - v + 1):
+                assert triangle_norm(a, v, W) == _triangle_norm_expansion(a, v, W), (a, v, W)
+    rng = random.Random(3701)
+    for a in (10**3, 10**6):
+        for _ in range(2000):
+            v = rng.randint(0, a)
+            W = rng.randint(0, a - v)
+            assert triangle_norm(a, v, W) == _triangle_norm_expansion(a, v, W), (a, v, W)
+
+
+def _fundamental_points_parent(a):
+    """The (v, W) of the fundamental third in the order of the former generator."""
+    bigA, a0 = divmod(a, 3)
+    top = bigA - 1 if a0 == 0 else bigA
+    for v in range(0, top + 1):
+        for W in range(v, 3 * bigA + a0 - 2 * v - 1 + 1):
+            yield v, W
+    if a0 == 0:
+        yield bigA, bigA
+
+
+def test_fundamental_triangle_equals_the_former_walk():
+    for a in range(0, 121):
+        got = [(p.v, p.W) for p in fundamental_triangle(a)]
+        assert got == list(_fundamental_points_parent(a)), a
 
 
 def test_triangle_norm_examples():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from indecomp.errors import IndecompError
 from indecomp.integers import (
+    _PRIMES_BELOW_100,
     TRIAL_DIVISION_BOUND,
     factorize,
     icbrt,
@@ -54,6 +55,26 @@ def test_is_squarefree_reference():
         assert is_squarefree(n) == slow(n), n
     assert not is_squarefree(0)
     assert is_squarefree(-10) and not is_squarefree(-12)
+
+
+_PRIMES_UNDER_100 = [p for p in range(2, 100) if sympy.isprime(p)]
+
+
+def test_is_squarefree_at_the_gcd_strip_boundaries():
+    """The primes below 100 are stripped by a gcd with their product P, the
+    rest by trial division from 97; each case is checked with both signs."""
+    assert len(_PRIMES_UNDER_100) == 25 and _PRIMES_BELOW_100 == math.prod(_PRIMES_UNDER_100)
+    cases = {0: False, 1: True, _PRIMES_BELOW_100: True, 97 * 101 * 103: True}
+    cases[_PRIMES_BELOW_100 * 101] = True
+    for p in _PRIMES_UNDER_100:
+        cases[_PRIMES_BELOW_100 * p] = False
+    for p in (89, 97, 101, 103, 1000003):
+        cases[p * p] = False
+        for q in (2, 89, 97, 101, 103, 1000003, 1000033):
+            cases[p * p * q] = False
+    for n, want in cases.items():
+        assert is_squarefree(n) == is_squarefree(-n) == want, n
+        assert n == 0 or want == _sympy_squarefree(n), n
 
 
 def test_icbrt():

@@ -408,12 +408,70 @@ def test_sq_count_work_is_one_squarefree_test_per_orbit(monkeypatch):
     assert len(tests) == 1 + len(fundamental_triangle(40))
 
 
+@pytest.mark.parametrize("a", [-1, 0, 3, 7, 50, 60])
+def test_sq_count_tests_each_orbit_once_and_builds_no_point(monkeypatch, a):
+    """One squarefree test per orbit plus one for the exceptional element, on
+    integers: no TrianglePoint is constructed."""
+    orbits = len(fundamental_triangle(a)) if a >= 0 else 0
+    tests = _wrap_everywhere(monkeypatch, integers, "is_squarefree")
+    points = _wrap_everywhere(monkeypatch, families, "TrianglePoint")
+    sq_count(a)
+    assert len(tests) == orbits + 1
+    assert points == []
+
+
+def _triangle_norm_parent(a, v, W):
+    """The seventeen-term triangle norm that the row cubic replaced."""
+    return (
+        a * a * v * W - a * v * v * W - a * v * W * W + a * a * v - 2 * a * v * v
+        + a * v * W + a * W * W + v**3 - 3 * v * W * W - W**3 + 3 * a * v
+        + 3 * a * W - 3 * v * v - 3 * v * W - 3 * W * W + 2 * a + 3
+    )
+
+
+def _sq_count_parent(a):
+    """The former sq_count: one TrianglePoint walk of the fundamental third."""
+    count = 1 + is_squarefree(a * a + 3 * a + 9)
+    if a < 0:
+        return count
+    bigA, a0 = divmod(a, 3)
+    top = bigA - 1 if a0 == 0 else bigA
+    points = [TrianglePoint(v, W) for v in range(top + 1) for W in range(v, a - 2 * v)]
+    if a0 == 0:
+        points.append(TrianglePoint(bigA, bigA))
+    for p in points:
+        if is_squarefree(_triangle_norm_parent(a, p.v, p.W)):
+            count += 1 if 3 * p.v == 3 * p.W == a else 3
+    return count
+
+
+def test_sq_count_equals_the_former_point_walk():
+    for a in range(-1, 121):
+        assert sq_count(a) == _sq_count_parent(a), a
+
+
+def _max_norm_parent(a):
+    """The former max-norm scan: one key tuple per triangle point."""
+    best_key = best_point = None
+    for v in range(0, a + 1):
+        for W in range(0, a - v + 1):
+            n = _triangle_norm_parent(a, v, W)
+            key = (-n, abs(3 * v - a) + abs(3 * W - a), v, W)
+            if best_key is None or key < best_key:
+                best_key, best_point = key, TrianglePoint(v, W)
+    return best_point, -best_key[0]
+
+
+def test_max_norm_equals_the_former_scan():
+    for a in range(4, 121):
+        assert max_norm_indecomposable(a) == _max_norm_parent(a), a
+
+
 def test_sq_count_walks_the_triangle_without_building_it(monkeypatch):
     """The traced peak of sq_count(601) is far below the size of its
-    60,501-point fundamental triangle.  The norm and the squarefree test are
-    stubbed out: they set the time, not the memory, and each point still
-    counts once with weight 3 (601 % 3 != 0, so there is no fixed centre)."""
-    monkeypatch.setattr(norms, "triangle_norm", lambda a, v, W: 1)
+    60,501-point fundamental triangle.  The squarefree test is stubbed out:
+    it sets the time, not the memory, and each point still counts once with
+    weight 3 (601 % 3 != 0, so there is no fixed centre)."""
     monkeypatch.setattr(norms, "is_squarefree", lambda n: True)
     tracemalloc.start()
     try:
